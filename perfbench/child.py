@@ -10,8 +10,21 @@ MODE is one of
 
 Every mode goes through the public run_scenario(...) path. The only
 change to it is a wrapper on Engine.run that notes when the simulation
-starts, which splits set-up time from run time. The last line printed
-is one JSON object describing the run.
+starts, which splits set-up time from run time. Outside the checked
+mode an InvariantViolation is not caught, so the run exits non-zero and
+counts as failed. The last line printed is one JSON object describing
+the run.
+
+Host speed. The host's speed drifts by a third within minutes, and a
+run of fixed work drifts with it (README.md, "Host noise"). A HostMeter
+therefore times a fixed pure-Python loop on this process's own core, in
+a timer signal's handler, every SAMPLE_EVERY_S while the run goes on.
+Each reported time is the wall time minus the loop's own time, scaled
+by the loop's speed over the same interval relative to
+REFERENCE_LOOP_RATE: the time the run would take on a core where the
+loop runs at that rate. The program under test never runs the loop, so
+a change to it moves only the first factor. "wall" and "host_speed"
+keep the raw wall times and the speeds.
 """
 
 from __future__ import annotations
@@ -20,6 +33,7 @@ import hashlib
 import json
 import os
 import resource
+import signal
 import sys
 import time
 
@@ -27,6 +41,44 @@ from spans import OUTCOME_COUNTERS, Spans, install, layer_metrics
 from workloads import import_tssim, scenario
 
 MODES = ("timed", "setup", "traced", "checked")
+SAMPLE_EVERY_S = 0.02
+LOOP_CHUNK = 20_000  # iterations per sample, about 1 ms
+REFERENCE_LOOP_RATE = 20e6  # loop iterations per second
+
+
+class HostMeter:
+    """Samples, between bytecodes of the run, how fast this core runs a fixed loop."""
+
+    def __init__(self):
+        self.samples: list[tuple[float, float]] = []  # (start, end) per sample
+
+    def _sample(self, _signum, _frame) -> None:
+        start = time.perf_counter()
+        total = 0
+        for i in range(LOOP_CHUNK):
+            total += i
+        self.samples.append((start, time.perf_counter()))
+
+    def start(self) -> None:
+        self._sample(None, None)  # so that even the shortest run has a sample
+        signal.signal(signal.SIGALRM, self._sample)
+        signal.setitimer(signal.ITIMER_REAL, SAMPLE_EVERY_S, SAMPLE_EVERY_S)
+
+    def stop(self) -> None:
+        signal.setitimer(signal.ITIMER_REAL, 0, 0)
+
+    def scale(self, start: float, end: float) -> tuple[float, float]:
+        """(scaled / wall time, loop speed over reference) for [start, end].
+
+        Samples that started inside the interval are used, or every
+        sample when the interval holds none.
+        """
+        inside = [(a, b) for a, b in self.samples if start <= a < end]
+        busy = sum(b - a for a, b in inside)
+        chunks = inside or self.samples
+        speed = len(chunks) * LOOP_CHUNK / sum(b - a for a, b in chunks) / REFERENCE_LOOP_RATE
+        wall = end - start
+        return (wall - busy) / wall * speed if wall > 0 else speed, speed
 
 
 class _SetupDone(Exception):
@@ -110,15 +162,25 @@ def main(argv: list[str]) -> int:
         emit_report = spans.wrap("metrics.emit_report", emit_report)
 
     result: dict = {"mode": mode, "workload": name, "seed": seed}
+    meter = HostMeter()
+    meter.start()
     start = time.perf_counter()
     try:
-        report = run_scenario(config, check_invariants=(mode == "checked"))
-        paths = emit_report(report, out_dir)
+        try:
+            report = run_scenario(config, check_invariants=(mode == "checked"))
+            paths = emit_report(report, out_dir)
+        finally:
+            meter.stop()
     except _SetupDone:
-        result["setup_s"] = seen["run_start"] - start
+        wall = seen["run_start"] - start
+        setup_scale, setup_speed = meter.scale(start, seen["run_start"])
+        result.update({"setup_s": wall * setup_scale, "wall": {"setup_s": wall},
+                       "host_speed": {"setup_s": setup_speed}})
         print(json.dumps(result))
         return 0
     except InvariantViolation as exc:
+        if mode != "checked":
+            raise
         result["invariant_violation"] = str(exc)
         result["at_s"] = seen["engine"].now
         print(json.dumps(result))
@@ -130,10 +192,14 @@ def main(argv: list[str]) -> int:
     horizon_end = engine.stream.start_time + engine.horizon
     viewers = sum(1 for e in sessions if e.kind is SessionEventKind.JOIN)
     scalars = report.scalars
+    windows = {"setup_s": (start, seen["run_start"]), "run_s": (seen["run_start"], end),
+               "engine_s": (seen["run_start"], seen["run_end"]), "all_s": (start, end)}
+    wall = {key: b - a for key, (a, b) in windows.items()}
+    scales = {key: meter.scale(a, b) for key, (a, b) in windows.items()}
+    result.update({key: wall[key] * scales[key][0] for key in windows})
     result.update({
-        "setup_s": seen["run_start"] - start,
-        "run_s": end - seen["run_start"],
-        "engine_s": seen["run_end"] - seen["run_start"],
+        "wall": wall,
+        "host_speed": {key: speed for key, (_, speed) in scales.items()},
         "peak_rss_mb": peak_kib / 1024,
         "digest": digest(paths),
         "viewer_s": viewer_seconds(sessions, horizon_end),
@@ -144,7 +210,8 @@ def main(argv: list[str]) -> int:
         "problems": report_problems(report, engine, viewers),
     })
     if spans is not None:
-        result["layers"] = layer_metrics(spans)
+        # Span times include the samples that fell inside them.
+        result["layers"] = layer_metrics(spans, scales["all_s"][0])
         result["event_kinds"] = {
             key[len("engine.events."):]: n for key, n in sorted(spans.counts.items())
             if key.startswith("engine.events.")}

@@ -2,23 +2,27 @@
 
     python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
-Run from the root of a checkout. Each simulation runs in a fresh
-interpreter (perfbench/child.py), one at a time, so peak RSS belongs to
-that run alone and nothing else competes for the two cores.
+Run from the root of a checkout. The workloads and the metrics, with
+their units, are those of BENCHMARK.json. Each simulation runs in a
+fresh interpreter (perfbench/child.py), one at a time, so peak RSS
+belongs to that run alone.
 
-One seed stands for three audiences, generated from the scenario seeds
-N, N + 1,000,000 and N + 2,000,000. How long a workload takes depends on
-its audience by up to a quarter, so a single audience would hide a
-regression of that size; the mean of three independent ones is steady
-enough to compare commits (see README.md).
+Every time reported is scaled to a reference host speed, measured in
+the child while it runs (child.HostMeter); each run's diagnostic line
+also holds its raw wall times and the speeds measured.
 
---trace 0 first times two set-up-only runs per audience, then runs the
-audiences in turn: each once, then more while the next run is expected
-to end within S seconds of the first.
-It reports run_s, the mean over the audiences of each one's median run
-time; setup_s, the median of every set-up measured; viewer_s_per_s, the
-audiences' viewer-seconds over their summed run times; and peak_rss_mb,
-the median over runs.
+One seed stands for workloads.AUDIENCES[workload] audiences, generated
+from the scenario seeds N, N + 1,000,000, ...; the cost of an audience
+depends on its seed.
+
+--trace 0 first times SETUP_RUNS set-up-only runs, taking the audiences
+in turn, then runs the audiences round-robin: at least one run more
+than there are audiences, so the first audience always runs twice and
+its two outputs are compared; then more while the next run is expected
+to end within S seconds of the first. It reports run_s, the mean over
+the audiences of each one's median run time; setup_s, the median of
+every set-up measured; viewer_s_per_s, the audiences' viewer-seconds
+over their summed run times; and peak_rss_mb, the median over runs.
 
 --trace 1 uses the first audience only: one untraced run, one traced
 run with every layer's spans (perfbench/spans.py) and one untimed run
@@ -26,11 +30,11 @@ with invariant checking. It reports the per-layer metrics.
 
 A run fails when it raises or when its four CSVs differ from another
 run of the same audience. The output is correct when no run failed,
-every report satisfies the identities in child.report_problems, and the
-traced and checked runs (if the check passes) wrote the same bytes as
-the untraced one. A violation found by the invariant check is printed
-and counted in invariants.failed; it does not make the output
-incorrect, because mesh-rush has a known one (see README.md).
+every report satisfies the identities in child.report_problems, the
+traced run wrote the same bytes as the untraced one, and the checked
+run either wrote them too or, on a workload in
+workloads.KNOWN_VIOLATIONS, raised InvariantViolation. The verdict and
+message of the check are printed and counted in invariants.failed.
 
 Lines before the last are diagnostics; the last line is the result:
 {"correct": ..., "attempted": ..., "failed": ..., "metrics": {name: {"value", "unit"}}}
@@ -49,34 +53,17 @@ import tempfile
 import time
 from collections import Counter
 
-from spans import OUTCOME_COUNTERS, PER_LAYER
-from workloads import ROOT, WORKLOADS, import_tssim
+from spans import OUTCOME_COUNTERS
+from workloads import AUDIENCES, KNOWN_VIOLATIONS, ROOT, import_tssim, load_spec
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-AUDIENCES = 3
 AUDIENCE_STRIDE = 1_000_000
-SETUP_RUNS_PER_AUDIENCE = 2
+SETUP_RUNS = 4
 DEADLINE_S = 170  # the whole benchmark must exit within 180 s
 
-END_TO_END = {
-    "run_s": "s",
-    "setup_s": "s",
-    "viewer_s_per_s": "viewer-s/s",
-    "peak_rss_mb": "MiB",
-}
 
-
-def audience_seeds(seed: int) -> list[int]:
-    return [seed + i * AUDIENCE_STRIDE for i in range(AUDIENCES)]
-
-
-def host_loop_s() -> float:
-    """Time of a fixed pure-Python loop: shows a slow host period, no metric."""
-    start = time.perf_counter()
-    total = 0
-    for i in range(2_000_000):
-        total += i
-    return time.perf_counter() - start
+def audience_seeds(workload: str, seed: int) -> list[int]:
+    return [seed + i * AUDIENCE_STRIDE for i in range(AUDIENCES[workload])]
 
 
 class Runner:
@@ -108,7 +95,8 @@ class Runner:
             tail = proc.stderr.strip().splitlines()[-1:] or [f"exit {proc.returncode}"]
             return {"mode": mode, "seed": seed, "error": tail[0]}
         result = json.loads(lines[-1])
-        print(json.dumps({"run": result}, sort_keys=True), flush=True)
+        print(json.dumps({"run": {k: v for k, v in result.items() if k != "layers"}},
+                         sort_keys=True), flush=True)
         return result
 
 
@@ -126,12 +114,13 @@ def metric(value: float, unit: str) -> dict:
     return {"value": value, "unit": unit}
 
 
-def timed(run, seed: int, seconds: float) -> dict | None:
-    seeds = audience_seeds(seed)
-    setups = [run("setup", s) for s in seeds for _ in range(SETUP_RUNS_PER_AUDIENCE)]
+def timed(run, workload: str, seed: int, seconds: float,
+          units: dict[str, str]) -> dict | None:
+    seeds = audience_seeds(workload, seed)
+    setups = [run("setup", seeds[i % len(seeds)]) for i in range(SETUP_RUNS)]
     runs: list[dict] = []
     window = time.perf_counter()
-    while len(runs) < len(seeds) or (
+    while len(runs) <= len(seeds) or (
             (time.perf_counter() - window) * (len(runs) + 1) / len(runs) <= seconds):
         runs.append(run("timed", seeds[len(runs) % len(seeds)]))
     good = good_runs(runs)
@@ -146,34 +135,38 @@ def timed(run, seed: int, seconds: float) -> dict | None:
     setup_s = [r["setup_s"] for r in setups + good if "error" not in r]
     problems = [p for r in good for p in r["problems"]]
     failed = len(runs) - len(good)
+    values = {
+        "run_s": statistics.fmean(run_s),
+        "setup_s": statistics.median(setup_s),
+        "viewer_s_per_s": sum(viewer_s) / sum(run_s),
+        "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in good),
+    }
     return {
         "correct": failed == 0 and not problems and not setup_errors,
         "attempted": len(runs),
         "failed": failed,
-        "metrics": {
-            "run_s": metric(statistics.fmean(run_s), END_TO_END["run_s"]),
-            "setup_s": metric(statistics.median(setup_s), END_TO_END["setup_s"]),
-            "viewer_s_per_s": metric(sum(viewer_s) / sum(run_s),
-                                     END_TO_END["viewer_s_per_s"]),
-            "peak_rss_mb": metric(statistics.median(r["peak_rss_mb"] for r in good),
-                                  END_TO_END["peak_rss_mb"]),
-        },
+        "metrics": {name: metric(values[name], unit) for name, unit in units.items()},
     }
 
 
-def traced(run, seed: int) -> dict | None:
+def traced(run, workload: str, seed: int, units: dict[str, str]) -> dict | None:
     plain, layered, checked = run("timed", seed), run("traced", seed), run("checked", seed)
     if "error" in plain or "error" in layered:
         return None
     failed = 2 - len(good_runs([plain, layered]))
     violation = checked.get("invariant_violation")
+    if "error" in checked:
+        checked_ok = False
+    elif violation is not None:
+        checked_ok = workload in KNOWN_VIOLATIONS
+    else:
+        checked_ok = checked["digest"] == plain["digest"] and not checked["problems"]
     print(json.dumps({"invariant_check": {
         "verdict": "error" if "error" in checked else "fail" if violation else "pass",
+        "as_expected": checked_ok,
         "message": checked.get("error", violation), "at_s": checked.get("at_s")}}),
         flush=True)
-    checked_ok = "error" not in checked and (
-        violation is not None
-        or (checked["digest"] == plain["digest"] and not checked["problems"]))
+
     values = dict(layered["layers"])
     values.update({
         "workload.session_events": layered["session_events"],
@@ -185,25 +178,29 @@ def traced(run, seed: int) -> dict | None:
     })
     for key in OUTCOME_COUNTERS:
         values[f"engine.{key}"] = layered["outputs"][key]
-    listed = {name.split(".", 2)[2] for name, _, _ in PER_LAYER
-              if name.startswith("engine.events.")}
-    unlisted = sorted(set(layered["event_kinds"]) - listed)
-    if unlisted:
-        print(json.dumps({"unlisted_event_kinds": unlisted}), flush=True)
+    unlisted = sorted(f"engine.events.{kind}" for kind in layered["event_kinds"]
+                      if f"engine.events.{kind}" not in units)
+    missing = sorted(set(units) - set(values))
+    if unlisted or missing:
+        print(json.dumps({"unlisted_event_kinds": unlisted, "missing_metrics": missing}),
+              flush=True)
     return {
         "correct": (failed == 0 and not plain["problems"] and not layered["problems"]
-                    and checked_ok),
+                    and checked_ok and not missing),
         "attempted": 2,
         "failed": failed,
-        "metrics": {name: metric(values[name], unit) for name, unit, _ in PER_LAYER},
+        "metrics": {name: metric(values.get(name, 0), unit)
+                    for name, unit in units.items()},
     }
 
 
 def main(argv: list[str] | None = None) -> int:
+    spec = load_spec()
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
+    parser.add_argument("--workload", required=True,
+                        choices=[w["name"] for w in spec["workloads"]])
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     if not 0 <= args.seed < AUDIENCE_STRIDE or args.seconds <= 0:
@@ -215,22 +212,18 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     started = time.perf_counter()
-    print(json.dumps({"host_loop_s": host_loop_s()}), flush=True)
-    scratch = os.path.join(ROOT, ".perfbench")
-    os.makedirs(scratch, exist_ok=True)
-    out_root = tempfile.mkdtemp(prefix=f"{args.workload}-", dir=scratch)
+    # The CSVs go inside the checkout, the only place a run may write.
+    out_root = tempfile.mkdtemp(prefix=".perfbench-", dir=ROOT)
     run = Runner(args.workload, out_root, started)
+    layer = "per_layer" if args.trace else "end_to_end"
+    units = {m["name"]: m["unit"] for m in spec[layer]}
     try:
         if args.trace:
-            result = traced(run, args.seed)
+            result = traced(run, args.workload, args.seed, units)
         else:
-            result = timed(run, args.seed, args.seconds)
+            result = timed(run, args.workload, args.seed, args.seconds, units)
     finally:
         shutil.rmtree(out_root, ignore_errors=True)
-        try:
-            os.rmdir(scratch)
-        except OSError:
-            pass  # another benchmark still uses it
     if result is None:
         print("perfbench: some audience had no completed run", file=sys.stderr)
         return 1

@@ -36,48 +36,6 @@ OUTCOME_COUNTERS = ("chunks_requested", "chunks_delivered", "chunks_missed",
                     "dropped_messages")
 
 
-def _timed(ops):
-    return [(f"{op}.{suffix}", unit, "lower")
-            for op in ops for suffix, unit in (("calls", "count"), ("self_s", "s"))]
-
-
-# (name, unit, better) of every metric a traced run reports, in print order.
-PER_LAYER: list[tuple[str, str, str]] = [
-    ("stream.build_timeline.s", "s", "lower"),
-    ("workload.generate_sessions.s", "s", "lower"),
-    ("workload.generate_profiles.s", "s", "lower"),
-    ("workload.session_events", "count", "higher"),
-    ("workload.viewers", "count", "higher"),
-    ("workload.viewer_s", "viewer-s", "higher"),
-    ("engine.self_s", "s", "lower"),
-    ("engine.events", "count", "lower"),
-    ("engine.events_per_s", "1/s", "higher"),
-    *[(f"engine.events.{kind}", "count", "lower") for kind in EVENT_KINDS],
-    *_timed(["engine.store_chunk"]),
-    ("engine.send_chunk.calls", "count", "lower"),
-    ("engine.send_control.calls", "count", "lower"),
-    ("engine.chunks_requested", "count", "lower"),
-    ("engine.chunks_delivered", "count", "higher"),
-    ("engine.chunks_missed", "count", "lower"),
-    ("engine.dropped_messages", "count", "lower"),
-    *_timed(f"drivers.{hook}" for hook in DRIVER_HOOKS),
-    ("drivers.find_provider.producer_ratio", "ratio", "lower"),
-    *_timed(f"turntable.{op}" for op in TURNTABLE_OPS),
-    ("turntable.offer_handoff.hit_ratio", "ratio", "higher"),
-    *_timed(f"tree.{op}" for op in TREE_OPS),
-    ("tree.emergency_replicate.noop_ratio", "ratio", "lower"),
-    *_timed(f"mesh.{op}" for op in MESH_OPS),
-    ("mesh.gossip_round.adopted_per_call", "ratio", "higher"),
-    ("mesh.route_request.served_ratio", "ratio", "higher"),
-    *_timed(f"interval.{op}" for op in INTERVAL_OPS),
-    ("interval.sweep_assign_bounds.infeasible_ratio", "ratio", "lower"),
-    ("metrics.collect_report.s", "s", "lower"),
-    ("metrics.emit_report.s", "s", "lower"),
-    ("invariants.failed", "count", "lower"),
-    ("trace_overhead_ratio", "ratio", "lower"),
-]
-
-
 class Spans:
     """Call counts, total and self wall time per span name, in memory."""
 
@@ -91,6 +49,7 @@ class Spans:
     def wrap(self, name: str, fn, tally=None):
         """`fn` timed as span `name`; `tally(result)` is added to counts[name]."""
         calls, total, self_s, counts = self.calls, self.total, self.self_s, self.counts
+        calls[name] += 0  # a span that never runs still reports 0 calls
         open_spans = self._open
         clock = time.perf_counter
 
@@ -204,23 +163,26 @@ def install(spans: Spans) -> None:
                 tallies["interval.sweep_assign_bounds"])
 
 
-def layer_metrics(spans: Spans) -> dict[str, float]:
-    """Every PER_LAYER value the traced process itself can measure.
+def layer_metrics(spans: Spans, scale: float) -> dict[str, float]:
+    """Every per-layer value the traced process itself can measure.
 
-    The workload sizes, outcome counters, events_per_s, invariants.failed
-    and trace_overhead_ratio come from elsewhere and are added by the
-    caller.
+    Each span gives `<span>.calls` and `<span>.self_s`; the span "engine"
+    is Engine.run, so its self time is `engine.self_s`. Times are
+    multiplied by `scale`, the run's scaled over wall time. The workload
+    sizes, outcome counters, events_per_s, invariants.failed and
+    trace_overhead_ratio come from elsewhere and are added by the caller.
     """
-    calls, self_s, counts = spans.calls, spans.self_s, spans.counts
+    calls, counts = spans.calls, spans.counts
+    total = {name: t * scale for name, t in spans.total.items()}
+    self_s = {name: t * scale for name, t in spans.self_s.items()}
 
     def ratio(name: str) -> float:
         return counts[name] / calls[name] if calls[name] else 0.0
 
     out: dict[str, float] = {
-        "stream.build_timeline.s": spans.total["stream.build_timeline"],
-        "workload.generate_sessions.s": spans.total["workload.generate_sessions"],
-        "workload.generate_profiles.s": spans.total["workload.generate_profiles"],
-        "engine.self_s": self_s["engine"],
+        "stream.build_timeline.s": total["stream.build_timeline"],
+        "workload.generate_sessions.s": total["workload.generate_sessions"],
+        "workload.generate_profiles.s": total["workload.generate_profiles"],
         "engine.events": counts["engine.events"],
         "engine.send_chunk.calls": counts["engine.send_chunk"],
         "engine.send_control.calls": counts["engine.send_control"],
@@ -231,14 +193,12 @@ def layer_metrics(spans: Spans) -> dict[str, float]:
         "mesh.route_request.served_ratio": ratio("mesh.route_request"),
         "interval.sweep_assign_bounds.infeasible_ratio": ratio(
             "interval.sweep_assign_bounds"),
-        "metrics.collect_report.s": spans.total["metrics.collect_report"],
-        "metrics.emit_report.s": spans.total["metrics.emit_report"],
+        "metrics.collect_report.s": total["metrics.collect_report"],
+        "metrics.emit_report.s": total["metrics.emit_report"],
     }
     for kind in EVENT_KINDS:
         out[f"engine.events.{kind}"] = counts[f"engine.events.{kind}"]
-    for name, _, _ in PER_LAYER:
-        span, _, suffix = name.rpartition(".")
-        if suffix == "self_s" and span != "engine":
-            out[f"{span}.calls"] = calls[span]
-            out[name] = self_s[span]
+    for span in list(calls):
+        out[f"{span}.calls"] = calls[span]
+        out[f"{span}.self_s"] = self_s.get(span, 0.0)
     return out

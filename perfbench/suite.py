@@ -1,16 +1,17 @@
 """Every workload over a range of seeds, round-robin, with the spread of each metric.
 
-    python3 perfbench/suite.py [--seeds 1-10] [--workloads tree-day,mesh-rush]
-                               [--seconds 20] [--trace] [--out FILE]
+    python3 perfbench/suite.py [--seeds 1-10] [--trace] [--out FILE]
 
-Runs perfbench/run.py once per (seed, workload), one at a time, taking
+Runs perfbench/run.py once per (seed, workload) for every workload in
+BENCHMARK.json with its run_seconds, one at a time, taking
 the workloads in turn within each seed so that a slow stretch of the
 host is shared among them. For each workload and end-to-end metric it
 prints the median, the quartiles (statistics.quantiles, n=4) and the
 spread, the inter-quartile range as a share of the median, next to the
-bound in BENCHMARK.json; plus the failed-run share and the time of the
-fixed host loop each set recorded. --trace adds one traced run per
-(seed, workload) after the untraced one. --out saves every result.
+bound in BENCHMARK.json; plus the failed-run share and the median host
+speed each set measured (child.HostMeter; 1 is the reference speed).
+--trace adds one traced run per (seed, workload) after the untraced
+one. --out saves every result.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import statistics
 import subprocess
 import sys
 
-from workloads import ROOT, WORKLOADS
+from workloads import ROOT, load_spec
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -41,12 +42,13 @@ def bench(workload: str, seed: int, seconds: float, trace: int) -> dict:
         raise RuntimeError(f"{workload} seed {seed}: exit {proc.returncode}: "
                            f"{proc.stderr.strip()[-500:]}")
     diagnostics = [json.loads(line) for line in lines[:-1]]
-    host = [d["host_loop_s"] for d in diagnostics if "host_loop_s" in d]
+    runs = [d["run"] for d in diagnostics if "run" in d]
+    speeds = [r["host_speed"]["run_s"] for r in runs if "run_s" in r.get("host_speed", {})]
     check = [d["invariant_check"] for d in diagnostics if "invariant_check" in d]
     return {"workload": workload, "seed": seed, "trace": trace,
-            "host_loop_s": host[0] if host else None,
+            "host_speed": statistics.median(speeds) if speeds else None,
             "invariant_check": check[0] if check else None,
-            "runs": [d["run"] for d in diagnostics if "run" in d],
+            "runs": runs,
             "result": json.loads(lines[-1])}
 
 
@@ -70,7 +72,7 @@ def summarize(results: list[dict], bounds: dict[str, float]) -> dict:
             "correct": all(r["result"]["correct"] for r in sets),
             "failed_share": (sum(r["result"]["failed"] for r in sets)
                              / sum(r["result"]["attempted"] for r in sets)),
-            "host_loop_s": [r["host_loop_s"] for r in sets],
+            "host_speed": [r["host_speed"] for r in sets],
             "metrics": {},
         }
         for name in sets[0]["result"]["metrics"]:
@@ -85,20 +87,14 @@ def summarize(results: list[dict], bounds: dict[str, float]) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=seed_range, default=seed_range("1-10"))
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
-    parser.add_argument("--seconds", type=float)
     parser.add_argument("--trace", action="store_true")
     parser.add_argument("--out")
     args = parser.parse_args(argv)
 
-    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        spec = json.load(fh)
-    seconds = args.seconds or spec["run_seconds"]
+    spec = load_spec()
+    seconds = spec["run_seconds"]
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
-    workloads = args.workloads.split(",")
-    unknown = set(workloads) - set(WORKLOADS)
-    if unknown:
-        parser.error(f"unknown workloads: {', '.join(sorted(unknown))}")
+    workloads = [w["name"] for w in spec["workloads"]]
 
     results = []
     for seed in args.seeds:
@@ -110,7 +106,7 @@ def main(argv: list[str] | None = None) -> int:
                          if k in bounds or k == "trace_overhead_ratio"}
                 print(f"seed {seed} {workload} trace={trace} correct={res['correct']} "
                       f"failed={res['failed']}/{res['attempted']} "
-                      f"host_loop_s={results[-1]['host_loop_s']:.3f} {shown}",
+                      f"host_speed={results[-1]['host_speed']:.3f} {shown}",
                       flush=True)
 
     summary = summarize(results, bounds)

@@ -21,8 +21,7 @@ sys.path.insert(0, HERE)
 
 import child  # noqa: E402
 import run  # noqa: E402
-from spans import PER_LAYER  # noqa: E402
-from workloads import ROOT, WORKLOADS, import_tssim, scenario  # noqa: E402
+from workloads import KNOWN_VIOLATIONS, OVERRIDES, ROOT, import_tssim, scenario  # noqa: E402
 
 
 def _child(mode: str, workload: str, out_dir) -> dict:
@@ -33,19 +32,7 @@ def _child(mode: str, workload: str, out_dir) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def test_benchmark_json_matches_the_code():
-    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        spec = json.load(fh)
-    assert [(w["name"], w["why"]) for w in spec["workloads"]] == [
-        (name, why) for name, (_, why) in WORKLOADS.items()]
-    assert [(m["name"], m["unit"], m["better"]) for m in spec["per_layer"]] == PER_LAYER
-    assert {m["name"]: m["unit"] for m in spec["end_to_end"]} == run.END_TO_END
-    assert all(0 < m["bound"] <= 0.25 for m in spec["end_to_end"])
-    setup = [m for m in spec["end_to_end"] if m["name"] == "setup_s"]
-    assert setup[0]["bound"] == max(m["bound"] for m in spec["end_to_end"])
-
-
-@pytest.mark.parametrize("workload", list(WORKLOADS))
+@pytest.mark.parametrize("workload", list(OVERRIDES))
 def test_benchmark_writes_what_the_public_path_writes(workload, tmp_path):
     import_tssim()
     from tssim import emit_report, run_scenario
@@ -57,6 +44,73 @@ def test_benchmark_writes_what_the_public_path_writes(workload, tmp_path):
     assert timed["digest"] == plain
     assert traced["digest"] == plain
     assert timed["problems"] == [] and traced["problems"] == []
+
+
+class FakeRunner:
+    """Stands in for run.Runner: every run of an audience writes `digests[i]`."""
+
+    def __init__(self, digests=("d",), violation=None):
+        self.digests = list(digests)
+        self.violation = violation
+        self.calls: list[tuple[str, int]] = []
+
+    def __call__(self, mode: str, seed: int) -> dict:
+        self.calls.append((mode, seed))
+        if mode == "setup":
+            return {"mode": mode, "seed": seed, "setup_s": 0.1}
+        if mode == "checked" and self.violation:
+            return {"mode": mode, "seed": seed, "invariant_violation": self.violation}
+        digest = self.digests.pop(0) if len(self.digests) > 1 else self.digests[0]
+        return {"mode": mode, "seed": seed, "digest": digest, "problems": [],
+                "setup_s": 0.1, "run_s": 2.0, "engine_s": 1.5, "peak_rss_mb": 30.0,
+                "viewer_s": 100.0, "session_events": 10, "viewers": 4,
+                "outputs": dict.fromkeys(run.OUTCOME_COUNTERS, 0),
+                "layers": {"engine.events": 6}, "event_kinds": {},
+                "host_speed": {"all": 1.0}}
+
+
+UNITS = {"run_s": "s", "setup_s": "s", "viewer_s_per_s": "viewer-s/s",
+         "peak_rss_mb": "MiB"}
+
+
+@pytest.mark.parametrize("workload", list(OVERRIDES))
+def test_the_first_audience_runs_twice_however_short_the_window(workload):
+    fake = FakeRunner()
+    result = run.timed(fake, workload, 7, seconds=0, units=UNITS)
+    timed = [seed for mode, seed in fake.calls if mode == "timed"]
+    seeds = run.audience_seeds(workload, 7)
+    assert timed == seeds + [7]
+    assert result["correct"] and result["attempted"] == len(seeds) + 1
+
+
+def test_a_repeat_that_writes_other_bytes_fails():
+    fake = FakeRunner(digests=["a", "b", "c", "d"])
+    result = run.timed(fake, "interval-rush", 7, seconds=0, units=UNITS)
+    assert not result["correct"] and result["failed"] == 1
+
+
+@pytest.mark.parametrize("workload", list(OVERRIDES))
+def test_an_invariant_violation_is_correct_only_where_known(workload):
+    units = {"invariants.failed": "count", "engine.events": "count"}
+    result = run.traced(FakeRunner(violation="peer 1 holds departed 2"), workload, 1,
+                        units)
+    assert result["correct"] == (workload in KNOWN_VIOLATIONS)
+    assert result["metrics"]["invariants.failed"]["value"] == 1
+    passed = run.traced(FakeRunner(), workload, 1, units)
+    assert passed["correct"] and passed["metrics"]["invariants.failed"]["value"] == 0
+
+
+def test_host_meter_scales_to_the_reference_speed():
+    meter = child.HostMeter()
+    chunk_s = child.LOOP_CHUNK / child.REFERENCE_LOOP_RATE
+    # A core at half the reference speed: each sample takes twice as long.
+    meter.samples = [(t, t + 2 * chunk_s) for t in (0.0, 1.0, 2.0, 3.0)]
+    scale, speed = meter.scale(0.5, 4.0)
+    assert speed == pytest.approx(0.5)
+    wall = 3.5
+    assert wall * scale == pytest.approx((wall - 3 * 2 * chunk_s) * 0.5)
+    # An interval with no sample of its own falls back on all of them.
+    assert meter.scale(3.1, 3.2) == pytest.approx((0.5, 0.5))
 
 
 def test_viewer_seconds_clips_at_the_horizon():

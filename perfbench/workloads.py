@@ -4,37 +4,40 @@ Every workload is the default ScenarioConfig with the fields below
 changed and the seed taken from the command line. The session trace is
 generated up front from that seed (Poisson arrivals plus show-start
 bursts in simulated time), so one run is one batch job on the host.
+Why each workload was chosen is in BENCHMARK.json; the measured detail
+is in perfbench/README.md.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 
-# name -> (overrides, why). Each "why" is the one-line reason also kept in
-# BENCHMARK.json; perfbench/README.md has the measured detail.
-WORKLOADS: dict[str, tuple[dict, str]] = {
-    "tree-day": (
-        {"overlay": "tree", "horizon_s": 86_400.0, "arrival_rate": 0.05},
-        "24 h sparse tree audience (acceptance-02 scenario): most events, "
-        "churn repair in tree summaries and emergency replication; mesh and "
-        "interval code idle",
-    ),
-    "mesh-rush": (
-        {"overlay": "mesh", "horizon_s": 3_600.0, "arrival_rate": 0.5},
-        "1 h dense mesh audience, ~375 concurrent: gossip rounds dominate. Known "
-        "defect kept: at seed 1 check_invariants fails at t=300 s, "
-        "'sector 0: peer 38 holds departed 25 beyond staleness bound'",
-    ),
-    "interval-rush": (
-        {"overlay": "interval", "horizon_s": 3_600.0, "arrival_rate": 0.5},
-        "same seeded audience as mesh-rush with the interval overlay: repair "
-        "writes and provider-scan reads; only the overlay differs",
-    ),
+OVERRIDES: dict[str, dict] = {
+    "tree-day": {"overlay": "tree", "horizon_s": 86_400.0, "arrival_rate": 0.05},
+    "mesh-rush": {"overlay": "mesh", "horizon_s": 3_600.0, "arrival_rate": 0.5},
+    "interval-rush": {"overlay": "interval", "horizon_s": 3_600.0, "arrival_rate": 0.5},
 }
+
+# Audiences per seed: how many independent session traces one benchmark
+# run averages. The cost of an interval-rush audience varies most with
+# its seed, and of a tree-day audience least (README.md, "Audiences").
+AUDIENCES: dict[str, int] = {"tree-day": 1, "mesh-rush": 2, "interval-rush": 3}
+
+# Workloads whose invariant-checked run may raise InvariantViolation: the
+# known mesh staleness defect (README.md, "Recorded failing check"). A
+# violation on any other workload makes the result incorrect.
+KNOWN_VIOLATIONS = frozenset({"mesh-rush"})
+
+
+def load_spec() -> dict:
+    """BENCHMARK.json of the checkout: workloads, metrics, units and bounds."""
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def import_tssim() -> None:
@@ -54,5 +57,4 @@ def scenario(name: str, seed: int):
     import_tssim()
     from tssim.config import ScenarioConfig
 
-    overrides, _why = WORKLOADS[name]
-    return ScenarioConfig(seed=seed, **overrides)
+    return ScenarioConfig(seed=seed, **OVERRIDES[name])
