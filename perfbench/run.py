@@ -13,7 +13,8 @@ also holds its raw wall times and the speeds measured.
 
 One seed stands for workloads.AUDIENCES[workload] audiences, generated
 from the scenario seeds N, N + 1,000,000, ...; the cost of an audience
-depends on its seed.
+depends on its seed. Any integer is a seed: N is taken modulo 2**63, so
+every scenario seed is a valid, non-negative ScenarioConfig seed.
 
 --trace 0 first times SETUP_RUNS set-up-only runs, taking the audiences
 in turn, then runs the audiences round-robin: at least one run more
@@ -58,12 +59,14 @@ from workloads import AUDIENCES, KNOWN_VIOLATIONS, ROOT, import_tssim, load_spec
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 AUDIENCE_STRIDE = 1_000_000
+SEED_MODULUS = 2**63
 SETUP_RUNS = 4
 DEADLINE_S = 170  # the whole benchmark must exit within 180 s
 
 
 def audience_seeds(workload: str, seed: int) -> list[int]:
-    return [seed + i * AUDIENCE_STRIDE for i in range(AUDIENCES[workload])]
+    base = seed % SEED_MODULUS
+    return [base + i * AUDIENCE_STRIDE for i in range(AUDIENCES[workload])]
 
 
 class Runner:
@@ -150,6 +153,7 @@ def timed(run, workload: str, seed: int, seconds: float,
 
 
 def traced(run, workload: str, seed: int, units: dict[str, str]) -> dict | None:
+    seed = audience_seeds(workload, seed)[0]
     plain, layered, checked = run("timed", seed), run("traced", seed), run("checked", seed)
     if "error" in plain or "error" in layered:
         return None
@@ -203,8 +207,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
-    if not 0 <= args.seed < AUDIENCE_STRIDE or args.seconds <= 0:
-        parser.error(f"--seed must be in [0, {AUDIENCE_STRIDE}) and --seconds > 0")
+    if args.seconds <= 0:
+        parser.error("--seconds must be > 0")
     try:
         import_tssim()
     except FileNotFoundError as exc:

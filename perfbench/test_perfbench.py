@@ -83,6 +83,14 @@ def test_the_first_audience_runs_twice_however_short_the_window(workload):
     assert result["correct"] and result["attempted"] == len(seeds) + 1
 
 
+@pytest.mark.parametrize("seed", [0, 7, 4_294_967_295, 10**20, -1])
+def test_any_integer_seed_gives_distinct_valid_scenario_seeds(seed):
+    seeds = run.audience_seeds("interval-rush", seed)
+    assert len(set(seeds)) == len(seeds)
+    for s in seeds:
+        scenario("interval-rush", s)  # ScenarioConfig rejects a negative seed
+
+
 def test_a_repeat_that_writes_other_bytes_fails():
     fake = FakeRunner(digests=["a", "b", "c", "d"])
     result = run.timed(fake, "interval-rush", 7, seconds=0, units=UNITS)

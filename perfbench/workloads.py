@@ -26,7 +26,7 @@ OVERRIDES: dict[str, dict] = {
 # Audiences per seed: how many independent session traces one benchmark
 # run averages. The cost of an interval-rush audience varies most with
 # its seed, and of a tree-day audience least (README.md, "Audiences").
-AUDIENCES: dict[str, int] = {"tree-day": 1, "mesh-rush": 2, "interval-rush": 3}
+AUDIENCES: dict[str, int] = {"tree-day": 1, "mesh-rush": 1, "interval-rush": 5}
 
 # Workloads whose invariant-checked run may raise InvariantViolation: the
 # known mesh staleness defect (README.md, "Recorded failing check"). A
