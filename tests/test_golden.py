@@ -1,0 +1,43 @@
+"""Golden digests: the four CSVs of fixed scenarios, byte for byte.
+
+A refactor that is meant to keep behaviour must keep these digests. A
+change that alters outputs on purpose updates them and says why.
+"""
+
+import hashlib
+
+import pytest
+
+from tssim.config import ScenarioConfig
+from tssim.metrics import emit_report, run_scenario
+
+GOLDEN = [
+    ("tree", {},
+     "78ceaec84efcff632abdc809cb63e8c04c5f376a2cd2eed6d0b90ccc44243479"),
+    ("tree", {"summary_mode": "bloom"},
+     "47071bacd6d5a66d75815e38ab902f096eedec2692c66aff50bd3d6c096826bb"),
+    ("tree", {"producer_archive": False},
+     "aa40bc279323f4a2063b2998b9935e4ea2031a173f8ef9428af96bd29c529959"),
+    ("mesh", {},
+     "7bc4de73b4af2db15c5225c117c8a03aa9b40082bfd89c0dbd0ac34180d9545c"),
+    ("mesh", {"producer_archive": False},
+     "f2f6ba23234d0f204c8c67ef9b739c9aa356cf3795459e43aceca951ebd5a356"),
+    ("interval", {},
+     "b6e61c4f08d8752848d68be9e258bb22953d8c061e23823fc7df1da1d56e5abb"),
+    ("interval", {"dedicated_server": True},
+     "2fc6ed17437bdbd5e8e850537e60e8d9854ef65b2b709d9af03455c2c656a40b"),
+]
+
+
+@pytest.mark.parametrize(
+    "overlay,overrides,digest", GOLDEN,
+    ids=[f"{o}-{'-'.join(f'{k}={v}' for k, v in ov.items()) or 'default'}"
+         for o, ov, _ in GOLDEN])
+def test_csv_bytes_match_golden_digest(tmp_path, overlay, overrides, digest):
+    config = ScenarioConfig(seed=1, horizon_s=1800.0, arrival_rate=0.1,
+                            overlay=overlay, **overrides)
+    sha = hashlib.sha256()
+    for path in emit_report(run_scenario(config), str(tmp_path)):
+        with open(path, "rb") as fh:
+            sha.update(fh.read())
+    assert sha.hexdigest() == digest
