@@ -13,7 +13,6 @@ from tssim.engine import Engine, InvariantViolation, NetworkModel
 from tssim.metrics import MetricsReport, emit_report, run_scenario
 from tssim.stream import (
     StreamParams,
-    Chunk,
     Show,
     StreamTimeline,
     chunk_duration,
@@ -35,7 +34,6 @@ __all__ = [
     "emit_report",
     "run_scenario",
     "StreamParams",
-    "Chunk",
     "Show",
     "StreamTimeline",
     "chunk_duration",

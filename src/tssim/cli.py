@@ -13,7 +13,7 @@ import logging
 import os
 import sys
 
-from tssim.config import ScenarioConfig, parse_config
+from tssim.config import OVERLAYS, ScenarioConfig, parse_config
 from tssim.engine import InvariantViolation
 from tssim.metrics import emit_report, run_scenario
 
@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", required=True, metavar="PATH",
                         help="scenario file (key = value lines)")
-    parser.add_argument("--overlay", choices=("tree", "mesh", "interval"),
+    parser.add_argument("--overlay", choices=OVERLAYS,
                         help="override the config's overlay")
     parser.add_argument("--seed", type=_seed_value, metavar="U64",
                         help="override the config's seed")

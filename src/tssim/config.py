@@ -59,13 +59,12 @@ class ScenarioConfig:
     request_ttl: int = 16
     # interval overlay
     k: int = 2
-    default_cap: int = 4
     horizon_T: int = 600
     dedicated_server: bool = False
     rebalance_period_s: float = 600.0
 
 
-_OVERLAYS = ("tree", "mesh", "interval")
+OVERLAYS = ("tree", "mesh", "interval")
 _SUMMARY_MODES = ("exact", "bloom")
 
 # key -> (lower bound, inclusive?) for numeric fields; None = no bound
@@ -101,7 +100,6 @@ _RANGES: dict[str, tuple[float, bool]] = {
     "max_degree": (1, True),
     "request_ttl": (1, True),
     "k": (1, True),
-    "default_cap": (1, True),
     "horizon_T": (1, True),
     "rebalance_period_s": (0, False),
 }
@@ -189,18 +187,16 @@ def parse_config(text: str) -> tuple[ScenarioConfig | None, list[str]]:
             continue
         seen[key] = line_no
         value = _convert(key, raw_value, line_no, errors)
-        if value is None and _TYPES[key] is not bool:
-            continue
         if value is None:
             continue
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             _check_range(key, value, line_no, errors)
         values[key] = value
 
-    if "overlay" in values and values["overlay"] not in _OVERLAYS:
+    if "overlay" in values and values["overlay"] not in OVERLAYS:
         errors.append(
             f"line {seen['overlay']}: overlay must be one of "
-            f"{', '.join(_OVERLAYS)}, got {values['overlay']!r}")
+            f"{', '.join(OVERLAYS)}, got {values['overlay']!r}")
     if "summary_mode" in values and values["summary_mode"] not in _SUMMARY_MODES:
         errors.append(
             f"line {seen['summary_mode']}: summary_mode must be one of "
@@ -217,20 +213,13 @@ def parse_config(text: str) -> tuple[ScenarioConfig | None, list[str]]:
 
 
 def validate_config(config: ScenarioConfig) -> list[str]:
-    """Cross-field checks that need the whole config."""
+    """Checks that parse_config's per-line checks cannot make."""
     errors = []
     if config.k_min > config.k_rep:
         errors.append(
             f"k_min ({config.k_min}) cannot exceed k_rep ({config.k_rep})")
-    if config.r < 1 or config.r > 64:
+    if config.r > 64:
         errors.append(f"r must be within [1, 64], got {config.r}")
-    if config.overlay not in _OVERLAYS:
-        errors.append(
-            f"overlay must be one of {', '.join(_OVERLAYS)}, got {config.overlay!r}")
-    if config.summary_mode not in _SUMMARY_MODES:
-        errors.append(
-            f"summary_mode must be one of {', '.join(_SUMMARY_MODES)}, "
-            f"got {config.summary_mode!r}")
     return errors
 
 

@@ -18,6 +18,7 @@ from tssim.interval import (
     IntervalGraph,
     OverlayConstraints,
     OverlayEvent,
+    coverage_counts,
     coverage_gaps_fast,
     repair_on_event,
     rebalance,
@@ -37,11 +38,17 @@ class TurntableSettings:
 
 
 class _TurntableDriver(OverlayDriver):
-    """Shared sector bookkeeping for the tree and mesh variants."""
+    """Shared sector bookkeeping for the tree and mesh variants.
 
-    def __init__(self, settings: TurntableSettings):
+    `structures` holds one tree or mesh per sector; each answers
+    `replica_count(chunk)` and is routed into by `_route_in_sector`.
+    """
+
+    def __init__(self, settings: TurntableSettings, structures: list):
         self.settings = settings
+        self.structures = structures
         self.turntable = Turntable(m=settings.m, r=settings.r)
+        self.turntable.sector_router = self._route_in_sector
         self.permanent_losses = 0
         self.emergency_rounds = 0
         self.retained_republished = 0
@@ -79,6 +86,25 @@ class _TurntableDriver(OverlayDriver):
     def diffuse(self, rep: int, chunk_id: int, now: float) -> None:
         raise NotImplementedError
 
+    def find_provider(self, peer_id: int, chunk_id: int, now: float):
+        """The peer the sector routes to if still present, else the archive."""
+        outcome = self.turntable.route_hookup(
+            HookupRequest(requester=peer_id, target_chunk=chunk_id))
+        if outcome.served_by is not None:
+            server = self.engine.peers.get(outcome.served_by)
+            if server is not None and server.state is not PeerState.DEPARTED:
+                return (outcome.served_by, outcome.hops)
+        if self.settings.producer_archive:
+            return (PRODUCER, outcome.hops + 1)
+        return (None, outcome.hops)
+
+    def replica_counts(self, now: float) -> dict[int, int]:
+        return {
+            chunk: self.structures[
+                sector_of_chunk(chunk, self.settings.m)].replica_count(chunk)
+            for chunk in range(self.engine.head_chunk + 1)
+        }
+
 
 class TreeDriver(_TurntableDriver):
     """Turntable sectors, each organized as a diffusion tree."""
@@ -86,13 +112,11 @@ class TreeDriver(_TurntableDriver):
     def __init__(self, settings: TurntableSettings, fanout: int = 3,
                  summary_mode: str = "exact", bloom_bits: int = 1024,
                  bloom_hashes: int = 3):
-        super().__init__(settings)
-        self.trees = [
+        super().__init__(settings, [
             SectorTree(fanout=fanout, summary_mode=summary_mode,
                        bloom_bits=bloom_bits, bloom_hashes=bloom_hashes)
             for _ in range(settings.m)
-        ]
-        self.turntable.sector_router = self._route_in_sector
+        ])
         self.pending_handoff: dict[tuple[int, int], int] = {}
 
     # -- membership -------------------------------------------------------
@@ -100,7 +124,7 @@ class TreeDriver(_TurntableDriver):
     def on_join(self, peer_id: int, lag: int, now: float) -> None:
         sector = self.turntable.join(peer_id)
         profile = self.engine.peers[peer_id].profile
-        tree = self.trees[sector]
+        tree = self.structures[sector]
         tree.attach(peer_id, upload_capacity=profile.upload_capacity,
                     storage_capacity=profile.storage_capacity,
                     as_root=not tree.nodes)
@@ -114,7 +138,7 @@ class TreeDriver(_TurntableDriver):
         self._remove_from_tree(sector, peer_id, now)
 
     def _remove_from_tree(self, sector: int, peer_id: int, now: float) -> None:
-        tree = self.trees[sector]
+        tree = self.structures[sector]
         if peer_id not in tree.nodes:
             return
         held = tree.unpin_all(peer_id)
@@ -126,7 +150,7 @@ class TreeDriver(_TurntableDriver):
                 self._emergency(sector, chunk, now)
 
     def _emergency(self, sector: int, chunk: int, now: float) -> None:
-        tree = self.trees[sector]
+        tree = self.structures[sector]
         self.emergency_rounds += 1
         result = tree.emergency_replicate(
             chunk, self.settings.k_rep,
@@ -149,7 +173,7 @@ class TreeDriver(_TurntableDriver):
 
     def on_audit(self, now: float) -> None:
         """Find abruptly departed members still wired into the trees."""
-        for sector, tree in enumerate(self.trees):
+        for sector, tree in enumerate(self.structures):
             departed = [
                 pid for pid in sorted(tree.nodes)
                 if self.engine.peers[pid].state is PeerState.DEPARTED
@@ -161,28 +185,20 @@ class TreeDriver(_TurntableDriver):
 
     def diffuse(self, rep: int, chunk_id: int, now: float) -> None:
         sector = sector_of_chunk(chunk_id, self.settings.m)
-        tree = self.trees[sector]
+        tree = self.structures[sector]
         result = tree.diffuse_chunk(chunk_id, self.settings.k_rep)
         for pid in result.pinned:
             self.engine.store_chunk(pid, chunk_id, pin=True)
         self.engine.counters["control_messages"] += len(result.pinned)
 
     def _route_in_sector(self, sector: int, entry: int, chunk_id: int) -> RouteOutcome:
-        return self.trees[sector].route_request(entry, chunk_id)
+        return self.structures[sector].route_request(entry, chunk_id)
 
     def find_provider(self, peer_id: int, chunk_id: int, now: float):
         shortcut = self.pending_handoff.pop((peer_id, chunk_id), None)
         if shortcut is not None and self.engine.has_chunk(shortcut, chunk_id):
             return (shortcut, 1)
-        outcome = self.turntable.route_hookup(
-            HookupRequest(requester=peer_id, target_chunk=chunk_id))
-        if outcome.served_by is not None:
-            server = self.engine.peers.get(outcome.served_by)
-            if server is not None and server.state is not PeerState.DEPARTED:
-                return (outcome.served_by, outcome.hops)
-        if self.settings.producer_archive:
-            return (PRODUCER, outcome.hops + 1)
-        return (None, outcome.hops)
+        return super().find_provider(peer_id, chunk_id, now)
 
     def on_chunk_delivered(self, peer_id: int, chunk_id: int, src: int,
                            now: float) -> None:
@@ -201,16 +217,9 @@ class TreeDriver(_TurntableDriver):
 
     # -- reporting -----------------------------------------------------------------
 
-    def replica_counts(self, now: float) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for chunk in range(self.engine.head_chunk + 1):
-            counts[chunk] = self.trees[
-                sector_of_chunk(chunk, self.settings.m)].replica_count(chunk)
-        return counts
-
     def periodic_check(self, now: float) -> list[str]:
         problems = []
-        for sector, tree in enumerate(self.trees):
+        for sector, tree in enumerate(self.structures):
             for msg in tree.check_invariants():
                 problems.append(f"sector {sector}: {msg}")
         return problems
@@ -225,7 +234,7 @@ class TreeDriver(_TurntableDriver):
             "retained_republished": self.retained_republished,
             "stale_handoffs": self.turntable.stale_handoffs,
             "summary_overhead_bytes": sum(
-                t.summary_traffic_bytes for t in self.trees),
+                t.summary_traffic_bytes for t in self.structures),
         }
 
 
@@ -235,11 +244,8 @@ class MeshDriver(_TurntableDriver):
     def __init__(self, settings: TurntableSettings, seed: int | str,
                  colors: int = 3, gossip_period: float = 10.0,
                  max_degree: int = 8, request_ttl: int = 16):
-        super().__init__(settings)
-        self.request_ttl = request_ttl
-        self.gossip_period = gossip_period
         scheme = ColorScheme(colors=colors, sector_count=settings.m)
-        self.meshes = [
+        super().__init__(settings, [
             SectorMesh(
                 scheme,
                 random.Random(f"mesh:{seed}:{sector}"),
@@ -248,15 +254,16 @@ class MeshDriver(_TurntableDriver):
                 k_rep=settings.k_rep,
             )
             for sector in range(settings.m)
-        ]
-        self.turntable.sector_router = self._route_in_sector
+        ])
+        self.request_ttl = request_ttl
+        self.gossip_period = gossip_period
         self._gossip_epoch: dict[int, int] = {}
 
     def on_join(self, peer_id: int, lag: int, now: float) -> None:
         sector = self.turntable.join(peer_id)
         profile = self.engine.peers[peer_id].profile
-        self.meshes[sector].add_peer(peer_id, now,
-                                     storage_capacity=profile.storage_capacity)
+        self.structures[sector].add_peer(
+            peer_id, now, storage_capacity=profile.storage_capacity)
         epoch = self._gossip_epoch.get(peer_id, 0) + 1
         self._gossip_epoch[peer_id] = epoch
         self.engine.schedule_timer(now + self.gossip_period, peer_id,
@@ -265,7 +272,7 @@ class MeshDriver(_TurntableDriver):
 
     def on_leave(self, peer_id: int, now: float, abrupt: bool) -> None:
         sector = self.turntable.leave(peer_id)
-        mesh = self.meshes[sector]
+        mesh = self.structures[sector]
         if peer_id in mesh.peers:
             # replicas die with the peer; gossip adoption re-fills them
             mesh.remove_peer(peer_id)
@@ -282,7 +289,7 @@ class MeshDriver(_TurntableDriver):
         sector = self.turntable.sector_of_peer.get(owner)
         if sector is None:
             return
-        mesh = self.meshes[sector]
+        mesh = self.structures[sector]
         report = mesh.gossip_round(owner, now)
         eng = self.engine
         if report.partner is not None:
@@ -294,7 +301,7 @@ class MeshDriver(_TurntableDriver):
 
     def diffuse(self, rep: int, chunk_id: int, now: float) -> None:
         sector = sector_of_chunk(chunk_id, self.settings.m)
-        mesh = self.meshes[sector]
+        mesh = self.structures[sector]
         if rep not in mesh.peers:
             self.turntable.retain_for_sector(sector, chunk_id)
             return
@@ -304,37 +311,14 @@ class MeshDriver(_TurntableDriver):
         self.engine.counters["control_messages"] += max(1, len(result.pinned))
 
     def _route_in_sector(self, sector: int, entry: int, chunk_id: int) -> RouteOutcome:
-        mesh = self.meshes[sector]
+        mesh = self.structures[sector]
         if entry not in mesh.peers:
             return RouteOutcome(served_by=None, hops=0)
         return mesh.route_request(entry, chunk_id, ttl=self.request_ttl)
 
-    def find_provider(self, peer_id: int, chunk_id: int, now: float):
-        outcome = self.turntable.route_hookup(
-            HookupRequest(requester=peer_id, target_chunk=chunk_id))
-        if outcome.served_by is not None:
-            server = self.engine.peers.get(outcome.served_by)
-            if server is not None and server.state is not PeerState.DEPARTED:
-                return (outcome.served_by, outcome.hops)
-        if self.settings.producer_archive:
-            return (PRODUCER, outcome.hops + 1)
-        return (None, outcome.hops)
-
-    def on_chunk_delivered(self, peer_id: int, chunk_id: int, src: int,
-                           now: float) -> None:
-        # gossip adoption keeps the mesh store in sync; nothing extra here
-        pass
-
-    def replica_counts(self, now: float) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for chunk in range(self.engine.head_chunk + 1):
-            counts[chunk] = self.meshes[
-                sector_of_chunk(chunk, self.settings.m)].replica_count(chunk)
-        return counts
-
     def periodic_check(self, now: float) -> list[str]:
         problems = []
-        for sector, mesh in enumerate(self.meshes):
+        for sector, mesh in enumerate(self.structures):
             for msg in mesh.check_invariants(now):
                 problems.append(f"sector {sector}: {msg}")
         return problems
@@ -343,19 +327,19 @@ class MeshDriver(_TurntableDriver):
         if not self.settings.producer_archive:
             for chunk in range(self.engine.head_chunk + 1):
                 sector = sector_of_chunk(chunk, self.settings.m)
-                if self.meshes[sector].replica_count(chunk) == 0:
+                if self.structures[sector].replica_count(chunk) == 0:
                     self.permanent_losses += 1
 
     def extra_metrics(self) -> dict[str, float]:
         return {
             "permanent_losses": self.permanent_losses,
             "retained_republished": self.retained_republished,
-            "coloring_gaps": sum(m.coloring_gaps for m in self.meshes),
-            "recolor_events": sum(m.recolor_events for m in self.meshes),
-            "route_detours": sum(m.route_detours for m in self.meshes),
-            "stale_view_evictions": sum(m.stale_evictions for m in self.meshes),
+            "coloring_gaps": sum(m.coloring_gaps for m in self.structures),
+            "recolor_events": sum(m.recolor_events for m in self.structures),
+            "route_detours": sum(m.route_detours for m in self.structures),
+            "stale_view_evictions": sum(m.stale_evictions for m in self.structures),
             "domination_violations": sum(
-                m.domination_report()[0] for m in self.meshes),
+                m.domination_report()[0] for m in self.structures),
         }
 
 
@@ -370,11 +354,11 @@ class IntervalDriver(OverlayDriver):
     loaded, with the producer as optional fallback.
     """
 
-    def __init__(self, k: int = 2, domain: int = 600, default_cap: int = 4,
+    def __init__(self, k: int = 2, domain: int = 600,
                  rebalance_period: float = 600.0, dedicated_server: bool = False,
                  producer_archive: bool = True):
-        self.constraints = OverlayConstraints(k=k, T=domain,
-                                              default_cap=default_cap)
+        # every member's cap comes from its profile on join
+        self.constraints = OverlayConstraints(k=k, T=domain)
         self.graph = IntervalGraph(T=domain)
         self.rebalance_period = rebalance_period
         self.dedicated_server = dedicated_server
@@ -440,9 +424,6 @@ class IntervalDriver(OverlayDriver):
 
     # -- serving -----------------------------------------------------------------
 
-    def has_local(self, peer_id: int, chunk_id: int, now: float) -> bool:
-        return self.engine.has_chunk(peer_id, chunk_id)
-
     def find_provider(self, peer_id: int, chunk_id: int, now: float):
         lag = self.engine.head_chunk - chunk_id
         if lag < 0:
@@ -504,19 +485,7 @@ class IntervalDriver(OverlayDriver):
     # -- reporting ---------------------------------------------------------------------
 
     def replica_counts(self, now: float) -> dict[int, int]:
-        diff = [0] * (self.constraints.T + 2)
-        for iv in self.graph.intervals():
-            lo = max(0, iv.l)
-            hi = min(self.constraints.T, iv.r)
-            if lo > hi:
-                continue
-            diff[lo] += 1
-            diff[hi + 1] -= 1
-        cover = []
-        running = 0
-        for t in range(self.constraints.T + 1):
-            running += diff[t]
-            cover.append(running)
+        cover = coverage_counts(self.graph.vertices.values(), self.constraints.T)
         counts = {}
         for chunk in range(self.engine.head_chunk + 1):
             lag = self.engine.head_chunk - chunk

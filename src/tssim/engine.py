@@ -9,7 +9,7 @@ and handles the transfer bookkeeping itself.
 Viewers are tracked in lag space. A playing viewer keeps a constant
 lag, so its position advances with the stream head; a paused viewer
 freezes its position and takes the lag increase on resume. Every
-chunk_duration a live viewer ticks: it plays what it has, or asks the
+chunk_duration a playing viewer ticks: it plays what it has, or asks the
 overlay for the chunk at its position. A chunk that cannot be found is
 skipped at the next tick rather than retried forever, which models a
 player abandoning a lost segment and keeps every run bounded.
@@ -57,16 +57,6 @@ class TimerFire:
 
 
 @dataclass(frozen=True)
-class SimEvent:
-    time: float
-    sequence: int
-    payload: object
-
-    def sort_key(self):
-        return (self.time, self.sequence)
-
-
-@dataclass(frozen=True)
 class NetworkModel:
     hop_latency: float = 0.05
     upload_kbps: float = 2000.0
@@ -87,8 +77,7 @@ class NetworkModel:
 
 
 class PeerState(Enum):
-    LIVE = "live"
-    HOOKUP = "hookup"
+    PLAYING = "playing"
     PAUSED = "paused"
     DEPARTED = "departed"
 
@@ -132,7 +121,7 @@ class Engine:
 
         self.now = stream.start_time
         self.head_chunk = -1
-        self._heap: list[tuple[float, int, SimEvent]] = []
+        self._heap: list[tuple[float, int, object]] = []
         self._seq = 0
         self.peers: dict[int, PeerRuntime] = {}
 
@@ -161,9 +150,8 @@ class Engine:
     # -- scheduling -----------------------------------------------------------
 
     def schedule(self, time: float, payload) -> None:
-        event = SimEvent(time=time, sequence=self._seq, payload=payload)
+        heapq.heappush(self._heap, (time, self._seq, payload))
         self._seq += 1
-        heapq.heappush(self._heap, (event.time, event.sequence, event))
 
     def schedule_timer(self, time: float, owner: int, tag: tuple) -> None:
         self.schedule(time, TimerFire(owner=owner, tag=tag))
@@ -284,9 +272,8 @@ class Engine:
         profile = self._profiles[evt.peer_id]
         position = min(evt.position or 0, max(0, self.head_chunk))
         lag = max(0, self.head_chunk - position)
-        state = PeerState.LIVE if lag == 0 else PeerState.HOOKUP
         self.peers[evt.peer_id] = PeerRuntime(
-            profile=profile, state=state, lag=lag, joined_at=self.now,
+            profile=profile, state=PeerState.PLAYING, lag=lag, joined_at=self.now,
         )
         self.driver.on_join(evt.peer_id, lag, self.now)
         self.schedule_timer(self.now, evt.peer_id, ("tick", 0))
@@ -300,7 +287,7 @@ class Engine:
         old_lag = peer.lag
         peer.lag += pause_lag_increase(self.stream, duration)
         peer.lag = min(peer.lag, max(0, self.head_chunk))
-        peer.state = PeerState.HOOKUP if peer.lag > 0 else PeerState.LIVE
+        peer.state = PeerState.PLAYING
         if peer.lag != old_lag:
             self.driver.on_move(peer_id, old_lag, peer.lag, self.now)
         self.schedule_timer(self.now, peer_id, ("tick", peer.tick_epoch))
@@ -309,7 +296,7 @@ class Engine:
         peer = self.peers.get(peer_id)
         if peer is None or peer.tick_epoch != epoch:
             return
-        if peer.state in (PeerState.DEPARTED, PeerState.PAUSED):
+        if peer.state is not PeerState.PLAYING:
             return
         position = self.head_chunk - peer.lag
         if self.head_chunk >= 0 and position >= 0:
@@ -322,17 +309,13 @@ class Engine:
             # live edge: fed by the producer's live broadcast, not the archive
             self.counters["live_chunks"] += 1
             self.store_chunk(peer_id, position)
-            if peer.first_delivery is None:
-                peer.first_delivery = self.now
-                self.startup_delays.append(0.0)
+            self._first_delivery(peer, 0.0)
             return
         if self.driver.has_local(peer_id, position, self.now):
             self.counters["chunks_served_local"] += 1
             if position in peer.store:
                 peer.store[position] = self._seq
-            if peer.first_delivery is None:
-                peer.first_delivery = self.now
-                self.startup_delays.append(0.0)
+            self._first_delivery(peer, 0.0)
             return
         self.counters["chunks_requested"] += 1
         outcome = self.driver.find_provider(peer_id, position, self.now)
@@ -350,6 +333,12 @@ class Engine:
             return
         self.send_chunk(server, peer_id, position, hops)
 
+    def _first_delivery(self, peer: PeerRuntime, delay: float) -> None:
+        """Record the startup delay at a viewer's first played chunk."""
+        if peer.first_delivery is None:
+            peer.first_delivery = self.now
+            self.startup_delays.append(delay)
+
     def _on_chunk_arrival(self, src: int, dst: int, chunk_id: int) -> None:
         peer = self.peers.get(dst)
         if peer is None or peer.state is PeerState.DEPARTED:
@@ -357,9 +346,7 @@ class Engine:
             return
         self.counters["chunks_delivered"] += 1
         self.store_chunk(dst, chunk_id)
-        if peer.first_delivery is None:
-            peer.first_delivery = self.now
-            self.startup_delays.append(self.now - peer.joined_at)
+        self._first_delivery(peer, self.now - peer.joined_at)
         # updated after the callback so the driver can still read the
         # previous server (consecutive-chunk handoffs depend on it)
         self.driver.on_chunk_delivered(dst, chunk_id, src, self.now)
@@ -389,11 +376,11 @@ class Engine:
                                 PRODUCER, ("audit",))
 
         while self._heap:
-            time, _, event = heapq.heappop(self._heap)
+            time, _, payload = heapq.heappop(self._heap)
             if time > end:
                 break
             self.now = time
-            self._dispatch(event.payload)
+            self._dispatch(payload)
 
         self.now = end
         self.driver.finalize(self.now)
@@ -451,10 +438,6 @@ class Engine:
             raise InvariantViolation("; ".join(problems))
 
     # -- derived views ----------------------------------------------------------------------
-
-    def alive_peers(self) -> list[int]:
-        return sorted(pid for pid, p in self.peers.items()
-                      if p.state is not PeerState.DEPARTED)
 
     def availability_ratio(self) -> float:
         requested = self.counters["chunks_requested"]

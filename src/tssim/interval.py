@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 
 @dataclass(frozen=True)
@@ -39,16 +40,8 @@ class Interval:
                 f"got ({self.l}, {self.c}, {self.r})"
             )
 
-    @property
-    def length(self) -> int:
-        return self.r - self.l
-
     def covers(self, lag: int) -> bool:
         return self.l <= lag <= self.r
-
-
-def intervals_overlap(a: Interval, b: Interval) -> bool:
-    return max(a.l, b.l) <= min(a.r, b.r)
 
 
 @dataclass
@@ -72,7 +65,7 @@ class OverlayConstraints:
 
 @dataclass
 class IntervalGraph:
-    """Vertices are intervals; edges are the (derived) overlap relation."""
+    """Vertices are intervals, keyed by peer id."""
 
     T: int
     vertices: dict[int, Interval] = field(default_factory=dict)
@@ -85,23 +78,6 @@ class IntervalGraph:
 
     def intervals(self) -> list[Interval]:
         return [self.vertices[pid] for pid in sorted(self.vertices)]
-
-    def edges(self) -> set[tuple[int, int]]:
-        ivs = self.intervals()
-        out = set()
-        for i, a in enumerate(ivs):
-            for b in ivs[i + 1:]:
-                if intervals_overlap(a, b):
-                    out.add((a.peer_id, b.peer_id))
-        return out
-
-    def neighbors(self, peer_id: int) -> list[int]:
-        me = self.vertices[peer_id]
-        return [
-            other.peer_id
-            for other in self.intervals()
-            if other.peer_id != peer_id and intervals_overlap(me, other)
-        ]
 
 
 def objective(intervals) -> int:
@@ -151,25 +127,25 @@ def check_capacity(graph: IntervalGraph, constraints: OverlayConstraints) -> lis
     return overloaded
 
 
-def coverage_gaps_fast(intervals, k: int, T: int) -> list[tuple[int, int]]:
-    """Difference-array recount of check_k_coverage."""
-    if isinstance(intervals, IntervalGraph):
-        intervals = intervals.intervals()
+def coverage_counts(intervals, T: int) -> list[int]:
+    """How many intervals cover each lag 0..T, by difference array."""
     diff = [0] * (T + 2)
     for iv in intervals:
         lo = max(iv.l, 0)
         hi = min(iv.r, T)
-        if lo > T or hi < lo:
+        if hi < lo:
             continue
         diff[lo] += 1
         diff[hi + 1] -= 1
-    gaps = []
-    count = 0
-    for t in range(0, T + 1):
-        count += diff[t]
-        if count < k:
-            gaps.append((t, count))
-    return gaps
+    return list(accumulate(diff[:T + 1]))
+
+
+def coverage_gaps_fast(intervals, k: int, T: int) -> list[tuple[int, int]]:
+    """Difference-array recount of check_k_coverage."""
+    if isinstance(intervals, IntervalGraph):
+        intervals = intervals.intervals()
+    return [(t, count) for t, count in enumerate(coverage_counts(intervals, T))
+            if count < k]
 
 
 def capacity_overloads_fast(intervals, constraints: OverlayConstraints) -> list[tuple[int, int]]:
@@ -198,15 +174,6 @@ def capacity_overloads_fast(intervals, constraints: OverlayConstraints) -> list[
         i = j
     results.sort()
     return results
-
-
-def _charge(intervals: list[Interval], x: Interval, cap: float) -> bool:
-    """True when x's served count stays within cap."""
-    count = 0
-    for y in intervals:
-        if y.peer_id != x.peer_id and y.l <= x.r and y.c >= x.c:
-            count += 1
-    return count <= cap
 
 
 @dataclass(frozen=True)

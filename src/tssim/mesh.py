@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 from tssim.turntable import RouteOutcome
 
-DEFAULT_COLORS = 3
 DEFAULT_GOSSIP_PERIOD = 10.0
 DEFAULT_MAX_DEGREE = 8
 
@@ -52,7 +51,6 @@ class NeighborEntry:
 class MeshPeer:
     peer_id: int
     color: int
-    last_gossip: float
     neighbors: dict[int, NeighborEntry] = field(default_factory=dict)
     store: set[int] = field(default_factory=set)
     known_offers: dict[int, set[int]] = field(default_factory=dict)
@@ -62,17 +60,9 @@ class MeshPeer:
 
 @dataclass(frozen=True)
 class GossipReport:
-    peer: int
     partner: int | None  # None when the view was empty
     bootstrapped: bool
-    sent_entries: int
-    received_entries: int
     adopted: tuple[tuple[int, int], ...]  # (adopter, chunk) pairs
-    purged: int
-
-    @property
-    def adopted_chunks(self) -> int:
-        return len(self.adopted)
 
 
 @dataclass(frozen=True)
@@ -126,7 +116,7 @@ class SectorMesh:
     def add_peer(self, peer_id: int, now: float, storage_capacity: int = 10**9) -> MeshPeer:
         if peer_id in self.peers:
             raise ValueError(f"peer {peer_id} already in mesh")
-        peer = MeshPeer(peer_id=peer_id, color=0, last_gossip=now,
+        peer = MeshPeer(peer_id=peer_id, color=0,
                         storage_capacity=storage_capacity)
         others = sorted(self.peers)
         if others:
@@ -180,8 +170,7 @@ class SectorMesh:
         sample.append((peer.peer_id, peer.color, now))
         return sample
 
-    def _merge_view(self, peer: MeshPeer, sample: list[tuple[int, int, float]],
-                    now: float) -> None:
+    def _merge_view(self, peer: MeshPeer, sample: list[tuple[int, int, float]]) -> None:
         for pid, color, seen in sample:
             if pid == peer.peer_id:
                 continue
@@ -205,7 +194,7 @@ class SectorMesh:
             oldest = min(pool, key=lambda kv: (kv[1].last_seen, kv[0]))
             del peer.neighbors[oldest[0]]
 
-    def _purge_departed(self, peer: MeshPeer, now: float) -> int:
+    def _purge_departed(self, peer: MeshPeer, now: float) -> None:
         horizon = now - 2 * self.gossip_period
         stale = [
             pid for pid, e in sorted(peer.neighbors.items())
@@ -215,7 +204,6 @@ class SectorMesh:
             del peer.neighbors[pid]
             peer.known_offers.pop(pid, None)
         self.stale_evictions += len(stale)
-        return len(stale)
 
     def _own_color_offers(self, peer: MeshPeer) -> set[int]:
         return {c for c in peer.store if self.scheme.chunk_color(c) == peer.color}
@@ -238,8 +226,7 @@ class SectorMesh:
     def gossip_round(self, peer_id: int, now: float) -> GossipReport:
         """One view shuffle: swap samples with a partner, then swap offers."""
         peer = self.peers[peer_id]
-        peer.last_gossip = now
-        purged = self._purge_departed(peer, now)
+        self._purge_departed(peer, now)
         self._check_recolor(peer)
 
         alive = [pid for pid in sorted(peer.neighbors) if pid in self.peers]
@@ -248,15 +235,15 @@ class SectorMesh:
             if rep is not None:
                 peer.neighbors[rep] = NeighborEntry(self.peers[rep].color, now)
                 self.bootstrap_messages += 1
-                return GossipReport(peer_id, rep, True, 0, 0, (), purged)
-            return GossipReport(peer_id, None, False, 0, 0, (), purged)
+                return GossipReport(rep, True, ())
+            return GossipReport(None, False, ())
 
         partner_id = self.rng.choice(alive)
         partner = self.peers[partner_id]
         sent = self._sample_view(peer, now)
         back = self._sample_view(partner, now)
-        self._merge_view(partner, sent, now)
-        self._merge_view(peer, back, now)
+        self._merge_view(partner, sent)
+        self._merge_view(peer, back)
         peer.neighbors[partner_id] = NeighborEntry(partner.color, now)
         partner.neighbors[peer_id] = NeighborEntry(peer.color, now)
         self.shuffle_messages += 2
@@ -265,8 +252,7 @@ class SectorMesh:
                  self._receive_offers(partner, peer, self._own_color_offers(peer))]
         pairs += [(peer_id, c) for c in
                   self._receive_offers(peer, partner, self._own_color_offers(partner))]
-        return GossipReport(peer_id, partner_id, False, len(sent), len(back),
-                            tuple(pairs), purged)
+        return GossipReport(partner_id, False, tuple(pairs))
 
     def _check_recolor(self, peer: MeshPeer) -> None:
         present = {e.color for e in peer.neighbors.values()}

@@ -124,7 +124,6 @@ def build_driver(config: ScenarioConfig, overlay: str, seed: int):
     if overlay == "interval":
         return IntervalDriver(
             k=config.k, domain=config.horizon_T,
-            default_cap=config.default_cap,
             rebalance_period=config.rebalance_period_s,
             dedicated_server=config.dedicated_server,
             producer_archive=config.producer_archive)

@@ -33,14 +33,6 @@ class StreamParams:
 
 
 @dataclass(frozen=True)
-class Chunk:
-    """One stream chunk; carries an id and a timestamp, never payload."""
-
-    id: int
-    produced_at: float
-
-
-@dataclass(frozen=True)
 class Show:
     id: int
     first_chunk: int
@@ -50,13 +42,6 @@ class Show:
     def __post_init__(self) -> None:
         if self.first_chunk > self.last_chunk:
             raise ValueError(f"show {self.id}: first_chunk > last_chunk")
-
-    @property
-    def length_chunks(self) -> int:
-        return self.last_chunk - self.first_chunk + 1
-
-    def contains(self, chunk_id: int) -> bool:
-        return self.first_chunk <= chunk_id <= self.last_chunk
 
 
 def chunk_duration(params: StreamParams) -> float:
@@ -118,26 +103,12 @@ def head_chunk_at(params: StreamParams, time: float) -> int:
     return math.floor((time - params.start_time) / chunk_duration(params)) - 1
 
 
-def produced_chunk(params: StreamParams, chunk_id: int) -> Chunk:
-    if chunk_id < 0:
-        raise ValueError(f"negative chunk id {chunk_id}")
-    return Chunk(id=chunk_id, produced_at=params.start_time + chunk_id * chunk_duration(params))
-
-
 @dataclass
 class StreamTimeline:
-    """Shows tiling the chunk sequence plus the advancing head pointer."""
+    """Shows tiling the chunk sequence."""
 
     params: StreamParams
     shows: list[Show] = field(default_factory=list)
-    head_chunk: int = -1
-
-    def advance_head(self, new_head: int) -> None:
-        if new_head < self.head_chunk:
-            raise ValueError(
-                f"head may not move backwards ({self.head_chunk} -> {new_head})"
-            )
-        self.head_chunk = new_head
 
     def show_of_chunk(self, chunk_id: int) -> Show:
         if not self.shows or chunk_id < 0 or chunk_id > self.shows[-1].last_chunk:
@@ -185,4 +156,4 @@ def build_timeline(
         shows.append(
             Show(id=i, first_chunk=first, last_chunk=last, popularity_rank=n_shows - i)
         )
-    return StreamTimeline(params=params, shows=shows, head_chunk=-1)
+    return StreamTimeline(params=params, shows=shows)

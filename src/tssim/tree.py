@@ -15,7 +15,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from tssim.turntable import PRODUCER, RouteOutcome
+from tssim.engine import PRODUCER
+from tssim.turntable import RouteOutcome
 
 DEFAULT_FANOUT = 3
 DEFAULT_BLOOM_BITS = 1024

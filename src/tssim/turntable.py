@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-PRODUCER = -1  # sentinel peer id for the source
-
 MAX_HANDOFF_LINKS = 2
 
 
@@ -33,7 +31,6 @@ def sector_of_chunk(chunk_id: int, m: int) -> int:
 class HookupRequest:
     requester: int
     target_chunk: int
-    hop_count: int = 0
 
 
 @dataclass(frozen=True)
@@ -140,15 +137,13 @@ class Turntable:
         if self.sector_router is None:
             raise RuntimeError("no variant router installed")
         s = sector_of_chunk(request.target_chunk, self.m)
-        entry_hops = request.hop_count
         if self.sector_of_peer.get(request.requester) == s:
-            entry = request.requester
+            entry, entry_hops = request.requester, 0
         else:
             reps = self.representants_of(s)
             if not reps:
-                return RouteOutcome(served_by=None, hops=entry_hops)
-            entry = reps[0]
-            entry_hops += 1
+                return RouteOutcome(served_by=None, hops=0)
+            entry, entry_hops = reps[0], 1
         outcome = self.sector_router(s, entry, request.target_chunk)
         return RouteOutcome(served_by=outcome.served_by,
                             hops=entry_hops + outcome.hops)

@@ -119,23 +119,6 @@ def zipf_popularity(rank: int, exponent: float, catalog_size: int) -> float:
     return rank ** -exponent / _zipf_norm(exponent, catalog_size)
 
 
-def apply_vcr(event: SessionEvent, current_position: int, head: int) -> int:
-    """New playing position after a VCR event.
-
-    A pause never moves the position chunk; the lag grows because the
-    head keeps advancing. Seeks land on the target, clamped to what has
-    been recorded so far.
-    """
-    if current_position > head:
-        raise ValueError(f"position {current_position} ahead of head {head}")
-    if event.kind is SessionEventKind.PAUSE:
-        return current_position
-    if event.kind in (SessionEventKind.SEEK_FORWARD, SessionEventKind.SEEK_BACKWARD):
-        assert event.target is not None
-        return max(0, min(event.target, head))
-    raise ValueError(f"{event.kind} is not a VCR event")
-
-
 def _poisson(rng: random.Random, lam: float) -> int:
     if lam <= 0:
         return 0

@@ -219,7 +219,7 @@ class ColorLawDriver(MeshDriver):
         self.color_violations = 0
 
     def on_audit(self, now):
-        for mesh in self.meshes:
+        for mesh in self.structures:
             for pid in sorted(mesh.peers):
                 peer = mesh.peers[pid]
                 for chunk in peer.store:

@@ -130,9 +130,9 @@ def test_tree_audit_removes_abruptly_departed_members():
         leave(100.0, 1, abrupt=True),
     ]
     engine = run_engine(driver, sessions, horizon=900.0)
-    assert 1 not in driver.trees[0].nodes
+    assert 1 not in driver.structures[0].nodes
     assert engine.peers[1].state is PeerState.DEPARTED
-    assert 0 in driver.trees[0].nodes
+    assert 0 in driver.structures[0].nodes
 
 
 def test_tree_emergency_restores_replicas_after_holder_leaves():
@@ -147,7 +147,7 @@ def test_tree_emergency_restores_replicas_after_holder_leaves():
     assert driver.emergency_rounds > 0
     assert driver.permanent_losses == 0
     for chunk in range(engine.head_chunk + 1):
-        assert driver.trees[0].replica_count(chunk) == 2
+        assert driver.structures[0].replica_count(chunk) == 2
 
 
 # -- mesh ---------------------------------------------------------------------
@@ -162,7 +162,7 @@ class MirrorCheckDriver(MeshDriver):
         self.mismatches = 0
 
     def on_audit(self, now):
-        for mesh in self.meshes:
+        for mesh in self.structures:
             for pid in sorted(mesh.peers):
                 if self.engine.peers[pid].state is PeerState.DEPARTED:
                     continue
@@ -177,7 +177,7 @@ class MirrorCheckDriver(MeshDriver):
 def test_mesh_gossip_runs_and_mirrors_pins_into_engine_stores():
     driver = MirrorCheckDriver(TurntableSettings(), seed=5)
     generated_run(driver, seed=5)
-    assert sum(m.shuffle_messages for m in driver.meshes) > 0
+    assert sum(m.shuffle_messages for m in driver.structures) > 0
     assert driver.mirrored > 0
     assert driver.mismatches == 0
 
@@ -185,7 +185,7 @@ def test_mesh_gossip_runs_and_mirrors_pins_into_engine_stores():
 def test_mesh_invariants_hold_after_generated_run():
     driver = MeshDriver(TurntableSettings(), seed=9)
     engine = generated_run(driver, seed=9)
-    for mesh in driver.meshes:
+    for mesh in driver.structures:
         assert mesh.check_invariants(engine.now) == []
     extra = driver.extra_metrics()
     assert extra["permanent_losses"] >= 0

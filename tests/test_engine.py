@@ -69,7 +69,7 @@ def profile(pid, upload=3, storage=100_000):
 def add_peer(engine, pid, upload=3, storage=100_000, lag=0):
     engine.peers[pid] = PeerRuntime(
         profile=profile(pid, upload, storage),
-        state=PeerState.LIVE, lag=lag, joined_at=0.0,
+        state=PeerState.PLAYING, lag=lag, joined_at=0.0,
     )
 
 
@@ -294,6 +294,24 @@ def test_seek_sets_lag_from_target():
     assert engine.peers[0].lag == head_at_seek - 10
 
 
+def test_seeks_clamp_to_the_recorded_range():
+    driver = RecordingDriver()
+    engine = make_engine(3600.0, driver=driver)
+    events = [
+        join_event(3200.0, 0, 50),  # head 99, lag 49
+        SessionEvent(time=3300.0, peer_id=0, kind=SessionEventKind.SEEK_FORWARD,
+                     target=10_000),
+        SessionEvent(time=3400.0, peer_id=0, kind=SessionEventKind.SEEK_BACKWARD,
+                     target=0),
+    ]
+    engine.run(events, {0: profile(0)})
+    head_at_back = 3400.0 // 32 - 1
+    # past the head lands on the live edge; chunk 0 is as far back as it goes
+    assert driver.moves() == [("move", 0, 49, 0, 3300.0),
+                              ("move", 0, 0, head_at_back, 3400.0)]
+    assert engine.peers[0].lag == head_at_back
+
+
 def test_leave_stops_the_viewer():
     driver = RecordingDriver()
     engine = make_engine(3600.0, driver=driver)
@@ -303,7 +321,8 @@ def test_leave_stops_the_viewer():
     ]
     engine.run(events, {0: profile(0)})
     assert engine.peers[0].state is PeerState.DEPARTED
-    assert engine.alive_peers() == []
+    assert [pid for pid, peer in engine.peers.items()
+            if peer.state is not PeerState.DEPARTED] == []
     ticks_after = [e for e in driver.log
                    if e[0] == "timer" and e[3] > 200.0]
     assert ticks_after == []

@@ -14,7 +14,6 @@ from tssim.interval import (
     check_capacity,
     check_k_coverage,
     coverage_gaps_fast,
-    intervals_overlap,
     objective,
     rebalance,
     repair_on_event,
@@ -75,32 +74,6 @@ def test_capacity_chain_of_four_passes():
     g = graph_of([(0, 2, 4), (3, 5, 7), (6, 8, 10), (9, 11, 13)], T=13)
     cons = OverlayConstraints(k=1, T=13, default_cap=1)
     assert check_capacity(g, cons) == []
-
-
-def test_edge_law_matches_pairwise_recount():
-    rng = random.Random("edges")
-    for _ in range(50):
-        n = rng.randrange(0, 8)
-        ivs = []
-        for pid in range(n):
-            c = rng.randrange(0, 12)
-            ivs.append(Interval(pid, rng.randrange(0, c + 1), c, rng.randrange(c, 15)))
-        g = IntervalGraph(T=14)
-        for iv in ivs:
-            g.add(iv)
-        expected = {
-            (a.peer_id, b.peer_id)
-            for i, a in enumerate(ivs)
-            for b in ivs[i + 1:]
-            if max(a.l, b.l) <= min(a.r, b.r)
-        }
-        assert g.edges() == expected
-        for iv in ivs:
-            for other in ivs:
-                if other.peer_id != iv.peer_id:
-                    assert intervals_overlap(iv, other) == (
-                        max(iv.l, other.l) <= min(iv.r, other.r)
-                    )
 
 
 def test_fast_checkers_match_naive_on_random_sets():

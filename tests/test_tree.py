@@ -3,7 +3,7 @@ import random
 import pytest
 
 from tssim.tree import BloomSummary, ExactSummary, SectorTree
-from tssim.turntable import PRODUCER
+from tssim.engine import PRODUCER
 
 
 def chain(depths, **kw):

@@ -8,13 +8,11 @@ from tssim.stream import (
     build_timeline,
     chunk_duration,
     head_chunk_at,
-    pause_lag_increase,
 )
 from tssim.workload import (
     BehaviorParams,
     SessionEvent,
     SessionEventKind,
-    apply_vcr,
     early_quit_stats,
     generate_profiles,
     generate_sessions,
@@ -56,23 +54,6 @@ def test_zipf_rank_out_of_range():
         zipf_popularity(0, 1.0, 5)
     with pytest.raises(ValueError):
         zipf_popularity(6, 1.0, 5)
-
-
-def test_apply_vcr_pause_keeps_position_lag_grows():
-    params = StreamParams()
-    event = SessionEvent(time=0.0, peer_id=0, kind=SessionEventKind.PAUSE, duration=64.0)
-    pos = apply_vcr(event, 40, 100)
-    assert pos == 40
-    assert pause_lag_increase(params, 64.0) == 2
-
-
-def test_apply_vcr_seek_clamps():
-    fwd = SessionEvent(time=0.0, peer_id=0, kind=SessionEventKind.SEEK_FORWARD, target=500)
-    assert apply_vcr(fwd, 10, 100) == 100
-    back = SessionEvent(time=0.0, peer_id=0, kind=SessionEventKind.SEEK_BACKWARD, target=0)
-    assert apply_vcr(back, 10, 100) == 0
-    with pytest.raises(ValueError):
-        apply_vcr(fwd, 101, 100)
 
 
 def test_no_arrivals_gives_empty_stream():
