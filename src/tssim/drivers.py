@@ -18,7 +18,6 @@ from tssim.interval import (
     IntervalGraph,
     OverlayConstraints,
     OverlayEvent,
-    coverage_counts,
     coverage_gaps_fast,
     repair_on_event,
     rebalance,
@@ -275,7 +274,7 @@ class MeshDriver(_TurntableDriver):
         mesh = self.structures[sector]
         if peer_id in mesh.peers:
             # replicas die with the peer; gossip adoption re-fills them
-            mesh.remove_peer(peer_id)
+            mesh.remove_peer(peer_id, now)
         self._gossip_epoch[peer_id] = self._gossip_epoch.get(peer_id, 0) + 1
 
     def on_timer(self, owner: int, tag: tuple, now: float) -> None:
@@ -431,18 +430,16 @@ class IntervalDriver(OverlayDriver):
         self.requests_by_lag[lag] = self.requests_by_lag.get(lag, 0) + 1
         if lag > self.constraints.T:
             return ((PRODUCER, 1) if self.producer_archive else (None, 0))
-        eligible = [
-            iv.peer_id for iv in self.graph.intervals()
-            if iv.peer_id != peer_id and iv.l <= lag <= iv.r
-        ]
+        peers = self.engine.peers
         live = []
-        for pid in eligible:
-            if pid == DEDICATED:
-                live.append(pid)
+        for pid in self.graph.holders[lag]:
+            if pid == peer_id:
                 continue
-            peer = self.engine.peers.get(pid)
-            if peer is not None and peer.state is not PeerState.DEPARTED:
-                live.append(pid)
+            if pid != DEDICATED:
+                peer = peers.get(pid)
+                if peer is None or peer.state is PeerState.DEPARTED:
+                    continue
+            live.append(pid)
         if not live:
             if self.producer_archive:
                 return (PRODUCER, 1)
@@ -485,7 +482,7 @@ class IntervalDriver(OverlayDriver):
     # -- reporting ---------------------------------------------------------------------
 
     def replica_counts(self, now: float) -> dict[int, int]:
-        cover = coverage_counts(self.graph.vertices.values(), self.constraints.T)
+        cover = self.graph.coverage()
         counts = {}
         for chunk in range(self.engine.head_chunk + 1):
             lag = self.engine.head_chunk - chunk
@@ -497,6 +494,7 @@ class IntervalDriver(OverlayDriver):
         for iv in self.graph.intervals():
             if not (0 <= iv.l <= iv.c <= iv.r):
                 problems.append(f"malformed interval for peer {iv.peer_id}")
+        problems.extend(self.graph.index_drift())
         return problems
 
     def finalize(self, now: float) -> None:

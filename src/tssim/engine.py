@@ -159,10 +159,7 @@ class Engine:
     # -- transport --------------------------------------------------------------
 
     def _slots_of(self, peer_id: int) -> int:
-        peer = self.peers.get(peer_id)
-        if peer is None:
-            return self.network.upload_slots
-        return max(1, peer.profile.upload_capacity)
+        return max(1, self.peers[peer_id].profile.upload_capacity)
 
     def send_control(self, src: int, dst: int, message: tuple, hops: int = 1) -> None:
         self.counters["control_messages"] += max(1, hops)

@@ -15,7 +15,9 @@ iff l <= t <= r, and two ranges intersect iff max of the left ends is
 The module keeps two independent implementations of both constraint
 checks (a literal double loop and a faster indexed form) so each can
 vouch for the other, plus an exhaustive small-instance optimizer used
-as ground truth for the greedy bound-assignment sweep.
+as ground truth for the greedy bound-assignment sweep. Event repair and
+serving read neither: they read the per-lag indices IntervalGraph keeps
+up to date, which `IntervalGraph.index_drift` compares with a recount.
 """
 
 from __future__ import annotations
@@ -63,21 +65,133 @@ class OverlayConstraints:
         return self.caps.get(peer_id, self.default_cap)
 
 
+class _Tally:
+    """How many values sit at each of 0..size-1: a Fenwick tree
+    (Fenwick 1994), so a change and a count above a bound are O(log size).
+    """
+
+    def __init__(self, size: int) -> None:
+        self.tree = [0] * (size + 1)
+        self.total = 0
+
+    def add(self, value: int, delta: int) -> None:
+        self.total += delta
+        tree = self.tree
+        i = value + 1
+        while i < len(tree):
+            tree[i] += delta
+            i += i & -i
+
+    def count_at_least(self, value: int) -> int:
+        tree = self.tree
+        below = 0
+        i = value
+        while i > 0:
+            below += tree[i]
+            i -= i & -i
+        return self.total - below
+
+
 @dataclass
 class IntervalGraph:
-    """Vertices are intervals, keyed by peer id."""
+    """Vertices are intervals, keyed by peer id, with per-lag indices.
+
+    `holders[t]` is the set of peers whose interval covers lag t, for
+    every lag 0..T, so lag t's coverage is `len(holders[t])`. Two
+    tallies count the positions c and the fresh bounds l (values past T
+    share the slot T + 1), which is all `served_count` needs. `add` and
+    `remove` keep the indices current, touching only the lags a change
+    gains or loses; repair and serving read them instead of rescanning
+    every interval.
+    """
 
     T: int
     vertices: dict[int, Interval] = field(default_factory=dict)
+    holders: list[set[int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.holders = [set() for _ in range(self.T + 1)]
+        self._positions = _Tally(self.T + 2)
+        self._lefts = _Tally(self.T + 2)
+        for iv in self.vertices.values():
+            self._reindex(iv.peer_id, None, iv)
 
     def add(self, interval: Interval) -> None:
+        old = self.vertices.get(interval.peer_id)
         self.vertices[interval.peer_id] = interval
+        self._reindex(interval.peer_id, old, interval)
 
     def remove(self, peer_id: int) -> Interval:
-        return self.vertices.pop(peer_id)
+        old = self.vertices.pop(peer_id)
+        self._reindex(peer_id, old, None)
+        return old
 
     def intervals(self) -> list[Interval]:
         return [self.vertices[pid] for pid in sorted(self.vertices)]
+
+    def coverage(self) -> list[int]:
+        """How many intervals cover each lag 0..T, read from the index."""
+        return [len(h) for h in self.holders]
+
+    def served_count(self, x: Interval) -> int:
+        """How many stored intervals of other peers x serves.
+
+        y is served when y.l <= x.r and y.c >= x.c. Any y with
+        y.l > x.r also has y.c > x.r >= x.c, so the count is the
+        positions at or above x.c minus the fresh bounds above x.r,
+        less x's own stored interval if that qualifies. x itself need
+        not be stored: repair prices a candidate this way.
+        """
+        own = self.vertices.get(x.peer_id)
+        mine = own is not None and own.l <= x.r and own.c >= x.c
+        if x.r > self.T:  # the tallies do not tell values past T apart
+            return sum(1 for y in self.vertices.values()
+                       if y.l <= x.r and y.c >= x.c) - mine
+        return (self._positions.count_at_least(x.c)
+                - self._lefts.count_at_least(x.r + 1) - mine)
+
+    def _span(self, iv: Interval | None) -> tuple[int, int]:
+        """The lags of iv inside [0, T]; (0, -1) when there are none."""
+        if iv is None:
+            return 0, -1
+        hi = min(iv.r, self.T)
+        return (iv.l, hi) if iv.l <= hi else (0, -1)
+
+    def _reindex(self, pid: int, old: Interval | None, new: Interval | None) -> None:
+        old_lo, old_hi = self._span(old)
+        new_lo, new_hi = self._span(new)
+        holders = self.holders
+        # lags of old left of new, then right of it; same for new vs old
+        for t in range(old_lo, min(old_hi, new_lo - 1) + 1):
+            holders[t].discard(pid)
+        for t in range(max(old_lo, new_hi + 1), old_hi + 1):
+            holders[t].discard(pid)
+        for t in range(new_lo, min(new_hi, old_lo - 1) + 1):
+            holders[t].add(pid)
+        for t in range(max(new_lo, old_hi + 1), new_hi + 1):
+            holders[t].add(pid)
+        top = self.T + 1
+        for iv, delta in ((old, -1), (new, 1)):
+            if iv is not None:
+                self._positions.add(min(iv.c, top), delta)
+                self._lefts.add(min(iv.l, top), delta)
+
+    def index_drift(self) -> list[str]:
+        """Where the indices disagree with a recount over the vertices."""
+        ivs = list(self.vertices.values())
+        recount = coverage_counts(ivs, self.T)
+        problems = [
+            f"lag {t} holders differ from a recount"
+            for t, h in enumerate(self.holders)
+            if len(h) != recount[t]
+            or h != {iv.peer_id for iv in ivs if iv.l <= t <= iv.r}
+        ]
+        for x in ivs:
+            naive = sum(1 for y in ivs if y.peer_id != x.peer_id
+                        and y.l <= x.r and y.c >= x.c)
+            if self.served_count(x) != naive:
+                problems.append(f"peer {x.peer_id} served count differs from a recount")
+        return problems
 
 
 def objective(intervals) -> int:
@@ -499,6 +613,33 @@ class RepairOutcome:
     incidents: list[tuple[int, int]] = field(default_factory=list)
 
 
+def _admissible(graph: IntervalGraph, constraints: OverlayConstraints,
+                cand: Interval, side: str) -> bool:
+    """Whether putting cand in place of its peer's interval keeps the caps.
+
+    cand differs from the stored interval in one bound. Growing r adds
+    to cand's own served count only. Growing l (side "l") leaves cand's
+    own count as it was but charges cand to every w whose played range
+    it now meets; each such w is rechecked with cand counted once, which
+    adds one where the stored l did not reach w.r yet.
+    """
+    pid = cand.peer_id
+    cap_of = constraints.cap_of
+    if graph.served_count(cand) > cap_of(pid):
+        return False
+    if side == "l":
+        old_l = graph.vertices[pid].l
+        for w in graph.vertices.values():
+            if (
+                w.peer_id != pid
+                and cand.l <= w.r
+                and cand.c >= w.c
+                and graph.served_count(w) + (old_l > w.r) > cap_of(w.peer_id)
+            ):
+                return False
+    return True
+
+
 def _extend_to_cover(
     graph: IntervalGraph,
     constraints: OverlayConstraints,
@@ -508,21 +649,19 @@ def _extend_to_cover(
 ) -> RepairOutcome:
     outcome = RepairOutcome()
     k = constraints.k
+    vertices = graph.vertices
+    holders = graph.holders
     window_lo = max(0, window_lo)
     window_hi = min(constraints.T, window_hi)
 
-    def served_count(x: Interval, ivs: list[Interval]) -> int:
-        return sum(1 for y in ivs if y.peer_id != x.peer_id and y.l <= x.r and y.c >= x.c)
-
     for t in range(window_lo, window_hi + 1):
         while True:
-            ivs = graph.intervals()
-            cover = sum(1 for iv in ivs if iv.covers(t))
+            cover = len(holders[t])
             if cover >= k:
                 break
             options = []
-            for pid in sorted(members):
-                iv = graph.vertices.get(pid)
+            for pid in members:
+                iv = vertices.get(pid)
                 if iv is None or iv.covers(t):
                     continue
                 if iv.c <= t and iv.r < t:
@@ -530,29 +669,14 @@ def _extend_to_cover(
                 elif iv.c >= t and iv.l > t:
                     options.append((iv.l - t, 1, pid, "l"))
             options.sort()
-            applied = False
             for _cost, _pref, pid, side in options:
-                iv = graph.vertices[pid]
+                iv = vertices[pid]
                 cand = replace(iv, r=t) if side == "r" else replace(iv, l=t)
-                graph.add(cand)
-                ivs = graph.intervals()
-                ok = served_count(cand, ivs) <= constraints.cap_of(pid)
-                if ok and side == "l":
-                    for w in ivs:
-                        if (
-                            w.peer_id != pid
-                            and cand.l <= w.r
-                            and cand.c >= w.c
-                            and served_count(w, ivs) > constraints.cap_of(w.peer_id)
-                        ):
-                            ok = False
-                            break
-                if ok:
+                if _admissible(graph, constraints, cand, side):
+                    graph.add(cand)
                     outcome.changed[pid] = cand
-                    applied = True
                     break
-                graph.add(iv)  # roll back
-            if not applied:
+            else:
                 outcome.incidents.append((t, cover))
                 break
     return outcome
@@ -560,17 +684,12 @@ def _extend_to_cover(
 
 def _affected_members(graph: IntervalGraph, span_lo: int, span_hi: int,
                       extras: int = 3) -> set[int]:
-    members = {
-        iv.peer_id
-        for iv in graph.intervals()
-        if max(iv.l, span_lo) <= min(iv.r, span_hi)
-    }
+    ivs = graph.vertices.values()
+    members = {iv.peer_id for iv in ivs if iv.l <= span_hi and span_lo <= iv.r}
     center = (span_lo + span_hi) // 2
-    outside = sorted(
-        (abs(iv.c - center), iv.peer_id)
-        for iv in graph.intervals()
-        if iv.peer_id not in members
-    )
+    outside = sorted([
+        (abs(iv.c - center), iv.peer_id) for iv in ivs if iv.peer_id not in members
+    ])
     members.update(pid for _, pid in outside[:extras])
     return members
 
@@ -588,6 +707,9 @@ def repair_on_event(
     capacity are returned as incidents rather than raised: they are the
     overlay's headline failure metric, not a programming error.
     """
+    if graph.T < constraints.T:
+        raise ValueError(f"graph indexes lags up to {graph.T}, "
+                         f"constraints protect up to {constraints.T}")
     if event.kind == "join":
         if event.lag is None or event.lag < 0:
             raise ValueError("join needs a non-negative lag")

@@ -95,6 +95,7 @@ class SectorMesh:
         self.k_rep = k_rep
         self.peers: dict[int, MeshPeer] = {}
         self._join_order: list[int] = []
+        self.departed_at: dict[int, float] = {}
         self.stale_evictions = 0
         self.coloring_gaps = 0
         self.gap_pins: set[tuple[int, int]] = set()  # (chunk_id, peer_id)
@@ -133,9 +134,10 @@ class SectorMesh:
         peer.color = self.assign_color(peer_id)
         return peer
 
-    def remove_peer(self, peer_id: int) -> None:
+    def remove_peer(self, peer_id: int, now: float) -> None:
         del self.peers[peer_id]
         # entries pointing here elsewhere decay through the staleness bound
+        self.departed_at[peer_id] = now
 
     # -- coloring --------------------------------------------------------------
 
@@ -182,17 +184,26 @@ class SectorMesh:
             elif seen >= entry.last_seen:
                 entry.color = color
                 entry.last_seen = seen
-        while len(peer.neighbors) > self.max_degree:
-            # evict the oldest entry, but keep the last entry of any color:
-            # views that retain one peer per color keep the partition goal
-            # (each color dominating) within reach of pure local repair
-            tally: dict[int, int] = {}
-            for e in peer.neighbors.values():
-                tally[e.color] = tally.get(e.color, 0) + 1
-            spare = [kv for kv in peer.neighbors.items() if tally[kv[1].color] > 1]
-            pool = spare if spare else list(peer.neighbors.items())
-            oldest = min(pool, key=lambda kv: (kv[1].last_seen, kv[0]))
-            del peer.neighbors[oldest[0]]
+        excess = len(peer.neighbors) - self.max_degree
+        if excess <= 0:
+            return
+        # evict the oldest entries, but keep the last entry of any color:
+        # views that retain one peer per color keep the partition goal
+        # (each color dominating) within reach of pure local repair
+        tally: dict[int, int] = {}
+        for e in peer.neighbors.values():
+            tally[e.color] = tally.get(e.color, 0) + 1
+        oldest_first = sorted([(e.last_seen, pid, e.color)
+                               for pid, e in peer.neighbors.items()])
+        for _ in range(excess):
+            for i, (_, _, color) in enumerate(oldest_first):
+                if tally[color] > 1:
+                    break
+            else:
+                i = 0
+            _, pid, color = oldest_first.pop(i)
+            tally[color] -= 1
+            del peer.neighbors[pid]
 
     def _purge_departed(self, peer: MeshPeer, now: float) -> None:
         horizon = now - 2 * self.gossip_period
@@ -360,16 +371,20 @@ class SectorMesh:
 
     def check_invariants(self, now: float) -> list[str]:
         problems = []
-        # staleness bound plus one period: a departed entry can only be
-        # noticed at the holder's next gossip tick
-        horizon = now - 3 * self.gossip_period
+        period = self.gossip_period
         for pid, peer in sorted(self.peers.items()):
             if len(peer.neighbors) > self.max_degree:
                 problems.append(f"peer {pid} view exceeds max_degree")
             if not 0 <= peer.color < self.scheme.colors:
                 problems.append(f"peer {pid} has color {peer.color} out of range")
             for nid, entry in sorted(peer.neighbors.items()):
-                if nid not in self.peers and entry.last_seen < horizon:
+                if nid in self.peers:
+                    continue
+                # purgeable once departed and older than the staleness
+                # bound; the holder's next gossip tick, at most one
+                # period later, is where the purge happens
+                purgeable = max(self.departed_at[nid], entry.last_seen + 2 * period)
+                if now - purgeable > period:
                     problems.append(f"peer {pid} holds departed {nid} beyond staleness bound")
         for pid, peer in sorted(self.peers.items()):
             for chunk in sorted(peer.store):

@@ -1,8 +1,11 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
+from tssim.drivers import IntervalDriver
+from tssim.engine import DEDICATED, PRODUCER, Engine, NetworkModel, PeerState
 from tssim.interval import (
     Infeasible,
     Interval,
@@ -13,12 +16,15 @@ from tssim.interval import (
     capacity_overloads_fast,
     check_capacity,
     check_k_coverage,
+    coverage_counts,
     coverage_gaps_fast,
     objective,
     rebalance,
     repair_on_event,
     sweep_assign_bounds,
 )
+from tssim.stream import StreamParams, build_timeline
+from tssim.workload import BehaviorParams, generate_profiles, generate_sessions
 
 
 def graph_of(triples, T):
@@ -290,3 +296,191 @@ def test_constraints_validation():
         OverlayConstraints(k=1, T=-1)
     with pytest.raises(ValueError):
         OverlayConstraints(k=1, T=5, default_cap=-2)
+
+
+# -- per-lag indices ------------------------------------------------------------
+
+def assert_indices_match_recount(g):
+    ivs = list(g.vertices.values())
+    assert g.coverage() == coverage_counts(ivs, g.T)
+    for t in range(g.T + 1):
+        assert g.holders[t] == {iv.peer_id for iv in ivs if iv.l <= t <= iv.r}
+    for x in ivs:
+        assert g.served_count(x) == sum(
+            1 for y in ivs
+            if y.peer_id != x.peer_id and y.l <= x.r and y.c >= x.c)
+    assert g.index_drift() == []
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_indices_match_recount_through_churn(seed):
+    rng = random.Random(f"index-drift:{seed}")
+    T = 40
+    cons = OverlayConstraints(k=2, T=T, default_cap=rng.choice([1, 3, math.inf]))
+    g = IntervalGraph(T=T)
+    alive: list[int] = []
+    next_pid = 0
+    for _ in range(300):
+        roll = rng.random()
+        if roll < 0.3 or len(alive) < 3:
+            repair_on_event(g, cons, OverlayEvent("join", peer_id=next_pid,
+                                                  lag=rng.randrange(0, T + 1)))
+            alive.append(next_pid)
+            next_pid += 1
+        elif roll < 0.5:
+            pid = alive.pop(rng.randrange(len(alive)))
+            repair_on_event(g, cons, OverlayEvent("leave", peer_id=pid))
+        elif roll < 0.6:
+            g.remove(alive.pop(rng.randrange(len(alive))))  # abrupt leave
+        elif roll < 0.85:
+            pid = alive[rng.randrange(len(alive))]
+            repair_on_event(g, cons, OverlayEvent("move", peer_id=pid,
+                                                  lag=rng.randrange(0, T + 1)))
+        elif roll < 0.95:
+            # bounds past T are legal and must not confuse the indices
+            iv = g.vertices[alive[rng.randrange(len(alive))]]
+            g.add(replace(iv, r=iv.r + rng.randrange(0, 12)))
+        else:
+            rebalance(g, cons)
+        assert_indices_match_recount(g)
+
+
+def test_indices_built_from_initial_vertices():
+    ivs = {0: Interval(0, 0, 3, 5), 1: Interval(1, 2, 2, 9), 2: Interval(2, 7, 8, 12)}
+    assert_indices_match_recount(IntervalGraph(T=9, vertices=ivs))
+
+
+def rescan_repair(vertices, cons, event):
+    """Leave/move repair by literal rescans, on a plain dict of intervals.
+
+    The rule repair_on_event must reproduce: every coverage and capacity
+    count recomputed over all intervals, each candidate written in and
+    rolled back. Returns (changed, incidents).
+    """
+    def served(x, ivs):
+        return sum(1 for y in ivs
+                   if y.peer_id != x.peer_id and y.l <= x.r and y.c >= x.c)
+
+    def extend(lo, hi, members):
+        changed, incidents = {}, []
+        for t in range(max(0, lo), min(cons.T, hi) + 1):
+            while True:
+                cover = sum(1 for iv in vertices.values() if iv.l <= t <= iv.r)
+                if cover >= cons.k:
+                    break
+                options = []
+                for pid in sorted(members):
+                    iv = vertices.get(pid)
+                    if iv is None or iv.l <= t <= iv.r:
+                        continue
+                    if iv.c <= t and iv.r < t:
+                        options.append((t - iv.r, 0, pid, "r"))
+                    elif iv.c >= t and iv.l > t:
+                        options.append((iv.l - t, 1, pid, "l"))
+                for _cost, _pref, pid, side in sorted(options):
+                    iv = vertices[pid]
+                    cand = replace(iv, r=t) if side == "r" else replace(iv, l=t)
+                    vertices[pid] = cand
+                    ivs = list(vertices.values())
+                    ok = served(cand, ivs) <= cons.cap_of(pid)
+                    if ok and side == "l":
+                        ok = not any(
+                            w.peer_id != pid and cand.l <= w.r and cand.c >= w.c
+                            and served(w, ivs) > cons.cap_of(w.peer_id)
+                            for w in ivs)
+                    if ok:
+                        changed[pid] = cand
+                        break
+                    vertices[pid] = iv
+                else:
+                    incidents.append((t, cover))
+                    break
+        return changed, incidents
+
+    def affected(lo, hi):
+        members = {pid for pid, iv in vertices.items()
+                   if max(iv.l, lo) <= min(iv.r, hi)}
+        center = (lo + hi) // 2
+        outside = sorted((abs(iv.c - center), pid)
+                         for pid, iv in vertices.items() if pid not in members)
+        return members | {pid for _, pid in outside[:3]}
+
+    if event.kind == "leave":
+        gone = vertices.pop(event.peer_id)
+        return extend(gone.l, gone.r, affected(gone.l, gone.r))
+    old = vertices[event.peer_id]
+    vertices[event.peer_id] = Interval(event.peer_id, event.lag, event.lag, event.lag)
+    lo, hi = min(old.l, event.lag), max(old.r, event.lag)
+    return extend(lo, hi, affected(lo, hi) | {event.peer_id})
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_indexed_repair_matches_rescan(seed):
+    rng = random.Random(f"repair-rescan:{seed}")
+    T = 30
+    cons = OverlayConstraints(k=rng.choice([1, 2, 3]), T=T)
+    g = IntervalGraph(T=T)
+    alive: list[int] = []
+    next_pid = 0
+    for step in range(250):
+        roll = rng.random()
+        if roll < 0.35 or len(alive) < 4:
+            cons.caps[next_pid] = rng.choice([0, 1, 2, 3, math.inf])
+            repair_on_event(g, cons, OverlayEvent("join", peer_id=next_pid,
+                                                  lag=rng.randrange(0, T + 1)))
+            alive.append(next_pid)
+            next_pid += 1
+            continue
+        if roll < 0.65:
+            event = OverlayEvent("leave", peer_id=alive.pop(rng.randrange(len(alive))))
+        else:
+            event = OverlayEvent("move", peer_id=alive[rng.randrange(len(alive))],
+                                 lag=rng.randrange(0, T + 1))
+        expected_vertices = dict(g.vertices)
+        expected = rescan_repair(expected_vertices, cons, event)
+        outcome = repair_on_event(g, cons, event)
+        assert (outcome.changed, outcome.incidents) == expected
+        assert g.vertices == expected_vertices
+        if step % 40 == 39:
+            rebalance(g, cons)
+
+
+class FullScanComparingDriver(IntervalDriver):
+    """Checks each provider choice against a scan of every interval."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.compared = 0
+
+    def find_provider(self, peer_id, chunk_id, now):
+        got = super().find_provider(peer_id, chunk_id, now)
+        lag = self.engine.head_chunk - chunk_id
+        if 0 <= lag <= self.constraints.T:
+            live = [
+                iv.peer_id for iv in self.graph.intervals()
+                if iv.peer_id != peer_id and iv.l <= lag <= iv.r
+                and (iv.peer_id == DEDICATED
+                     or self.engine.peers[iv.peer_id].state is not PeerState.DEPARTED)
+            ]
+            loads = self.engine._active_uploads
+            expected = (
+                (min(live, key=lambda pid: (loads.get(pid, 0), pid)), 1)
+                if live else (PRODUCER, 1)
+            )
+            assert got == expected
+            self.compared += 1
+        return got
+
+
+@pytest.mark.parametrize("dedicated", [False, True])
+def test_find_provider_matches_full_scan(dedicated):
+    horizon = 1800.0
+    stream = StreamParams()
+    sessions = generate_sessions(BehaviorParams(), build_timeline(stream, horizon),
+                                 horizon, seed=11)
+    driver = FullScanComparingDriver(domain=120, rebalance_period=300.0,
+                                     dedicated_server=dedicated)
+    engine = Engine(stream=stream, network=NetworkModel(), horizon=horizon,
+                    driver=driver, check_invariants=True)  # audits check the indices
+    engine.run(sessions, generate_profiles(sessions))
+    assert driver.compared > 100

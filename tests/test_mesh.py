@@ -126,13 +126,72 @@ def test_view_bound_holds_under_gossip():
 def test_departed_entries_age_out():
     mesh = build_mesh(6, seed="stale:3")
     run_rounds(mesh, 2)
-    mesh.remove_peer(5)
+    mesh.remove_peer(5, now=2 * mesh.gossip_period)
     holders_before = [p for p in mesh.peers.values() if 5 in p.neighbors]
     assert holders_before  # somebody knew the departed peer
     t = run_rounds(mesh, 4, start=2 * mesh.gossip_period)
     assert all(5 not in p.neighbors for p in mesh.peers.values())
     assert mesh.stale_evictions >= len(holders_before)
     assert mesh.check_invariants(t) == []
+
+
+def test_entry_of_a_peer_that_left_after_the_holders_tick_is_not_flagged():
+    mesh = build_mesh(6, seed="stale:3")
+    t = run_rounds(mesh, 10)  # every peer has just gossiped
+    holder = next(p for p in mesh.peers.values() if 5 in p.neighbors)
+    holder.neighbors[5].last_seen = 0.0  # known only from an old sample
+    mesh.remove_peer(5, now=t + 0.5)
+    # the holder can purge the entry only at its next tick, t + period
+    assert mesh.check_invariants(t + mesh.gossip_period - 0.1) == []
+    assert any("holds departed 5" in msg
+               for msg in mesh.check_invariants(t + 0.5 + mesh.gossip_period + 0.1))
+
+
+def test_entry_held_past_three_periods_after_departure_is_flagged():
+    mesh = build_mesh(6, seed="stale:3")
+    t = run_rounds(mesh, 2)
+    holders = [p for p in mesh.peers.values() if 5 in p.neighbors]
+    assert holders
+    for holder in holders:
+        holder.neighbors[5].last_seen = t  # heard from right before it left
+    mesh.remove_peer(5, now=t)
+    period = mesh.gossip_period
+    assert mesh.check_invariants(t + 3 * period - 0.1) == []
+    assert any("holds departed 5" in msg
+               for msg in mesh.check_invariants(t + 3 * period + 0.1))
+
+
+def _evict_one_at_a_time(neighbors, max_degree):
+    """Reference eviction: repeat "oldest entry whose color has a spare"."""
+    while len(neighbors) > max_degree:
+        tally = {}
+        for e in neighbors.values():
+            tally[e.color] = tally.get(e.color, 0) + 1
+        spare = [kv for kv in neighbors.items() if tally[kv[1].color] > 1]
+        pool = spare or list(neighbors.items())
+        del neighbors[min(pool, key=lambda kv: (kv[1].last_seen, kv[0]))[0]]
+
+
+def test_merge_view_evicts_like_one_at_a_time_rule():
+    rng = random.Random("evict")
+    for trial in range(200):
+        mesh = build_mesh(20, colors=3, seed=f"evict:{trial}",
+                         max_degree=rng.randint(1, 6))
+        peer = mesh.peers[0]
+        peer.neighbors = {
+            pid: NeighborEntry(rng.randrange(3), float(rng.randrange(5)))
+            for pid in rng.sample(range(1, 20), rng.randint(0, 8))
+        }
+        sample = [(pid, rng.randrange(3), float(rng.randrange(5)))
+                  for pid in rng.sample(range(1, 20), rng.randint(0, 6))]
+        expected = {pid: NeighborEntry(e.color, e.last_seen)
+                    for pid, e in peer.neighbors.items()}
+        for pid, color, seen in sample:
+            if pid not in expected or seen >= expected[pid].last_seen:
+                expected[pid] = NeighborEntry(color, seen)
+        _evict_one_at_a_time(expected, mesh.max_degree)
+        mesh._merge_view(peer, sample)
+        assert peer.neighbors == expected
 
 
 def test_domination_violations_converge_below_threshold():
