@@ -26,6 +26,10 @@ GOLDEN = [
      "b6e61c4f08d8752848d68be9e258bb22953d8c061e23823fc7df1da1d56e5abb"),
     ("interval", {"dedicated_server": True},
      "2fc6ed17437bdbd5e8e850537e60e8d9854ef65b2b709d9af03455c2c656a40b"),
+    # the default rebalances all block at lag 0; at this capacity both
+    # succeed and are adopted, so the sweep's extension path is pinned too
+    ("interval", {"upload_capacity": 50},
+     "7ce469c4fcc45ae4ddc47e4df2a02d792c7e08ff9a107de5c1df88c571687fef"),
 ]
 
 

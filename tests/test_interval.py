@@ -200,6 +200,103 @@ def test_sweep_never_beats_oracle():
     assert compared > 20
 
 
+def rescan_sweep(positions, constraints):
+    """The greedy sweep by literal rescans, on plain bound dictionaries.
+
+    The rule sweep_assign_bounds must reproduce: every served count and
+    coverage recomputed over all peers, each candidate written in and
+    rolled back. Expects positions sorted by (lag, peer id).
+    """
+    k, T = constraints.k, constraints.T
+    if len(positions) < k:
+        return Infeasible(blocking_lag=0)
+
+    lag = {pid: c for pid, c in positions}
+    left = {pid: c for pid, c in positions}
+    right = {pid: c for pid, c in positions}
+    for pid, _ in positions[:k]:
+        left[pid] = 0
+
+    def served_count(x, new_left, new_right):
+        return sum(
+            1
+            for y in lag
+            if y != x and new_left[y] <= new_right[x] and lag[y] >= lag[x]
+        )
+
+    for pid in lag:
+        if served_count(pid, left, right) > constraints.cap_of(pid):
+            return Infeasible(blocking_lag=0)
+
+    def coverage(t):
+        return sum(1 for pid in lag if left[pid] <= t <= right[pid])
+
+    for t in range(T + 1):
+        while coverage(t) < k:
+            options = []
+            for pid, c in positions:
+                if left[pid] <= t <= right[pid]:
+                    continue
+                if c <= t and right[pid] < t:
+                    options.append((t - right[pid], 0, pid, "r"))
+                elif c >= t and left[pid] > t:
+                    options.append((left[pid] - t, 1, pid, "l"))
+            options.sort()
+            applied = False
+            for _cost, _pref, pid, side in options:
+                if side == "r":
+                    old = right[pid]
+                    right[pid] = t
+                    if served_count(pid, left, right) <= constraints.cap_of(pid):
+                        applied = True
+                        break
+                    right[pid] = old
+                else:
+                    old = left[pid]
+                    left[pid] = t
+                    ok = True
+                    for w in lag:
+                        if w != pid and left[pid] <= right[w] and lag[pid] >= lag[w]:
+                            if served_count(w, left, right) > constraints.cap_of(w):
+                                ok = False
+                                break
+                    if ok:
+                        applied = True
+                        break
+                    left[pid] = old
+            if not applied:
+                return Infeasible(blocking_lag=t)
+    return [Interval(pid, left[pid], c, right[pid]) for pid, c in positions]
+
+
+def test_sweep_matches_rescan():
+    rng = random.Random("sweep-rescan")
+    feasible = blocked_later = 0
+    instances = 2000
+    for _ in range(instances):
+        T = rng.randrange(0, 16)
+        n = rng.randrange(1, 9)
+        k = rng.randrange(1, 4)
+        pos = sorted(
+            # positions past T are legal: the sweep must not index them
+            ((pid, rng.randrange(0, T + 4)) for pid in range(n)),
+            key=lambda p: (p[1], p[0]),
+        )
+        cap_choices = [0, 1, 2, 3, 4, 5, math.inf]
+        cons = OverlayConstraints(
+            k=k, T=T, default_cap=rng.choice(cap_choices),
+            caps={pid: rng.choice(cap_choices)
+                  for pid in range(n) if rng.random() < 0.4})
+        expected = rescan_sweep(pos, cons)
+        assert sweep_assign_bounds(pos, cons) == expected, (pos, cons)
+        if not isinstance(expected, Infeasible):
+            feasible += 1
+        elif expected.blocking_lag > 0:
+            blocked_later += 1
+    assert feasible * 3 >= instances
+    assert blocked_later >= 5  # a block past lag 0 is rare; compare some
+
+
 def test_repair_redundant_leave_changes_nothing():
     cons = OverlayConstraints(k=1, T=10, default_cap=math.inf)
     g = graph_of([(0, 2, 10), (0, 5, 10), (0, 8, 10)], T=10)
