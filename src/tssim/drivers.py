@@ -301,19 +301,14 @@ class MeshDriver(_TurntableDriver):
     def diffuse(self, rep: int, chunk_id: int, now: float) -> None:
         sector = sector_of_chunk(chunk_id, self.settings.m)
         mesh = self.structures[sector]
-        if rep not in mesh.peers:
-            self.turntable.retain_for_sector(sector, chunk_id)
-            return
         result = mesh.colored_diffuse(rep, chunk_id)
         for pid in result.pinned:
             self.engine.store_chunk(pid, chunk_id, pin=True)
         self.engine.counters["control_messages"] += max(1, len(result.pinned))
 
     def _route_in_sector(self, sector: int, entry: int, chunk_id: int) -> RouteOutcome:
-        mesh = self.structures[sector]
-        if entry not in mesh.peers:
-            return RouteOutcome(served_by=None, hops=0)
-        return mesh.route_request(entry, chunk_id, ttl=self.request_ttl)
+        return self.structures[sector].route_request(entry, chunk_id,
+                                                     ttl=self.request_ttl)
 
     def periodic_check(self, now: float) -> list[str]:
         problems = []
@@ -533,10 +528,16 @@ class IntervalDriver(OverlayDriver):
     def extra_metrics(self) -> dict[str, float]:
         frac = (self.coverage_incidents / self.coverage_samples
                 if self.coverage_samples else 0.0)
-        return {
+        metrics = {
             "coverage_incident_fraction": frac,
             "repair_incidents": self.repair_incidents,
             "interval_changes": self.interval_changes,
             "members_final": sum(
                 1 for pid in self.graph.vertices if pid != DEDICATED),
         }
+        deciles = self.buffer_length_by_decile()
+        if deciles is not None:
+            hot, cold = deciles
+            metrics["buffer_mean_hot_decile"] = hot
+            metrics["buffer_mean_cold_decile"] = cold
+        return metrics

@@ -15,13 +15,16 @@ iff l <= t <= r, and two ranges intersect iff max of the left ends is
 The module keeps two independent implementations of both constraint
 checks (a literal double loop and a faster indexed form) so each can
 vouch for the other, plus an exhaustive small-instance optimizer used
-as ground truth for the greedy bound-assignment sweep. Event repair and
-serving read neither: they read the per-lag indices IntervalGraph keeps
-up to date, which `IntervalGraph.index_drift` compares with a recount.
+as ground truth for the greedy bound-assignment sweep. The sweep, event
+repair and serving read neither: they read the per-lag indices
+IntervalGraph keeps up to date, which `IntervalGraph.index_drift`
+compares with a recount. The sweep and repair share one greedy
+extension rule, `_extend_to_cover`.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field, replace
@@ -519,80 +522,36 @@ def sweep_assign_bounds(
     old bound longer (r grows) or an older peer promises to fetch ahead
     (l shrinks). An extension is admissible when every serving count it
     touches stays within cap. Cost ties prefer growing r, since those
-    chunks were already played and kept, then the lower peer id.
+    chunks were already played and kept, then the lower peer id. This
+    is the extension rule event repair uses, run lag by lag over a
+    fresh graph with every peer a candidate.
 
     Returns the intervals in input order, or Infeasible at the first
     lag where no admissible extension exists. Greedy, not optimal; the
     exhaustive oracle measures the gap on small instances.
     """
-    n = len(positions)
     k, T = constraints.k, constraints.T
     if sorted(positions, key=lambda p: (p[1], p[0])) != list(positions):
         raise ValueError("positions must be sorted by (lag, peer id)")
     for pid, c in positions:
         if not isinstance(c, int) or c < 0:
             raise ValueError(f"peer {pid}: position must be a non-negative integer")
-    if n < k:
+    if len(positions) < k:
         return Infeasible(blocking_lag=0)
 
-    lag = {pid: c for pid, c in positions}
-    left = {pid: c for pid, c in positions}
-    right = {pid: c for pid, c in positions}
-    for pid, _ in positions[:k]:
-        left[pid] = 0
-
-    def served_count(x: int, new_left: dict[int, int], new_right: dict[int, int]) -> int:
-        return sum(
-            1
-            for y in lag
-            if y != x and new_left[y] <= new_right[x] and lag[y] >= lag[x]
-        )
-
+    graph = IntervalGraph(T)
+    for i, (pid, c) in enumerate(positions):
+        graph.add(Interval(pid, 0 if i < k else c, c, c))
     # Anchoring and same-position point overlaps are forced, so a cap
     # breach here is a genuine infeasibility, not a greedy dead end.
-    for pid in lag:
-        if served_count(pid, left, right) > constraints.cap_of(pid):
-            return Infeasible(blocking_lag=0)
-
-    def coverage(t: int) -> int:
-        return sum(1 for pid in lag if left[pid] <= t <= right[pid])
-
+    if any(graph.served_count(iv) > constraints.cap_of(pid)
+           for pid, iv in graph.vertices.items()):
+        return Infeasible(blocking_lag=0)
+    members = set(graph.vertices)
     for t in range(T + 1):
-        while coverage(t) < k:
-            options = []
-            for pid, c in positions:
-                if left[pid] <= t <= right[pid]:
-                    continue
-                if c <= t and right[pid] < t:
-                    options.append((t - right[pid], 0, pid, "r"))
-                elif c >= t and left[pid] > t:
-                    options.append((left[pid] - t, 1, pid, "l"))
-            options.sort()
-            applied = False
-            for _cost, _pref, pid, side in options:
-                if side == "r":
-                    old = right[pid]
-                    right[pid] = t
-                    if served_count(pid, left, right) <= constraints.cap_of(pid):
-                        applied = True
-                        break
-                    right[pid] = old
-                else:
-                    old = left[pid]
-                    left[pid] = t
-                    ok = True
-                    for w in lag:
-                        if w != pid and left[pid] <= right[w] and lag[pid] >= lag[w]:
-                            if served_count(w, left, right) > constraints.cap_of(w):
-                                ok = False
-                                break
-                    if ok:
-                        applied = True
-                        break
-                    left[pid] = old
-            if not applied:
-                return Infeasible(blocking_lag=t)
-    return [Interval(pid, left[pid], c, right[pid]) for pid, c in positions]
+        if _extend_to_cover(graph, constraints, t, t, members).incidents:
+            return Infeasible(blocking_lag=t)
+    return [graph.vertices[pid] for pid, _ in positions]
 
 
 # ---------------------------------------------------------------------------
@@ -687,10 +646,10 @@ def _affected_members(graph: IntervalGraph, span_lo: int, span_hi: int,
     ivs = graph.vertices.values()
     members = {iv.peer_id for iv in ivs if iv.l <= span_hi and span_lo <= iv.r}
     center = (span_lo + span_hi) // 2
-    outside = sorted([
+    nearest = heapq.nsmallest(extras, (
         (abs(iv.c - center), iv.peer_id) for iv in ivs if iv.peer_id not in members
-    ])
-    members.update(pid for _, pid in outside[:extras])
+    ))
+    members.update(pid for _, pid in nearest)
     return members
 
 

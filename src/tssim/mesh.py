@@ -93,8 +93,7 @@ class SectorMesh:
         self.gossip_period = gossip_period
         self.max_degree = max_degree
         self.k_rep = k_rep
-        self.peers: dict[int, MeshPeer] = {}
-        self._join_order: list[int] = []
+        self.peers: dict[int, MeshPeer] = {}  # in join order
         self.departed_at: dict[int, float] = {}
         self.stale_evictions = 0
         self.coloring_gaps = 0
@@ -109,10 +108,7 @@ class SectorMesh:
 
     def representant(self, excluding: int | None = None) -> int | None:
         """Longest-lived member, the fallback contact for lost peers."""
-        for pid in self._join_order:
-            if pid != excluding and pid in self.peers:
-                return pid
-        return None
+        return next((pid for pid in self.peers if pid != excluding), None)
 
     def add_peer(self, peer_id: int, now: float, storage_capacity: int = 10**9) -> MeshPeer:
         if peer_id in self.peers:
@@ -130,7 +126,6 @@ class SectorMesh:
             for pid in sorted(seeds):
                 peer.neighbors[pid] = NeighborEntry(self.peers[pid].color, now)
         self.peers[peer_id] = peer
-        self._join_order.append(peer_id)
         peer.color = self.assign_color(peer_id)
         return peer
 

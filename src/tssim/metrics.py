@@ -189,11 +189,4 @@ def run_scenario(config: ScenarioConfig, overlay: str | None = None,
         sample_period=config.sample_period_s,
     )
     engine.run(sessions, profiles)
-    report = collect_report(engine, driver)
-    if overlay == "interval":
-        deciles = driver.buffer_length_by_decile()
-        if deciles is not None:
-            hot, cold = deciles
-            report.scalars["buffer_mean_hot_decile"] = hot
-            report.scalars["buffer_mean_cold_decile"] = cold
-    return report
+    return collect_report(engine, driver)

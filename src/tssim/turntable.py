@@ -15,6 +15,7 @@ next sector.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 MAX_HANDOFF_LINKS = 2
 
@@ -46,12 +47,11 @@ class RouteOutcome:
 @dataclass
 class Sector:
     index: int
-    members: dict[int, int] = field(default_factory=dict)  # peer id -> join seq
+    members: dict[int, None] = field(default_factory=dict)  # in join order
 
     def representants(self, r: int) -> list[int]:
-        """The r longest-lived members (ties broken by lower peer id)."""
-        ranked = sorted(self.members, key=lambda pid: (self.members[pid], pid))
-        return ranked[:r]
+        """The r longest-lived members: the first r in join order."""
+        return list(islice(self.members, r))
 
 
 class Turntable:
@@ -74,7 +74,6 @@ class Turntable:
         self.handoff_links: dict[int, list[int]] = {}
         self.producer_retained: dict[int, list[int]] = {}  # sector -> chunk ids
         self.stale_handoffs = 0
-        self._join_seq = 0
         self.sector_router = None
 
     # -- membership --------------------------------------------------------
@@ -84,8 +83,7 @@ class Turntable:
         if peer_id in self.sector_of_peer:
             raise ValueError(f"peer {peer_id} already joined")
         target = min(self.sectors, key=lambda s: (len(s.members), s.index))
-        target.members[peer_id] = self._join_seq
-        self._join_seq += 1
+        target.members[peer_id] = None
         self.sector_of_peer[peer_id] = target.index
         return target.index
 
