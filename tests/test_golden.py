@@ -18,6 +18,12 @@ GOLDEN = [
      "47071bacd6d5a66d75815e38ab902f096eedec2692c66aff50bd3d6c096826bb"),
     ("tree", {"producer_archive": False},
      "aa40bc279323f4a2063b2998b9935e4ea2031a173f8ef9428af96bd29c529959"),
+    # fanout 1 grows long chains, so a departure re-parents a long
+    # subtree and the summaries, depths and traffic along it move too
+    ("tree", {"fanout": 1},
+     "db8ffa880892ae001012c96e01573985430ad677fcaa2f649d2248b3a0fd9bdd"),
+    ("tree", {"summary_mode": "bloom", "fanout": 1},
+     "23597ce996593e72f6c765757568753bf42cfa2fd57e3172e7d8e42a97e5c3f2"),
     ("mesh", {},
      "7bc4de73b4af2db15c5225c117c8a03aa9b40082bfd89c0dbd0ac34180d9545c"),
     ("mesh", {"producer_archive": False},

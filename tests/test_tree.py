@@ -2,7 +2,15 @@ import random
 
 import pytest
 
-from tssim.tree import BloomSummary, ExactSummary, SectorTree
+from tssim.tree import (
+    BloomSummary,
+    DiffusionResult,
+    EmergencyResult,
+    ExactSummary,
+    SectorTree,
+    TreeNode,
+    _bloom_positions,
+)
 from tssim.engine import PRODUCER
 
 
@@ -155,6 +163,24 @@ def test_bloom_cannot_forget_but_rebuild_can():
     t.nodes[1].store.discard(7)
     t.update_summary(1)
     assert not t.root_claims(7)
+
+
+def test_bloom_chain_forgets_a_removed_chunk():
+    # 256 bits, 2 hashes: chunk 7's bits are set by no other chunk here
+    t = chain(4, summary_mode="bloom", bloom_bits=256, bloom_hashes=2)
+    others = {1, 2, 3}
+    t.nodes[3].store.update({7} | others)
+    t.update_summary(3)
+    t.nodes[1].store.update(others)
+    t.update_summary(1)
+    mask = BloomSummary(256, 2).build({7}, []).array
+    rest = BloomSummary(256, 2).build(others, []).array
+    assert mask & rest == 0
+    assert all(t.summaries[pid].claims(7) for pid in range(4))
+    t.nodes[3].store.discard(7)
+    t.update_summary(3)
+    assert not any(t.summaries[pid].claims(7) for pid in range(4))
+    assert all(t.summaries[pid].claims(c) for pid in range(4) for c in others)
 
 
 def test_bloom_shape_validation():
@@ -313,15 +339,17 @@ def test_emergency_tops_up_from_survivor():
     assert len(res.new_pins) == 2
     assert not res.permanent_loss
     assert t.replica_count(50) == 3
-    assert 50 not in t.nodes[res.new_pins[0]].store or True  # pins are new holders
-    for pid in res.new_pins:
-        assert pid != 1
+    assert 1 not in res.new_pins  # the survivor is the source, not a new pin
+    assert t.holders(50) == sorted([1, *res.new_pins])
+    for pid in t.holders(50):
+        assert 50 in t.nodes[pid].store
 
 
 def test_emergency_noop_when_replicas_suffice():
     t = chain(3)
-    t.nodes[0].store.add(4)
-    t.nodes[1].store.add(4)
+    for pid in (0, 1):
+        t.nodes[pid].store.add(4)
+        t.update_summary(pid)
     res = t.emergency_replicate(4, k_rep=2)
     assert res.new_pins == []
     assert not res.permanent_loss
@@ -387,3 +415,238 @@ def test_tree_validation():
     t.attach(0)
     with pytest.raises(ValueError):
         t.attach(0)
+
+
+# -- the indexed tree against the rebuild walk -------------------------------------
+
+
+class RebuildTree:
+    """The sector tree as it was before its indices, kept as the reference.
+
+    Every change rebuilds summaries by union along the path to the root;
+    holders, replica counts and depths are recounted on each call. A
+    summary is its content: a chunk set in exact mode, the filter's bit
+    array in Bloom mode.
+    """
+
+    def __init__(self, fanout, summary_mode, bloom_bits, bloom_hashes):
+        self.fanout = fanout
+        self.exact = summary_mode == "exact"
+        self.bloom_bits = bloom_bits
+        self.bloom_hashes = bloom_hashes
+        self.nodes = {}
+        self.summaries = {}
+        self.generation = {}
+        self.summary_traffic_bytes = 0
+
+    def _build(self, pid):
+        node = self.nodes[pid]
+        children = [self.summaries[c] for c in node.children]
+        if self.exact:
+            return set(node.store).union(*children)
+        array = 0
+        for chunk in node.store:
+            for pos in _bloom_positions(chunk, self.bloom_bits, self.bloom_hashes):
+                array |= 1 << pos
+        for child in children:
+            array |= child
+        return array
+
+    def _size(self, content):
+        return 8 * len(content) if self.exact else self.bloom_bits // 8
+
+    def depth_of(self, pid):
+        depth = 1
+        node = self.nodes[pid]
+        while node.parent != PRODUCER:
+            node = self.nodes[node.parent]
+            depth += 1
+        return depth
+
+    def _attach_candidates(self):
+        return [pid for pid, n in self.nodes.items() if len(n.children) < self.fanout]
+
+    def attach(self, pid, upload_capacity=3, storage_capacity=10**9, as_root=False):
+        if as_root or not self.nodes:
+            parent = PRODUCER
+        else:
+            candidates = self._attach_candidates()
+            if not candidates:
+                parent = PRODUCER
+            else:
+                parent = min(candidates, key=lambda p: (
+                    self.depth_of(p), -self.nodes[p].upload_capacity, p))
+        self.nodes[pid] = TreeNode(peer_id=pid, parent=parent,
+                                   upload_capacity=upload_capacity,
+                                   storage_capacity=storage_capacity)
+        if parent != PRODUCER:
+            self.nodes[parent].children.append(pid)
+        self.summaries[pid] = set() if self.exact else 0
+        self.generation[pid] = 0
+        self.update_summary(pid)
+
+    def detach(self, pid):
+        node = self.nodes.pop(pid)
+        self.summaries.pop(pid)
+        if node.parent != PRODUCER and node.parent in self.nodes:
+            self.nodes[node.parent].children.remove(pid)
+            self.update_summary(node.parent)
+        orphans = sorted(node.children)
+        for orphan in orphans:
+            self.nodes[orphan].parent = PRODUCER
+        for orphan in orphans:
+            candidates = [p for p in self._attach_candidates()
+                          if not self._in_subtree(p, orphan)]
+            if candidates:
+                parent = min(candidates, key=lambda p: (self.depth_of(p), p))
+                self.nodes[parent].children.append(orphan)
+                self.nodes[orphan].parent = parent
+                self.update_summary(parent)
+        return orphans
+
+    def _in_subtree(self, pid, root):
+        while pid != PRODUCER:
+            if pid == root:
+                return True
+            pid = self.nodes[pid].parent
+        return False
+
+    def update_summary(self, pid):
+        cursor = pid
+        while cursor != PRODUCER:
+            fresh = self._build(cursor)
+            if fresh == self.summaries[cursor] and self.generation[cursor] > 0:
+                return
+            self.generation[cursor] += 1
+            self.summaries[cursor] = fresh
+            parent = self.nodes[cursor].parent
+            if parent != PRODUCER:
+                self.summary_traffic_bytes += self._size(fresh)
+            cursor = parent
+
+    def replica_count(self, chunk):
+        return sum(1 for n in self.nodes.values() if chunk in n.store)
+
+    def holders(self, chunk):
+        return sorted(pid for pid, n in self.nodes.items() if chunk in n.store)
+
+    def diffuse_chunk(self, chunk, k_rep):
+        candidates = [pid for pid, n in self.nodes.items()
+                      if len(n.store) < n.storage_capacity]
+        candidates.sort(key=lambda pid: (-self.depth_of(pid), pid))
+        pinned = []
+        for pid in candidates[:k_rep]:
+            self.nodes[pid].store.add(chunk)
+            pinned.append(pid)
+        for pid in pinned:
+            self.update_summary(pid)
+        return DiffusionResult(pinned=pinned, deficit=max(0, k_rep - len(pinned)))
+
+    def unpin_all(self, pid):
+        node = self.nodes[pid]
+        held = set(node.store)
+        node.store.clear()
+        return held
+
+    def emergency_replicate(self, chunk, k_rep, producer_archive=False):
+        holders = self.holders(chunk)
+        if holders:
+            source = holders[0]
+        elif producer_archive:
+            source = PRODUCER
+        else:
+            return EmergencyResult(new_pins=[], permanent_loss=True, fetched_from=None)
+        need = k_rep - len(holders)
+        if need <= 0 and holders:
+            return EmergencyResult(new_pins=[], permanent_loss=False, fetched_from=source)
+        candidates = [pid for pid, n in self.nodes.items()
+                      if chunk not in n.store and len(n.store) < n.storage_capacity]
+        candidates.sort(key=lambda pid: (-self.depth_of(pid), pid))
+        new_pins = []
+        for pid in candidates[:need if holders else k_rep]:
+            self.nodes[pid].store.add(chunk)
+            new_pins.append(pid)
+        for pid in new_pins:
+            self.update_summary(pid)
+        if not holders and not new_pins:
+            return EmergencyResult(new_pins=[], permanent_loss=not producer_archive,
+                                   fetched_from=source)
+        return EmergencyResult(new_pins=new_pins, permanent_loss=False,
+                               fetched_from=source)
+
+
+def summary_content(summary, mode):
+    return set(summary.chunks) if mode == "exact" else summary.array
+
+
+def assert_matches_rebuild(tree, ref, mode, chunks, step):
+    where = f"step {step}"
+    assert sorted(tree.nodes) == sorted(ref.nodes), where
+    for pid, node in ref.nodes.items():
+        mine = tree.nodes[pid]
+        assert (mine.parent, mine.children, mine.store) == \
+            (node.parent, node.children, node.store), f"{where}: node {pid}"
+        assert summary_content(tree.summaries[pid], mode) == ref.summaries[pid], \
+            f"{where}: summary of {pid}"
+        assert tree.depth_of(pid) == ref.depth_of(pid), f"{where}: depth of {pid}"
+    assert tree.summary_traffic_bytes == ref.summary_traffic_bytes, where
+    for chunk in chunks:
+        assert tree.holders(chunk) == ref.holders(chunk), f"{where}: chunk {chunk}"
+        assert tree.replica_count(chunk) == ref.replica_count(chunk), where
+
+
+@pytest.mark.parametrize("mode", ["exact", "bloom"])
+def test_indexed_tree_matches_rebuild(mode):
+    chunks = range(16)
+    for trial in range(12):
+        rng = random.Random(f"indexed-vs-rebuild:{mode}:{trial}")
+        shape = dict(fanout=rng.randint(1, 3), summary_mode=mode,
+                     bloom_bits=64, bloom_hashes=2)
+        tree, ref = SectorTree(**shape), RebuildTree(**shape)
+        both = (tree, ref)
+        next_pid = 0
+        for step in range(150):
+            alive = sorted(ref.nodes)
+            action = rng.random()
+            if action < 0.25 or len(alive) < 2:
+                kw = dict(upload_capacity=rng.randint(1, 4),
+                          storage_capacity=rng.choice([2, 4, 10**9]),
+                          as_root=rng.random() < 0.1)
+                for t in both:
+                    t.attach(next_pid, **kw)
+                next_pid += 1
+            elif action < 0.4:
+                # a departure with orphans: the driver's unpin, update and
+                # detach, or a detach of a node still holding its chunks
+                pid = rng.choice(alive)
+                style = rng.randrange(3)
+                for t in both:
+                    if style < 2:
+                        t.unpin_all(pid)
+                    if style == 0:
+                        t.update_summary(pid)
+                assert tree.detach(pid) == ref.detach(pid)
+            elif action < 0.48:
+                pid = rng.choice(alive)
+                assert tree.unpin_all(pid) == ref.unpin_all(pid)
+            elif action < 0.63:
+                pid = rng.choice(alive)
+                edits = [(rng.random() < 0.6, rng.choice(chunks))
+                         for _ in range(rng.randint(0, 3))]
+                for t in both:
+                    for add, chunk in edits:
+                        if add:
+                            t.nodes[pid].store.add(chunk)
+                        else:
+                            t.nodes[pid].store.discard(chunk)
+                    t.update_summary(pid)
+            elif action < 0.85:
+                # a fresh chunk, or one republished while already held
+                chunk, k_rep = rng.choice(chunks), rng.randint(1, 4)
+                assert tree.diffuse_chunk(chunk, k_rep) == ref.diffuse_chunk(chunk, k_rep)
+            else:
+                chunk, k_rep = rng.choice(chunks), rng.randint(1, 4)
+                archive = rng.random() < 0.5
+                assert tree.emergency_replicate(chunk, k_rep, archive) == \
+                    ref.emergency_replicate(chunk, k_rep, archive)
+            assert_matches_rebuild(tree, ref, mode, chunks, step)
