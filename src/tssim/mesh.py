@@ -159,8 +159,11 @@ class SectorMesh:
 
     # -- gossip ------------------------------------------------------------------
 
-    def _sample_view(self, peer: MeshPeer, now: float) -> list[tuple[int, int, float]]:
-        entries = sorted(peer.neighbors.items())
+    def _sample_view(self, peer: MeshPeer, now: float,
+                     entries: list | None = None) -> list[tuple[int, int, float]]:
+        """Up to half a view plus the peer itself; `entries` is the view sorted, if known."""
+        if entries is None:
+            entries = sorted(peer.neighbors.items())
         size = min(len(entries), max(1, self.max_degree // 2))
         picked = self.rng.sample(entries, size) if entries else []
         sample = [(pid, e.color, e.last_seen) for pid, e in picked]
@@ -190,26 +193,29 @@ class SectorMesh:
             tally[e.color] = tally.get(e.color, 0) + 1
         oldest_first = sorted([(e.last_seen, pid, e.color)
                                for pid, e in peer.neighbors.items()])
-        for _ in range(excess):
-            for i, (_, _, color) in enumerate(oldest_first):
-                if tally[color] > 1:
-                    break
-            else:
-                i = 0
-            _, pid, color = oldest_first.pop(i)
-            tally[color] -= 1
+        for _, pid, color in oldest_first:
+            if tally[color] > 1:
+                tally[color] -= 1
+                del peer.neighbors[pid]
+                excess -= 1
+                if not excess:
+                    return
+        # only last-of-their-color entries remain: the oldest of them go
+        for pid in [pid for _, pid, _ in oldest_first if pid in peer.neighbors][:excess]:
             del peer.neighbors[pid]
 
-    def _purge_departed(self, peer: MeshPeer, now: float) -> None:
+    def _purge_departed(self, peer: MeshPeer, now: float) -> list:
+        """Drop departed entries past the staleness bound; returns the view sorted."""
         horizon = now - 2 * self.gossip_period
-        stale = [
-            pid for pid, e in sorted(peer.neighbors.items())
-            if pid not in self.peers and e.last_seen < horizon
-        ]
-        for pid in stale:
-            del peer.neighbors[pid]
-            peer.known_offers.pop(pid, None)
-        self.stale_evictions += len(stale)
+        entries = []
+        for pid, e in sorted(peer.neighbors.items()):
+            if pid not in self.peers and e.last_seen < horizon:
+                del peer.neighbors[pid]
+                peer.known_offers.pop(pid, None)
+                self.stale_evictions += 1
+            else:
+                entries.append((pid, e))
+        return entries
 
     def _own_color_offers(self, peer: MeshPeer) -> set[int]:
         return {c for c in peer.store if self.scheme.chunk_color(c) == peer.color}
@@ -232,10 +238,10 @@ class SectorMesh:
     def gossip_round(self, peer_id: int, now: float) -> GossipReport:
         """One view shuffle: swap samples with a partner, then swap offers."""
         peer = self.peers[peer_id]
-        self._purge_departed(peer, now)
+        entries = self._purge_departed(peer, now)
         self._check_recolor(peer)
 
-        alive = [pid for pid in sorted(peer.neighbors) if pid in self.peers]
+        alive = [pid for pid, _ in entries if pid in self.peers]
         if not alive:
             rep = self.representant(excluding=peer_id)
             if rep is not None:
@@ -246,7 +252,7 @@ class SectorMesh:
 
         partner_id = self.rng.choice(alive)
         partner = self.peers[partner_id]
-        sent = self._sample_view(peer, now)
+        sent = self._sample_view(peer, now, entries)
         back = self._sample_view(partner, now)
         self._merge_view(partner, sent)
         self._merge_view(peer, back)

@@ -6,8 +6,11 @@ summary of which chunks exist somewhere in its subtree, so a request
 can be steered down toward a replica or up toward the root with a
 single lookup per hop. Summaries come in two flavors: an exact chunk
 set (never wrong in either direction) and a Bloom filter (never misses
-a stored chunk, may claim one that is not there, cannot forget). The
-exact mode is the default.
+a stored chunk, may claim one that is not there). The exact mode is the
+default. Both are kept incrementally: each node counts the references
+to every key of its subtree, so a change walks toward the root only as
+far as some claim flips, and a Bloom filter drops the bits of a chunk
+that leaves the subtree unless another chunk still sets them.
 """
 
 from __future__ import annotations
@@ -23,31 +26,89 @@ DEFAULT_BLOOM_BITS = 1024
 DEFAULT_BLOOM_HASHES = 3
 
 
-class ExactSummary:
-    """Chunk-id set with subtree-union semantics."""
+class _CountedSummary:
+    """Reference counts behind a subtree summary.
 
-    __slots__ = ("chunks", "generation")
+    A key counts once for each of the node's own chunks that maps to it
+    and once for each child whose summary claims it; the summary claims
+    exactly the keys with a positive count. A change therefore flips a
+    claim only where a count reaches or leaves zero, and the parent
+    hears only those flips instead of a rebuilt union: the counting
+    filters of Fan, Cao, Almeida and Broder (Summary Cache, 2000).
+    """
+
+    __slots__ = ("counts",)
 
     def __init__(self):
-        self.chunks: set[int] = set()
-        self.generation = 0
+        self.counts: dict[int, int] = {}
+
+    def add(self, keys) -> list[int]:
+        """Count one more reference to each key; returns the keys newly claimed."""
+        counts = self.counts
+        flipped = []
+        for key in keys:
+            n = counts.get(key, 0)
+            counts[key] = n + 1
+            if not n:
+                flipped.append(key)
+        if flipped:
+            self._flip(flipped)
+        return flipped
+
+    def remove(self, keys) -> list[int]:
+        """Drop one counted reference to each key; returns the keys no longer claimed."""
+        counts = self.counts
+        flipped = []
+        for key in keys:
+            n = counts[key] - 1
+            if n:
+                counts[key] = n
+            else:
+                del counts[key]
+                flipped.append(key)
+        if flipped:
+            self._flip(flipped)
+        return flipped
+
+    def _flip(self, keys: list[int]) -> None:
+        """Follow claims that changed; the counts alone are the exact summary."""
+
+    def claimed_keys(self) -> list[int]:
+        return list(self.counts)
+
+    def _union(self, own_store, child_summaries) -> "_CountedSummary":
+        for chunk_id in own_store:
+            self.add(self.keys_of(chunk_id))
+        for child in child_summaries:
+            self.add(child.claimed_keys())
+        return self
+
+
+class ExactSummary(_CountedSummary):
+    """Chunk-id set with subtree-union semantics; a key is a chunk id."""
+
+    __slots__ = ()
+
+    @property
+    def chunks(self):
+        return self.counts.keys()
 
     def claims(self, chunk_id: int) -> bool:
-        return chunk_id in self.chunks
+        return chunk_id in self.counts
+
+    @staticmethod
+    def keys_of(chunk_id: int) -> tuple[int]:
+        return (chunk_id,)
 
     @staticmethod
     def build(own_store: set[int], child_summaries: list["ExactSummary"]) -> "ExactSummary":
-        s = ExactSummary()
-        s.chunks = set(own_store)
-        for child in child_summaries:
-            s.chunks |= child.chunks
-        return s
+        return ExactSummary()._union(own_store, child_summaries)
 
     def same_content(self, other: "ExactSummary") -> bool:
-        return self.chunks == other.chunks
+        return self.counts.keys() == other.counts.keys()
 
     def size_bytes(self) -> int:
-        return 8 * len(self.chunks)
+        return 8 * len(self.counts)
 
 
 def _bloom_positions(chunk_id: int, bits: int, hashes: int) -> list[int]:
@@ -58,18 +119,24 @@ def _bloom_positions(chunk_id: int, bits: int, hashes: int) -> list[int]:
     return out
 
 
-class BloomSummary:
-    """Fixed-size filter; unions cheaply, never forgets, may overclaim."""
+class BloomSummary(_CountedSummary):
+    """Fixed-size filter; may overclaim, never misses a stored chunk.
 
-    __slots__ = ("bits", "hashes", "array", "generation")
+    A key is a bit position, and the array is the OR of the masks of the
+    subtree's chunks. Counting each bit's references lets the filter
+    clear the bits of a chunk that leaves the subtree unless another
+    remaining chunk sets them too, so it forgets what nothing vouches for.
+    """
+
+    __slots__ = ("bits", "hashes", "array")
 
     def __init__(self, bits: int = DEFAULT_BLOOM_BITS, hashes: int = DEFAULT_BLOOM_HASHES):
         if bits < 8 or hashes < 1:
             raise ValueError(f"implausible filter shape ({bits} bits, {hashes} hashes)")
+        super().__init__()
         self.bits = bits
         self.hashes = hashes
         self.array = 0  # int used as a bit array
-        self.generation = 0
 
     def _mask(self, chunk_id: int) -> int:
         mask = 0
@@ -81,15 +148,18 @@ class BloomSummary:
         mask = self._mask(chunk_id)
         return self.array & mask == mask
 
+    def keys_of(self, chunk_id: int) -> set[int]:
+        return set(_bloom_positions(chunk_id, self.bits, self.hashes))
+
+    def _flip(self, keys: list[int]) -> None:
+        for pos in keys:
+            self.array ^= 1 << pos
+
     def build(self, own_store: set[int], child_summaries: list["BloomSummary"]) -> "BloomSummary":
-        s = BloomSummary(self.bits, self.hashes)
-        for chunk_id in own_store:
-            s.array |= s._mask(chunk_id)
         for child in child_summaries:
-            if child.bits != s.bits or child.hashes != s.hashes:
+            if child.bits != self.bits or child.hashes != self.hashes:
                 raise ValueError("cannot union filters of different shapes")
-            s.array |= child.array
-        return s
+        return BloomSummary(self.bits, self.hashes)._union(own_store, child_summaries)
 
     def same_content(self, other: "BloomSummary") -> bool:
         return self.array == other.array
@@ -122,7 +192,13 @@ class EmergencyResult:
 
 
 class SectorTree:
-    """One sector's diffusion tree plus its availability summaries."""
+    """One sector's diffusion tree plus its availability summaries.
+
+    Beside the summaries it indexes each chunk's holders and each node's
+    depth, so replica counts and candidate ranking read no scan. The
+    indices follow the tree's own operations; a caller that edits a
+    node's `store` directly calls `update_summary` on that node.
+    """
 
     def __init__(
         self,
@@ -142,6 +218,10 @@ class SectorTree:
         self.nodes: dict[int, TreeNode] = {}
         self.summaries: dict[int, ExactSummary | BloomSummary] = {}
         self.summary_traffic_bytes = 0
+        self._holders: dict[int, set[int]] = {}  # chunk -> peers storing it
+        self._depth: dict[int, int] = {}
+        self._counted: dict[int, set[int]] = {}  # store as its summary counts it
+        self._unsynced: set[int] = set()  # unpinned since their last walk
 
     # -- structure ----------------------------------------------------------
 
@@ -155,24 +235,34 @@ class SectorTree:
 
     def depth_of(self, peer_id: int) -> int:
         """Edges between the peer and the producer root (representant = 1)."""
-        depth = 1
-        node = self.nodes[peer_id]
-        while node.parent != PRODUCER:
-            node = self.nodes[node.parent]
-            depth += 1
-        return depth
+        return self._depth[peer_id]
 
     def depth(self) -> int:
-        return max((self.depth_of(pid) for pid in self.nodes), default=0)
+        return max(self._depth.values(), default=0)
 
     def _attach_candidates(self) -> list[int]:
         return [pid for pid, n in self.nodes.items() if len(n.children) < self.fanout]
+
+    def _subtree(self, root: int) -> list[int]:
+        """`root` and its descendants, each after its parent."""
+        subtree = [root]
+        for pid in subtree:
+            subtree.extend(self.nodes[pid].children)
+        return subtree
+
+    def _redepth(self, root: int) -> None:
+        """Re-derive the cached depths of `root`'s subtree from its parent."""
+        depth = self._depth
+        for pid in self._subtree(root):
+            parent = self.nodes[pid].parent
+            depth[pid] = 1 if parent == PRODUCER else depth[parent] + 1
 
     def attach(self, peer_id: int, upload_capacity: int = DEFAULT_FANOUT,
                storage_capacity: int = 10**9, as_root: bool = False) -> None:
         """Insert a peer, preferring shallow, high-capacity parents."""
         if peer_id in self.nodes:
             raise ValueError(f"peer {peer_id} already in tree")
+        depth = self._depth
         if as_root or not self.nodes:
             parent = PRODUCER
         else:
@@ -183,7 +273,7 @@ class SectorTree:
                 parent = min(
                     candidates,
                     key=lambda pid: (
-                        self.depth_of(pid),
+                        depth[pid],
                         -self.nodes[pid].upload_capacity,
                         pid,
                     ),
@@ -194,10 +284,18 @@ class SectorTree:
             upload_capacity=upload_capacity,
             storage_capacity=storage_capacity,
         )
-        if parent != PRODUCER:
-            self.nodes[parent].children.append(peer_id)
-        self.summaries[peer_id] = self._fresh_summary()
-        self.update_summary(peer_id)
+        summary = self.summaries[peer_id] = self._fresh_summary()
+        self._counted[peer_id] = set()
+        if parent == PRODUCER:
+            depth[peer_id] = 1
+            return
+        depth[peer_id] = depth[parent] + 1
+        self.nodes[parent].children.append(peer_id)
+        # the new node ships its empty summary once: 0 bytes when exact,
+        # the whole filter in Bloom mode. The parent is visited next, as
+        # in the rebuild walk, which matters only if it was unpinned.
+        self.summary_traffic_bytes += summary.size_bytes()
+        self._walk(parent)
 
     def detach(self, peer_id: int) -> list[int]:
         """Remove a peer; orphaned children re-attach with their subtrees.
@@ -207,36 +305,33 @@ class SectorTree:
         node when nothing has room.
         """
         node = self.nodes.pop(peer_id)
-        self.summaries.pop(peer_id)
+        summary = self.summaries.pop(peer_id)
+        for chunk_id in self._counted.pop(peer_id):
+            self._unlist(chunk_id, peer_id)
+        self._unsynced.discard(peer_id)
+        del self._depth[peer_id]
         if node.parent != PRODUCER and node.parent in self.nodes:
             self.nodes[node.parent].children.remove(peer_id)
-            self.update_summary(node.parent)
+            self._walk(node.parent, lost=summary.claimed_keys())
         orphans = sorted(node.children)
         for orphan in orphans:
             # park at root level first so ancestor walks never cross the
             # departed node
             self.nodes[orphan].parent = PRODUCER
+            self._redepth(orphan)
         for orphan in orphans:
-            candidates = [
-                pid for pid in self._attach_candidates()
-                if not self._in_subtree(pid, orphan)
-            ]
+            inside = set(self._subtree(orphan))
+            candidates = [pid for pid in self._attach_candidates() if pid not in inside]
             if candidates:
-                parent = min(candidates, key=lambda pid: (self.depth_of(pid), pid))
+                parent = min(candidates, key=lambda pid: (self._depth[pid], pid))
                 self.nodes[parent].children.append(orphan)
                 self.nodes[orphan].parent = parent
-                self.update_summary(parent)
+                self._redepth(orphan)
+                self._walk(parent, gained=self.summaries[orphan].claimed_keys())
         return orphans
 
-    def _in_subtree(self, pid: int, root: int) -> bool:
-        while pid != PRODUCER:
-            if pid == root:
-                return True
-            pid = self.nodes[pid].parent
-        return False
-
     def check_invariants(self) -> list[str]:
-        """Structural violations, empty when healthy."""
+        """Structural violations and index drift, empty when healthy."""
         problems = []
         for pid, node in self.nodes.items():
             if len(node.children) > self.fanout:
@@ -253,6 +348,9 @@ class SectorTree:
                     break
                 trail.add(cursor)
                 cursor = self.nodes[cursor].parent
+            else:
+                if self._depth.get(pid) != len(trail):
+                    problems.append(f"cached depth of {pid} differs from a recount")
         reachable = set()
         stack = self.roots()
         while stack:
@@ -265,42 +363,103 @@ class SectorTree:
             expected = self._recompute_summary(pid)
             if not self.summaries[pid].same_content(expected):
                 problems.append(f"stale summary at {pid}")
+            elif self.summaries[pid].counts != expected.counts:
+                problems.append(f"summary reference counts at {pid} differ from a recount")
+        recount: dict[int, set[int]] = {}
+        for pid, node in self.nodes.items():
+            for chunk_id in node.store:
+                recount.setdefault(chunk_id, set()).add(pid)
+        for chunk_id in sorted(recount.keys() | self._holders.keys()):
+            if recount.get(chunk_id) != self._holders.get(chunk_id):
+                problems.append(f"chunk {chunk_id} holders differ from a recount")
         return problems
 
     # -- summaries ----------------------------------------------------------
 
     def _recompute_summary(self, peer_id: int):
+        """Rebuild by union from the stores: the oracle the counts are audited against."""
         node = self.nodes[peer_id]
         children = [self.summaries[c] for c in node.children]
         if self.summary_mode == "exact":
             return ExactSummary.build(node.store, children)
         return self.summaries[peer_id].build(node.store, children)
 
-    def update_summary(self, peer_id: int) -> None:
-        """Rebuild at this node and push changes rootward until stable."""
+    def _unlist(self, chunk_id: int, peer_id: int) -> None:
+        pids = self._holders.get(chunk_id)
+        if pids is not None:
+            pids.discard(peer_id)
+            if not pids:
+                del self._holders[chunk_id]
+
+    def _sync(self, peer_id: int) -> tuple[list[int], list[int]]:
+        """Count the node's current store; returns the own keys gained and lost."""
+        self._unsynced.discard(peer_id)
+        store = self.nodes[peer_id].store
+        counted = self._counted[peer_id]
+        keys_of = self.summaries[peer_id].keys_of
+        dropped = counted - store
+        gained = [key for chunk_id in store - counted for key in keys_of(chunk_id)]
+        lost = [key for chunk_id in dropped for key in keys_of(chunk_id)]
+        for chunk_id in dropped:
+            self._unlist(chunk_id, peer_id)
+        for chunk_id in store:  # also relists what unpin_all unlisted
+            self._holders.setdefault(chunk_id, set()).add(peer_id)
+        self._counted[peer_id] = set(store)
+        return gained, lost
+
+    def _walk(self, peer_id: int, gained=(), lost=()) -> None:
+        """Count keys gained and lost at a node and push its flips rootward.
+
+        Stops at the first node whose claims do not change. Like the
+        rebuild walk it replaces, it reads the store of an unpinned node
+        it crosses, and every changed node under a non-producer parent
+        ships its new summary.
+        """
         cursor = peer_id
         while cursor != PRODUCER:
-            fresh = self._recompute_summary(cursor)
-            current = self.summaries[cursor]
-            if current.same_content(fresh) and current.generation > 0:
+            if cursor in self._unsynced:
+                own_gained, own_lost = self._sync(cursor)
+                gained = [*gained, *own_gained]
+                lost = [*lost, *own_lost]
+            summary = self.summaries[cursor]
+            if gained:
+                gained = summary.add(gained)
+            if lost:
+                lost = summary.remove(lost)
+            if not gained and not lost:
                 return
-            fresh.generation = current.generation + 1
-            self.summaries[cursor] = fresh
-            parent = self.nodes[cursor].parent
-            if parent != PRODUCER:
-                self.summary_traffic_bytes += fresh.size_bytes()
-            cursor = parent
+            cursor = self.nodes[cursor].parent
+            if cursor != PRODUCER:
+                self.summary_traffic_bytes += summary.size_bytes()
+
+    def update_summary(self, peer_id: int) -> None:
+        """Count the node's current store and push what changed rootward."""
+        self._walk(peer_id, *self._sync(peer_id))
 
     def root_claims(self, chunk_id: int) -> bool:
         return any(self.summaries[r].claims(chunk_id) for r in self.roots())
 
     def replica_count(self, chunk_id: int) -> int:
-        return sum(1 for n in self.nodes.values() if chunk_id in n.store)
+        return len(self._holders.get(chunk_id, ()))
 
     def holders(self, chunk_id: int) -> list[int]:
-        return sorted(pid for pid, n in self.nodes.items() if chunk_id in n.store)
+        return sorted(self._holders.get(chunk_id, ()))
 
     # -- diffusion and pinning ----------------------------------------------
+
+    def _pin(self, peer_id: int, chunk_id: int) -> None:
+        self.nodes[peer_id].store.add(chunk_id)
+        counted = self._counted[peer_id]
+        gained = ()
+        if chunk_id not in counted:  # pinning a held chunk changes nothing
+            counted.add(chunk_id)
+            self._holders.setdefault(chunk_id, set()).add(peer_id)
+            gained = self.summaries[peer_id].keys_of(chunk_id)
+        self._walk(peer_id, gained)
+
+    def _deepest(self, candidates: list[int], count: int) -> list[int]:
+        candidates.sort(key=lambda pid: (-self._depth[pid], pid))
+        return candidates[:count]
 
     def diffuse_chunk(self, chunk_id: int, k_rep: int) -> DiffusionResult:
         """Pin a fresh chunk on k_rep nodes, deepest candidates first."""
@@ -308,20 +467,24 @@ class SectorTree:
             pid for pid, n in self.nodes.items()
             if len(n.store) < n.storage_capacity
         ]
-        candidates.sort(key=lambda pid: (-self.depth_of(pid), pid))
-        pinned = []
-        for pid in candidates[:k_rep]:
-            self.nodes[pid].store.add(chunk_id)
-            pinned.append(pid)
+        pinned = self._deepest(candidates, k_rep)
         for pid in pinned:
-            self.update_summary(pid)
+            self._pin(pid, chunk_id)
         return DiffusionResult(pinned=pinned, deficit=max(0, k_rep - len(pinned)))
 
     def unpin_all(self, peer_id: int) -> set[int]:
-        """Called on departure before detach; returns what the peer held."""
+        """Called on departure before detach; returns what the peer held.
+
+        The peer leaves the holders index at once. Its summary keeps
+        claiming the chunks until `update_summary`, `detach` or another
+        walk through the node publishes the empty store.
+        """
         node = self.nodes[peer_id]
         held = set(node.store)
         node.store.clear()
+        for chunk_id in self._counted[peer_id]:
+            self._unlist(chunk_id, peer_id)
+        self._unsynced.add(peer_id)
         return held
 
     # -- routing -------------------------------------------------------------
@@ -387,7 +550,8 @@ class SectorTree:
         from the producer's archive when that is enabled; with neither,
         the chunk is gone for good and said so.
         """
-        holders = self.holders(chunk_id)
+        held_by = self._holders.get(chunk_id, set())
+        holders = sorted(held_by)
         if holders:
             source = holders[0]
         elif producer_archive:
@@ -399,16 +563,11 @@ class SectorTree:
             return EmergencyResult(new_pins=[], permanent_loss=False, fetched_from=source)
         candidates = [
             pid for pid, n in self.nodes.items()
-            if chunk_id not in n.store and len(n.store) < n.storage_capacity
+            if pid not in held_by and len(n.store) < n.storage_capacity
         ]
-        candidates.sort(key=lambda pid: (-self.depth_of(pid), pid))
-        target_count = need if holders else k_rep
-        new_pins = []
-        for pid in candidates[:target_count]:
-            self.nodes[pid].store.add(chunk_id)
-            new_pins.append(pid)
+        new_pins = self._deepest(candidates, need if holders else k_rep)
         for pid in new_pins:
-            self.update_summary(pid)
+            self._pin(pid, chunk_id)
         if not holders and not new_pins:
             # archive never loses the chunk, but the sector holds nothing
             return EmergencyResult(new_pins=[], permanent_loss=not producer_archive,

@@ -155,7 +155,7 @@ def test_bloom_cannot_forget_but_rebuild_can():
     filt = BloomSummary(bits=64, hashes=2)
     filt = filt.build({7}, [])
     assert filt.claims(7)
-    # the filter has no removal; forgetting happens by recomputation
+    # the tree forgets by dropping the chunk's counted bits on update
     t = chain(2, summary_mode="bloom", bloom_bits=64, bloom_hashes=2)
     t.nodes[1].store.add(7)
     t.update_summary(1)
@@ -650,3 +650,24 @@ def test_indexed_tree_matches_rebuild(mode):
                 assert tree.emergency_replicate(chunk, k_rep, archive) == \
                     ref.emergency_replicate(chunk, k_rep, archive)
             assert_matches_rebuild(tree, ref, mode, chunks, step)
+        for pid in sorted(ref.nodes):  # publish what unpin_all left pending
+            tree.update_summary(pid)
+            ref.update_summary(pid)
+        assert_matches_rebuild(tree, ref, mode, chunks, "end")
+        assert tree.check_invariants() == []
+
+
+def test_check_invariants_audits_the_indices():
+    t = SectorTree(fanout=2)
+    for pid in range(5):
+        t.attach(pid)
+    t.diffuse_chunk(3, k_rep=2)
+    assert t.check_invariants() == []
+    t._depth[4] += 1
+    t._holders[3].add(0)
+    t.summaries[0].counts[3] += 1
+    assert t.check_invariants() == [
+        "cached depth of 4 differs from a recount",
+        "summary reference counts at 0 differ from a recount",
+        "chunk 3 holders differ from a recount",
+    ]
