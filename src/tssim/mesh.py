@@ -160,10 +160,8 @@ class SectorMesh:
     # -- gossip ------------------------------------------------------------------
 
     def _sample_view(self, peer: MeshPeer, now: float,
-                     entries: list | None = None) -> list[tuple[int, int, float]]:
-        """Up to half a view plus the peer itself; `entries` is the view sorted, if known."""
-        if entries is None:
-            entries = sorted(peer.neighbors.items())
+                     entries: list) -> list[tuple[int, int, float]]:
+        """Up to half the view plus the peer itself; `entries` is the view sorted."""
         size = min(len(entries), max(1, self.max_degree // 2))
         picked = self.rng.sample(entries, size) if entries else []
         sample = [(pid, e.color, e.last_seen) for pid, e in picked]
@@ -253,7 +251,7 @@ class SectorMesh:
         partner_id = self.rng.choice(alive)
         partner = self.peers[partner_id]
         sent = self._sample_view(peer, now, entries)
-        back = self._sample_view(partner, now)
+        back = self._sample_view(partner, now, sorted(partner.neighbors.items()))
         self._merge_view(partner, sent)
         self._merge_view(peer, back)
         peer.neighbors[partner_id] = NeighborEntry(partner.color, now)

@@ -89,10 +89,6 @@ class ExactSummary(_CountedSummary):
 
     __slots__ = ()
 
-    @property
-    def chunks(self):
-        return self.counts.keys()
-
     def claims(self, chunk_id: int) -> bool:
         return chunk_id in self.counts
 
@@ -292,8 +288,8 @@ class SectorTree:
         depth[peer_id] = depth[parent] + 1
         self.nodes[parent].children.append(peer_id)
         # the new node ships its empty summary once: 0 bytes when exact,
-        # the whole filter in Bloom mode. The parent is visited next, as
-        # in the rebuild walk, which matters only if it was unpinned.
+        # the whole filter in Bloom mode. Visiting the parent changes
+        # something only if it was unpinned since its last walk.
         self.summary_traffic_bytes += summary.size_bytes()
         self._walk(parent)
 
@@ -410,10 +406,10 @@ class SectorTree:
     def _walk(self, peer_id: int, gained=(), lost=()) -> None:
         """Count keys gained and lost at a node and push its flips rootward.
 
-        Stops at the first node whose claims do not change. Like the
-        rebuild walk it replaces, it reads the store of an unpinned node
-        it crosses, and every changed node under a non-producer parent
-        ships its new summary.
+        Stops at the first node whose claims do not change. It reads
+        the store of an unpinned node it crosses, and every changed node
+        under a non-producer parent ships its new summary, so claims and
+        traffic match a rebuild by union along the same path.
         """
         cursor = peer_id
         while cursor != PRODUCER:

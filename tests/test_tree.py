@@ -576,7 +576,7 @@ class RebuildTree:
 
 
 def summary_content(summary, mode):
-    return set(summary.chunks) if mode == "exact" else summary.array
+    return set(summary.counts) if mode == "exact" else summary.array
 
 
 def assert_matches_rebuild(tree, ref, mode, chunks, step):
