@@ -28,6 +28,16 @@ GOLDEN = [
      "7bc4de73b4af2db15c5225c117c8a03aa9b40082bfd89c0dbd0ac34180d9545c"),
     ("mesh", {"producer_archive": False},
      "f2f6ba23234d0f204c8c67ef9b739c9aa356cf3795459e43aceca951ebd5a356"),
+    # a view of 3 overflows on nearly every merge, so eviction runs all
+    # the time; with 3 colors only a view of 2 can hold more distinct
+    # colors than it has room for and reach the last-of-color fallback
+    ("mesh", {"max_degree": 3},
+     "bedeb345c9abe91fbabd2a647b322a683697e17c179cd941b5fd55a303ad03e2"),
+    ("mesh", {"max_degree": 2},
+     "86a102960d36a0bcd7d352463e86b02b4dafbb2ed206a485c041d8629fbc540b"),
+    # five times the rounds, and departed entries purged as stale
+    ("mesh", {"gossip_period": 2.0},
+     "c98f3a0882c275a7bb47a01ea4ea2fb792daf181c2794c317264f1813e1abda5"),
     ("interval", {},
      "b6e61c4f08d8752848d68be9e258bb22953d8c061e23823fc7df1da1d56e5abb"),
     ("interval", {"dedicated_server": True},

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from tssim.mesh import ColorScheme, NeighborEntry, SectorMesh
+from tssim.mesh import ColorScheme, ColoredDiffusion, GossipReport, NeighborEntry, SectorMesh
+from tssim.turntable import RouteOutcome
 
 
 def build_mesh(n, colors=3, seed="mesh-test:0", m=4, **kw):
@@ -353,3 +354,294 @@ def test_mesh_validation():
     mesh = build_mesh(2)
     with pytest.raises(ValueError):
         mesh.add_peer(0, now=1.0)
+
+
+# -- reference gossip path ------------------------------------------------------------
+
+class ReferenceMesh(SectorMesh):
+    """The gossip path as it was before its views and counts were indexed.
+
+    Every view is read as a sorted item list, replica counts are
+    recounted over every store on each call, and a pin is a bare store
+    edit. Kept as the reference the indexed path must match call for call,
+    down to the draws it takes from the mesh's random generator.
+    """
+
+    def remove_peer(self, peer_id, now):
+        del self.peers[peer_id]
+        self.departed_at[peer_id] = now
+
+    def _sample_view(self, peer, now, entries):
+        size = min(len(entries), max(1, self.max_degree // 2))
+        picked = self.rng.sample(entries, size) if entries else []
+        sample = [(pid, e.color, e.last_seen) for pid, e in picked]
+        sample.append((peer.peer_id, peer.color, now))
+        return sample
+
+    def _merge_view(self, peer, sample):
+        for pid, color, seen in sample:
+            if pid == peer.peer_id:
+                continue
+            if pid not in self.peers:
+                continue
+            entry = peer.neighbors.get(pid)
+            if entry is None:
+                peer.neighbors[pid] = NeighborEntry(color, seen)
+            elif seen >= entry.last_seen:
+                entry.color = color
+                entry.last_seen = seen
+        excess = len(peer.neighbors) - self.max_degree
+        if excess <= 0:
+            return
+        tally = {}
+        for e in peer.neighbors.values():
+            tally[e.color] = tally.get(e.color, 0) + 1
+        oldest_first = sorted([(e.last_seen, pid, e.color)
+                               for pid, e in peer.neighbors.items()])
+        for _, pid, color in oldest_first:
+            if tally[color] > 1:
+                tally[color] -= 1
+                del peer.neighbors[pid]
+                excess -= 1
+                if not excess:
+                    return
+        for pid in [pid for _, pid, _ in oldest_first if pid in peer.neighbors][:excess]:
+            del peer.neighbors[pid]
+
+    def _purge_departed(self, peer, now):
+        horizon = now - 2 * self.gossip_period
+        entries = []
+        for pid, e in sorted(peer.neighbors.items()):
+            if pid not in self.peers and e.last_seen < horizon:
+                del peer.neighbors[pid]
+                peer.known_offers.pop(pid, None)
+                self.stale_evictions += 1
+            else:
+                entries.append((pid, e))
+        return entries
+
+    def _own_color_offers(self, peer):
+        return {c for c in peer.store if self.scheme.chunk_color(c) == peer.color}
+
+    def _receive_offers(self, peer, sender, offers):
+        peer.known_offers[sender.peer_id] = set(offers)
+        adopted = []
+        for chunk in sorted(offers):
+            if self.scheme.chunk_color(chunk) != peer.color:
+                continue
+            if chunk in peer.store or len(peer.store) >= peer.storage_capacity:
+                continue
+            if self.replica_count(chunk) >= self.k_rep:
+                continue
+            peer.store.add(chunk)
+            adopted.append(chunk)
+        return adopted
+
+    def gossip_round(self, peer_id, now):
+        peer = self.peers[peer_id]
+        entries = self._purge_departed(peer, now)
+        self._check_recolor(peer)
+
+        alive = [pid for pid, _ in entries if pid in self.peers]
+        if not alive:
+            rep = self.representant(excluding=peer_id)
+            if rep is not None:
+                peer.neighbors[rep] = NeighborEntry(self.peers[rep].color, now)
+                self.bootstrap_messages += 1
+                return GossipReport(rep, True, ())
+            return GossipReport(None, False, ())
+
+        partner_id = self.rng.choice(alive)
+        partner = self.peers[partner_id]
+        sent = self._sample_view(peer, now, entries)
+        back = self._sample_view(partner, now, sorted(partner.neighbors.items()))
+        self._merge_view(partner, sent)
+        self._merge_view(peer, back)
+        peer.neighbors[partner_id] = NeighborEntry(partner.color, now)
+        partner.neighbors[peer_id] = NeighborEntry(peer.color, now)
+        self.shuffle_messages += 2
+
+        pairs = [(partner_id, c) for c in
+                 self._receive_offers(partner, peer, self._own_color_offers(peer))]
+        pairs += [(peer_id, c) for c in
+                  self._receive_offers(peer, partner, self._own_color_offers(partner))]
+        return GossipReport(partner_id, False, tuple(pairs))
+
+    def _check_recolor(self, peer):
+        present = {e.color for e in peer.neighbors.values()}
+        if peer.neighbors and len(present) < self.scheme.colors:
+            peer.missing_color_streak += 1
+        else:
+            peer.missing_color_streak = 0
+        if peer.missing_color_streak >= 2:
+            fresh = self.assign_color(peer.peer_id)
+            peer.missing_color_streak = 0
+            if fresh != peer.color:
+                peer.color = fresh
+                self.recolor_events += 1
+                for chunk in peer.store:
+                    if self.scheme.chunk_color(chunk) != fresh:
+                        self.legacy_pins.add((chunk, peer.peer_id))
+
+    def replica_count(self, chunk_id):
+        return sum(1 for p in self.peers.values() if chunk_id in p.store)
+
+    def colored_diffuse(self, rep_id, chunk_id):
+        col = self.scheme.chunk_color(chunk_id)
+        rep = self.peers[rep_id]
+        pinned = []
+
+        def try_pin(p):
+            if chunk_id not in p.store and len(p.store) < p.storage_capacity:
+                p.store.add(chunk_id)
+                pinned.append(p.peer_id)
+
+        queue = []
+        seen = set()
+        if rep.color == col:
+            queue.append(rep_id)
+            seen.add(rep_id)
+        else:
+            starts = [
+                pid for pid in sorted(rep.neighbors)
+                if pid in self.peers and self.peers[pid].color == col
+            ]
+            if not starts:
+                try_pin(rep)
+                self.coloring_gaps += 1
+                if pinned:
+                    self.gap_pins.add((chunk_id, rep_id))
+                return ColoredDiffusion(pinned=pinned, gap=True)
+            queue.extend(starts)
+            seen.update(starts)
+
+        while queue and len(pinned) < self.k_rep:
+            pid = queue.pop(0)
+            node = self.peers[pid]
+            try_pin(node)
+            if len(pinned) >= self.k_rep:
+                break
+            for nxt in sorted(node.neighbors):
+                if nxt in seen or nxt not in self.peers:
+                    continue
+                if self.peers[nxt].color != col:
+                    continue
+                seen.add(nxt)
+                queue.append(nxt)
+        return ColoredDiffusion(pinned=pinned, gap=False)
+
+    def route_request(self, start, chunk_id, ttl):
+        col = self.scheme.chunk_color(chunk_id)
+        cursor = self.peers[start]
+        hops = 0
+        visited = {start}
+        while True:
+            if chunk_id in cursor.store:
+                return RouteOutcome(served_by=cursor.peer_id, hops=hops)
+            if ttl <= 0:
+                return RouteOutcome(served_by=None, hops=hops)
+            lane = [
+                pid for pid, e in sorted(cursor.neighbors.items())
+                if pid not in visited and pid in self.peers and e.color == col
+            ]
+            if lane:
+                offered = [p for p in lane
+                           if chunk_id in cursor.known_offers.get(p, ())]
+                nxt = offered[0] if offered else lane[0]
+            else:
+                detour = [pid for pid in sorted(cursor.neighbors)
+                          if pid not in visited and pid in self.peers]
+                if not detour:
+                    return RouteOutcome(served_by=None, hops=hops)
+                nxt = self.rng.choice(detour)
+                self.route_detours += 1
+            visited.add(nxt)
+            cursor = self.peers[nxt]
+            ttl -= 1
+            hops += 1
+
+
+def _pin(mesh, peer_id, chunk):
+    mesh.peers[peer_id].store.add(chunk)
+
+
+def _mesh_state(mesh, chunks):
+    """Everything the gossip path reads or writes, in comparable form."""
+    return {
+        "join_order": list(mesh.peers),
+        "views": {pid: [(n, e.color, e.last_seen) for n, e in p.neighbors.items()]
+                  for pid, p in mesh.peers.items()},
+        "colors": {pid: (p.color, p.missing_color_streak)
+                   for pid, p in mesh.peers.items()},
+        "stores": {pid: set(p.store) for pid, p in mesh.peers.items()},
+        "known_offers": {pid: p.known_offers for pid, p in mesh.peers.items()},
+        "counters": (mesh.stale_evictions, mesh.coloring_gaps, mesh.recolor_events,
+                     mesh.route_detours, mesh.shuffle_messages,
+                     mesh.bootstrap_messages),
+        "pins": (mesh.gap_pins, mesh.legacy_pins),
+        "departed_at": mesh.departed_at,
+        "replicas": {c: mesh.replica_count(c) for c in chunks},
+        "rng": mesh.rng.getstate(),
+    }
+
+
+@pytest.mark.parametrize("trial", range(24))
+def test_gossip_path_matches_reference(trial):
+    rng = random.Random(f"mesh-reference:{trial}")
+    colors, m = rng.randint(1, 4), rng.randint(1, 3)
+    kw = dict(gossip_period=rng.choice([1.0, 5.0, 10.0]),
+              max_degree=rng.randint(1, 6), k_rep=rng.randint(1, 4))
+    seed = f"mesh-reference-rng:{trial}"
+    mesh = SectorMesh(ColorScheme(colors, m), random.Random(seed), **kw)
+    ref = ReferenceMesh(ColorScheme(colors, m), random.Random(seed), **kw)
+    both = (mesh, ref)
+    period = mesh.gossip_period
+    chunks = range(4 * colors * m)
+    now, next_pid = 0.0, 0
+    for step in range(160):
+        alive = list(ref.peers)
+        action = rng.random()
+        if action < 0.14 or len(alive) < 2:
+            capacity = rng.choice([1, 3, 10**9])
+            for t in both:
+                t.add_peer(next_pid, now, storage_capacity=capacity)
+            next_pid += 1
+        elif action < 0.22:
+            pid = rng.choice(alive)
+            for t in both:
+                t.remove_peer(pid, now)
+        elif action < 0.52:
+            for pid in rng.sample(alive, rng.randint(1, len(alive))):
+                assert mesh.gossip_round(pid, now) == ref.gossip_round(pid, now)
+        elif action < 0.62:
+            rep, chunk = rng.choice(alive), rng.choice(chunks)
+            assert mesh.colored_diffuse(rep, chunk) == ref.colored_diffuse(rep, chunk)
+        elif action < 0.69:
+            # a store edit from outside the gossip path, any color
+            pid, chunk = rng.choice(alive), rng.choice(chunks)
+            for t in both:
+                _pin(t, pid, chunk)
+        elif action < 0.79:
+            start, chunk, ttl = rng.choice(alive), rng.choice(chunks), rng.randint(0, 6)
+            assert (mesh.route_request(start, chunk, ttl)
+                    == ref.route_request(start, chunk, ttl))
+        elif action < 0.86:
+            pid, color = rng.choice(alive), rng.randrange(colors)
+            for t in both:
+                t.peers[pid].color = color
+        else:
+            # a stale entry: an old sighting of a live peer, or of a departed one
+            pid = rng.choice(alive)
+            view = sorted(ref.peers[pid].neighbors)
+            gone = sorted(ref.departed_at)
+            seen = now - rng.uniform(0, 4 * period)
+            if gone and (rng.random() < 0.5 or not view):
+                nid, color = rng.choice(gone), rng.randrange(colors)
+                for t in both:
+                    t.peers[pid].neighbors[nid] = NeighborEntry(color, seen)
+            elif view:
+                nid = rng.choice(view)
+                for t in both:
+                    t.peers[pid].neighbors[nid].last_seen = seen
+        now += rng.uniform(0, period)
+        assert _mesh_state(mesh, chunks) == _mesh_state(ref, chunks), f"step {step}"
