@@ -38,19 +38,19 @@ class InvariantViolation(Exception):
     """Raised in checked mode when a structural invariant breaks."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ProduceChunk:
     chunk_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MessageDelivery:
     src: int
     dst: int
     message: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TimerFire:
     owner: int
     tag: tuple

@@ -41,7 +41,7 @@ class ColorScheme:
         return (chunk_id // self.sector_count) % self.colors
 
 
-@dataclass
+@dataclass(slots=True)
 class NeighborEntry:
     color: int
     last_seen: float
@@ -58,7 +58,7 @@ class MeshPeer:
     missing_color_streak: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GossipReport:
     partner: int | None  # None when the view was empty
     bootstrapped: bool
@@ -72,7 +72,11 @@ class ColoredDiffusion:
 
 
 class SectorMesh:
-    """One sector's gossip overlay. All mutation goes through the engine."""
+    """One sector's gossip overlay. All mutation goes through the engine.
+
+    Beside the views it counts each chunk's holders, so replica counts
+    read no scan. Every chunk stored on a member goes through `pin`.
+    """
 
     def __init__(
         self,
@@ -94,6 +98,7 @@ class SectorMesh:
         self.max_degree = max_degree
         self.k_rep = k_rep
         self.peers: dict[int, MeshPeer] = {}  # in join order
+        self._holder_count: dict[int, int] = {}  # chunk -> members storing it
         self.departed_at: dict[int, float] = {}
         self.stale_evictions = 0
         self.coloring_gaps = 0
@@ -130,7 +135,12 @@ class SectorMesh:
         return peer
 
     def remove_peer(self, peer_id: int, now: float) -> None:
-        del self.peers[peer_id]
+        counts = self._holder_count
+        for chunk in self.peers.pop(peer_id).store:
+            if counts[chunk] == 1:
+                del counts[chunk]
+            else:
+                counts[chunk] -= 1
         # entries pointing here elsewhere decay through the staleness bound
         self.departed_at[peer_id] = now
 
@@ -160,109 +170,129 @@ class SectorMesh:
     # -- gossip ------------------------------------------------------------------
 
     def _sample_view(self, peer: MeshPeer, now: float,
-                     entries: list) -> list[tuple[int, int, float]]:
-        """Up to half the view plus the peer itself; `entries` is the view sorted."""
-        size = min(len(entries), max(1, self.max_degree // 2))
-        picked = self.rng.sample(entries, size) if entries else []
-        sample = [(pid, e.color, e.last_seen) for pid, e in picked]
+                     view: list[int]) -> list[tuple[int, int, float]]:
+        """Up to half the view plus the peer itself; `view` is its ids sorted."""
+        size = min(len(view), max(1, self.max_degree // 2))
+        neighbors = peer.neighbors
+        sample = []
+        for pid in self.rng.sample(view, size) if view else ():
+            e = neighbors[pid]
+            sample.append((pid, e.color, e.last_seen))
         sample.append((peer.peer_id, peer.color, now))
         return sample
 
     def _merge_view(self, peer: MeshPeer, sample: list[tuple[int, int, float]]) -> None:
+        neighbors = peer.neighbors
+        peers = self.peers
+        own = peer.peer_id
         for pid, color, seen in sample:
-            if pid == peer.peer_id:
-                continue
-            if pid not in self.peers:
+            if pid == own or pid not in peers:
                 continue  # probing a forwarded entry fails if it departed
-            entry = peer.neighbors.get(pid)
+            entry = neighbors.get(pid)
             if entry is None:
-                peer.neighbors[pid] = NeighborEntry(color, seen)
+                neighbors[pid] = NeighborEntry(color, seen)
             elif seen >= entry.last_seen:
                 entry.color = color
                 entry.last_seen = seen
-        excess = len(peer.neighbors) - self.max_degree
+        excess = len(neighbors) - self.max_degree
         if excess <= 0:
             return
         # evict the oldest entries, but keep the last entry of any color:
         # views that retain one peer per color keep the partition goal
         # (each color dominating) within reach of pure local repair
-        tally: dict[int, int] = {}
-        for e in peer.neighbors.values():
-            tally[e.color] = tally.get(e.color, 0) + 1
+        tally = [0] * self.scheme.colors
+        for e in neighbors.values():
+            tally[e.color] += 1
         oldest_first = sorted([(e.last_seen, pid, e.color)
-                               for pid, e in peer.neighbors.items()])
+                               for pid, e in neighbors.items()])
         for _, pid, color in oldest_first:
             if tally[color] > 1:
                 tally[color] -= 1
-                del peer.neighbors[pid]
+                del neighbors[pid]
                 excess -= 1
                 if not excess:
                     return
         # only last-of-their-color entries remain: the oldest of them go
-        for pid in [pid for _, pid, _ in oldest_first if pid in peer.neighbors][:excess]:
-            del peer.neighbors[pid]
+        for pid in [pid for _, pid, _ in oldest_first if pid in neighbors][:excess]:
+            del neighbors[pid]
 
-    def _purge_departed(self, peer: MeshPeer, now: float) -> list:
-        """Drop departed entries past the staleness bound; returns the view sorted."""
+    def _purge_departed(self, peer: MeshPeer, now: float) -> tuple[list[int], list[int]]:
+        """Drop departed entries past the staleness bound.
+
+        Returns the ids left in the view and those of live members, both
+        sorted.
+        """
+        peers = self.peers
+        neighbors = peer.neighbors
+        view = sorted(neighbors)
+        if neighbors.keys() <= peers.keys():
+            return view, view  # nobody in the view has departed
         horizon = now - 2 * self.gossip_period
-        entries = []
-        for pid, e in sorted(peer.neighbors.items()):
-            if pid not in self.peers and e.last_seen < horizon:
-                del peer.neighbors[pid]
+        kept, alive = [], []
+        for pid in view:
+            if pid in peers:
+                alive.append(pid)
+            elif neighbors[pid].last_seen < horizon:
+                del neighbors[pid]
                 peer.known_offers.pop(pid, None)
                 self.stale_evictions += 1
-            else:
-                entries.append((pid, e))
-        return entries
+                continue
+            kept.append(pid)
+        return kept, alive
 
     def _own_color_offers(self, peer: MeshPeer) -> set[int]:
-        return {c for c in peer.store if self.scheme.chunk_color(c) == peer.color}
+        if not peer.store:
+            return set()
+        m, colors, own = self.scheme.sector_count, self.scheme.colors, peer.color
+        return {c for c in peer.store if c // m % colors == own}
 
-    def _receive_offers(self, peer: MeshPeer, sender: MeshPeer,
-                        offers: set[int]) -> list[int]:
-        peer.known_offers[sender.peer_id] = set(offers)
-        adopted = []
-        for chunk in sorted(offers):
-            if self.scheme.chunk_color(chunk) != peer.color:
-                continue
-            if chunk in peer.store or len(peer.store) >= peer.storage_capacity:
-                continue
-            if self.replica_count(chunk) >= self.k_rep:
-                continue
-            peer.store.add(chunk)
-            adopted.append(chunk)
-        return adopted
+    def _receive_offers(self, peer: MeshPeer, sender: MeshPeer, offers: set[int],
+                        adopted: list[tuple[int, int]]) -> None:
+        """Pin offered chunks still short of k_rep, listing (peer, chunk) in
+        `adopted`. `offers` is kept as the sender's offer set."""
+        peer.known_offers[sender.peer_id] = offers
+        if not offers or sender.color != peer.color:
+            return  # every offer wears the sender's color
+        store = peer.store
+        room = peer.storage_capacity - len(store)
+        counts = self._holder_count
+        for chunk in sorted(offers - store):
+            if room <= 0:
+                break
+            if counts.get(chunk, 0) < self.k_rep:
+                self.pin(peer.peer_id, chunk)
+                adopted.append((peer.peer_id, chunk))
+                room -= 1
 
     def gossip_round(self, peer_id: int, now: float) -> GossipReport:
         """One view shuffle: swap samples with a partner, then swap offers."""
-        peer = self.peers[peer_id]
-        entries = self._purge_departed(peer, now)
+        peers = self.peers
+        peer = peers[peer_id]
+        view, alive = self._purge_departed(peer, now)
         self._check_recolor(peer)
 
-        alive = [pid for pid, _ in entries if pid in self.peers]
         if not alive:
             rep = self.representant(excluding=peer_id)
             if rep is not None:
-                peer.neighbors[rep] = NeighborEntry(self.peers[rep].color, now)
+                peer.neighbors[rep] = NeighborEntry(peers[rep].color, now)
                 self.bootstrap_messages += 1
                 return GossipReport(rep, True, ())
             return GossipReport(None, False, ())
 
         partner_id = self.rng.choice(alive)
-        partner = self.peers[partner_id]
-        sent = self._sample_view(peer, now, entries)
-        back = self._sample_view(partner, now, sorted(partner.neighbors.items()))
+        partner = peers[partner_id]
+        sent = self._sample_view(peer, now, view)
+        back = self._sample_view(partner, now, sorted(partner.neighbors))
         self._merge_view(partner, sent)
         self._merge_view(peer, back)
         peer.neighbors[partner_id] = NeighborEntry(partner.color, now)
         partner.neighbors[peer_id] = NeighborEntry(peer.color, now)
         self.shuffle_messages += 2
 
-        pairs = [(partner_id, c) for c in
-                 self._receive_offers(partner, peer, self._own_color_offers(peer))]
-        pairs += [(peer_id, c) for c in
-                  self._receive_offers(peer, partner, self._own_color_offers(partner))]
-        return GossipReport(partner_id, False, tuple(pairs))
+        adopted: list[tuple[int, int]] = []
+        self._receive_offers(partner, peer, self._own_color_offers(peer), adopted)
+        self._receive_offers(peer, partner, self._own_color_offers(partner), adopted)
+        return GossipReport(partner_id, False, tuple(adopted))
 
     def _check_recolor(self, peer: MeshPeer) -> None:
         present = {e.color for e in peer.neighbors.values()}
@@ -282,8 +312,16 @@ class SectorMesh:
 
     # -- chunk placement -----------------------------------------------------------
 
+    def pin(self, peer_id: int, chunk_id: int) -> None:
+        """Store the chunk on a member; pinning a held chunk changes nothing."""
+        store = self.peers[peer_id].store
+        if chunk_id not in store:
+            store.add(chunk_id)
+            counts = self._holder_count
+            counts[chunk_id] = counts.get(chunk_id, 0) + 1
+
     def replica_count(self, chunk_id: int) -> int:
-        return sum(1 for p in self.peers.values() if chunk_id in p.store)
+        return self._holder_count.get(chunk_id, 0)
 
     def holders(self, chunk_id: int) -> list[int]:
         return sorted(pid for pid, p in self.peers.items() if chunk_id in p.store)
@@ -296,7 +334,7 @@ class SectorMesh:
 
         def try_pin(p: MeshPeer) -> None:
             if chunk_id not in p.store and len(p.store) < p.storage_capacity:
-                p.store.add(chunk_id)
+                self.pin(p.peer_id, chunk_id)
                 pinned.append(p.peer_id)
 
         queue: list[int] = []
@@ -346,17 +384,18 @@ class SectorMesh:
                 return RouteOutcome(served_by=cursor.peer_id, hops=hops)
             if ttl <= 0:
                 return RouteOutcome(served_by=None, hops=hops)
+            neighbors = cursor.neighbors
+            ids = sorted(neighbors)
             lane = [
-                pid for pid, e in sorted(cursor.neighbors.items())
-                if pid not in visited and pid in self.peers and e.color == col
+                pid for pid in ids
+                if pid not in visited and pid in self.peers and neighbors[pid].color == col
             ]
             if lane:
-                offered = [p for p in lane
-                           if chunk_id in cursor.known_offers.get(p, ())]
-                nxt = offered[0] if offered else lane[0]
+                offers = cursor.known_offers
+                nxt = next((p for p in lane if chunk_id in offers.get(p, ())),
+                           lane[0])
             else:
-                detour = [pid for pid in sorted(cursor.neighbors)
-                          if pid not in visited and pid in self.peers]
+                detour = [pid for pid in ids if pid not in visited and pid in self.peers]
                 if not detour:
                     return RouteOutcome(served_by=None, hops=hops)
                 nxt = self.rng.choice(detour)
@@ -385,12 +424,19 @@ class SectorMesh:
                 purgeable = max(self.departed_at[nid], entry.last_seen + 2 * period)
                 if now - purgeable > period:
                     problems.append(f"peer {pid} holds departed {nid} beyond staleness bound")
+        recount: dict[int, int] = {}
         for pid, peer in sorted(self.peers.items()):
             for chunk in sorted(peer.store):
+                recount[chunk] = recount.get(chunk, 0) + 1
                 if (chunk, pid) in self.gap_pins or (chunk, pid) in self.legacy_pins:
                     continue
                 if self.scheme.chunk_color(chunk) != peer.color:
                     problems.append(f"peer {pid} stores off-color chunk {chunk}")
+        for chunk in sorted(recount.keys() | self._holder_count.keys()):
+            counted = self._holder_count.get(chunk, 0)
+            if counted != recount.get(chunk, 0):
+                problems.append(f"holder count of chunk {chunk} is {counted}, "
+                                f"but {recount.get(chunk, 0)} members store it")
         return problems
 
     def is_connected(self) -> bool:

@@ -216,6 +216,7 @@ class SectorTree:
         self.summary_traffic_bytes = 0
         self._holders: dict[int, set[int]] = {}  # chunk -> peers storing it
         self._depth: dict[int, int] = {}
+        self._by_depth: list[int] | None = None  # deepest first; reset on attach/detach
         self._counted: dict[int, set[int]] = {}  # store as its summary counts it
         self._unsynced: set[int] = set()  # unpinned since their last walk
 
@@ -258,6 +259,7 @@ class SectorTree:
         """Insert a peer, preferring shallow, high-capacity parents."""
         if peer_id in self.nodes:
             raise ValueError(f"peer {peer_id} already in tree")
+        self._by_depth = None
         depth = self._depth
         if as_root or not self.nodes:
             parent = PRODUCER
@@ -301,6 +303,7 @@ class SectorTree:
         node when nothing has room.
         """
         node = self.nodes.pop(peer_id)
+        self._by_depth = None
         summary = self.summaries.pop(peer_id)
         for chunk_id in self._counted.pop(peer_id):
             self._unlist(chunk_id, peer_id)
@@ -453,17 +456,26 @@ class SectorTree:
             gained = self.summaries[peer_id].keys_of(chunk_id)
         self._walk(peer_id, gained)
 
-    def _deepest(self, candidates: list[int], count: int) -> list[int]:
-        candidates.sort(key=lambda pid: (-self._depth[pid], pid))
-        return candidates[:count]
+    def _deepest(self, count: int, skip=()) -> list[int]:
+        """Up to `count` nodes with spare storage outside `skip`, deepest
+        first, ties to the lowest peer id."""
+        order = self._by_depth
+        if order is None:
+            depth = self._depth
+            order = self._by_depth = sorted(self.nodes, key=lambda pid: (-depth[pid], pid))
+        nodes = self.nodes
+        picked: list[int] = []
+        for pid in order:
+            if len(picked) >= count:
+                break
+            n = nodes[pid]
+            if pid not in skip and len(n.store) < n.storage_capacity:
+                picked.append(pid)
+        return picked
 
     def diffuse_chunk(self, chunk_id: int, k_rep: int) -> DiffusionResult:
         """Pin a fresh chunk on k_rep nodes, deepest candidates first."""
-        candidates = [
-            pid for pid, n in self.nodes.items()
-            if len(n.store) < n.storage_capacity
-        ]
-        pinned = self._deepest(candidates, k_rep)
+        pinned = self._deepest(k_rep)
         for pid in pinned:
             self._pin(pid, chunk_id)
         return DiffusionResult(pinned=pinned, deficit=max(0, k_rep - len(pinned)))
@@ -546,27 +558,16 @@ class SectorTree:
         from the producer's archive when that is enabled; with neither,
         the chunk is gone for good and said so.
         """
-        held_by = self._holders.get(chunk_id, set())
-        holders = sorted(held_by)
-        if holders:
-            source = holders[0]
+        held_by = self._holders.get(chunk_id, ())
+        if held_by:
+            source = min(held_by)
         elif producer_archive:
             source = PRODUCER
         else:
             return EmergencyResult(new_pins=[], permanent_loss=True, fetched_from=None)
-        need = k_rep - len(holders)
-        if need <= 0 and holders:
-            return EmergencyResult(new_pins=[], permanent_loss=False, fetched_from=source)
-        candidates = [
-            pid for pid, n in self.nodes.items()
-            if pid not in held_by and len(n.store) < n.storage_capacity
-        ]
-        new_pins = self._deepest(candidates, need if holders else k_rep)
+        # nothing pinnable is no loss: a holder or the archive still has it
+        new_pins = self._deepest(k_rep - len(held_by), skip=held_by)
         for pid in new_pins:
             self._pin(pid, chunk_id)
-        if not holders and not new_pins:
-            # archive never loses the chunk, but the sector holds nothing
-            return EmergencyResult(new_pins=[], permanent_loss=not producer_archive,
-                                   fetched_from=source)
         return EmergencyResult(new_pins=new_pins, permanent_loss=False,
                                fetched_from=source)

@@ -249,7 +249,7 @@ def test_diffuse_gap_pins_on_representant():
 def test_gossip_repairs_replica_deficit():
     mesh = build_mesh(8, colors=1, k_rep=3, seed="repair:8")
     run_rounds(mesh, 2)
-    mesh.peers[2].store.add(4)  # one replica short of k_rep by two
+    mesh.pin(2, 4)  # one replica short of k_rep by two
     rounds_budget = 3 + 8  # pin target plus a generous diameter
     for i in range(rounds_budget):
         run_rounds(mesh, 1, start=(2 + i) * mesh.gossip_period)
@@ -258,13 +258,35 @@ def test_gossip_repairs_replica_deficit():
     assert mesh.replica_count(4) == 3
     run_rounds(mesh, 3, start=(2 + rounds_budget) * mesh.gossip_period)
     assert mesh.replica_count(4) == 3  # adoption stops at k_rep
+    assert len(mesh.holders(4)) == 3  # the count agrees with the stores
+
+
+def test_holder_counts_follow_pins_and_departures():
+    mesh = build_mesh(4, colors=1)
+    mesh.pin(1, 7)
+    mesh.pin(2, 7)
+    mesh.pin(2, 7)  # pinning a held chunk changes nothing
+    assert mesh.replica_count(7) == 2
+    mesh.remove_peer(2, now=1.0)
+    assert mesh.replica_count(7) == 1
+    assert mesh.holders(7) == [1]
+    assert mesh.check_invariants(1.0) == []
+
+
+def test_check_invariants_flags_store_edits_that_bypass_pin():
+    mesh = build_mesh(4, colors=1)
+    mesh.pin(1, 7)
+    mesh.peers[3].store.add(7)
+    assert mesh.replica_count(7) == 1  # the map never saw the edit
+    assert mesh.check_invariants(0.0) == [
+        "holder count of chunk 7 is 1, but 2 members store it"]
 
 
 # -- routing -------------------------------------------------------------------------
 
 def test_route_local_hit():
     mesh = build_mesh(4, colors=1)
-    mesh.peers[2].store.add(9)
+    mesh.pin(2, 9)
     out = mesh.route_request(2, 9, ttl=4)
     assert out.served_by == 2
     assert out.hops == 0
@@ -276,7 +298,7 @@ def test_route_adjacent_same_color_hit():
     mesh.add_peer(1, now=0.0)
     holder = mesh.peers[1]
     holder.color = 0
-    holder.store.add(2)  # chunk 2 has color 0 (2 div 1 mod 2)
+    mesh.pin(1, 2)  # chunk 2 has color 0 (2 div 1 mod 2)
     mesh.peers[0].color = 0
     mesh.peers[0].neighbors = {1: NeighborEntry(color=0, last_seen=0.0)}
     out = mesh.route_request(0, 2, ttl=4)
@@ -299,7 +321,7 @@ def test_route_detours_when_color_lane_blocked():
     start, mid, holder = (mesh.peers[i] for i in range(3))
     chunk = 2  # color 0
     start.color, mid.color, holder.color = 0, 1, 0
-    holder.store.add(chunk)
+    mesh.pin(2, chunk)
     start.neighbors = {1: NeighborEntry(color=1, last_seen=0.0)}
     mid.neighbors = {2: NeighborEntry(color=0, last_seen=0.0)}
     out = mesh.route_request(0, chunk, ttl=5)
@@ -317,7 +339,7 @@ def test_route_prefers_neighbors_that_offered_the_chunk():
         1: NeighborEntry(color=0, last_seen=0.0),
         3: NeighborEntry(color=0, last_seen=0.0),
     }
-    mesh.peers[3].store.add(5)
+    mesh.pin(3, 5)
     searcher.known_offers[3] = {5}
     out = mesh.route_request(0, 5, ttl=3)
     assert out.served_by == 3
@@ -331,7 +353,7 @@ def test_route_ttl_exhausts_on_long_chains():
         mesh.peers[pid].neighbors = {}
     for pid in range(4):
         mesh.peers[pid].neighbors = {pid + 1: NeighborEntry(0, 0.0)}
-    mesh.peers[4].store.add(3)
+    mesh.pin(4, 3)
     short = mesh.route_request(0, 3, ttl=2)
     assert short.served_by is None
     assert short.hops == 2
@@ -366,6 +388,9 @@ class ReferenceMesh(SectorMesh):
     edit. Kept as the reference the indexed path must match call for call,
     down to the draws it takes from the mesh's random generator.
     """
+
+    def pin(self, peer_id, chunk_id):
+        self.peers[peer_id].store.add(chunk_id)
 
     def remove_peer(self, peer_id, now):
         del self.peers[peer_id]
@@ -561,10 +586,6 @@ class ReferenceMesh(SectorMesh):
             hops += 1
 
 
-def _pin(mesh, peer_id, chunk):
-    mesh.peers[peer_id].store.add(chunk)
-
-
 def _mesh_state(mesh, chunks):
     """Everything the gossip path reads or writes, in comparable form."""
     return {
@@ -620,7 +641,7 @@ def test_gossip_path_matches_reference(trial):
             # a store edit from outside the gossip path, any color
             pid, chunk = rng.choice(alive), rng.choice(chunks)
             for t in both:
-                _pin(t, pid, chunk)
+                t.pin(pid, chunk)
         elif action < 0.79:
             start, chunk, ttl = rng.choice(alive), rng.choice(chunks), rng.randint(0, 6)
             assert (mesh.route_request(start, chunk, ttl)
@@ -645,3 +666,4 @@ def test_gossip_path_matches_reference(trial):
                     t.peers[pid].neighbors[nid].last_seen = seen
         now += rng.uniform(0, period)
         assert _mesh_state(mesh, chunks) == _mesh_state(ref, chunks), f"step {step}"
+        assert not [msg for msg in mesh.check_invariants(now) if "holder count" in msg]
