@@ -241,8 +241,7 @@ class SectorMesh:
         return kept, alive
 
     def _own_color_offers(self, peer: MeshPeer) -> set[int]:
-        if not peer.store:
-            return set()
+        # ColorScheme.chunk_color inlined: it runs on every stored chunk each round
         m, colors, own = self.scheme.sector_count, self.scheme.colors, peer.color
         return {c for c in peer.store if c // m % colors == own}
 
@@ -251,7 +250,7 @@ class SectorMesh:
         """Pin offered chunks still short of k_rep, listing (peer, chunk) in
         `adopted`. `offers` is kept as the sender's offer set."""
         peer.known_offers[sender.peer_id] = offers
-        if not offers or sender.color != peer.color:
+        if sender.color != peer.color:
             return  # every offer wears the sender's color
         store = peer.store
         room = peer.storage_capacity - len(store)
@@ -391,9 +390,9 @@ class SectorMesh:
                 if pid not in visited and pid in self.peers and neighbors[pid].color == col
             ]
             if lane:
-                offers = cursor.known_offers
-                nxt = next((p for p in lane if chunk_id in offers.get(p, ())),
-                           lane[0])
+                offered = [p for p in lane
+                           if chunk_id in cursor.known_offers.get(p, ())]
+                nxt = offered[0] if offered else lane[0]
             else:
                 detour = [pid for pid in ids if pid not in visited and pid in self.peers]
                 if not detour:
