@@ -492,22 +492,6 @@ class ReferenceMesh(SectorMesh):
                   self._receive_offers(peer, partner, self._own_color_offers(partner))]
         return GossipReport(partner_id, False, tuple(pairs))
 
-    def _check_recolor(self, peer):
-        present = {e.color for e in peer.neighbors.values()}
-        if peer.neighbors and len(present) < self.scheme.colors:
-            peer.missing_color_streak += 1
-        else:
-            peer.missing_color_streak = 0
-        if peer.missing_color_streak >= 2:
-            fresh = self.assign_color(peer.peer_id)
-            peer.missing_color_streak = 0
-            if fresh != peer.color:
-                peer.color = fresh
-                self.recolor_events += 1
-                for chunk in peer.store:
-                    if self.scheme.chunk_color(chunk) != fresh:
-                        self.legacy_pins.add((chunk, peer.peer_id))
-
     def replica_count(self, chunk_id):
         return sum(1 for p in self.peers.values() if chunk_id in p.store)
 
