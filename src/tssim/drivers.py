@@ -138,8 +138,6 @@ class TreeDriver(_TurntableDriver):
 
     def _remove_from_tree(self, sector: int, peer_id: int, now: float) -> None:
         tree = self.structures[sector]
-        if peer_id not in tree.nodes:
-            return
         held = tree.unpin_all(peer_id)
         self.engine.peers[peer_id].pinned.clear()
         tree.update_summary(peer_id)
@@ -256,39 +254,28 @@ class MeshDriver(_TurntableDriver):
         ])
         self.request_ttl = request_ttl
         self.gossip_period = gossip_period
-        self._gossip_epoch: dict[int, int] = {}
 
     def on_join(self, peer_id: int, lag: int, now: float) -> None:
         sector = self.turntable.join(peer_id)
         profile = self.engine.peers[peer_id].profile
         self.structures[sector].add_peer(
             peer_id, now, storage_capacity=profile.storage_capacity)
-        epoch = self._gossip_epoch.get(peer_id, 0) + 1
-        self._gossip_epoch[peer_id] = epoch
         self.engine.schedule_timer(now + self.gossip_period, peer_id,
-                                   ("gossip", epoch))
+                                   ("gossip",))
         self._flush_retained(sector, now)
 
     def on_leave(self, peer_id: int, now: float, abrupt: bool) -> None:
         sector = self.turntable.leave(peer_id)
-        mesh = self.structures[sector]
-        if peer_id in mesh.peers:
-            # replicas die with the peer; gossip adoption re-fills them
-            mesh.remove_peer(peer_id, now)
-        self._gossip_epoch[peer_id] = self._gossip_epoch.get(peer_id, 0) + 1
+        # replicas die with the peer; gossip adoption re-fills them
+        self.structures[sector].remove_peer(peer_id, now)
 
     def on_timer(self, owner: int, tag: tuple, now: float) -> None:
         if tag[0] != "gossip":
             return
-        if self._gossip_epoch.get(owner) != tag[1]:
-            return
         peer = self.engine.peers.get(owner)
         if peer is None or peer.state is PeerState.DEPARTED:
             return
-        sector = self.turntable.sector_of_peer.get(owner)
-        if sector is None:
-            return
-        mesh = self.structures[sector]
+        mesh = self.structures[self.turntable.sector_of_peer[owner]]
         report = mesh.gossip_round(owner, now)
         eng = self.engine
         if report.partner is not None:
@@ -389,8 +376,6 @@ class IntervalDriver(OverlayDriver):
         self._account(outcome)
 
     def on_leave(self, peer_id: int, now: float, abrupt: bool) -> None:
-        if peer_id not in self.graph.vertices:
-            return
         if abrupt:
             # nobody is notified; the hole stays until the next rebalance
             self.graph.remove(peer_id)
@@ -402,8 +387,6 @@ class IntervalDriver(OverlayDriver):
         self._account(outcome)
 
     def on_move(self, peer_id: int, old_lag: int, new_lag: int, now: float) -> None:
-        if peer_id not in self.graph.vertices:
-            return
         outcome = repair_on_event(
             self.graph, self.constraints,
             OverlayEvent(kind="move", peer_id=peer_id,
@@ -425,16 +408,7 @@ class IntervalDriver(OverlayDriver):
         self.requests_by_lag[lag] = self.requests_by_lag.get(lag, 0) + 1
         if lag > self.constraints.T:
             return ((PRODUCER, 1) if self.producer_archive else (None, 0))
-        peers = self.engine.peers
-        live = []
-        for pid in self.graph.holders[lag]:
-            if pid == peer_id:
-                continue
-            if pid != DEDICATED:
-                peer = peers.get(pid)
-                if peer is None or peer.state is PeerState.DEPARTED:
-                    continue
-            live.append(pid)
+        live = [pid for pid in self.graph.holders[lag] if pid != peer_id]
         if not live:
             if self.producer_archive:
                 return (PRODUCER, 1)
@@ -448,7 +422,6 @@ class IntervalDriver(OverlayDriver):
     def on_timer(self, owner: int, tag: tuple, now: float) -> None:
         if tag[0] != "rebalance":
             return
-        self._drop_departed()
         outcome = rebalance(self.graph, self.constraints)
         self._account(outcome)
         self._sample_coverage()
@@ -457,15 +430,6 @@ class IntervalDriver(OverlayDriver):
             if iv.peer_id != DEDICATED
         ])
         self.engine.schedule_timer(now + self.rebalance_period, PRODUCER, tag)
-
-    def _drop_departed(self) -> None:
-        for pid in sorted(self.graph.vertices):
-            if pid == DEDICATED:
-                continue
-            peer = self.engine.peers.get(pid)
-            if peer is None or peer.state is PeerState.DEPARTED:
-                self.graph.remove(pid)
-                self.constraints.caps.pop(pid, None)
 
     def _sample_coverage(self) -> None:
         self.coverage_samples += 1
@@ -486,14 +450,17 @@ class IntervalDriver(OverlayDriver):
 
     def periodic_check(self, now: float) -> list[str]:
         problems = []
+        peers = self.engine.peers
         for iv in self.graph.intervals():
             if not (0 <= iv.l <= iv.c <= iv.r):
                 problems.append(f"malformed interval for peer {iv.peer_id}")
+            if (iv.peer_id != DEDICATED
+                    and peers[iv.peer_id].state is PeerState.DEPARTED):
+                problems.append(f"departed peer {iv.peer_id} still holds an interval")
         problems.extend(self.graph.index_drift())
         return problems
 
     def finalize(self, now: float) -> None:
-        self._drop_departed()
         self._sample_coverage()
 
     def buffer_length_by_decile(self) -> tuple[float, float] | None:

@@ -15,20 +15,22 @@ iff l <= t <= r, and two ranges intersect iff max of the left ends is
 The module keeps two independent implementations of both constraint
 checks (a literal double loop and a faster indexed form) so each can
 vouch for the other, plus an exhaustive small-instance optimizer used
-as ground truth for the greedy bound-assignment sweep. The sweep, event
-repair and serving read neither: they read the per-lag indices
-IntervalGraph keeps up to date, which `IntervalGraph.index_drift`
-compares with a recount. The sweep and repair share one greedy
-extension rule, `_extend_to_cover`.
+as ground truth for the greedy bound-assignment sweep. The oracle seeds
+its upper bound with the sweep's assignment once both checkers accept
+it, and stays exact whatever that seed is. The sweep and repair share
+one greedy extension rule, `_extend_to_cover`, and read the per-lag
+indices IntervalGraph keeps up to date (`IntervalGraph.index_drift`
+compares them with a recount) rather than either checker. Of the
+checkers, only `coverage_gaps_fast` runs in the simulation.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
+from itertools import accumulate, islice
 
 
 @dataclass(frozen=True)
@@ -207,8 +209,9 @@ def objective(intervals) -> int:
 # ---------------------------------------------------------------------------
 # Constraint checkers. The two *naive* forms below are the reference
 # semantics, written as literal recounts; the *fast* forms must agree
-# with them on every instance and are the ones the simulation driver
-# calls in hot paths.
+# with them on every instance. The simulation calls only
+# coverage_gaps_fast; the rest serve the tests and the oracle's check
+# of its seed.
 
 def check_k_coverage(graph: IntervalGraph, constraints: OverlayConstraints) -> list[tuple[int, int]]:
     """Gaps as (lag, multiplicity) pairs; empty list means pass."""
@@ -300,75 +303,26 @@ class Infeasible:
 
 # ---------------------------------------------------------------------------
 # Exhaustive optimizer for desk-scale instances. Ground truth for the
-# greedy sweep; refuses anything big enough to be slow.
+# greedy sweep, which only seeds its bound; refuses anything big enough
+# to be slow.
 
 ORACLE_MAX_PEERS = 8
 ORACLE_MAX_T = 20
 
 
-def _greedy_incumbent(
-    order: list[tuple[int, int]],
-    constraints: OverlayConstraints,
-) -> list[Interval] | None:
-    """Cheap feasible assignment used only to seed the oracle's bound.
-
-    Fills coverage deficits left to right with the cheapest single-peer
-    extension that keeps every serving count within its cap. Returns
-    None when the fill gets stuck; the exhaustive search then starts
-    from an open bound.
-    """
-    k, T = constraints.k, constraints.T
-    bounds = {pid: [c, c] for pid, c in order}
-    pos = dict(order)
-
-    def capacity_ok(tentative: dict[int, list[int]]) -> bool:
-        for x, (lx, rx) in tentative.items():
-            count = 0
-            for y, (ly, ry) in tentative.items():
-                if y != x and ly <= rx and pos[y] >= pos[x]:
-                    count += 1
-            if count > constraints.cap_of(x):
-                return False
-        return True
-
-    for t in range(T + 1):
-        while True:
-            cover = sum(1 for lx, rx in bounds.values() if lx <= t <= rx)
-            if cover >= k:
-                break
-            options = []
-            for pid, (lx, rx) in bounds.items():
-                if lx <= t <= rx:
-                    continue
-                cost = lx - t if t < lx else t - rx
-                options.append((cost, pid))
-            options.sort()
-            placed = False
-            for cost, pid in options:
-                lx, rx = bounds[pid]
-                new = [min(lx, t), max(rx, t)]
-                tentative = {p: (b if p != pid else new) for p, b in bounds.items()}
-                if capacity_ok(tentative):
-                    bounds[pid] = new
-                    placed = True
-                    break
-            if not placed:
-                return None
-    return [Interval(pid, lx, pos[pid], rx) for pid, (lx, rx) in bounds.items()]
-
-
 def brute_force_oracle(
     positions: list[tuple[int, int]],
     constraints: OverlayConstraints,
-    bound_grid: list[int] | None = None,
 ) -> int | Infeasible:
     """Minimal total buffer length over all integer bound assignments.
 
-    Searches every assignment with l in [0, c] and r in [c, T] on the
-    grid (values outside that box are dominated: they add length and
-    serving charge without covering anything new in [0, T]). Branch
-    and bound keeps it fast at this scale; the search stays exhaustive
-    over the restricted grid.
+    Searches every assignment with l in [0, c] and r in [c, T] (values
+    outside that box are dominated: they add length and serving charge
+    without covering anything new in [0, T]). Branch and bound keeps it
+    fast at this scale. The greedy sweep's assignment, when both
+    checkers accept it, seeds the upper bound; the search still visits
+    every assignment cheaper than the seed, so the result is exact
+    whatever the sweep returns.
     """
     n = len(positions)
     k, T = constraints.k, constraints.T
@@ -382,35 +336,36 @@ def brute_force_oracle(
     if n < k:
         return Infeasible(blocking_lag=0)
 
-    grid = sorted(set(bound_grid)) if bound_grid is not None else list(range(T + 1))
     order = sorted(positions, key=lambda p: (p[1], p[0]))
-    cands: list[list[tuple[int, int, int]]] = []
-    for pid, c in order:
-        pairs = [
-            (r - l, l, r)
-            for l in grid
-            if l <= c
-            for r in grid
-            if r >= c
-        ]
-        if not pairs:
-            return Infeasible(blocking_lag=0)
-        pairs.sort()
-        cands.append(pairs)
+    cands = [
+        sorted((r - l, l, r) for l in range(c + 1) for r in range(c, T + 1))
+        for _, c in order
+    ]
 
     caps = [constraints.cap_of(pid) for pid, _ in order]
+    # Peers with the same position and cap are interchangeable, so each
+    # such run takes its pairs in sorted order: one of every permutation.
+    twin = [i > 0 and order[i - 1][1] == c and caps[i - 1] == caps[i]
+            for i, (_, c) in enumerate(order)]
     cover = [0] * (T + 1)
     chosen: list[Interval] = []
     charges = [0] * n
     best_obj = math.inf
     best_found = False
-    incumbent = _greedy_incumbent(order, constraints)
-    if incumbent is not None:
-        no_gaps = not coverage_gaps_fast(incumbent, k, T)
-        no_overloads = not check_capacity(incumbent, constraints)
-        if no_gaps and no_overloads:
-            best_obj = objective(incumbent)
-            best_found = True
+    seed = sweep_assign_bounds(order, constraints)
+    if (not isinstance(seed, Infeasible)
+            and not coverage_gaps_fast(seed, k, T)
+            and not check_capacity(seed, constraints)):
+        best_obj = objective(seed)
+        best_found = True
+
+    # nearest[i][t][m]: the m smallest distances from lag t to the
+    # positions of peers i.. summed; covering t m more times costs that
+    nearest = [
+        [list(accumulate(sorted(abs(c - t) for _, c in order[i:]), initial=0))
+         for t in range(T + 1)]
+        for i in range(n + 1)
+    ]
 
     def deficit_bound(i: int) -> tuple[float, int, int]:
         """(lower bound on remaining cost, mandatory-cover lo, hi).
@@ -423,7 +378,7 @@ def brute_force_oracle(
         total = 0
         full_lo = full_hi = -1
         anchor = 0
-        rem_pos = [c for _, c in order[i:]]
+        near = nearest[i]
         for t in range(T + 1):
             need = k - cover[t]
             if need > remaining:
@@ -437,8 +392,7 @@ def brute_force_oracle(
                 full_hi = t
             # covering this lag costs each involved peer its distance to t;
             # the `need` cheapest peers give a valid bound for lag t alone
-            dists = sorted(abs(c - t) for c in rem_pos)
-            lag_cost = sum(dists[:need])
+            lag_cost = near[t][need]
             if lag_cost > anchor:
                 anchor = lag_cost
         # Each remaining peer covers at most (length + 1) lags, so total
@@ -446,7 +400,7 @@ def brute_force_oracle(
         lb = max(0, total - remaining, anchor)
         if full_lo >= 0:
             span = sum(
-                max(full_hi, c) - min(full_lo, c) for c in rem_pos
+                max(full_hi, c) - min(full_lo, c) for _, c in order[i:]
             )
             lb = max(lb, span)
         return lb, full_lo, full_hi
@@ -462,7 +416,11 @@ def brute_force_oracle(
             return
         pid, c = order[i]
         cap_i = caps[i]
-        for cost, l, r in cands[i]:
+        start = 0
+        if twin[i]:
+            w = chosen[-1]
+            start = bisect_left(cands[i], (w.r - w.l, w.l, w.r))
+        for cost, l, r in islice(cands[i], start, None):
             if obj + cost >= best_obj:
                 break  # pairs sorted by cost; nothing cheaper follows
             if full_lo >= 0 and (l > full_lo or r < full_hi):
@@ -714,8 +672,7 @@ def rebalance(
     )
     outcome = RepairOutcome()
     if not positions:
-        if constraints.T >= 0:
-            outcome.incidents.extend((t, 0) for t in range(constraints.T + 1))
+        outcome.incidents.extend((t, 0) for t in range(constraints.T + 1))
         return outcome
     result = sweep_assign_bounds(positions, constraints)
     if isinstance(result, Infeasible):

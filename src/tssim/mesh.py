@@ -375,7 +375,8 @@ class SectorMesh:
     def route_request(self, start: int, chunk_id: int, ttl: int) -> RouteOutcome:
         """Color-directed greedy walk with one random detour per blocked hop."""
         col = self.scheme.chunk_color(chunk_id)
-        cursor = self.peers[start]
+        peers = self.peers
+        cursor = peers[start]
         hops = 0
         visited = {start}
         while True:
@@ -384,23 +385,21 @@ class SectorMesh:
             if ttl <= 0:
                 return RouteOutcome(served_by=None, hops=hops)
             neighbors = cursor.neighbors
-            ids = sorted(neighbors)
-            lane = [
-                pid for pid in ids
-                if pid not in visited and pid in self.peers and neighbors[pid].color == col
-            ]
+            lane = [pid for pid, entry in neighbors.items()
+                    if entry.color == col and pid not in visited and pid in peers]
             if lane:
-                offered = [p for p in lane
-                           if chunk_id in cursor.known_offers.get(p, ())]
-                nxt = offered[0] if offered else lane[0]
+                offers = cursor.known_offers
+                nxt = min([p for p in lane if chunk_id in offers.get(p, ())] or lane)
             else:
-                detour = [pid for pid in ids if pid not in visited and pid in self.peers]
+                # sorted so the random pick depends on the seed alone
+                detour = sorted(pid for pid in neighbors
+                                if pid not in visited and pid in peers)
                 if not detour:
                     return RouteOutcome(served_by=None, hops=hops)
                 nxt = self.rng.choice(detour)
                 self.route_detours += 1
             visited.add(nxt)
-            cursor = self.peers[nxt]
+            cursor = peers[nxt]
             ttl -= 1
             hops += 1
 

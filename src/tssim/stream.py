@@ -37,7 +37,6 @@ class Show:
     id: int
     first_chunk: int
     last_chunk: int
-    popularity_rank: int  # 1 = most popular (the most recent show by default)
 
     def __post_init__(self) -> None:
         if self.first_chunk > self.last_chunk:
@@ -153,7 +152,5 @@ def build_timeline(
     for i in range(n_shows):
         first = i * show_chunks
         last = min((i + 1) * show_chunks, max(n_chunks, 1)) - 1
-        shows.append(
-            Show(id=i, first_chunk=first, last_chunk=last, popularity_rank=n_shows - i)
-        )
+        shows.append(Show(id=i, first_chunk=first, last_chunk=last))
     return StreamTimeline(params=params, shows=shows)

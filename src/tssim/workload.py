@@ -62,7 +62,6 @@ class PeerProfile:
     peer_id: int
     upload_capacity: int  # max concurrent downstream peers served
     storage_capacity: int  # max chunks stored
-    join_time: float
 
     def __post_init__(self) -> None:
         if self.upload_capacity < 0:
@@ -304,7 +303,6 @@ def generate_profiles(
                 peer_id=e.peer_id,
                 upload_capacity=upload_capacity,
                 storage_capacity=storage_capacity,
-                join_time=e.time,
             )
     return profiles
 

@@ -387,7 +387,7 @@ def test_acceptance_08_pause_lag_ceiling():
                          kind=SessionEventKind.LEAVE),
         ])
         profiles[j] = PeerProfile(peer_id=j, upload_capacity=3,
-                                  storage_capacity=100_000, join_time=join_at)
+                                  storage_capacity=100_000)
     sessions.sort(key=lambda e: (e.time, e.peer_id))
     driver = MoveRecorder()
     engine = Engine(stream=stream, network=NetworkModel(), horizon=73_000.0,

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from tssim import drivers, interval
 from tssim.drivers import IntervalDriver, MeshDriver, TreeDriver
 from tssim.mesh import SectorMesh
 from tssim.tree import SectorTree
@@ -41,3 +42,19 @@ WRAPPED = (
                          ids=[f"{cls.__name__}.{name}" for cls, name in WRAPPED])
 def test_traced_name_exists(owner, name):
     assert callable(getattr(owner, name, None))
+
+
+# spans.py patches interval operations as module attributes: in
+# tssim.interval, where rebalance looks up the sweep and the gap check,
+# and in tssim.drivers, which imports the repair entry points by name.
+MODULE_NAMES = (
+    [(interval, name) for name in SPANS.INTERVAL_OPS]
+    + [(drivers, name) for name in ("repair_on_event", "rebalance",
+                                    "coverage_gaps_fast")]
+)
+
+
+@pytest.mark.parametrize("module,name", MODULE_NAMES,
+                         ids=[f"{m.__name__}.{name}" for m, name in MODULE_NAMES])
+def test_traced_module_function_exists(module, name):
+    assert callable(getattr(module, name, None))

@@ -24,7 +24,7 @@ def run_engine(driver, sessions, horizon, network=None, checked=True,
     if profiles is None:
         profiles = {
             e.peer_id: PeerProfile(peer_id=e.peer_id, upload_capacity=3,
-                                   storage_capacity=100_000, join_time=e.time)
+                                   storage_capacity=100_000)
             for e in sessions if e.kind is SessionEventKind.JOIN
         }
     engine = Engine(
@@ -224,6 +224,16 @@ def test_interval_abrupt_leaver_disappears_without_repair():
     assert 1 not in driver.graph.vertices
     assert 0 in driver.graph.vertices
     assert 2 in driver.graph.vertices
+
+
+def test_interval_check_flags_departed_member_left_in_graph():
+    driver = IntervalDriver(dedicated_server=True)
+    engine = run_engine(driver, [join(40.0, 0, 0), join(41.0, 1, 0)],
+                        horizon=200.0)
+    assert driver.periodic_check(engine.now) == []
+    engine.peers[1].state = PeerState.DEPARTED  # gone without on_leave
+    assert driver.periodic_check(engine.now) == [
+        "departed peer 1 still holds an interval"]
 
 
 def test_interval_dedicated_server_covers_without_producer_archive():

@@ -63,7 +63,7 @@ def make_engine(horizon, driver=None, network=None, **kwargs):
 
 def profile(pid, upload=3, storage=100_000):
     return PeerProfile(peer_id=pid, upload_capacity=upload,
-                       storage_capacity=storage, join_time=0.0)
+                       storage_capacity=storage)
 
 
 def add_peer(engine, pid, upload=3, storage=100_000, lag=0):

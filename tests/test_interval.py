@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+import tssim.interval
 from tssim.drivers import IntervalDriver
 from tssim.engine import DEDICATED, PRODUCER, Engine, NetworkModel, PeerState
 from tssim.interval import (
@@ -110,6 +111,42 @@ def test_oracle_clustered_instance_regression():
     cons = OverlayConstraints(k=2, T=15, default_cap=math.inf)
     positions = list(enumerate([1, 9, 12, 12, 12, 13]))
     assert brute_force_oracle(positions, cons) == 27
+
+
+def _oracle_instances(count):
+    rng = random.Random("oracle-seed")
+    for _ in range(count):
+        T = rng.randrange(0, 16)
+        pos = sorted(
+            ((pid, rng.randrange(0, T + 1)) for pid in range(rng.randrange(1, 7))),
+            key=lambda p: (p[1], p[0]),
+        )
+        cap = rng.choice([1, 2, 3, math.inf])
+        yield pos, OverlayConstraints(k=rng.randrange(1, 4), T=T, default_cap=cap)
+
+
+def _padded(result):
+    if isinstance(result, Infeasible):
+        return result
+    return [replace(iv, r=iv.r + 2) for iv in result]
+
+
+# stand-ins for the sweep; this module's own name still binds the real one
+SEEDS = {
+    "infeasible": lambda pos, cons: Infeasible(0),
+    "padded": lambda pos, cons: _padded(sweep_assign_bounds(pos, cons)),
+    "gapped": lambda pos, cons: [Interval(p, c, c, c) for p, c in pos],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SEEDS))
+def test_oracle_does_not_depend_on_its_seed(monkeypatch, seed):
+    instances = list(_oracle_instances(50))
+    expected = [brute_force_oracle(pos, cons) for pos, cons in instances]
+    monkeypatch.setattr(tssim.interval, "sweep_assign_bounds", SEEDS[seed])
+    clustered = OverlayConstraints(k=2, T=15, default_cap=math.inf)
+    assert brute_force_oracle(list(enumerate([1, 9, 12, 12, 12, 13])), clustered) == 27
+    assert [brute_force_oracle(pos, cons) for pos, cons in instances] == expected
 
 
 def test_oracle_detects_infeasibility():

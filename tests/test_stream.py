@@ -115,13 +115,6 @@ def test_timeline_tiles_chunks_without_gaps_or_overlaps():
     assert covered == list(range(final_head + 1))
 
 
-def test_timeline_popularity_ranks_newest_first():
-    timeline = build_timeline(StreamParams(), horizon_seconds=4 * 3600)
-    ranks = [s.popularity_rank for s in timeline.shows]
-    assert ranks == list(range(len(timeline.shows), 0, -1))
-    assert timeline.shows[-1].popularity_rank == 1
-
-
 def test_show_of_chunk_lookup():
     timeline = build_timeline(StreamParams(), horizon_seconds=8 * 3600)
     rng = random.Random("show-lookup")
