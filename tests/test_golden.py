@@ -46,6 +46,12 @@ GOLDEN = [
     # succeed and are adopted, so the sweep's extension path is pinned too
     ("interval", {"upload_capacity": 50},
      "7ce469c4fcc45ae4ddc47e4df2a02d792c7e08ff9a107de5c1df88c571687fef"),
+    # positions clamp to c = T, so repair spans reach the top of the indices
+    ("interval", {"horizon_T": 20},
+     "c6f9ec29454f52e04cf57db132536ecafbff974829c9119303ed704107f36ab6"),
+    # about ten times the seeks, so move repairs dominate
+    ("interval", {"vcr_rate": 0.01},
+     "5fe740ee497781e29578c1ce3e60aa566ff5fa4761491669be56a9877bf9d9ce"),
 ]
 
 
