@@ -118,6 +118,8 @@ class Engine:
         self.checked = check_invariants
         self.audit_period = audit_period
         self.sample_period = sample_period
+        self._transfer_time = network.chunk_transfer_time(stream.chunk_size_bytes)
+        self._chunk_duration = chunk_duration(stream)
 
         self.now = stream.start_time
         self.head_chunk = -1
@@ -177,7 +179,7 @@ class Engine:
             self.counters["dropped_messages"] += 1
             return
         active = self._active_uploads.get(src, 0)
-        if active < self._slots_of(src):
+        if active < max(1, peer.profile.upload_capacity):
             self._start_transfer(src, dst, chunk_id, hops)
         else:
             self._upload_queue.setdefault(src, deque()).append((dst, chunk_id, hops))
@@ -188,13 +190,11 @@ class Engine:
             raise InvariantViolation(f"peer {src} exceeded its upload slots")
         self.peers[src].served += 1
         self._deliver_chunk(src, dst, chunk_id, hops)
-        transfer = self.network.chunk_transfer_time(self.stream.chunk_size_bytes)
-        self.schedule_timer(self.now + transfer, src, ("slot_free",))
+        self.schedule_timer(self.now + self._transfer_time, src, ("slot_free",))
 
     def _deliver_chunk(self, src: int, dst: int, chunk_id: int, hops: int) -> None:
         self.counters["transfer_bytes"] += self.stream.chunk_size_bytes
-        transfer = self.network.chunk_transfer_time(self.stream.chunk_size_bytes)
-        delay = transfer + self.network.hop_latency * max(1, hops)
+        delay = self._transfer_time + self.network.hop_latency * max(1, hops)
         self.schedule(self.now + delay,
                       MessageDelivery(src, dst, ("chunk", chunk_id, src)))
 
@@ -298,8 +298,7 @@ class Engine:
         position = self.head_chunk - peer.lag
         if self.head_chunk >= 0 and position >= 0:
             self._consume(peer_id, peer, position)
-        self.schedule_timer(self.now + chunk_duration(self.stream),
-                            peer_id, ("tick", epoch))
+        self.schedule_timer(self.now + self._chunk_duration, peer_id, ("tick", epoch))
 
     def _consume(self, peer_id: int, peer: PeerRuntime, position: int) -> None:
         if peer.lag == 0:
@@ -356,7 +355,7 @@ class Engine:
         """Process every event up to the horizon, in (time, seq) order."""
         self._profiles = profiles
         end = self.stream.start_time + self.horizon
-        d = chunk_duration(self.stream)
+        d = self._chunk_duration
 
         chunk_id = 0
         while self.stream.start_time + (chunk_id + 1) * d <= end:

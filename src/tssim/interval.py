@@ -18,18 +18,17 @@ vouch for the other, plus an exhaustive small-instance optimizer used
 as ground truth for the greedy bound-assignment sweep. The oracle seeds
 its upper bound with the sweep's assignment once both checkers accept
 it, and stays exact whatever that seed is. The sweep and repair share
-one greedy extension rule, `_extend_to_cover`, and read the per-lag
-indices IntervalGraph keeps up to date (`IntervalGraph.index_drift`
+one greedy extension rule, `_extend_to_cover`, and read the indices
+IntervalGraph keeps up to date (`IntervalGraph.index_drift`
 compares them with a recount) rather than either checker. Of the
 checkers, only `coverage_gaps_fast` runs in the simulation.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import accumulate, islice
 
 
@@ -70,54 +69,30 @@ class OverlayConstraints:
         return self.caps.get(peer_id, self.default_cap)
 
 
-class _Tally:
-    """How many values sit at each of 0..size-1: a Fenwick tree
-    (Fenwick 1994), so a change and a count above a bound are O(log size).
-    """
-
-    def __init__(self, size: int) -> None:
-        self.tree = [0] * (size + 1)
-        self.total = 0
-
-    def add(self, value: int, delta: int) -> None:
-        self.total += delta
-        tree = self.tree
-        i = value + 1
-        while i < len(tree):
-            tree[i] += delta
-            i += i & -i
-
-    def count_at_least(self, value: int) -> int:
-        tree = self.tree
-        below = 0
-        i = value
-        while i > 0:
-            below += tree[i]
-            i -= i & -i
-        return self.total - below
-
-
 @dataclass
 class IntervalGraph:
-    """Vertices are intervals, keyed by peer id, with per-lag indices.
+    """Vertices are intervals, keyed by peer id, with three indices.
 
     `holders[t]` is the set of peers whose interval covers lag t, for
-    every lag 0..T, so lag t's coverage is `len(holders[t])`. Two
-    tallies count the positions c and the fresh bounds l (values past T
-    share the slot T + 1), which is all `served_count` needs. `add` and
-    `remove` keep the indices current, touching only the lags a change
-    gains or loses; repair and serving read them instead of rescanning
-    every interval.
+    every lag 0..T, so lag t's coverage is `len(holders[t])`. `by_c`
+    and `by_l` hold the (c, peer id) and (l, peer id) pairs of every
+    vertex in sorted order, past T included: `served_count` is two
+    bisects on them, and repair reads its neighbourhood from them.
+    `add` and `remove` keep the indices current, touching only the lags
+    a change gains or loses and only the lists whose bound it moves;
+    repair and serving read them instead of rescanning every interval.
     """
 
     T: int
     vertices: dict[int, Interval] = field(default_factory=dict)
     holders: list[set[int]] = field(init=False, repr=False, compare=False)
+    by_c: list[tuple[int, int]] = field(init=False, repr=False, compare=False)
+    by_l: list[tuple[int, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.holders = [set() for _ in range(self.T + 1)]
-        self._positions = _Tally(self.T + 2)
-        self._lefts = _Tally(self.T + 2)
+        self.by_c = []
+        self.by_l = []
         for iv in self.vertices.values():
             self._reindex(iv.peer_id, None, iv)
 
@@ -142,18 +117,15 @@ class IntervalGraph:
         """How many stored intervals of other peers x serves.
 
         y is served when y.l <= x.r and y.c >= x.c. Any y with
-        y.l > x.r also has y.c > x.r >= x.c, so the count is the
-        positions at or above x.c minus the fresh bounds above x.r,
+        y.c < x.c also has y.l <= y.c < x.c <= x.r, so the count is the
+        fresh bounds at or below x.r minus the positions below x.c,
         less x's own stored interval if that qualifies. x itself need
         not be stored: repair prices a candidate this way.
         """
         own = self.vertices.get(x.peer_id)
         mine = own is not None and own.l <= x.r and own.c >= x.c
-        if x.r > self.T:  # the tallies do not tell values past T apart
-            return sum(1 for y in self.vertices.values()
-                       if y.l <= x.r and y.c >= x.c) - mine
-        return (self._positions.count_at_least(x.c)
-                - self._lefts.count_at_least(x.r + 1) - mine)
+        return (bisect_left(self.by_l, (x.r + 1,))
+                - bisect_left(self.by_c, (x.c,)) - mine)
 
     def _span(self, iv: Interval | None) -> tuple[int, int]:
         """The lags of iv inside [0, T]; (0, -1) when there are none."""
@@ -175,11 +147,10 @@ class IntervalGraph:
             holders[t].add(pid)
         for t in range(max(new_lo, old_hi + 1), new_hi + 1):
             holders[t].add(pid)
-        top = self.T + 1
-        for iv, delta in ((old, -1), (new, 1)):
-            if iv is not None:
-                self._positions.add(min(iv.c, top), delta)
-                self._lefts.add(min(iv.l, top), delta)
+        _move_pair(self.by_c, pid, None if old is None else old.c,
+                   None if new is None else new.c)
+        _move_pair(self.by_l, pid, None if old is None else old.l,
+                   None if new is None else new.l)
 
     def index_drift(self) -> list[str]:
         """Where the indices disagree with a recount over the vertices."""
@@ -191,12 +162,27 @@ class IntervalGraph:
             if len(h) != recount[t]
             or h != {iv.peer_id for iv in ivs if iv.l <= t <= iv.r}
         ]
+        if self.by_c != sorted((iv.c, pid) for pid, iv in self.vertices.items()):
+            problems.append("position list differs from the vertices")
+        if self.by_l != sorted((iv.l, pid) for pid, iv in self.vertices.items()):
+            problems.append("fresh-bound list differs from the vertices")
         for x in ivs:
             naive = sum(1 for y in ivs if y.peer_id != x.peer_id
                         and y.l <= x.r and y.c >= x.c)
             if self.served_count(x) != naive:
                 problems.append(f"peer {x.peer_id} served count differs from a recount")
         return problems
+
+
+def _move_pair(pairs: list[tuple[int, int]], pid: int,
+               before: int | None, after: int | None) -> None:
+    """Move pid's (value, pid) pair in a sorted list; None is absent."""
+    if before == after:
+        return
+    if before is not None:
+        del pairs[bisect_left(pairs, (before, pid))]
+    if after is not None:
+        insort(pairs, (after, pid))
 
 
 def objective(intervals) -> int:
@@ -588,7 +574,8 @@ def _extend_to_cover(
             options.sort()
             for _cost, _pref, pid, side in options:
                 iv = vertices[pid]
-                cand = replace(iv, r=t) if side == "r" else replace(iv, l=t)
+                cand = (Interval(pid, iv.l, iv.c, t) if side == "r"
+                        else Interval(pid, t, iv.c, iv.r))
                 if _admissible(graph, constraints, cand, side):
                     graph.add(cand)
                     outcome.changed[pid] = cand
@@ -601,13 +588,41 @@ def _extend_to_cover(
 
 def _affected_members(graph: IntervalGraph, span_lo: int, span_hi: int,
                       extras: int = 3) -> set[int]:
-    ivs = graph.vertices.values()
-    members = {iv.peer_id for iv in ivs if iv.l <= span_hi and span_lo <= iv.r}
+    """The members whose intervals meet [span_lo, span_hi], plus the
+    `extras` nearest others by (distance of c from the span's centre,
+    peer id).
+    """
+    if span_lo <= graph.T:
+        # covering span_lo, or starting inside the span after it
+        by_l = graph.by_l
+        members = set(graph.holders[span_lo])
+        members.update(pid for _, pid in by_l[bisect_left(by_l, (span_lo + 1,)):
+                                              bisect_left(by_l, (span_hi + 1,))])
+    else:
+        members = {iv.peer_id for iv in graph.vertices.values()
+                   if iv.l <= span_hi and span_lo <= iv.r}
+    # Above the centre the list runs in (distance, id) order, so its
+    # first `extras` outsiders are the nearest there. Below it ids run
+    # backwards within a position, so take every outsider up to the
+    # `extras`-th one's distance and let the sort order them.
     center = (span_lo + span_hi) // 2
-    nearest = heapq.nsmallest(extras, (
-        (abs(iv.c - center), iv.peer_id) for iv in ivs if iv.peer_id not in members
-    ))
-    members.update(pid for _, pid in nearest)
+    by_c = graph.by_c
+    mid = bisect_left(by_c, (center,))
+    above: list[tuple[int, int]] = []
+    for i in range(mid, len(by_c)):
+        if len(above) == extras:
+            break
+        c, pid = by_c[i]
+        if pid not in members:
+            above.append((c - center, pid))
+    below: list[tuple[int, int]] = []
+    for i in range(mid - 1, -1, -1):
+        c, pid = by_c[i]
+        if len(below) >= extras and center - c > below[-1][0]:
+            break
+        if pid not in members:
+            below.append((center - c, pid))
+    members.update(pid for _, pid in sorted(above + below)[:extras])
     return members
 
 

@@ -1,3 +1,4 @@
+import heapq
 import math
 import random
 from dataclasses import replace
@@ -482,6 +483,77 @@ def test_indices_match_recount_through_churn(seed):
 def test_indices_built_from_initial_vertices():
     ivs = {0: Interval(0, 0, 3, 5), 1: Interval(1, 2, 2, 9), 2: Interval(2, 7, 8, 12)}
     assert_indices_match_recount(IntervalGraph(T=9, vertices=ivs))
+
+
+@pytest.mark.parametrize("attr,message", [
+    ("by_c", "position list differs from the vertices"),
+    ("by_l", "fresh-bound list differs from the vertices"),
+])
+def test_index_drift_flags_hand_edited_lists(attr, message):
+    g = graph_of([(0, 2, 4), (1, 3, 6), (5, 5, 5)], T=8)
+    pairs = getattr(g, attr)
+    # same value under another id: every served count is still right
+    pairs[0] = (pairs[0][0], 7)
+    assert g.index_drift() == [message]
+
+
+def rescan_affected_members(graph, span_lo, span_hi, extras=3):
+    """The repair neighbourhood by a scan of every vertex."""
+    ivs = graph.vertices.values()
+    members = {iv.peer_id for iv in ivs if iv.l <= span_hi and span_lo <= iv.r}
+    center = (span_lo + span_hi) // 2
+    nearest = heapq.nsmallest(extras, (
+        (abs(iv.c - center), iv.peer_id) for iv in ivs if iv.peer_id not in members
+    ))
+    members.update(pid for _, pid in nearest)
+    return members
+
+
+def test_affected_members_matches_rescan():
+    rng = random.Random("affected-rescan")
+    seen = dict.fromkeys(["empty", "past_T", "span_past_T", "few_outsiders",
+                          "tie_in_c", "tie_across_centre"], 0)
+    for _ in range(2500):
+        T = rng.randrange(0, 16)
+        top = T + 3
+        span_lo = rng.randint(0, top)
+        span_hi = rng.randint(span_lo, min(top, span_lo + rng.choice([0, 2, top])))
+        center = (span_lo + span_hi) // 2
+        # few distinct positions, so many peers share one, often at the
+        # same distance on both sides of the centre
+        spots = rng.sample(range(top + 1), rng.randint(1, min(4, top + 1)))
+        d = rng.randint(1, top)
+        if rng.random() < 0.5 and 0 <= center - d and center + d <= top:
+            spots += [center - d, center + d]
+        reach = rng.choice([1, top])
+
+        def interval(pid):
+            c = rng.choice(spots)
+            return Interval(pid, rng.randint(max(0, c - reach), c), c,
+                            rng.randint(c, min(top, c + reach)))
+
+        g = IntervalGraph(T=T)
+        for pid in rng.sample(range(60), rng.choice([0, 1, 2, 3, rng.randrange(4, 25)])):
+            g.add(interval(pid))
+        for pid in list(g.vertices):  # churn the indices a little
+            if rng.random() < 0.2:
+                g.remove(pid)
+            elif rng.random() < 0.2:
+                g.add(interval(pid))
+        got = tssim.interval._affected_members(g, span_lo, span_hi)
+        assert got == rescan_affected_members(g, span_lo, span_hi)
+
+        ivs = list(g.vertices.values())
+        outside = [iv for iv in ivs if not (iv.l <= span_hi and span_lo <= iv.r)]
+        dists = [(abs(iv.c - center), iv.c) for iv in outside]
+        seen["empty"] += not ivs
+        seen["past_T"] += any(iv.r > T for iv in ivs) and any(iv.c > T for iv in ivs)
+        seen["span_past_T"] += span_lo > T and bool(ivs)
+        seen["few_outsiders"] += 0 < len(outside) < 3
+        seen["tie_in_c"] += len(dists) > len(set(dists))
+        seen["tie_across_centre"] += any(
+            (d, center - d) in dists and (d, center + d) in dists for d, _ in dists if d)
+    assert all(count >= 20 for count in seen.values()), sorted(seen.items())
 
 
 def rescan_repair(vertices, cons, event):
