@@ -160,8 +160,9 @@ class Engine:
 
     # -- transport --------------------------------------------------------------
 
-    def _slots_of(self, peer_id: int) -> int:
-        return max(1, self.peers[peer_id].profile.upload_capacity)
+    @staticmethod
+    def _slots_of(peer: PeerRuntime) -> int:
+        return max(1, peer.profile.upload_capacity)
 
     def send_control(self, src: int, dst: int, message: tuple, hops: int = 1) -> None:
         self.counters["control_messages"] += max(1, hops)
@@ -179,16 +180,17 @@ class Engine:
             self.counters["dropped_messages"] += 1
             return
         active = self._active_uploads.get(src, 0)
-        if active < max(1, peer.profile.upload_capacity):
+        if active < self._slots_of(peer):
             self._start_transfer(src, dst, chunk_id, hops)
         else:
             self._upload_queue.setdefault(src, deque()).append((dst, chunk_id, hops))
 
     def _start_transfer(self, src: int, dst: int, chunk_id: int, hops: int) -> None:
+        peer = self.peers[src]
         self._active_uploads[src] = self._active_uploads.get(src, 0) + 1
-        if self._active_uploads[src] > self._slots_of(src):
+        if self._active_uploads[src] > self._slots_of(peer):
             raise InvariantViolation(f"peer {src} exceeded its upload slots")
-        self.peers[src].served += 1
+        peer.served += 1
         self._deliver_chunk(src, dst, chunk_id, hops)
         self.schedule_timer(self.now + self._transfer_time, src, ("slot_free",))
 
@@ -428,7 +430,7 @@ class Engine:
             if len(peer.store) > peer.profile.storage_capacity:
                 problems.append(f"peer {pid} store exceeds capacity")
         for pid, active in sorted(self._active_uploads.items()):
-            if active > self._slots_of(pid):
+            if active > self._slots_of(self.peers[pid]):
                 problems.append(f"peer {pid} exceeds upload slots")
         if problems:
             raise InvariantViolation("; ".join(problems))
