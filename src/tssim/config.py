@@ -32,7 +32,6 @@ class ScenarioConfig:
     pause_mean_seconds: float = 120.0
     show_start_burst: float = 3.0
     abrupt_leave_prob: float = 0.2
-    popularity_session_corr: float = 0.0
     # transport and peer resources
     hop_latency_s: float = 0.05
     upload_kbps: float = 2000.0
@@ -80,7 +79,6 @@ _RANGES: dict[str, tuple[float, bool]] = {
     "vcr_rate": (0, True),
     "pause_mean_seconds": (0, True),
     "show_start_burst": (0, True),
-    "popularity_session_corr": (0, True),
     "hop_latency_s": (0, True),
     "upload_kbps": (0, False),
     "upload_slots": (1, True),

@@ -24,7 +24,7 @@ from tssim.interval import (
 )
 from tssim.mesh import ColorScheme, SectorMesh
 from tssim.tree import SectorTree
-from tssim.turntable import HookupRequest, RouteOutcome, Turntable, sector_of_chunk
+from tssim.turntable import RouteOutcome, Turntable, sector_of_chunk
 
 
 @dataclass
@@ -40,36 +40,31 @@ class _TurntableDriver(OverlayDriver):
     """Shared sector bookkeeping for the tree and mesh variants.
 
     `structures` holds one tree or mesh per sector; each answers
-    `replica_count(chunk)` and is routed into by `_route_in_sector`.
+    `replica_count(chunk)` and is routed into by `_route_in_sector`,
+    from the entry peer the turntable names.
     """
 
     def __init__(self, settings: TurntableSettings, structures: list):
         self.settings = settings
         self.structures = structures
         self.turntable = Turntable(m=settings.m, r=settings.r)
-        self.turntable.sector_router = self._route_in_sector
         self.permanent_losses = 0
         self.emergency_rounds = 0
         self.retained_republished = 0
 
     def on_produce(self, chunk_id: int, now: float) -> None:
-        sends = self.turntable.publish_chunk(chunk_id)
-        for rep, chunk in sends:
-            eng = self.engine
+        eng = self.engine
+        for rep, chunk in self.turntable.publish_chunk(chunk_id):
             eng.counters["producer_upload_bytes"] += eng.stream.chunk_size_bytes
-            eng.send_control(PRODUCER, rep, ("publish", chunk), hops=1)
+            eng.send_control(PRODUCER, rep, ("publish", chunk))
 
     def _flush_retained(self, sector: int, now: float) -> None:
-        chunks = self.turntable.clear_retained(sector)
-        if not chunks:
-            return
-        reps = self.turntable.representants_of(sector)
-        if not reps:
-            return
+        """Republish parked chunks; called right after a join into `sector`."""
+        rep = self.turntable.representants_of(sector)[0]
         eng = self.engine
-        for chunk in chunks:
+        for chunk in self.turntable.clear_retained(sector):
             eng.counters["producer_upload_bytes"] += eng.stream.chunk_size_bytes
-            eng.send_control(PRODUCER, reps[0], ("publish", chunk), hops=1)
+            eng.send_control(PRODUCER, rep, ("publish", chunk))
             self.retained_republished += 1
 
     def on_message(self, src: int, dst: int, message: tuple, now: float) -> None:
@@ -87,15 +82,18 @@ class _TurntableDriver(OverlayDriver):
 
     def find_provider(self, peer_id: int, chunk_id: int, now: float):
         """The peer the sector routes to if still present, else the archive."""
-        outcome = self.turntable.route_hookup(
-            HookupRequest(requester=peer_id, target_chunk=chunk_id))
-        if outcome.served_by is not None:
-            server = self.engine.peers.get(outcome.served_by)
+        hops = 0
+        entry = self.turntable.route_hookup(peer_id, chunk_id)
+        if entry is not None:
+            sector, start, hops = entry
+            outcome = self._route_in_sector(sector, start, chunk_id)
+            hops += outcome.hops
+            server = self.engine.peers.get(outcome.served_by)  # None on a miss
             if server is not None and server.state is not PeerState.DEPARTED:
-                return (outcome.served_by, outcome.hops)
+                return (outcome.served_by, hops)
         if self.settings.producer_archive:
-            return (PRODUCER, outcome.hops + 1)
-        return (None, outcome.hops)
+            return (PRODUCER, hops + 1)
+        return (None, hops)
 
     def replica_counts(self, now: float) -> dict[int, int]:
         return {
@@ -163,9 +161,7 @@ class TreeDriver(_TurntableDriver):
             if result.fetched_from == PRODUCER:
                 eng.counters["producer_upload_bytes"] += nbytes
             else:
-                src = eng.peers.get(result.fetched_from)
-                if src is not None:
-                    src.served += len(result.new_pins)
+                eng.peers[result.fetched_from].served += len(result.new_pins)
             eng.counters["control_messages"] += len(result.new_pins)
 
     def on_audit(self, now: float) -> None:
@@ -270,8 +266,6 @@ class MeshDriver(_TurntableDriver):
         self.structures[sector].remove_peer(peer_id, now)
 
     def on_timer(self, owner: int, tag: tuple, now: float) -> None:
-        if tag[0] != "gossip":
-            return
         peer = self.engine.peers.get(owner)
         if peer is None or peer.state is PeerState.DEPARTED:
             return
@@ -403,25 +397,18 @@ class IntervalDriver(OverlayDriver):
 
     def find_provider(self, peer_id: int, chunk_id: int, now: float):
         lag = self.engine.head_chunk - chunk_id
-        if lag < 0:
-            return (None, 0)
         self.requests_by_lag[lag] = self.requests_by_lag.get(lag, 0) + 1
-        if lag > self.constraints.T:
-            return ((PRODUCER, 1) if self.producer_archive else (None, 0))
-        live = [pid for pid in self.graph.holders[lag] if pid != peer_id]
-        if not live:
-            if self.producer_archive:
-                return (PRODUCER, 1)
-            return (None, 0)
-        loads = self.engine._active_uploads
-        best = min(live, key=lambda pid: (loads.get(pid, 0), pid))
-        return (best, 1)
+        if lag <= self.constraints.T:
+            loads = self.engine._active_uploads
+            best = min(((loads.get(pid, 0), pid) for pid in self.graph.holders[lag]
+                        if pid != peer_id), default=None)
+            if best is not None:
+                return (best[1], 1)
+        return (PRODUCER, 1) if self.producer_archive else (None, 0)
 
     # -- maintenance ----------------------------------------------------------------
 
     def on_timer(self, owner: int, tag: tuple, now: float) -> None:
-        if tag[0] != "rebalance":
-            return
         outcome = rebalance(self.graph, self.constraints)
         self._account(outcome)
         self._sample_coverage()

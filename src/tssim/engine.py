@@ -164,10 +164,11 @@ class Engine:
     def _slots_of(peer: PeerRuntime) -> int:
         return max(1, peer.profile.upload_capacity)
 
-    def send_control(self, src: int, dst: int, message: tuple, hops: int = 1) -> None:
-        self.counters["control_messages"] += max(1, hops)
-        delay = self.network.hop_latency * max(1, hops)
-        self.schedule(self.now + delay, MessageDelivery(src, dst, message))
+    def send_control(self, src: int, dst: int, message: tuple) -> None:
+        """One control message, one hop away."""
+        self.counters["control_messages"] += 1
+        self.schedule(self.now + self.network.hop_latency,
+                      MessageDelivery(src, dst, message))
 
     def send_chunk(self, src: int, dst: int, chunk_id: int, hops: int) -> None:
         """Move one chunk, consuming an upload slot of `src` for its duration."""
@@ -316,13 +317,11 @@ class Engine:
             self._first_delivery(peer, 0.0)
             return
         self.counters["chunks_requested"] += 1
-        outcome = self.driver.find_provider(peer_id, position, self.now)
-        if outcome is None or outcome[0] is None:
-            hops = 0 if outcome is None else outcome[1]
+        server, hops = self.driver.find_provider(peer_id, position, self.now)
+        if server is None:
             self.counters["control_messages"] += hops
             self.counters["chunks_missed"] += 1
             return
-        server, hops = outcome
         self.counters["control_messages"] += max(1, hops)
         self.hops_histogram[hops] = self.hops_histogram.get(hops, 0) + 1
         if server == peer_id:
@@ -479,7 +478,8 @@ class OverlayDriver:
         return self.engine.has_chunk(peer_id, chunk_id)
 
     def find_provider(self, peer_id: int, chunk_id: int, now: float):
-        return None
+        """(serving peer, hops); the peer is None on a miss."""
+        return (None, 0)
 
     def replica_counts(self, now: float) -> dict[int, int]:
         return {}

@@ -31,7 +31,6 @@ class MetricsReport:
     replica_rows: list[tuple[float, int, int]] = field(default_factory=list)
     hops_histogram: dict[int, int] = field(default_factory=dict)
     load_rows: list[tuple[int, int, int]] = field(default_factory=list)
-    startup_delays: list[float] = field(default_factory=list)
 
     def __post_init__(self):
         ratio = self.scalars.get("availability_ratio", 0.0)
@@ -75,7 +74,6 @@ def collect_report(engine: Engine, driver) -> MetricsReport:
         replica_rows=list(engine.replica_rows),
         hops_histogram=dict(engine.hops_histogram),
         load_rows=load_rows,
-        startup_delays=list(delays),
     )
 
 
@@ -162,7 +160,6 @@ def run_scenario(config: ScenarioConfig, overlay: str | None = None,
         pause_mean_seconds=config.pause_mean_seconds,
         show_start_burst=config.show_start_burst,
         abrupt_leave_prob=config.abrupt_leave_prob,
-        popularity_session_corr=config.popularity_session_corr,
     )
 
     if horizon > 0:

@@ -112,17 +112,8 @@ class StreamTimeline:
     def show_of_chunk(self, chunk_id: int) -> Show:
         if not self.shows or chunk_id < 0 or chunk_id > self.shows[-1].last_chunk:
             raise ValueError(f"chunk {chunk_id} outside the tiled range")
-        # Shows all have the same length except possibly the last, so a
-        # direct index computation would work, but a bisect stays correct
-        # if the tiling ever becomes irregular.
-        lo, hi = 0, len(self.shows) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.shows[mid].last_chunk < chunk_id:
-                lo = mid + 1
-            else:
-                hi = mid
-        return self.shows[lo]
+        # build_timeline makes every show but the last as long as the first
+        return self.shows[chunk_id // (self.shows[0].last_chunk + 1)]
 
     def shows_started_by(self, head: int) -> list[Show]:
         """Shows whose first chunk exists at the given head (oldest first)."""

@@ -264,18 +264,15 @@ class SectorTree:
         if as_root or not self.nodes:
             parent = PRODUCER
         else:
-            candidates = self._attach_candidates()
-            if not candidates:
-                parent = PRODUCER  # tree saturated: new representant-level node
-            else:
-                parent = min(
-                    candidates,
-                    key=lambda pid: (
-                        depth[pid],
-                        -self.nodes[pid].upload_capacity,
-                        pid,
-                    ),
-                )
+            # never empty: a non-empty tree has a leaf, and fanout >= 1
+            parent = min(
+                self._attach_candidates(),
+                key=lambda pid: (
+                    depth[pid],
+                    -self.nodes[pid].upload_capacity,
+                    pid,
+                ),
+            )
         self.nodes[peer_id] = TreeNode(
             peer_id=peer_id,
             parent=parent,

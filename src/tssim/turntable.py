@@ -7,8 +7,8 @@ representants: the producer pushes every fresh chunk to the
 representants of its sector, and requests from outside enter the sector
 through them. How a chunk spreads or is found inside a sector is the
 variant's business (a diffusion tree or a gossip mesh); this module
-owns membership, representant election, publication fan-out, the
-sector-hopping request loop, and the shortcut links peers keep into the
+owns membership, representant election, publication fan-out, where a
+request enters its sector, and the shortcut links peers keep into the
 next sector.
 """
 
@@ -29,19 +29,9 @@ def sector_of_chunk(chunk_id: int, m: int) -> int:
 
 
 @dataclass(frozen=True)
-class HookupRequest:
-    requester: int
-    target_chunk: int
-
-
-@dataclass(frozen=True)
 class RouteOutcome:
     served_by: int | None  # None means MissingChunk
     hops: int
-
-    @property
-    def missing(self) -> bool:
-        return self.served_by is None
 
 
 @dataclass
@@ -57,9 +47,8 @@ class Sector:
 class Turntable:
     """Membership, publication, and request entry over m sectors.
 
-    Intra-sector lookup is delegated through `sector_router`, a callable
-    (sector_index, entry_peer, chunk_id) -> RouteOutcome installed by
-    the active variant.
+    `route_hookup` only says where a request enters its sector; the
+    variant driver routes on from that entry inside its own tree or mesh.
     """
 
     def __init__(self, m: int, r: int = 2):
@@ -74,7 +63,6 @@ class Turntable:
         self.handoff_links: dict[int, list[int]] = {}
         self.producer_retained: dict[int, list[int]] = {}  # sector -> chunk ids
         self.stale_handoffs = 0
-        self.sector_router = None
 
     # -- membership --------------------------------------------------------
 
@@ -113,9 +101,6 @@ class Turntable:
             return []
         return [(rep, chunk_id) for rep in reps]
 
-    def retained_for(self, sector_idx: int) -> list[int]:
-        return self.producer_retained.get(sector_idx, [])
-
     def retain_for_sector(self, sector_idx: int, chunk_id: int) -> None:
         """Put a chunk back on the producer's republish list."""
         self.producer_retained.setdefault(sector_idx, []).append(chunk_id)
@@ -125,26 +110,21 @@ class Turntable:
 
     # -- request routing ---------------------------------------------------
 
-    def route_hookup(self, request: HookupRequest) -> RouteOutcome:
-        """Resolve a chunk request to a serving peer in the right sector.
+    def route_hookup(self, requester: int,
+                     chunk_id: int) -> tuple[int, int, int] | None:
+        """Where a chunk request enters its sector: (sector, entry, hops).
 
         A requester already inside the target sector starts at its own
-        node; anyone else pays one hop to reach a representant. The
-        variant router does the rest.
+        node for free; anyone else pays one hop to reach the first
+        representant. None means the sector has no members to enter.
         """
-        if self.sector_router is None:
-            raise RuntimeError("no variant router installed")
-        s = sector_of_chunk(request.target_chunk, self.m)
-        if self.sector_of_peer.get(request.requester) == s:
-            entry, entry_hops = request.requester, 0
-        else:
-            reps = self.representants_of(s)
-            if not reps:
-                return RouteOutcome(served_by=None, hops=0)
-            entry, entry_hops = reps[0], 1
-        outcome = self.sector_router(s, entry, request.target_chunk)
-        return RouteOutcome(served_by=outcome.served_by,
-                            hops=entry_hops + outcome.hops)
+        s = sector_of_chunk(chunk_id, self.m)
+        if self.sector_of_peer.get(requester) == s:
+            return (s, requester, 0)
+        reps = self.representants_of(s)
+        if not reps:
+            return None
+        return (s, reps[0], 1)
 
     # -- inter-sector shortcut links ---------------------------------------
 

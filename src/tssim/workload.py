@@ -82,7 +82,6 @@ class BehaviorParams:
     pause_mean_seconds: float = 120.0
     show_start_burst: float = 3.0  # expected extra joins when a show starts airing
     abrupt_leave_prob: float = 0.2
-    popularity_session_corr: float = 0.0  # >0 shortens sessions on popular shows
 
     def __post_init__(self) -> None:
         for name in (
@@ -138,9 +137,7 @@ def _choose_join_position(
 ) -> int:
     if rng.random() < behavior.live_join_prob:
         return head
-    catalog = timeline.shows_started_by(head)
-    if not catalog:
-        return head
+    catalog = timeline.shows_started_by(head)  # never empty: joins come at head >= 0
     size = len(catalog)
     # Recency ranks: the most recently started show gets rank 1.
     weights = [zipf_popularity(size - i, behavior.zipf_exponent, size)
@@ -169,18 +166,7 @@ def _session_events(
                            kind=SessionEventKind.JOIN, position=pos)]
     abrupt = rng.random() < behavior.abrupt_leave_prob
 
-    quit_prob = behavior.early_quit_fraction
-    if behavior.popularity_session_corr > 0:
-        catalog = timeline.shows_started_by(head0)
-        if catalog:
-            size = len(catalog)
-            show = timeline.show_of_chunk(pos)
-            rank = size - catalog.index(show) if show in catalog else size
-            mean_w = 1 / size
-            w = zipf_popularity(max(1, min(rank, size)), behavior.zipf_exponent, size)
-            quit_prob = min(1.0, quit_prob * (w / mean_w) ** behavior.popularity_session_corr)
-
-    if rng.random() < quit_prob:
+    if rng.random() < behavior.early_quit_fraction:
         leave = min(join_time + rng.uniform(0, behavior.early_quit_window), horizon)
         events.append(SessionEvent(time=leave, peer_id=peer_id,
                                    kind=SessionEventKind.LEAVE, abrupt=abrupt))

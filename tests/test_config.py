@@ -46,9 +46,11 @@ def test_duplicate_key_names_both_lines():
 
 
 def test_unknown_key_rejected():
-    config, errors = parse_config("sede = 1\n")
-    assert config is None
-    assert "sede" in errors[0]
+    # a typo, and a knob that was removed from the model
+    for key in ("sede", "popularity_session_corr"):
+        config, errors = parse_config(f"{key} = 0.5\n")
+        assert config is None
+        assert errors == [f"line 1: unknown key {key!r}"]
 
 
 def test_all_errors_collected_not_just_first():

@@ -119,7 +119,7 @@ def test_tree_republishes_chunks_retained_while_sector_empty():
     assert driver.retained_republished == 3
     assert {0, 2, 4} <= set(engine.peers[0].store)
     # sector 1 never gained a member, so its chunks stay parked
-    assert driver.turntable.retained_for(1) == [1, 3, 5, 7]
+    assert driver.turntable.producer_retained[1] == [1, 3, 5, 7]
 
 
 def test_tree_audit_removes_abruptly_departed_members():

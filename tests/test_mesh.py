@@ -310,7 +310,6 @@ def test_route_ttl_zero_is_immediate_miss():
     mesh = build_mesh(4, colors=1)
     out = mesh.route_request(0, 7, ttl=0)
     assert out.served_by is None
-    assert out.missing
     assert out.hops == 0
 
 

@@ -115,13 +115,14 @@ def test_timeline_tiles_chunks_without_gaps_or_overlaps():
     assert covered == list(range(final_head + 1))
 
 
-def test_show_of_chunk_lookup():
-    timeline = build_timeline(StreamParams(), horizon_seconds=8 * 3600)
-    rng = random.Random("show-lookup")
+# one short show, exactly two full 56-chunk shows, and a short last show
+@pytest.mark.parametrize("horizon", [600.0, 3584.0, 8 * 3600.0])
+def test_show_of_chunk_lookup(horizon):
+    timeline = build_timeline(StreamParams(), horizon_seconds=horizon)
     last = timeline.shows[-1].last_chunk
-    for _ in range(300):
-        cid = rng.randrange(0, last + 1)
-        show = timeline.show_of_chunk(cid)
-        assert show.first_chunk <= cid <= show.last_chunk
-    with pytest.raises(ValueError):
-        timeline.show_of_chunk(last + 1)
+    for cid in range(last + 1):
+        expected = [s for s in timeline.shows if s.first_chunk <= cid <= s.last_chunk]
+        assert [timeline.show_of_chunk(cid)] == expected
+    for outside in (-1, last + 1):
+        with pytest.raises(ValueError):
+            timeline.show_of_chunk(outside)

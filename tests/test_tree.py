@@ -260,7 +260,6 @@ def test_route_absent_chunk_climbs_without_detours():
     t = chain(4)
     out = t.route_request(entry=3, chunk_id=99)
     assert out.served_by is None
-    assert out.missing
     assert out.hops == 3  # straight up to the representant, nothing else
 
 

@@ -1,11 +1,6 @@
 import pytest
 
-from tssim.turntable import (
-    HookupRequest,
-    RouteOutcome,
-    Turntable,
-    sector_of_chunk,
-)
+from tssim.turntable import Turntable, sector_of_chunk
 
 
 def test_sector_of_chunk_rotation():
@@ -76,9 +71,9 @@ def test_publish_to_empty_sector_retains():
     tt.join(0)  # lands in sector 0
     sends = tt.publish_chunk(1)  # sector 1 is empty
     assert sends == []
-    assert tt.retained_for(1) == [1]
+    assert tt.producer_retained == {1: [1]}
     assert tt.clear_retained(1) == [1]
-    assert tt.retained_for(1) == []
+    assert tt.producer_retained == {}
 
 
 def test_publish_fans_out_to_each_representant():
@@ -90,47 +85,34 @@ def test_publish_fans_out_to_each_representant():
     assert all(chunk == 0 for _, chunk in sends)
 
 
-def make_routed_turntable(m, holders):
-    """Turntable whose sector router serves from a static holder map."""
-    tt = Turntable(m=m, r=1)
-
-    def router(sector_idx, entry, chunk_id):
-        for pid in sorted(holders.get(chunk_id, ())):
-            if tt.sector_of_peer.get(pid) == sector_idx:
-                return RouteOutcome(served_by=pid, hops=0 if pid == entry else 1)
-        return RouteOutcome(served_by=None, hops=1)
-
-    tt.sector_router = router
-    return tt
+def test_route_hookup_requester_inside_sector_enters_at_itself():
+    tt = Turntable(m=3, r=2)
+    for pid in range(6):
+        tt.join(pid)  # pid i -> sector i % 3
+    # peer 4 is not a representant of sector 1, yet enters there for free
+    assert tt.representants_of(1) == [1, 4]
+    assert tt.route_hookup(4, 7) == (1, 4, 0)
+    assert tt.route_hookup(1, 1) == (1, 1, 0)
 
 
-def test_route_hookup_unique_replica():
-    tt = make_routed_turntable(3, {4: {1}})
-    for pid in range(3):
-        tt.join(pid)  # pid i -> sector i
-    out = tt.route_hookup(HookupRequest(requester=0, target_chunk=4))
-    assert out.served_by == 1
-    assert not out.missing
-
-
-def test_route_hookup_missing_chunk():
-    tt = make_routed_turntable(3, {})
-    for pid in range(3):
-        tt.join(pid)
-    out = tt.route_hookup(HookupRequest(requester=0, target_chunk=5))
-    assert out.missing
+def test_route_hookup_empty_sector_has_no_entry():
+    tt = Turntable(m=3)
+    tt.join(0)  # sectors 1 and 2 stay empty
+    assert tt.route_hookup(0, 5) is None
+    assert tt.route_hookup(7, 4) is None
 
 
 def test_sequential_requests_walk_sectors():
-    tt = make_routed_turntable(4, {c: {c % 4} for c in range(8)})
-    for pid in range(4):
-        tt.join(pid)
+    tt = Turntable(m=4, r=2)
+    for pid in range(8):
+        tt.join(pid)  # pid i -> sector i % 4; representants i and i + 4
+    tt.leave(3)  # the outsider: it belongs to no sector
     for c in range(7):
         first = sector_of_chunk(c, 4)
         second = sector_of_chunk(c + 1, 4)
         assert second == (first + 1) % 4
-        out = tt.route_hookup(HookupRequest(requester=3, target_chunk=c))
-        assert tt.sector_of_peer[out.served_by] == first
+        rep = tt.representants_of(first)[0]
+        assert tt.route_hookup(3, c) == (first, rep, 1)
 
 
 def test_handoff_direct_serve():
