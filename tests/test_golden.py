@@ -52,6 +52,13 @@ GOLDEN = [
     # about ten times the seeks, so move repairs dominate
     ("interval", {"vcr_rate": 0.01},
      "5fe740ee497781e29578c1ce3e60aa566ff5fa4761491669be56a9877bf9d9ce"),
+    # three shows in the horizon, so sessions cross show boundaries and
+    # run the show-end leave and the move into the next show
+    ("tree", {"show_seconds": 600.0},
+     "69fe218eaa6a445868f82801a57e0d14901b238d389a65eb9b2196095429f5f5"),
+    # a store of 8 chunks fills early, so LRU eviction runs throughout
+    ("tree", {"storage_chunks": 8},
+     "0ac906cc3671d3e70cd1ded1ddfed88dd9e10113ae56d43b9a750d5519d60a43"),
 ]
 
 
