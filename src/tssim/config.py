@@ -64,7 +64,7 @@ class ScenarioConfig:
 
 
 OVERLAYS = ("tree", "mesh", "interval")
-_SUMMARY_MODES = ("exact", "bloom")
+_CHOICES = {"overlay": OVERLAYS, "summary_mode": ("exact", "bloom")}
 
 # key -> (lower bound, inclusive?) for numeric fields; None = no bound
 _RANGES: dict[str, tuple[float, bool]] = {
@@ -139,20 +139,27 @@ def _convert(key: str, raw: str, line_no: int, errors: list[str]):
     return raw
 
 
-def _check_range(key: str, value, line_no: int, errors: list[str]) -> None:
+def _field_problem(key: str, value) -> str | None:
+    """What is wrong with `value` as the setting of `key`; None if nothing."""
+    choices = _CHOICES.get(key)
+    if choices is not None:
+        if value in choices:
+            return None
+        return f"{key} must be one of {', '.join(choices)}, got {value!r}"
     if key in _PROBABILITIES:
-        if not 0 <= value <= 1:
-            errors.append(
-                f"line {line_no}: {key} must be within [0, 1], got {value}")
-        return
+        if 0 <= value <= 1:
+            return None
+        return f"{key} must be within [0, 1], got {value}"
+    if key == "r" and value > 64:
+        return f"r must be within [1, 64], got {value}"
     bound = _RANGES.get(key)
     if bound is None:
-        return
+        return None
     low, inclusive = bound
-    ok = value >= low if inclusive else value > low
-    if not ok:
-        op = "at least" if inclusive else "greater than"
-        errors.append(f"line {line_no}: {key} must be {op} {low}, got {value}")
+    if value >= low if inclusive else value > low:
+        return None
+    op = "at least" if inclusive else "greater than"
+    return f"{key} must be {op} {low}, got {value}"
 
 
 def parse_config(text: str) -> tuple[ScenarioConfig | None, list[str]]:
@@ -187,23 +194,16 @@ def parse_config(text: str) -> tuple[ScenarioConfig | None, list[str]]:
         value = _convert(key, raw_value, line_no, errors)
         if value is None:
             continue
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            _check_range(key, value, line_no, errors)
+        problem = _field_problem(key, value)
+        if problem:
+            errors.append(f"line {line_no}: {problem}")
         values[key] = value
-
-    if "overlay" in values and values["overlay"] not in OVERLAYS:
-        errors.append(
-            f"line {seen['overlay']}: overlay must be one of "
-            f"{', '.join(OVERLAYS)}, got {values['overlay']!r}")
-    if "summary_mode" in values and values["summary_mode"] not in _SUMMARY_MODES:
-        errors.append(
-            f"line {seen['summary_mode']}: summary_mode must be one of "
-            f"{', '.join(_SUMMARY_MODES)}, got {values['summary_mode']!r}")
 
     if errors:
         return None, errors
 
     config = ScenarioConfig(**values)
+    # every field passed its line's check, so only cross-field checks can fail
     cross = validate_config(config)
     if cross:
         return None, cross
@@ -211,13 +211,16 @@ def parse_config(text: str) -> tuple[ScenarioConfig | None, list[str]]:
 
 
 def validate_config(config: ScenarioConfig) -> list[str]:
-    """Checks that parse_config's per-line checks cannot make."""
-    errors = []
+    """Everything wrong with `config` by the scenario file's rules.
+
+    Each field gets the check parse_config makes on its line, then the
+    checks that span fields run; an empty list means the config is valid.
+    """
+    errors = [problem for f in fields(ScenarioConfig)
+              if (problem := _field_problem(f.name, getattr(config, f.name)))]
     if config.k_min > config.k_rep:
         errors.append(
             f"k_min ({config.k_min}) cannot exceed k_rep ({config.k_rep})")
-    if config.r > 64:
-        errors.append(f"r must be within [1, 64], got {config.r}")
     return errors
 
 

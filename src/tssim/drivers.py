@@ -10,8 +10,8 @@ turntable's rotating sector layout; the third has no sectors at all.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
+from tssim.config import ScenarioConfig
 from tssim.engine import DEDICATED, PRODUCER, OverlayDriver, PeerState
 from tssim.interval import (
     Interval,
@@ -27,27 +27,20 @@ from tssim.tree import SectorTree
 from tssim.turntable import RouteOutcome, Turntable, sector_of_chunk
 
 
-@dataclass
-class TurntableSettings:
-    m: int = 12
-    r: int = 2
-    k_rep: int = 3
-    k_min: int = 2
-    producer_archive: bool = True
-
-
 class _TurntableDriver(OverlayDriver):
     """Shared sector bookkeeping for the tree and mesh variants.
 
-    `structures` holds one tree or mesh per sector; each answers
-    `replica_count(chunk)` and is routed into by `_route_in_sector`,
-    from the entry peer the turntable names.
+    `config` is the run's ScenarioConfig; the layout (`m`, `r`), the
+    replication targets (`k_rep`, `k_min`) and `producer_archive` are
+    read from it. `structures` holds one tree or mesh per sector; each
+    answers `replica_count(chunk)` and is routed into by
+    `_route_in_sector`, from the entry peer the turntable names.
     """
 
-    def __init__(self, settings: TurntableSettings, structures: list):
-        self.settings = settings
+    def __init__(self, config: ScenarioConfig, structures: list):
+        self.config = config
         self.structures = structures
-        self.turntable = Turntable(m=settings.m, r=settings.r)
+        self.turntable = Turntable(m=config.m, r=config.r)
         self.permanent_losses = 0
         self.emergency_rounds = 0
         self.retained_republished = 0
@@ -73,7 +66,7 @@ class _TurntableDriver(OverlayDriver):
             if peer is None or peer.state is PeerState.DEPARTED:
                 self.engine.counters["dropped_messages"] += 1
                 self.turntable.retain_for_sector(
-                    sector_of_chunk(message[1], self.settings.m), message[1])
+                    sector_of_chunk(message[1], self.config.m), message[1])
                 return
             self.diffuse(dst, message[1], now)
 
@@ -91,14 +84,14 @@ class _TurntableDriver(OverlayDriver):
             server = self.engine.peers.get(outcome.served_by)  # None on a miss
             if server is not None and server.state is not PeerState.DEPARTED:
                 return (outcome.served_by, hops)
-        if self.settings.producer_archive:
+        if self.config.producer_archive:
             return (PRODUCER, hops + 1)
         return (None, hops)
 
     def replica_counts(self, now: float) -> dict[int, int]:
         return {
             chunk: self.structures[
-                sector_of_chunk(chunk, self.settings.m)].replica_count(chunk)
+                sector_of_chunk(chunk, self.config.m)].replica_count(chunk)
             for chunk in range(self.engine.head_chunk + 1)
         }
 
@@ -106,13 +99,12 @@ class _TurntableDriver(OverlayDriver):
 class TreeDriver(_TurntableDriver):
     """Turntable sectors, each organized as a diffusion tree."""
 
-    def __init__(self, settings: TurntableSettings, fanout: int = 3,
-                 summary_mode: str = "exact", bloom_bits: int = 1024,
-                 bloom_hashes: int = 3):
-        super().__init__(settings, [
-            SectorTree(fanout=fanout, summary_mode=summary_mode,
-                       bloom_bits=bloom_bits, bloom_hashes=bloom_hashes)
-            for _ in range(settings.m)
+    def __init__(self, config: ScenarioConfig):
+        super().__init__(config, [
+            SectorTree(fanout=config.fanout, summary_mode=config.summary_mode,
+                       bloom_bits=config.bloom_bits,
+                       bloom_hashes=config.bloom_hashes)
+            for _ in range(config.m)
         ])
         self.pending_handoff: dict[tuple[int, int], int] = {}
 
@@ -141,15 +133,15 @@ class TreeDriver(_TurntableDriver):
         tree.update_summary(peer_id)
         tree.detach(peer_id)
         for chunk in sorted(held):
-            if tree.replica_count(chunk) < self.settings.k_min:
+            if tree.replica_count(chunk) < self.config.k_min:
                 self._emergency(sector, chunk, now)
 
     def _emergency(self, sector: int, chunk: int, now: float) -> None:
         tree = self.structures[sector]
         self.emergency_rounds += 1
         result = tree.emergency_replicate(
-            chunk, self.settings.k_rep,
-            producer_archive=self.settings.producer_archive)
+            chunk, self.config.k_rep,
+            producer_archive=self.config.producer_archive)
         eng = self.engine
         if result.permanent_loss:
             self.permanent_losses += 1
@@ -177,9 +169,9 @@ class TreeDriver(_TurntableDriver):
     # -- chunk flow ----------------------------------------------------------
 
     def diffuse(self, rep: int, chunk_id: int, now: float) -> None:
-        sector = sector_of_chunk(chunk_id, self.settings.m)
+        sector = sector_of_chunk(chunk_id, self.config.m)
         tree = self.structures[sector]
-        result = tree.diffuse_chunk(chunk_id, self.settings.k_rep)
+        result = tree.diffuse_chunk(chunk_id, self.config.k_rep)
         for pid in result.pinned:
             self.engine.store_chunk(pid, chunk_id, pin=True)
         self.engine.counters["control_messages"] += len(result.pinned)
@@ -234,29 +226,25 @@ class TreeDriver(_TurntableDriver):
 class MeshDriver(_TurntableDriver):
     """Turntable sectors, each organized as a colored gossip mesh."""
 
-    def __init__(self, settings: TurntableSettings, seed: int | str,
-                 colors: int = 3, gossip_period: float = 10.0,
-                 max_degree: int = 8, request_ttl: int = 16):
-        scheme = ColorScheme(colors=colors, sector_count=settings.m)
-        super().__init__(settings, [
+    def __init__(self, config: ScenarioConfig):
+        scheme = ColorScheme(colors=config.colors, sector_count=config.m)
+        super().__init__(config, [
             SectorMesh(
                 scheme,
-                random.Random(f"mesh:{seed}:{sector}"),
-                gossip_period=gossip_period,
-                max_degree=max_degree,
-                k_rep=settings.k_rep,
+                random.Random(f"mesh:{config.seed}:{sector}"),
+                gossip_period=config.gossip_period,
+                max_degree=config.max_degree,
+                k_rep=config.k_rep,
             )
-            for sector in range(settings.m)
+            for sector in range(config.m)
         ])
-        self.request_ttl = request_ttl
-        self.gossip_period = gossip_period
 
     def on_join(self, peer_id: int, lag: int, now: float) -> None:
         sector = self.turntable.join(peer_id)
         profile = self.engine.peers[peer_id].profile
         self.structures[sector].add_peer(
             peer_id, now, storage_capacity=profile.storage_capacity)
-        self.engine.schedule_timer(now + self.gossip_period, peer_id,
+        self.engine.schedule_timer(now + self.config.gossip_period, peer_id,
                                    ("gossip",))
         self._flush_retained(sector, now)
 
@@ -277,10 +265,10 @@ class MeshDriver(_TurntableDriver):
         for adopter, chunk in report.adopted:
             eng.counters["transfer_bytes"] += eng.stream.chunk_size_bytes
             eng.store_chunk(adopter, chunk, pin=True)
-        eng.schedule_timer(now + self.gossip_period, owner, tag)
+        eng.schedule_timer(now + self.config.gossip_period, owner, tag)
 
     def diffuse(self, rep: int, chunk_id: int, now: float) -> None:
-        sector = sector_of_chunk(chunk_id, self.settings.m)
+        sector = sector_of_chunk(chunk_id, self.config.m)
         mesh = self.structures[sector]
         result = mesh.colored_diffuse(rep, chunk_id)
         for pid in result.pinned:
@@ -289,7 +277,7 @@ class MeshDriver(_TurntableDriver):
 
     def _route_in_sector(self, sector: int, entry: int, chunk_id: int) -> RouteOutcome:
         return self.structures[sector].route_request(entry, chunk_id,
-                                                     ttl=self.request_ttl)
+                                                     ttl=self.config.request_ttl)
 
     def periodic_check(self, now: float) -> list[str]:
         problems = []
@@ -299,9 +287,9 @@ class MeshDriver(_TurntableDriver):
         return problems
 
     def finalize(self, now: float) -> None:
-        if not self.settings.producer_archive:
+        if not self.config.producer_archive:
             for chunk in range(self.engine.head_chunk + 1):
-                sector = sector_of_chunk(chunk, self.settings.m)
+                sector = sector_of_chunk(chunk, self.config.m)
                 if self.structures[sector].replica_count(chunk) == 0:
                     self.permanent_losses += 1
 
@@ -329,15 +317,11 @@ class IntervalDriver(OverlayDriver):
     loaded, with the producer as optional fallback.
     """
 
-    def __init__(self, k: int = 2, domain: int = 600,
-                 rebalance_period: float = 600.0, dedicated_server: bool = False,
-                 producer_archive: bool = True):
+    def __init__(self, config: ScenarioConfig):
+        self.config = config
         # every member's cap comes from its profile on join
-        self.constraints = OverlayConstraints(k=k, T=domain)
-        self.graph = IntervalGraph(T=domain)
-        self.rebalance_period = rebalance_period
-        self.dedicated_server = dedicated_server
-        self.producer_archive = producer_archive
+        self.constraints = OverlayConstraints(k=config.k, T=config.horizon_T)
+        self.graph = IntervalGraph(T=config.horizon_T)
         self.coverage_samples = 0
         self.coverage_incidents = 0
         self.repair_incidents = 0
@@ -349,11 +333,12 @@ class IntervalDriver(OverlayDriver):
 
     def bind(self, engine) -> None:
         super().bind(engine)
-        if self.dedicated_server:
+        if self.config.dedicated_server:
             self.constraints.caps[DEDICATED] = float("inf")
             self.graph.add(Interval(DEDICATED, 0, 0, self.constraints.T))
-        engine.schedule_timer(engine.stream.start_time + self.rebalance_period,
-                              PRODUCER, ("rebalance",))
+        engine.schedule_timer(
+            engine.stream.start_time + self.config.rebalance_period_s,
+            PRODUCER, ("rebalance",))
 
     # -- membership ----------------------------------------------------------
 
@@ -404,7 +389,7 @@ class IntervalDriver(OverlayDriver):
                         if pid != peer_id), default=None)
             if best is not None:
                 return (best[1], 1)
-        return (PRODUCER, 1) if self.producer_archive else (None, 0)
+        return (PRODUCER, 1) if self.config.producer_archive else (None, 0)
 
     # -- maintenance ----------------------------------------------------------------
 
@@ -416,7 +401,8 @@ class IntervalDriver(OverlayDriver):
             (iv.l, iv.r) for iv in self.graph.intervals()
             if iv.peer_id != DEDICATED
         ])
-        self.engine.schedule_timer(now + self.rebalance_period, PRODUCER, tag)
+        self.engine.schedule_timer(now + self.config.rebalance_period_s,
+                                   PRODUCER, tag)
 
     def _sample_coverage(self) -> None:
         self.coverage_samples += 1

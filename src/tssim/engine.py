@@ -324,10 +324,6 @@ class Engine:
             return
         self.counters["control_messages"] += max(1, hops)
         self.hops_histogram[hops] = self.hops_histogram.get(hops, 0) + 1
-        if server == peer_id:
-            self.counters["chunks_served_local"] += 1
-            self.counters["chunks_delivered"] += 1
-            return
         self.send_chunk(server, peer_id, position, hops)
 
     def _first_delivery(self, peer: PeerRuntime, delay: float) -> None:

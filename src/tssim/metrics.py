@@ -16,13 +16,13 @@ promised here.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from tssim.config import ScenarioConfig
-from tssim.drivers import IntervalDriver, MeshDriver, TreeDriver, TurntableSettings
+from tssim.config import ScenarioConfig, validate_config
+from tssim.drivers import IntervalDriver, MeshDriver, TreeDriver
 from tssim.engine import Engine, NetworkModel
 from tssim.stream import StreamParams, build_timeline
-from tssim.workload import BehaviorParams, generate_profiles, generate_sessions
+from tssim.workload import generate_profiles, generate_sessions
 
 
 @dataclass
@@ -103,29 +103,11 @@ def emit_report(report: MetricsReport, out_dir: str) -> list[str]:
     return paths
 
 
-def build_driver(config: ScenarioConfig, overlay: str, seed: int):
-    if overlay in ("tree", "mesh"):
-        settings = TurntableSettings(
-            m=config.m, r=config.r, k_rep=config.k_rep, k_min=config.k_min,
-            producer_archive=config.producer_archive)
-        if overlay == "tree":
-            return TreeDriver(
-                settings, fanout=config.fanout,
-                summary_mode=config.summary_mode,
-                bloom_bits=config.bloom_bits,
-                bloom_hashes=config.bloom_hashes)
-        return MeshDriver(
-            settings, seed=seed, colors=config.colors,
-            gossip_period=config.gossip_period,
-            max_degree=config.max_degree,
-            request_ttl=config.request_ttl)
-    if overlay == "interval":
-        return IntervalDriver(
-            k=config.k, domain=config.horizon_T,
-            rebalance_period=config.rebalance_period_s,
-            dedicated_server=config.dedicated_server,
-            producer_archive=config.producer_archive)
-    raise ValueError(f"unknown overlay {overlay!r}")
+_DRIVERS = {"tree": TreeDriver, "mesh": MeshDriver, "interval": IntervalDriver}
+
+
+def build_driver(config: ScenarioConfig):
+    return _DRIVERS[config.overlay](config)
 
 
 def run_scenario(config: ScenarioConfig, overlay: str | None = None,
@@ -134,12 +116,17 @@ def run_scenario(config: ScenarioConfig, overlay: str | None = None,
     """Simulate one scenario and collect its report.
 
     `overlay`, `seed`, and `horizon` override the config when given
-    (that is how the command line flags work).
+    (that is how the command line flags work). The result is checked by
+    the scenario file's rules; a ValueError lists every problem.
     """
-    overlay = overlay or config.overlay
-    seed = config.seed if seed is None else seed
-    horizon = config.horizon_s if horizon is None else horizon
+    overrides = {"overlay": overlay, "seed": seed, "horizon_s": horizon}
+    config = replace(config, **{key: value for key, value in overrides.items()
+                                if value is not None})
+    problems = validate_config(config)
+    if problems:
+        raise ValueError("invalid scenario: " + "; ".join(problems))
 
+    horizon = config.horizon_s
     stream = StreamParams(
         bitrate_bps=config.stream_kbps * 1000,
         chunk_size_bytes=int(config.chunk_mb * 1_000_000),
@@ -149,33 +136,16 @@ def run_scenario(config: ScenarioConfig, overlay: str | None = None,
         upload_kbps=config.upload_kbps,
         upload_slots=config.upload_slots,
     )
-    behavior = BehaviorParams(
-        zipf_exponent=config.zipf_exponent,
-        early_quit_fraction=config.early_quit_fraction,
-        early_quit_window=config.early_quit_window,
-        show_end_leave_prob=config.show_end_leave_prob,
-        vcr_rate=config.vcr_rate,
-        arrival_rate=config.arrival_rate,
-        live_join_prob=config.live_join_prob,
-        pause_mean_seconds=config.pause_mean_seconds,
-        show_start_burst=config.show_start_burst,
-        abrupt_leave_prob=config.abrupt_leave_prob,
-    )
-
     if horizon > 0:
         timeline = build_timeline(stream, horizon,
                                   show_seconds=config.show_seconds)
-        sessions = generate_sessions(behavior, timeline,
-                                     stream.start_time + horizon, seed)
+        sessions = generate_sessions(config, timeline,
+                                     stream.start_time + horizon, config.seed)
     else:
         sessions = []
-    profiles = generate_profiles(
-        sessions,
-        upload_capacity=config.upload_capacity,
-        storage_capacity=config.storage_chunks,
-    )
+    profiles = generate_profiles(sessions, config)
 
-    driver = build_driver(config, overlay, seed)
+    driver = build_driver(config)
     engine = Engine(
         stream=stream,
         network=network,

@@ -128,8 +128,7 @@ def build_timeline(
     """Tile every chunk recorded within the horizon into consecutive shows.
 
     Show boundaries are chunk-aligned; the requested show length is
-    rounded to the nearest whole number of chunks (minimum 1). Popularity
-    ranks run from the most recent show (rank 1) backwards.
+    rounded to the nearest whole number of chunks (minimum 1).
     """
     if horizon_seconds <= 0:
         raise ValueError(f"horizon must be positive, got {horizon_seconds}")

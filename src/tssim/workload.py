@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
+from tssim.config import ScenarioConfig
 from tssim.stream import (
     StreamTimeline,
     chunk_duration,
@@ -70,37 +71,6 @@ class PeerProfile:
             raise ValueError(f"peer {self.peer_id}: storage must hold a chunk")
 
 
-@dataclass(frozen=True)
-class BehaviorParams:
-    zipf_exponent: float = 1.0
-    early_quit_fraction: float = 0.5
-    early_quit_window: float = 600.0  # seconds
-    show_end_leave_prob: float = 0.8
-    vcr_rate: float = 1 / 900  # VCR events per second per viewer
-    arrival_rate: float = 0.05  # peers per second
-    live_join_prob: float = 0.5
-    pause_mean_seconds: float = 120.0
-    show_start_burst: float = 3.0  # expected extra joins when a show starts airing
-    abrupt_leave_prob: float = 0.2
-
-    def __post_init__(self) -> None:
-        for name in (
-            "early_quit_fraction",
-            "show_end_leave_prob",
-            "live_join_prob",
-            "abrupt_leave_prob",
-        ):
-            v = getattr(self, name)
-            if not 0 <= v <= 1:
-                raise ValueError(f"{name} must be a probability, got {v}")
-        for name in ("vcr_rate", "arrival_rate", "early_quit_window",
-                     "pause_mean_seconds", "show_start_burst"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.zipf_exponent <= 0:
-            raise ValueError(f"zipf_exponent must be positive, got {self.zipf_exponent}")
-
-
 @lru_cache(maxsize=256)
 def _zipf_norm(exponent: float, catalog_size: int) -> float:
     return sum(i ** -exponent for i in range(1, catalog_size + 1))
@@ -131,16 +101,16 @@ def _poisson(rng: random.Random, lam: float) -> int:
 
 def _choose_join_position(
     rng: random.Random,
-    behavior: BehaviorParams,
+    config: ScenarioConfig,
     timeline: StreamTimeline,
     head: int,
 ) -> int:
-    if rng.random() < behavior.live_join_prob:
+    if rng.random() < config.live_join_prob:
         return head
     catalog = timeline.shows_started_by(head)  # never empty: joins come at head >= 0
     size = len(catalog)
     # Recency ranks: the most recently started show gets rank 1.
-    weights = [zipf_popularity(size - i, behavior.zipf_exponent, size)
+    weights = [zipf_popularity(size - i, config.zipf_exponent, size)
                for i in range(size)]
     show = rng.choices(catalog, weights=weights)[0]
     return min(show.first_chunk, head)
@@ -148,7 +118,7 @@ def _choose_join_position(
 
 def _session_events(
     rng: random.Random,
-    behavior: BehaviorParams,
+    config: ScenarioConfig,
     timeline: StreamTimeline,
     horizon: float,
     peer_id: int,
@@ -161,13 +131,13 @@ def _session_events(
     if forced_position is not None:
         pos = min(forced_position, head0)
     else:
-        pos = _choose_join_position(rng, behavior, timeline, head0)
+        pos = _choose_join_position(rng, config, timeline, head0)
     events = [SessionEvent(time=join_time, peer_id=peer_id,
                            kind=SessionEventKind.JOIN, position=pos)]
-    abrupt = rng.random() < behavior.abrupt_leave_prob
+    abrupt = rng.random() < config.abrupt_leave_prob
 
-    if rng.random() < behavior.early_quit_fraction:
-        leave = min(join_time + rng.uniform(0, behavior.early_quit_window), horizon)
+    if rng.random() < config.early_quit_fraction:
+        leave = min(join_time + rng.uniform(0, config.early_quit_window), horizon)
         events.append(SessionEvent(time=leave, peer_id=peer_id,
                                    kind=SessionEventKind.LEAVE, abrupt=abrupt))
         return events
@@ -176,7 +146,7 @@ def _session_events(
     t = join_time
     show = timeline.show_of_chunk(pos)
     while True:
-        t_vcr = t + rng.expovariate(behavior.vcr_rate) if behavior.vcr_rate > 0 else math.inf
+        t_vcr = t + rng.expovariate(config.vcr_rate) if config.vcr_rate > 0 else math.inf
         boundary_chunk = show.last_chunk + 1
         t_boundary = t + (boundary_chunk - pos) * d if boundary_chunk <= last_tiled else math.inf
         t_next = min(t_vcr, t_boundary, horizon)
@@ -185,7 +155,7 @@ def _session_events(
                                        kind=SessionEventKind.LEAVE, abrupt=False))
             return events
         if t_boundary <= t_vcr:
-            if rng.random() < behavior.show_end_leave_prob:
+            if rng.random() < config.show_end_leave_prob:
                 events.append(SessionEvent(time=t_boundary, peer_id=peer_id,
                                            kind=SessionEventKind.LEAVE, abrupt=abrupt))
                 return events
@@ -197,7 +167,7 @@ def _session_events(
         pos = pos + math.floor((t_vcr - t) / d)
         kind = rng.choices(VCR_KINDS, weights=(0.5, 0.25, 0.25))[0]
         if kind is SessionEventKind.PAUSE:
-            dur = min(rng.expovariate(1 / behavior.pause_mean_seconds), horizon - t_vcr)
+            dur = min(rng.expovariate(1 / config.pause_mean_seconds), horizon - t_vcr)
             if dur > 0:
                 events.append(SessionEvent(time=t_vcr, peer_id=peer_id,
                                            kind=kind, duration=dur))
@@ -224,7 +194,7 @@ def _session_events(
 
 
 def generate_sessions(
-    behavior: BehaviorParams,
+    config: ScenarioConfig,
     timeline: StreamTimeline,
     horizon: float,
     seed: int | str,
@@ -235,7 +205,8 @@ def generate_sessions(
     whenever a show starts airing. Every session begins with JOIN and
     ends with LEAVE (at the horizon if nothing ended it earlier); the
     position trajectory never passes the head. Identical arguments give
-    an identical event list.
+    an identical event list. The audience fields are read from `config`;
+    `horizon` is an absolute time and `seed` need not be `config.seed`.
     """
     params = timeline.params
     if horizon <= params.start_time:
@@ -249,19 +220,19 @@ def generate_sessions(
     first_playable = params.start_time + d
     arrival_rng = random.Random(f"arrivals:{seed}")
     arrivals: list[tuple[float, int | None]] = []
-    if behavior.arrival_rate > 0:
+    if config.arrival_rate > 0:
         t = first_playable
         while True:
-            t += arrival_rng.expovariate(behavior.arrival_rate)
+            t += arrival_rng.expovariate(config.arrival_rate)
             if t >= horizon:
                 break
             arrivals.append((t, None))
-        if behavior.show_start_burst > 0:
+        if config.show_start_burst > 0:
             for show in timeline.shows:
                 airs_at = params.start_time + (show.first_chunk + 1) * d
                 if airs_at < first_playable or airs_at >= horizon:
                     continue
-                for _ in range(_poisson(arrival_rng, behavior.show_start_burst)):
+                for _ in range(_poisson(arrival_rng, config.show_start_burst)):
                     when = airs_at + arrival_rng.uniform(0, 60)
                     if when < horizon:
                         arrivals.append((when, show.first_chunk))
@@ -270,25 +241,23 @@ def generate_sessions(
     events: list[SessionEvent] = []
     for peer_id, (join_time, forced) in enumerate(arrivals):
         session_rng = random.Random(f"session:{seed}:{peer_id}")
-        events.extend(_session_events(session_rng, behavior, timeline, horizon,
+        events.extend(_session_events(session_rng, config, timeline, horizon,
                                       peer_id, join_time, forced))
     events.sort(key=lambda e: (e.time, e.peer_id))
     return events
 
 
 def generate_profiles(
-    events: list[SessionEvent],
-    upload_capacity: int = 3,
-    storage_capacity: int = 100_000,
+    events: list[SessionEvent], config: ScenarioConfig,
 ) -> dict[int, PeerProfile]:
-    """One profile per peer appearing in the event stream."""
+    """One profile per peer in the event stream, sized by `config`."""
     profiles: dict[int, PeerProfile] = {}
     for e in events:
         if e.kind is SessionEventKind.JOIN:
             profiles[e.peer_id] = PeerProfile(
                 peer_id=e.peer_id,
-                upload_capacity=upload_capacity,
-                storage_capacity=storage_capacity,
+                upload_capacity=config.upload_capacity,
+                storage_capacity=config.storage_chunks,
             )
     return profiles
 

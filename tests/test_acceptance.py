@@ -10,7 +10,7 @@ import random
 import time
 
 from tssim.config import ScenarioConfig
-from tssim.drivers import MeshDriver, TreeDriver, TurntableSettings
+from tssim.drivers import MeshDriver, TreeDriver
 from tssim.engine import Engine, NetworkModel, OverlayDriver
 from tssim.interval import (
     Infeasible,
@@ -36,7 +36,6 @@ from tssim.stream import (
 from tssim.tree import SectorTree
 from tssim.turntable import sector_of_chunk
 from tssim.workload import (
-    BehaviorParams,
     PeerProfile,
     SessionEvent,
     SessionEventKind,
@@ -85,7 +84,7 @@ class SectorLawDriver(TreeDriver):
         for pid, sector in sorted(self.turntable.sector_of_peer.items()):
             for chunk in self.engine.peers[pid].pinned:
                 self.law_checks += 1
-                if sector_of_chunk(chunk, self.settings.m) != sector:
+                if sector_of_chunk(chunk, self.config.m) != sector:
                     self.law_violations += 1
         super().on_audit(now)
 
@@ -95,9 +94,9 @@ def test_acceptance_02_turntable_assignment_law():
     horizon = 86_400.0
     stream = StreamParams()
     timeline = build_timeline(stream, horizon)
-    sessions = generate_sessions(BehaviorParams(), timeline, horizon, seed=2)
-    profiles = generate_profiles(sessions)
-    driver = SectorLawDriver(TurntableSettings(m=12))
+    sessions = generate_sessions(ScenarioConfig(), timeline, horizon, seed=2)
+    profiles = generate_profiles(sessions, ScenarioConfig())
+    driver = SectorLawDriver(ScenarioConfig(m=12))
     engine = Engine(stream=stream, network=NetworkModel(), horizon=horizon,
                     driver=driver, sample_period=3600.0)
     engine.run(sessions, profiles)
@@ -236,9 +235,9 @@ def test_acceptance_05_mesh_color_law_and_domination():
     horizon = 1800.0
     stream = StreamParams()
     timeline = build_timeline(stream, horizon)
-    sessions = generate_sessions(BehaviorParams(), timeline, horizon, seed=5)
-    profiles = generate_profiles(sessions)
-    driver = ColorLawDriver(TurntableSettings(), seed=5)
+    sessions = generate_sessions(ScenarioConfig(), timeline, horizon, seed=5)
+    profiles = generate_profiles(sessions, ScenarioConfig())
+    driver = ColorLawDriver(ScenarioConfig(seed=5))
     engine = Engine(stream=stream, network=NetworkModel(), horizon=horizon,
                     driver=driver)
     engine.run(sessions, profiles)

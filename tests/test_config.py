@@ -1,6 +1,18 @@
 """Scenario file parsing: defaults, validation, and round-trips."""
 
-from tssim.config import ScenarioConfig, parse_config, render_config
+import pytest
+
+from tssim.config import (
+    _CHOICES,
+    _PROBABILITIES,
+    _RANGES,
+    _TYPES,
+    ScenarioConfig,
+    parse_config,
+    render_config,
+    validate_config,
+)
+from tssim.metrics import run_scenario
 
 
 def test_empty_text_gives_all_defaults():
@@ -91,6 +103,44 @@ def test_probability_range_enforced():
     config, errors = parse_config("abrupt_leave_prob = 1.5\n")
     assert config is None
     assert "[0, 1]" in errors[0]
+
+
+def _bad_values():
+    # an exclusive bound of 0 gives 0, so this covers the zero audit,
+    # sample and rebalance periods that would keep a run from ending
+    for key, (low, inclusive) in _RANGES.items():
+        yield key, _TYPES[key](low - 1 if inclusive else low)
+    for key in _PROBABILITIES:
+        yield key, 1.5
+    for key in _CHOICES:
+        yield key, "nope"
+    yield "r", 65
+
+
+BAD_VALUES = list(_bad_values())
+
+
+@pytest.mark.parametrize("key,bad", BAD_VALUES,
+                         ids=[f"{k}={v}" for k, v in BAD_VALUES])
+def test_file_and_library_share_one_rule_per_field(key, bad):
+    problems = validate_config(ScenarioConfig(**{key: bad}))
+    assert problems and problems[0].startswith(f"{key} must")
+    config, errors = parse_config(f"# one bad line\n{key} = {bad}\n")
+    assert config is None
+    assert errors == [f"line 2: {problems[0]}"]
+
+
+def test_run_scenario_rejects_what_the_file_rejects():
+    with pytest.raises(ValueError) as caught:
+        run_scenario(ScenarioConfig(horizon_s=60.0, k_min=3, k_rep=2, r=65))
+    message = str(caught.value)
+    assert "k_min (3) cannot exceed k_rep (2)" in message
+    assert "r must be within [1, 64], got 65" in message
+
+
+def test_run_scenario_checks_its_overrides():
+    with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+        run_scenario(ScenarioConfig(horizon_s=60.0), seed=-1)
 
 
 def test_render_parse_round_trip_default():

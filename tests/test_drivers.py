@@ -1,16 +1,11 @@
 """Overlay drivers exercised through the event engine."""
 
-from tssim.drivers import (
-    IntervalDriver,
-    MeshDriver,
-    TreeDriver,
-    TurntableSettings,
-)
+from tssim.config import ScenarioConfig
+from tssim.drivers import IntervalDriver, MeshDriver, TreeDriver
 from tssim.engine import DEDICATED, Engine, NetworkModel, PeerState
 from tssim.stream import StreamParams, build_timeline
 from tssim.turntable import sector_of_chunk
 from tssim.workload import (
-    BehaviorParams,
     PeerProfile,
     SessionEvent,
     SessionEventKind,
@@ -41,8 +36,8 @@ def run_engine(driver, sessions, horizon, network=None, checked=True,
 def generated_run(driver, horizon=1800.0, seed=5):
     stream = StreamParams()
     timeline = build_timeline(stream, horizon)
-    sessions = generate_sessions(BehaviorParams(), timeline, horizon, seed)
-    profiles = generate_profiles(sessions)
+    sessions = generate_sessions(ScenarioConfig(), timeline, horizon, seed)
+    profiles = generate_profiles(sessions, ScenarioConfig())
     return run_engine(driver, sessions, horizon, profiles=profiles)
 
 
@@ -75,13 +70,13 @@ class SectorLawDriver(TreeDriver):
         for pid, sector in sorted(self.turntable.sector_of_peer.items()):
             for chunk in self.engine.peers[pid].pinned:
                 self.law_checks += 1
-                if sector_of_chunk(chunk, self.settings.m) != sector:
+                if sector_of_chunk(chunk, self.config.m) != sector:
                     self.law_violations += 1
         super().on_audit(now)
 
 
 def test_tree_pins_land_in_matching_sectors():
-    driver = SectorLawDriver(TurntableSettings())
+    driver = SectorLawDriver(ScenarioConfig())
     generated_run(driver)
     assert driver.law_checks > 0
     assert driver.law_violations == 0
@@ -98,7 +93,7 @@ def test_tree_handoff_shortcut_serves_consecutive_chunks():
                 SpyDriver.shortcut_hits += 1
             return outcome
 
-    driver = SpyDriver(TurntableSettings(m=2, r=1, k_rep=1, k_min=1))
+    driver = SpyDriver(ScenarioConfig(m=2, r=1, k_rep=1, k_min=1))
     sessions = [
         join(1.0, 0, 0),     # sector 0 root, pins even chunks
         join(2.0, 1, 0),     # sector 1 root, pins odd chunks
@@ -113,7 +108,7 @@ def test_tree_handoff_shortcut_serves_consecutive_chunks():
 
 
 def test_tree_republishes_chunks_retained_while_sector_empty():
-    driver = TreeDriver(TurntableSettings(m=2, r=1, k_rep=1, k_min=1))
+    driver = TreeDriver(ScenarioConfig(m=2, r=1, k_rep=1, k_min=1))
     engine = run_engine(driver, [join(200.0, 0, 10_000)], horizon=300.0)
     # chunks 0..5 existed at the join; the evens replay into sector 0
     assert driver.retained_republished == 3
@@ -123,7 +118,7 @@ def test_tree_republishes_chunks_retained_while_sector_empty():
 
 
 def test_tree_audit_removes_abruptly_departed_members():
-    driver = TreeDriver(TurntableSettings(m=1, r=1, k_rep=1, k_min=1))
+    driver = TreeDriver(ScenarioConfig(m=1, r=1, k_rep=1, k_min=1))
     sessions = [
         join(1.0, 0, 10_000),
         join(2.0, 1, 10_000),
@@ -136,7 +131,7 @@ def test_tree_audit_removes_abruptly_departed_members():
 
 
 def test_tree_emergency_restores_replicas_after_holder_leaves():
-    driver = TreeDriver(TurntableSettings(m=1, r=1, k_rep=2, k_min=2))
+    driver = TreeDriver(ScenarioConfig(m=1, r=1, k_rep=2, k_min=2))
     sessions = [
         join(1.0, 0, 10_000),   # root
         join(2.0, 1, 10_000),   # holders: the two deepest members
@@ -175,7 +170,7 @@ class MirrorCheckDriver(MeshDriver):
 
 
 def test_mesh_gossip_runs_and_mirrors_pins_into_engine_stores():
-    driver = MirrorCheckDriver(TurntableSettings(), seed=5)
+    driver = MirrorCheckDriver(ScenarioConfig(seed=5))
     generated_run(driver, seed=5)
     assert sum(m.shuffle_messages for m in driver.structures) > 0
     assert driver.mirrored > 0
@@ -183,7 +178,7 @@ def test_mesh_gossip_runs_and_mirrors_pins_into_engine_stores():
 
 
 def test_mesh_invariants_hold_after_generated_run():
-    driver = MeshDriver(TurntableSettings(), seed=9)
+    driver = MeshDriver(ScenarioConfig(seed=9))
     engine = generated_run(driver, seed=9)
     for mesh in driver.structures:
         assert mesh.check_invariants(engine.now) == []
@@ -198,7 +193,7 @@ def test_mesh_invariants_hold_after_generated_run():
 
 
 def test_interval_overlay_tracks_membership_and_coverage():
-    driver = IntervalDriver()
+    driver = IntervalDriver(ScenarioConfig())
     engine = generated_run(driver, seed=7)
     alive_members = [pid for pid in driver.graph.vertices if pid != DEDICATED]
     for pid in alive_members:
@@ -213,7 +208,7 @@ def test_interval_overlay_tracks_membership_and_coverage():
 
 
 def test_interval_abrupt_leaver_disappears_without_repair():
-    driver = IntervalDriver()
+    driver = IntervalDriver(ScenarioConfig())
     sessions = [
         join(40.0, 0, 0),
         join(41.0, 1, 0),
@@ -227,7 +222,7 @@ def test_interval_abrupt_leaver_disappears_without_repair():
 
 
 def test_interval_check_flags_departed_member_left_in_graph():
-    driver = IntervalDriver(dedicated_server=True)
+    driver = IntervalDriver(ScenarioConfig(dedicated_server=True))
     engine = run_engine(driver, [join(40.0, 0, 0), join(41.0, 1, 0)],
                         horizon=200.0)
     assert driver.periodic_check(engine.now) == []
@@ -237,7 +232,8 @@ def test_interval_check_flags_departed_member_left_in_graph():
 
 
 def test_interval_dedicated_server_covers_without_producer_archive():
-    driver = IntervalDriver(dedicated_server=True, producer_archive=False)
+    driver = IntervalDriver(ScenarioConfig(dedicated_server=True,
+                                           producer_archive=False))
     engine = run_engine(driver, [join(3200.0, 0, 10)], horizon=3600.0)
     assert DEDICATED in driver.graph.vertices
     assert engine.counters["chunks_delivered"] > 0
@@ -246,7 +242,8 @@ def test_interval_dedicated_server_covers_without_producer_archive():
 
 
 def test_interval_no_archive_no_members_means_misses():
-    driver = IntervalDriver(dedicated_server=False, producer_archive=False)
+    driver = IntervalDriver(ScenarioConfig(dedicated_server=False,
+                                           producer_archive=False))
     engine = run_engine(driver, [join(3200.0, 0, 10)], horizon=3600.0)
     assert engine.counters["chunks_delivered"] == 0
     assert engine.counters["chunks_missed"] > 0

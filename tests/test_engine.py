@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from tssim.drivers import TreeDriver, TurntableSettings
+from tssim.config import ScenarioConfig
+from tssim.drivers import TreeDriver
 from tssim.engine import (
     PRODUCER,
     Engine,
@@ -17,7 +18,6 @@ from tssim.engine import (
 )
 from tssim.stream import StreamParams, build_timeline, chunk_duration
 from tssim.workload import (
-    BehaviorParams,
     PeerProfile,
     SessionEvent,
     SessionEventKind,
@@ -334,10 +334,10 @@ def test_leave_stops_the_viewer():
 def run_tree_scenario(seed):
     stream = StreamParams()
     timeline = build_timeline(stream, 1800.0)
-    behavior = BehaviorParams()
-    sessions = generate_sessions(behavior, timeline, 1800.0, seed)
-    profiles = generate_profiles(sessions)
-    driver = TreeDriver(TurntableSettings())
+    config = ScenarioConfig()
+    sessions = generate_sessions(config, timeline, 1800.0, seed)
+    profiles = generate_profiles(sessions, config)
+    driver = TreeDriver(config)
     engine = Engine(stream=stream, network=NetworkModel(), horizon=1800.0,
                     driver=driver)
     engine.run(sessions, profiles)

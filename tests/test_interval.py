@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 import tssim.interval
+from tssim.config import ScenarioConfig
 from tssim.drivers import IntervalDriver
 from tssim.engine import DEDICATED, PRODUCER, Engine, NetworkModel, PeerState
 from tssim.interval import (
@@ -26,7 +27,7 @@ from tssim.interval import (
     sweep_assign_bounds,
 )
 from tssim.stream import StreamParams, build_timeline
-from tssim.workload import BehaviorParams, generate_profiles, generate_sessions
+from tssim.workload import generate_profiles, generate_sessions
 
 
 def graph_of(triples, T):
@@ -654,8 +655,8 @@ def test_indexed_repair_matches_rescan(seed):
 class FullScanComparingDriver(IntervalDriver):
     """Checks each provider choice against a scan of every interval."""
 
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
+    def __init__(self, config):
+        super().__init__(config)
         self.compared = 0
 
     def find_provider(self, peer_id, chunk_id, now):
@@ -682,11 +683,12 @@ class FullScanComparingDriver(IntervalDriver):
 def test_find_provider_matches_full_scan(dedicated):
     horizon = 1800.0
     stream = StreamParams()
-    sessions = generate_sessions(BehaviorParams(), build_timeline(stream, horizon),
+    config = ScenarioConfig(horizon_T=120, rebalance_period_s=300.0,
+                            dedicated_server=dedicated)
+    sessions = generate_sessions(config, build_timeline(stream, horizon),
                                  horizon, seed=11)
-    driver = FullScanComparingDriver(domain=120, rebalance_period=300.0,
-                                     dedicated_server=dedicated)
+    driver = FullScanComparingDriver(config)
     engine = Engine(stream=stream, network=NetworkModel(), horizon=horizon,
                     driver=driver, check_invariants=True)  # audits check the indices
-    engine.run(sessions, generate_profiles(sessions))
+    engine.run(sessions, generate_profiles(sessions, config))
     assert driver.compared > 100

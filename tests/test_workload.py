@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from tssim.config import ScenarioConfig
 from tssim.stream import (
     StreamParams,
     build_timeline,
@@ -10,7 +11,6 @@ from tssim.stream import (
     head_chunk_at,
 )
 from tssim.workload import (
-    BehaviorParams,
     SessionEvent,
     SessionEventKind,
     early_quit_stats,
@@ -58,13 +58,13 @@ def test_zipf_rank_out_of_range():
 
 def test_no_arrivals_gives_empty_stream():
     timeline, horizon = make_timeline(2)
-    behavior = BehaviorParams(arrival_rate=0.0)
+    behavior = ScenarioConfig(arrival_rate=0.0)
     assert generate_sessions(behavior, timeline, horizon, seed=1) == []
 
 
 def test_generation_is_deterministic():
     timeline, horizon = make_timeline(6)
-    behavior = BehaviorParams()
+    behavior = ScenarioConfig()
     a = generate_sessions(behavior, timeline, horizon, seed=42)
     b = generate_sessions(behavior, timeline, horizon, seed=42)
     assert a == b
@@ -75,7 +75,7 @@ def test_generation_is_deterministic():
 def test_sessions_wellformed_and_within_head():
     timeline, horizon = make_timeline(8)
     params = timeline.params
-    behavior = BehaviorParams(arrival_rate=0.02, vcr_rate=1 / 200)
+    behavior = ScenarioConfig(arrival_rate=0.02, vcr_rate=1 / 200)
     events = generate_sessions(behavior, timeline, horizon, seed=7)
     assert events, "expected a non-trivial population"
     by_peer: dict[int, list[SessionEvent]] = {}
@@ -99,7 +99,7 @@ def test_sessions_wellformed_and_within_head():
 
 def test_events_sorted_globally():
     timeline, horizon = make_timeline(4)
-    events = generate_sessions(BehaviorParams(), timeline, horizon, seed=3)
+    events = generate_sessions(ScenarioConfig(), timeline, horizon, seed=3)
     assert [(e.time, e.peer_id) for e in events] == sorted(
         (e.time, e.peer_id) for e in events
     )
@@ -107,7 +107,7 @@ def test_events_sorted_globally():
 
 def test_early_quit_fraction_near_target():
     timeline, horizon = make_timeline(30)
-    behavior = BehaviorParams(
+    behavior = ScenarioConfig(
         arrival_rate=0.03,
         early_quit_fraction=0.5,
         early_quit_window=600.0,
@@ -123,8 +123,8 @@ def test_show_start_bursts_present():
     timeline, horizon = make_timeline(10)
     params = timeline.params
     d = chunk_duration(params)
-    quiet = BehaviorParams(arrival_rate=0.005, show_start_burst=0.0)
-    bursty = BehaviorParams(arrival_rate=0.005, show_start_burst=8.0)
+    quiet = ScenarioConfig(arrival_rate=0.005, show_start_burst=0.0)
+    bursty = ScenarioConfig(arrival_rate=0.005, show_start_burst=8.0)
 
     def joins_near_show_starts(events):
         n = 0
@@ -145,19 +145,10 @@ def test_show_start_bursts_present():
 
 def test_profiles_cover_population():
     timeline, horizon = make_timeline(3)
-    events = generate_sessions(BehaviorParams(), timeline, horizon, seed=9)
-    profiles = generate_profiles(events, upload_capacity=4)
+    events = generate_sessions(ScenarioConfig(), timeline, horizon, seed=9)
+    profiles = generate_profiles(events, ScenarioConfig(upload_capacity=4))
     peers = {e.peer_id for e in events}
     assert set(profiles) == peers
     for pid, p in profiles.items():
         assert p.peer_id == pid
         assert p.upload_capacity == 4
-
-
-def test_behavior_params_validation():
-    with pytest.raises(ValueError):
-        BehaviorParams(early_quit_fraction=1.5)
-    with pytest.raises(ValueError):
-        BehaviorParams(zipf_exponent=0.0)
-    with pytest.raises(ValueError):
-        BehaviorParams(arrival_rate=-0.1)
