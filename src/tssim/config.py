@@ -77,7 +77,7 @@ _RANGES: dict[str, tuple[float, bool]] = {
     "zipf_exponent": (0, False),
     "early_quit_window": (0, True),
     "vcr_rate": (0, True),
-    "pause_mean_seconds": (0, True),
+    "pause_mean_seconds": (0, False),
     "show_start_burst": (0, True),
     "hop_latency_s": (0, True),
     "upload_kbps": (0, False),

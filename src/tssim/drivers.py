@@ -88,12 +88,10 @@ class _TurntableDriver(OverlayDriver):
             return (PRODUCER, hops + 1)
         return (None, hops)
 
-    def replica_counts(self, now: float) -> dict[int, int]:
-        return {
-            chunk: self.structures[
-                sector_of_chunk(chunk, self.config.m)].replica_count(chunk)
-            for chunk in range(self.engine.head_chunk + 1)
-        }
+    def replica_counts(self, now: float) -> list[int]:
+        structures, m = self.structures, self.config.m
+        return [structures[chunk % m].replica_count(chunk)
+                for chunk in range(self.engine.head_chunk + 1)]
 
 
 class TreeDriver(_TurntableDriver):
@@ -106,7 +104,8 @@ class TreeDriver(_TurntableDriver):
                        bloom_hashes=config.bloom_hashes)
             for _ in range(config.m)
         ])
-        self.pending_handoff: dict[tuple[int, int], int] = {}
+        # requester -> {next chunk: offered holder}; dropped when it leaves
+        self.pending_handoff: dict[int, dict[int, int]] = {}
 
     # -- membership -------------------------------------------------------
 
@@ -121,6 +120,7 @@ class TreeDriver(_TurntableDriver):
 
     def on_leave(self, peer_id: int, now: float, abrupt: bool) -> None:
         sector = self.turntable.leave(peer_id)
+        self.pending_handoff.pop(peer_id, None)
         if abrupt:
             # the tree still lists the peer; the audit sweep finds it
             return
@@ -180,7 +180,8 @@ class TreeDriver(_TurntableDriver):
         return self.structures[sector].route_request(entry, chunk_id)
 
     def find_provider(self, peer_id: int, chunk_id: int, now: float):
-        shortcut = self.pending_handoff.pop((peer_id, chunk_id), None)
+        shortcuts = self.pending_handoff.get(peer_id)
+        shortcut = shortcuts.pop(chunk_id, None) if shortcuts else None
         if shortcut is not None and self.engine.has_chunk(shortcut, chunk_id):
             return (shortcut, 1)
         return super().find_provider(peer_id, chunk_id, now)
@@ -197,7 +198,7 @@ class TreeDriver(_TurntableDriver):
             src, chunk_id + 1,
             stores=lambda p, c: self.engine.has_chunk(p, c))
         if candidate is not None:
-            self.pending_handoff[(peer_id, chunk_id + 1)] = candidate
+            self.pending_handoff.setdefault(peer_id, {})[chunk_id + 1] = candidate
             self.engine.counters["control_messages"] += 1
 
     # -- reporting -----------------------------------------------------------------
@@ -413,13 +414,11 @@ class IntervalDriver(OverlayDriver):
 
     # -- reporting ---------------------------------------------------------------------
 
-    def replica_counts(self, now: float) -> dict[int, int]:
+    def replica_counts(self, now: float) -> list[int]:
         cover = self.graph.coverage()
-        counts = {}
-        for chunk in range(self.engine.head_chunk + 1):
-            lag = self.engine.head_chunk - chunk
-            counts[chunk] = cover[lag] if lag <= self.constraints.T else 0
-        return counts
+        head, T = self.engine.head_chunk, self.constraints.T
+        return [cover[head - chunk] if head - chunk <= T else 0
+                for chunk in range(head + 1)]
 
     def periodic_check(self, now: float) -> list[str]:
         problems = []

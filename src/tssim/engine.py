@@ -18,6 +18,7 @@ player abandoning a lost segment and keeps every run bounded.
 from __future__ import annotations
 
 import heapq
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -145,7 +146,8 @@ class Engine:
         }
         self.hops_histogram: dict[int, int] = {}
         self.startup_delays: list[float] = []
-        self.replica_rows: list[tuple[float, int, int]] = []
+        # one (time, counts) pair per sample; counts[c] is chunk c's census
+        self.replica_samples: list[tuple[float, array]] = []
 
         driver.bind(self)
 
@@ -415,9 +417,8 @@ class Engine:
                 self.driver.on_message(payload.src, payload.dst, msg, self.now)
 
     def _take_sample(self) -> None:
-        counts = self.driver.replica_counts(self.now)
-        for chunk_id in sorted(counts):
-            self.replica_rows.append((self.now, chunk_id, counts[chunk_id]))
+        self.replica_samples.append(
+            (self.now, array("i", self.driver.replica_counts(self.now))))
 
     def _run_checks(self) -> None:
         problems = self.driver.periodic_check(self.now)
@@ -477,8 +478,9 @@ class OverlayDriver:
         """(serving peer, hops); the peer is None on a miss."""
         return (None, 0)
 
-    def replica_counts(self, now: float) -> dict[int, int]:
-        return {}
+    def replica_counts(self, now: float) -> list[int]:
+        """Replica count of every chunk, indexed by chunk id 0..head."""
+        return []
 
     def periodic_check(self, now: float) -> list[str]:
         return []

@@ -4,7 +4,8 @@ One run = one (config, overlay, seed) tuple. The output contract is
 four CSV files with fixed column orders and plain ``\\n`` endings:
 
 - ``summary.csv`` (``name,value``): one row per scalar metric, sorted.
-- ``replicas.csv`` (``time,chunk_id,count``): periodic replica samples.
+- ``replicas.csv`` (``time,chunk_id,count``): periodic replica samples,
+  expanded at write time from one count array per sample.
 - ``hops.csv`` (``hops,frequency``): histogram over served requests.
 - ``load.csv`` (``peer_id,served,stored``): per-peer upload and storage.
 
@@ -16,6 +17,7 @@ promised here.
 from __future__ import annotations
 
 import os
+from array import array
 from dataclasses import dataclass, field, replace
 
 from tssim.config import ScenarioConfig, validate_config
@@ -28,7 +30,8 @@ from tssim.workload import generate_profiles, generate_sessions
 @dataclass
 class MetricsReport:
     scalars: dict[str, float] = field(default_factory=dict)
-    replica_rows: list[tuple[float, int, int]] = field(default_factory=list)
+    # (time, counts) per census sample; counts[c] is chunk c's replicas
+    replica_samples: list[tuple[float, array]] = field(default_factory=list)
     hops_histogram: dict[int, int] = field(default_factory=dict)
     load_rows: list[tuple[int, int, int]] = field(default_factory=list)
 
@@ -42,6 +45,13 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def _replica_lines(samples):
+    for time, counts in samples:
+        prefix = f"{_fmt(time)},"
+        for chunk, count in enumerate(counts):
+            yield f"{prefix}{chunk},{count}\n"
 
 
 def _percentile(values: list[float], q: float) -> float:
@@ -71,7 +81,7 @@ def collect_report(engine: Engine, driver) -> MetricsReport:
     ]
     return MetricsReport(
         scalars=scalars,
-        replica_rows=list(engine.replica_rows),
+        replica_samples=list(engine.replica_samples),
         hops_histogram=dict(engine.hops_histogram),
         load_rows=load_rows,
     )
@@ -86,20 +96,23 @@ def emit_report(report: MetricsReport, out_dir: str) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
     paths = []
 
-    def write(name: str, header: str, rows) -> None:
+    def write(name: str, header: str, lines) -> None:
         path = os.path.join(out_dir, name)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(header + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.writelines(lines)
         paths.append(path)
 
     write("summary.csv", "name,value",
-          [(name, report.scalars[name]) for name in sorted(report.scalars)])
-    write("replicas.csv", "time,chunk_id,count", report.replica_rows)
+          (f"{name},{_fmt(report.scalars[name])}\n"
+           for name in sorted(report.scalars)))
+    write("replicas.csv", "time,chunk_id,count",
+          _replica_lines(report.replica_samples))
     write("hops.csv", "hops,frequency",
-          [(h, report.hops_histogram[h]) for h in sorted(report.hops_histogram)])
-    write("load.csv", "peer_id,served,stored", report.load_rows)
+          (f"{h},{report.hops_histogram[h]}\n"
+           for h in sorted(report.hops_histogram)))
+    write("load.csv", "peer_id,served,stored",
+          (f"{pid},{served},{stored}\n" for pid, served, stored in report.load_rows))
     return paths
 
 

@@ -107,7 +107,8 @@ def test_probability_range_enforced():
 
 def _bad_values():
     # an exclusive bound of 0 gives 0, so this covers the zero audit,
-    # sample and rebalance periods that would keep a run from ending
+    # sample and rebalance periods that would keep a run from ending and
+    # the zero pause mean that would divide by zero
     for key, (low, inclusive) in _RANGES.items():
         yield key, _TYPES[key](low - 1 if inclusive else low)
     for key in _PROBABILITIES:
@@ -141,6 +142,14 @@ def test_run_scenario_rejects_what_the_file_rejects():
 def test_run_scenario_checks_its_overrides():
     with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
         run_scenario(ScenarioConfig(horizon_s=60.0), seed=-1)
+
+
+def test_run_scenario_rejects_a_zero_pause_mean():
+    # a zero mean would divide by zero when the first pause is drawn
+    with pytest.raises(ValueError,
+                       match="pause_mean_seconds must be greater than 0"):
+        run_scenario(ScenarioConfig(horizon_s=600.0, pause_mean_seconds=0.0,
+                                    vcr_rate=0.05))
 
 
 def test_render_parse_round_trip_default():

@@ -1,5 +1,7 @@
 """Overlay drivers exercised through the event engine."""
 
+import pytest
+
 from tssim.config import ScenarioConfig
 from tssim.drivers import IntervalDriver, MeshDriver, TreeDriver
 from tssim.engine import DEDICATED, Engine, NetworkModel, PeerState
@@ -51,6 +53,20 @@ def leave(t, pid, abrupt=False):
                         abrupt=abrupt)
 
 
+@pytest.mark.parametrize("overlay", [TreeDriver, MeshDriver, IntervalDriver])
+def test_each_census_sample_counts_chunks_0_to_head(overlay):
+    heads = []
+
+    class HeadRecorder(overlay):
+        def replica_counts(self, now):
+            heads.append((now, self.engine.head_chunk))
+            return super().replica_counts(now)
+
+    engine = generated_run(HeadRecorder(ScenarioConfig()))
+    assert len(heads) > 1
+    assert [(t, len(counts) - 1) for t, counts in engine.replica_samples] == heads
+
+
 # -- tree --------------------------------------------------------------------
 
 
@@ -87,7 +103,7 @@ def test_tree_handoff_shortcut_serves_consecutive_chunks():
         shortcut_hits = 0
 
         def find_provider(self, peer_id, chunk_id, now):
-            expected = self.pending_handoff.get((peer_id, chunk_id))
+            expected = self.pending_handoff.get(peer_id, {}).get(chunk_id)
             outcome = super().find_provider(peer_id, chunk_id, now)
             if expected is not None and outcome[0] == expected:
                 SpyDriver.shortcut_hits += 1
@@ -105,6 +121,23 @@ def test_tree_handoff_shortcut_serves_consecutive_chunks():
     engine = run_engine(driver, sessions, horizon=3600.0, network=fast)
     assert SpyDriver.shortcut_hits > 10
     assert engine.counters["chunks_missed"] == 0
+
+
+def test_tree_drops_the_handoff_shortcuts_of_departed_viewers():
+    class OfferCountingDriver(TreeDriver):
+        offers = 0
+
+        def on_chunk_delivered(self, peer_id, chunk_id, src, now):
+            before = len(self.pending_handoff.get(peer_id, ()))
+            super().on_chunk_delivered(peer_id, chunk_id, src, now)
+            if len(self.pending_handoff.get(peer_id, ())) > before:
+                OfferCountingDriver.offers += 1
+
+    driver = OfferCountingDriver(ScenarioConfig())
+    generated_run(driver)
+    assert OfferCountingDriver.offers > 100
+    # every session ends by the horizon, so no requester is left
+    assert driver.pending_handoff == {}
 
 
 def test_tree_republishes_chunks_retained_while_sector_empty():

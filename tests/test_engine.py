@@ -349,5 +349,5 @@ def test_identical_seeds_replay_identically():
     b = run_tree_scenario(5)
     assert a.counters == b.counters
     assert a.hops_histogram == b.hops_histogram
-    assert a.replica_rows == b.replica_rows
+    assert a.replica_samples == b.replica_samples
     assert a.startup_delays == b.startup_delays

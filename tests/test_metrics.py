@@ -32,6 +32,15 @@ def test_same_seed_twice_gives_identical_bytes(tmp_path):
         assert read(tmp_path / "a" / name) == read(tmp_path / "b" / name)
 
 
+@pytest.mark.parametrize("overlay", ["tree", "mesh", "interval"])
+def test_replicas_csv_has_one_row_per_chunk_per_sample(tmp_path, overlay):
+    report = run_scenario(short_config(), overlay=overlay, seed=1)
+    emit_report(report, str(tmp_path))
+    lines = read(tmp_path / "replicas.csv").splitlines()
+    assert report.replica_samples
+    assert len(lines) == 1 + sum(len(c) for _, c in report.replica_samples)
+
+
 def test_different_seeds_differ(tmp_path):
     a = run_scenario(short_config(), overlay="tree", seed=1)
     b = run_scenario(short_config(), overlay="tree", seed=2)

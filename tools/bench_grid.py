@@ -1,0 +1,180 @@
+"""Time the scaling grid, one fresh interpreter per run.
+
+The grid is the three overlays × four cells: 1 h at arrival rate 0.05,
+0.2 and 0.5, and 24 h at 0.05. Every cell is one run_scenario call at
+seed 1 with the default ScenarioConfig otherwise, followed by
+emit_report into a temporary directory. For each cell the tool records:
+
+- run_s: wall time of run_scenario (set-up included), by perf_counter;
+- emit_s: wall time of emit_report;
+- viewer_s: each viewer's join -> leave time, clipped at the horizon;
+- viewer_s_per_s: viewer_s / run_s;
+- peak_rss_mb: the child's peak resident set, from getrusage;
+- digest: sha256 of the four CSVs, so two sources can be checked for
+  identical outputs.
+
+Several sources can be measured in one call, each a LABEL=DIR pair
+whose DIR holds the tssim package (a checkout's src/). Runs are
+interleaved: each repeat of a cell runs every source once, the order
+rotating from one repeat to the next. A source's value is the median
+over its repeats; the single runs are kept under "runs".
+
+Run from the repository root, standard library only:
+
+    python3 tools/bench_grid.py --src parent=../old/src --src change=src \\
+        --repeat 3 --out BENCH_1.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEED = 1
+GRID = [
+    (overlay, horizon_s, arrival_rate)
+    for overlay in ("tree", "mesh", "interval")
+    for horizon_s, arrival_rate in (
+        (3600.0, 0.05), (3600.0, 0.2), (3600.0, 0.5), (86400.0, 0.05))
+]
+METRICS = ("run_s", "emit_s", "viewer_s", "viewer_s_per_s", "peak_rss_mb")
+
+
+def run_cell(overlay: str, horizon_s: float, arrival_rate: float,
+             out_dir: str) -> dict:
+    """Simulate one cell in this process and measure it."""
+    import resource
+
+    from tssim import Engine, ScenarioConfig, emit_report, run_scenario
+    from tssim.workload import SessionEventKind
+
+    seen = {}
+    simulate = Engine.run
+
+    def capture(engine, sessions, profiles):
+        seen["sessions"] = sessions
+        seen["end"] = engine.stream.start_time + engine.horizon
+        simulate(engine, sessions, profiles)
+
+    Engine.run = capture
+    config = ScenarioConfig(overlay=overlay, seed=SEED, horizon_s=horizon_s,
+                            arrival_rate=arrival_rate)
+    start = time.perf_counter()
+    report = run_scenario(config)
+    ran = time.perf_counter()
+    paths = emit_report(report, out_dir)
+    emitted = time.perf_counter()
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+    digest = hashlib.sha256()
+    for path in paths:
+        with open(path, "rb") as fh:
+            digest.update(fh.read())
+    joined: dict[int, float] = {}
+    viewer_s = 0.0
+    for evt in seen["sessions"]:
+        if evt.kind is SessionEventKind.JOIN:
+            joined[evt.peer_id] = evt.time
+        elif evt.kind is SessionEventKind.LEAVE and evt.peer_id in joined:
+            viewer_s += min(evt.time, seen["end"]) - joined.pop(evt.peer_id)
+    viewer_s += sum(seen["end"] - t for t in joined.values() if t < seen["end"])
+    run_s = ran - start
+    return {
+        "run_s": run_s,
+        "emit_s": emitted - ran,
+        "viewer_s": viewer_s,
+        "viewer_s_per_s": viewer_s / run_s,
+        "peak_rss_mb": peak_kib / 1024,
+        "peers_seen": report.scalars["peers_seen"],
+        "digest": digest.hexdigest(),
+    }
+
+
+def spawn(src: str, cell: tuple) -> dict:
+    """Run one cell in a fresh interpreter that imports tssim from src."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    with tempfile.TemporaryDirectory() as out_dir:
+        done = subprocess.run(
+            [sys.executable, os.path.abspath(__file__), "--cell",
+             *map(str, cell), out_dir],
+            env=env, cwd=out_dir, check=True, capture_output=True, text=True)
+    return json.loads(done.stdout)
+
+
+def summarize(runs: list[dict]) -> dict:
+    summary = {name: statistics.median(run[name] for run in runs)
+               for name in METRICS}
+    summary["peers_seen"] = runs[0]["peers_seen"]
+    summary["digest"] = runs[0]["digest"]
+    if any(run["digest"] != summary["digest"] for run in runs):
+        summary["digest"] = sorted({run["digest"] for run in runs})
+    summary["runs"] = [{name: run[name] for name in METRICS} for run in runs]
+    return summary
+
+
+def main(argv: list[str]) -> int:
+    if argv[:1] == ["--cell"]:
+        overlay, horizon_s, arrival_rate, out_dir = argv[1:]
+        print(json.dumps(run_cell(overlay, float(horizon_s),
+                                  float(arrival_rate), out_dir)))
+        return 0
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", action="append", metavar="LABEL=DIR",
+                        help="a tssim source directory to measure "
+                             "(default: change=src of this checkout)")
+    parser.add_argument("--repeat", type=int, default=1)
+    parser.add_argument("--out", help="JSON file to write (default: stdout)")
+    args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
+    pairs = args.src or [f"change={os.path.join(ROOT, 'src')}"]
+    if any("=" not in pair for pair in pairs):
+        parser.error("--src takes LABEL=DIR")
+    sources = dict(pair.split("=", 1) for pair in pairs)
+
+    labels = list(sources)
+    cells = []
+    for cell in GRID:
+        runs: dict[str, list[dict]] = {label: [] for label in labels}
+        for rep in range(args.repeat):
+            shift = rep % len(labels)
+            for label in labels[shift:] + labels[:shift]:
+                runs[label].append(spawn(sources[label], cell))
+                last = runs[label][-1]
+                print(f"{label:>8} {cell[0]:>8} {cell[1]:>7.0f} s "
+                      f"@ {cell[2]:<4} run_s {last['run_s']:7.2f}  "
+                      f"peak_rss_mb {last['peak_rss_mb']:6.1f}",
+                      file=sys.stderr)
+        overlay, horizon_s, arrival_rate = cell
+        cells.append({"overlay": overlay, "horizon_s": horizon_s,
+                      "arrival_rate": arrival_rate,
+                      **{label: summarize(runs[label]) for label in labels}})
+
+    result = {
+        "grid": "3 overlays x {1 h @ 0.05, 0.2, 0.5; 24 h @ 0.05}, seed 1",
+        "host": {"python": platform.python_version(),
+                 "machine": platform.machine(), "cpus": os.cpu_count()},
+        "repeat": args.repeat,
+        "sources": labels,
+        "cells": cells,
+    }
+    text = json.dumps(result, indent=2) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
