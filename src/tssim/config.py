@@ -34,8 +34,7 @@ class ScenarioConfig:
     abrupt_leave_prob: float = 0.2
     # transport and peer resources
     hop_latency_s: float = 0.05
-    upload_kbps: float = 2000.0
-    upload_slots: int = 4
+    transfer_kbps: float = 500.0
     upload_capacity: int = 3
     storage_chunks: int = 100_000
     audit_period_s: float = 300.0
@@ -80,8 +79,7 @@ _RANGES: dict[str, tuple[float, bool]] = {
     "pause_mean_seconds": (0, False),
     "show_start_burst": (0, True),
     "hop_latency_s": (0, True),
-    "upload_kbps": (0, False),
-    "upload_slots": (1, True),
+    "transfer_kbps": (0, False),
     "upload_capacity": (1, True),
     "storage_chunks": (1, True),
     "audit_period_s": (0, False),

@@ -130,7 +130,6 @@ class TreeDriver(_TurntableDriver):
         tree = self.structures[sector]
         held = tree.unpin_all(peer_id)
         self.engine.peers[peer_id].pinned.clear()
-        tree.update_summary(peer_id)
         tree.detach(peer_id)
         for chunk in sorted(held):
             if tree.replica_count(chunk) < self.config.k_min:
@@ -319,6 +318,9 @@ class IntervalDriver(OverlayDriver):
     """
 
     def __init__(self, config: ScenarioConfig):
+        if config.rebalance_period_s <= 0:
+            raise ValueError(
+                f"rebalance period must be positive, got {config.rebalance_period_s}")
         self.config = config
         # every member's cap comes from its profile on join
         self.constraints = OverlayConstraints(k=config.k, T=config.horizon_T)

@@ -1,8 +1,8 @@
 """Deterministic discrete-event core shared by all three overlays.
 
 The engine owns the clock, the event queue, peer lifecycle, and a
-simplified transport: fixed per-hop latency, per-peer upload slots with
-FIFO queueing, and silent drops to departed peers. Overlay logic lives
+simplified transport: fixed per-hop latency, per-peer upload capacity
+with FIFO queueing, and silent drops to departed peers. Overlay logic lives
 in driver objects; the engine asks a driver where a chunk can be found
 and handles the transfer bookkeeping itself.
 
@@ -60,21 +60,17 @@ class TimerFire:
 @dataclass(frozen=True)
 class NetworkModel:
     hop_latency: float = 0.05
-    upload_kbps: float = 2000.0
-    upload_slots: int = 4
+    transfer_kbps: float = 500.0  # rate of every chunk transfer
 
     def __post_init__(self):
         if self.hop_latency < 0:
             raise ValueError(f"latency cannot be negative, got {self.hop_latency}")
-        if self.upload_kbps <= 0:
-            raise ValueError(f"upload_kbps must be positive, got {self.upload_kbps}")
-        if self.upload_slots < 1:
-            raise ValueError(f"need at least one upload slot, got {self.upload_slots}")
+        if self.transfer_kbps <= 0:
+            raise ValueError(f"transfer_kbps must be positive, got {self.transfer_kbps}")
 
     def chunk_transfer_time(self, chunk_bytes: int) -> float:
-        """Seconds to push one chunk through one slot's bandwidth share."""
-        share_bps = self.upload_kbps * 1000 / self.upload_slots
-        return chunk_bytes * 8 / share_bps
+        """Seconds to push one chunk through one transfer."""
+        return chunk_bytes * 8 / (self.transfer_kbps * 1000)
 
 
 class PeerState(Enum):
@@ -112,6 +108,10 @@ class Engine:
     ):
         if horizon < 0:
             raise ValueError(f"horizon cannot be negative, got {horizon}")
+        if audit_period <= 0:
+            raise ValueError(f"audit period must be positive, got {audit_period}")
+        if sample_period <= 0:
+            raise ValueError(f"sample period must be positive, got {sample_period}")
         self.stream = stream
         self.network = network
         self.horizon = horizon
@@ -162,10 +162,6 @@ class Engine:
 
     # -- transport --------------------------------------------------------------
 
-    @staticmethod
-    def _slots_of(peer: PeerRuntime) -> int:
-        return max(1, peer.profile.upload_capacity)
-
     def send_control(self, src: int, dst: int, message: tuple) -> None:
         """One control message, one hop away."""
         self.counters["control_messages"] += 1
@@ -173,7 +169,7 @@ class Engine:
                       MessageDelivery(src, dst, message))
 
     def send_chunk(self, src: int, dst: int, chunk_id: int, hops: int) -> None:
-        """Move one chunk, consuming an upload slot of `src` for its duration."""
+        """Move one chunk; `src` runs at most upload_capacity transfers at once."""
         if src == PRODUCER or src == DEDICATED:
             self.counters["producer_upload_bytes"] += self.stream.chunk_size_bytes
             self._deliver_chunk(src, dst, chunk_id, hops)
@@ -183,7 +179,7 @@ class Engine:
             self.counters["dropped_messages"] += 1
             return
         active = self._active_uploads.get(src, 0)
-        if active < self._slots_of(peer):
+        if active < peer.profile.upload_capacity:
             self._start_transfer(src, dst, chunk_id, hops)
         else:
             self._upload_queue.setdefault(src, deque()).append((dst, chunk_id, hops))
@@ -191,8 +187,8 @@ class Engine:
     def _start_transfer(self, src: int, dst: int, chunk_id: int, hops: int) -> None:
         peer = self.peers[src]
         self._active_uploads[src] = self._active_uploads.get(src, 0) + 1
-        if self._active_uploads[src] > self._slots_of(peer):
-            raise InvariantViolation(f"peer {src} exceeded its upload slots")
+        if self._active_uploads[src] > peer.profile.upload_capacity:
+            raise InvariantViolation(f"peer {src} exceeded its upload capacity")
         peer.served += 1
         self._deliver_chunk(src, dst, chunk_id, hops)
         self.schedule_timer(self.now + self._transfer_time, src, ("slot_free",))
@@ -296,9 +292,8 @@ class Engine:
 
     def _viewer_tick(self, peer_id: int, epoch: int) -> None:
         peer = self.peers.get(peer_id)
+        # pause and leave bump the epoch, so a matching tick is a playing viewer's
         if peer is None or peer.tick_epoch != epoch:
-            return
-        if peer.state is not PeerState.PLAYING:
             return
         position = self.head_chunk - peer.lag
         if self.head_chunk >= 0 and position >= 0:
@@ -426,8 +421,8 @@ class Engine:
             if len(peer.store) > peer.profile.storage_capacity:
                 problems.append(f"peer {pid} store exceeds capacity")
         for pid, active in sorted(self._active_uploads.items()):
-            if active > self._slots_of(self.peers[pid]):
-                problems.append(f"peer {pid} exceeds upload slots")
+            if active > self.peers[pid].profile.upload_capacity:
+                problems.append(f"peer {pid} exceeds upload capacity")
         if problems:
             raise InvariantViolation("; ".join(problems))
 

@@ -144,11 +144,8 @@ def run_scenario(config: ScenarioConfig, overlay: str | None = None,
         bitrate_bps=config.stream_kbps * 1000,
         chunk_size_bytes=int(config.chunk_mb * 1_000_000),
     )
-    network = NetworkModel(
-        hop_latency=config.hop_latency_s,
-        upload_kbps=config.upload_kbps,
-        upload_slots=config.upload_slots,
-    )
+    network = NetworkModel(hop_latency=config.hop_latency_s,
+                           transfer_kbps=config.transfer_kbps)
     if horizon > 0:
         timeline = build_timeline(stream, horizon,
                                   show_seconds=config.show_seconds)

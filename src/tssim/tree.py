@@ -218,7 +218,6 @@ class SectorTree:
         self._depth: dict[int, int] = {}
         self._by_depth: list[int] | None = None  # deepest first; reset on attach/detach
         self._counted: dict[int, set[int]] = {}  # store as its summary counts it
-        self._unsynced: set[int] = set()  # unpinned since their last walk
 
     # -- structure ----------------------------------------------------------
 
@@ -287,10 +286,8 @@ class SectorTree:
         depth[peer_id] = depth[parent] + 1
         self.nodes[parent].children.append(peer_id)
         # the new node ships its empty summary once: 0 bytes when exact,
-        # the whole filter in Bloom mode. Visiting the parent changes
-        # something only if it was unpinned since its last walk.
+        # the whole filter in Bloom mode; its parent's claims do not change
         self.summary_traffic_bytes += summary.size_bytes()
-        self._walk(parent)
 
     def detach(self, peer_id: int) -> list[int]:
         """Remove a peer; orphaned children re-attach with their subtrees.
@@ -304,7 +301,6 @@ class SectorTree:
         summary = self.summaries.pop(peer_id)
         for chunk_id in self._counted.pop(peer_id):
             self._unlist(chunk_id, peer_id)
-        self._unsynced.discard(peer_id)
         del self._depth[peer_id]
         if node.parent != PRODUCER and node.parent in self.nodes:
             self.nodes[node.parent].children.remove(peer_id)
@@ -389,16 +385,16 @@ class SectorTree:
 
     def _sync(self, peer_id: int) -> tuple[list[int], list[int]]:
         """Count the node's current store; returns the own keys gained and lost."""
-        self._unsynced.discard(peer_id)
         store = self.nodes[peer_id].store
         counted = self._counted[peer_id]
         keys_of = self.summaries[peer_id].keys_of
+        added = store - counted
         dropped = counted - store
-        gained = [key for chunk_id in store - counted for key in keys_of(chunk_id)]
+        gained = [key for chunk_id in added for key in keys_of(chunk_id)]
         lost = [key for chunk_id in dropped for key in keys_of(chunk_id)]
         for chunk_id in dropped:
             self._unlist(chunk_id, peer_id)
-        for chunk_id in store:  # also relists what unpin_all unlisted
+        for chunk_id in added:
             self._holders.setdefault(chunk_id, set()).add(peer_id)
         self._counted[peer_id] = set(store)
         return gained, lost
@@ -406,17 +402,13 @@ class SectorTree:
     def _walk(self, peer_id: int, gained=(), lost=()) -> None:
         """Count keys gained and lost at a node and push its flips rootward.
 
-        Stops at the first node whose claims do not change. It reads
-        the store of an unpinned node it crosses, and every changed node
-        under a non-producer parent ships its new summary, so claims and
-        traffic match a rebuild by union along the same path.
+        Stops at the first node whose claims do not change. Every
+        changed node under a non-producer parent ships its new summary,
+        so claims and traffic match a rebuild by union along the same
+        path.
         """
         cursor = peer_id
         while cursor != PRODUCER:
-            if cursor in self._unsynced:
-                own_gained, own_lost = self._sync(cursor)
-                gained = [*gained, *own_gained]
-                lost = [*lost, *own_lost]
             summary = self.summaries[cursor]
             if gained:
                 gained = summary.add(gained)
@@ -480,16 +472,13 @@ class SectorTree:
     def unpin_all(self, peer_id: int) -> set[int]:
         """Called on departure before detach; returns what the peer held.
 
-        The peer leaves the holders index at once. Its summary keeps
-        claiming the chunks until `update_summary`, `detach` or another
-        walk through the node publishes the empty store.
+        The empty store is published at once: the peer leaves the holders
+        index and its summary stops claiming the chunks.
         """
         node = self.nodes[peer_id]
         held = set(node.store)
         node.store.clear()
-        for chunk_id in self._counted[peer_id]:
-            self._unlist(chunk_id, peer_id)
-        self._unsynced.add(peer_id)
+        self.update_summary(peer_id)
         return held
 
     # -- routing -------------------------------------------------------------

@@ -61,12 +61,12 @@ class SessionEvent:
 @dataclass(frozen=True)
 class PeerProfile:
     peer_id: int
-    upload_capacity: int  # max concurrent downstream peers served
+    upload_capacity: int  # max concurrent transfers served
     storage_capacity: int  # max chunks stored
 
     def __post_init__(self) -> None:
-        if self.upload_capacity < 0:
-            raise ValueError(f"peer {self.peer_id}: negative upload capacity")
+        if self.upload_capacity < 1:
+            raise ValueError(f"peer {self.peer_id}: upload capacity must be at least 1")
         if self.storage_capacity < 1:
             raise ValueError(f"peer {self.peer_id}: storage must hold a chunk")
 

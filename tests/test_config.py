@@ -1,5 +1,9 @@
 """Scenario file parsing: defaults, validation, and round-trips."""
 
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
 from tssim.config import (
@@ -58,9 +62,11 @@ def test_duplicate_key_names_both_lines():
 
 
 def test_unknown_key_rejected():
-    # a typo, and a knob that was removed from the model
-    for key in ("sede", "popularity_session_corr"):
-        config, errors = parse_config(f"{key} = 0.5\n")
+    # a typo, and knobs that were removed from the model (the two upload
+    # knobs became transfer_kbps = upload_kbps / upload_slots)
+    for key, value in (("sede", 0.5), ("popularity_session_corr", 0.5),
+                       ("upload_kbps", 2000), ("upload_slots", 4)):
+        config, errors = parse_config(f"{key} = {value}\n")
         assert config is None
         assert errors == [f"line 1: unknown key {key!r}"]
 
@@ -150,6 +156,17 @@ def test_run_scenario_rejects_a_zero_pause_mean():
                        match="pause_mean_seconds must be greater than 0"):
         run_scenario(ScenarioConfig(horizon_s=600.0, pause_mean_seconds=0.0,
                                     vcr_rate=0.05))
+
+
+def test_every_field_is_read_by_the_model():
+    # a knob that no module reads would run the same experiment whatever
+    # its value, so each field must appear as config.<name> outside config.py
+    src = Path(__file__).resolve().parent.parent / "src" / "tssim"
+    text = "\n".join(path.read_text() for path in sorted(src.glob("*.py"))
+                     if path.name != "config.py")
+    unread = [f.name for f in fields(ScenarioConfig)
+              if not re.search(rf"\bconfig\.{f.name}\b", text)]
+    assert unread == []
 
 
 def test_render_parse_round_trip_default():

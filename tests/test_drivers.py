@@ -117,7 +117,7 @@ def test_tree_handoff_shortcut_serves_consecutive_chunks():
     ]
     # transfers must outpace playback for the next-chunk offer to land
     # before the viewer asks for it
-    fast = NetworkModel(upload_kbps=8000.0)
+    fast = NetworkModel(transfer_kbps=2000.0)
     engine = run_engine(driver, sessions, horizon=3600.0, network=fast)
     assert SpyDriver.shortcut_hits > 10
     assert engine.counters["chunks_missed"] == 0
@@ -223,6 +223,12 @@ def test_mesh_invariants_hold_after_generated_run():
 
 
 # -- interval -----------------------------------------------------------------
+
+
+def test_interval_rejects_a_non_positive_rebalance_period():
+    # a zero period would reschedule the rebalance at the same instant forever
+    with pytest.raises(ValueError, match="rebalance period must be positive"):
+        IntervalDriver(ScenarioConfig(rebalance_period_s=0.0))
 
 
 def test_interval_overlay_tracks_membership_and_coverage():

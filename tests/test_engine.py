@@ -102,6 +102,13 @@ def test_negative_horizon_rejected():
         make_engine(-1.0)
 
 
+@pytest.mark.parametrize("period", ["audit_period", "sample_period"])
+def test_non_positive_period_rejected(period):
+    # a zero period would reschedule its timer at the same instant forever
+    with pytest.raises(ValueError, match="period must be positive"):
+        make_engine(100.0, **{period: 0.0})
+
+
 def test_produce_dispatches_before_same_time_join():
     driver = RecordingDriver()
     engine = make_engine(100.0, driver=driver)
@@ -127,21 +134,19 @@ def test_same_time_events_dispatch_in_insertion_order():
 # -- transport ----------------------------------------------------------------
 
 
-def test_transfer_time_matches_slot_share():
-    net = NetworkModel(upload_kbps=2000.0, upload_slots=4)
-    assert net.chunk_transfer_time(2_000_000) == pytest.approx(32.0)
+def test_transfer_time_matches_transfer_rate():
+    net = NetworkModel(transfer_kbps=500.0)
+    assert net.chunk_transfer_time(2_000_000) == 32.0
 
 
 def test_network_model_validation():
     with pytest.raises(ValueError):
         NetworkModel(hop_latency=-0.1)
     with pytest.raises(ValueError):
-        NetworkModel(upload_kbps=0)
-    with pytest.raises(ValueError):
-        NetworkModel(upload_slots=0)
+        NetworkModel(transfer_kbps=0)
 
 
-def test_single_slot_sender_serves_fifo():
+def test_capacity_one_sender_serves_fifo():
     engine = make_engine(100.0)
     add_peer(engine, 100, upload=1)
     add_peer(engine, 101)
@@ -180,7 +185,7 @@ def test_delivery_to_departed_peer_is_dropped():
     assert engine.counters["chunks_delivered"] == 0
 
 
-def test_producer_sends_bypass_slots():
+def test_producer_sends_bypass_upload_capacity():
     engine = make_engine(100.0)
     add_peer(engine, 101)
     for chunk in range(10):

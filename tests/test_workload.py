@@ -11,6 +11,7 @@ from tssim.stream import (
     head_chunk_at,
 )
 from tssim.workload import (
+    PeerProfile,
     SessionEvent,
     SessionEventKind,
     early_quit_stats,
@@ -152,3 +153,9 @@ def test_profiles_cover_population():
     for pid, p in profiles.items():
         assert p.peer_id == pid
         assert p.upload_capacity == 4
+
+
+def test_profile_needs_an_upload_capacity_of_one():
+    # the file's rule: a peer runs at least one transfer at a time
+    with pytest.raises(ValueError, match="upload capacity"):
+        PeerProfile(peer_id=0, upload_capacity=0, storage_capacity=1)
