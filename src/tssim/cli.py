@@ -13,7 +13,7 @@ import logging
 import os
 import sys
 
-from tssim.config import OVERLAYS, ScenarioConfig, parse_config
+from tssim.config import OVERLAYS, ScenarioConfig, _field_problem, parse_config
 from tssim.engine import InvariantViolation
 from tssim.metrics import emit_report, run_scenario
 
@@ -37,7 +37,10 @@ def _seed_value(text: str) -> int:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}")
-    if not 0 <= value <= _U64_MAX:
+    problem = _field_problem("seed", value)
+    if problem:
+        raise argparse.ArgumentTypeError(problem)
+    if value > _U64_MAX:
         raise argparse.ArgumentTypeError(
             f"seed must fit in 64 unsigned bits, got {value}")
     return value
@@ -48,8 +51,9 @@ def _horizon_value(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"horizon must be a number, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"horizon cannot be negative, got {value}")
+    problem = _field_problem("horizon_s", value)
+    if problem:
+        raise argparse.ArgumentTypeError(problem)
     return value
 
 

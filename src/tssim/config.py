@@ -8,6 +8,7 @@ typo in a parameter name would quietly run the wrong experiment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 
@@ -139,6 +140,8 @@ def _convert(key: str, raw: str, line_no: int, errors: list[str]):
 
 def _field_problem(key: str, value) -> str | None:
     """What is wrong with `value` as the setting of `key`; None if nothing."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return f"{key} must be a finite number, got {value}"
     choices = _CHOICES.get(key)
     if choices is not None:
         if value in choices:

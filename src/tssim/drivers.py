@@ -106,6 +106,8 @@ class TreeDriver(_TurntableDriver):
         ])
         # requester -> {next chunk: offered holder}; dropped when it leaves
         self.pending_handoff: dict[int, dict[int, int]] = {}
+        # requester -> sender of its last delivered chunk; same lifetime
+        self.last_server: dict[int, int] = {}
 
     # -- membership -------------------------------------------------------
 
@@ -121,6 +123,7 @@ class TreeDriver(_TurntableDriver):
     def on_leave(self, peer_id: int, now: float, abrupt: bool) -> None:
         sector = self.turntable.leave(peer_id)
         self.pending_handoff.pop(peer_id, None)
+        self.last_server.pop(peer_id, None)
         if abrupt:
             # the tree still lists the peer; the audit sweep finds it
             return
@@ -187,10 +190,10 @@ class TreeDriver(_TurntableDriver):
 
     def on_chunk_delivered(self, peer_id: int, chunk_id: int, src: int,
                            now: float) -> None:
+        prev = self.last_server.get(peer_id)
+        self.last_server[peer_id] = src
         if src < 0:
             return
-        peer = self.engine.peers[peer_id]
-        prev = peer.last_server
         if prev is not None and prev >= 0 and prev != src:
             self.turntable.refresh_handoff_link(prev, src)
         candidate = self.turntable.offer_handoff(

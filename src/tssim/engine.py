@@ -90,7 +90,6 @@ class PeerRuntime:
     tick_epoch: int = 0
     first_delivery: float | None = None
     served: int = 0
-    last_server: int | None = None
 
 
 class Engine:
@@ -337,10 +336,7 @@ class Engine:
         self.counters["chunks_delivered"] += 1
         self.store_chunk(dst, chunk_id)
         self._first_delivery(peer, self.now - peer.joined_at)
-        # updated after the callback so the driver can still read the
-        # previous server (consecutive-chunk handoffs depend on it)
         self.driver.on_chunk_delivered(dst, chunk_id, src, self.now)
-        peer.last_server = src
 
     # -- main loop ------------------------------------------------------------------------
 

@@ -12,22 +12,23 @@ Intervals are closed on integer lags throughout: lag t is covered by x
 iff l <= t <= r, and two ranges intersect iff max of the left ends is
 <= min of the right ends.
 
-The module keeps two independent implementations of both constraint
-checks (a literal double loop and a faster indexed form) so each can
-vouch for the other, plus an exhaustive small-instance optimizer used
-as ground truth for the greedy bound-assignment sweep. The oracle seeds
-its upper bound with the sweep's assignment once both checkers accept
-it, and stays exact whatever that seed is. The sweep and repair share
-one greedy extension rule, `_extend_to_cover`, and read the indices
-IntervalGraph keeps up to date (`IntervalGraph.index_drift`
-compares them with a recount) rather than either checker. Of the
-checkers, only `coverage_gaps_fast` runs in the simulation.
+IntervalGraph keeps the one production count of each constraint as an
+index: `holders` gives every lag's coverage and `served_count` every
+peer's serving load. The sweep, repair, the coverage samples and the
+fast checkers all read them. The two naive checkers are literal
+recounts, the reference the indices must agree with on every instance,
+and `IntervalGraph.index_drift` recounts the indices from the vertices
+in a checked run. An exhaustive small-instance optimizer is the ground
+truth for the greedy bound-assignment sweep. It seeds its upper bound
+with the sweep's assignment once the checkers accept it, and stays
+exact whatever that seed is. The sweep and repair share one greedy
+extension rule, `_extend_to_cover`.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from itertools import accumulate, islice
 
@@ -155,12 +156,10 @@ class IntervalGraph:
     def index_drift(self) -> list[str]:
         """Where the indices disagree with a recount over the vertices."""
         ivs = list(self.vertices.values())
-        recount = coverage_counts(ivs, self.T)
         problems = [
             f"lag {t} holders differ from a recount"
             for t, h in enumerate(self.holders)
-            if len(h) != recount[t]
-            or h != {iv.peer_id for iv in ivs if iv.l <= t <= iv.r}
+            if h != {iv.peer_id for iv in ivs if iv.l <= t <= iv.r}
         ]
         if self.by_c != sorted((iv.c, pid) for pid, iv in self.vertices.items()):
             problems.append("position list differs from the vertices")
@@ -194,10 +193,11 @@ def objective(intervals) -> int:
 
 # ---------------------------------------------------------------------------
 # Constraint checkers. The two *naive* forms below are the reference
-# semantics, written as literal recounts; the *fast* forms must agree
-# with them on every instance. The simulation calls only
-# coverage_gaps_fast; the rest serve the tests and the oracle's check
-# of its seed.
+# semantics, written as literal recounts. The *fast* forms answer from
+# IntervalGraph's indices, the counts the simulation runs on, and must
+# agree with the naive ones on every instance. The simulation calls
+# only coverage_gaps_fast; the rest serve the tests and the oracle's
+# check of its seed.
 
 def check_k_coverage(graph: IntervalGraph, constraints: OverlayConstraints) -> list[tuple[int, int]]:
     """Gaps as (lag, multiplicity) pairs; empty list means pass."""
@@ -233,53 +233,38 @@ def check_capacity(graph: IntervalGraph, constraints: OverlayConstraints) -> lis
     return overloaded
 
 
-def coverage_counts(intervals, T: int) -> list[int]:
-    """How many intervals cover each lag 0..T, by difference array."""
-    diff = [0] * (T + 2)
-    for iv in intervals:
-        lo = max(iv.l, 0)
-        hi = min(iv.r, T)
-        if hi < lo:
-            continue
-        diff[lo] += 1
-        diff[hi + 1] -= 1
-    return list(accumulate(diff[:T + 1]))
+def _require_lags(graph: IntervalGraph, T: int) -> None:
+    if graph.T < T:
+        raise ValueError(f"graph indexes lags up to {graph.T}, asked for {T}")
+
+
+def _as_graph(intervals, T: int) -> IntervalGraph:
+    """intervals as a graph that indexes at least lags 0..T.
+
+    A list gets a new graph, so it may hold only one interval per peer:
+    the graph is keyed by peer id.
+    """
+    if isinstance(intervals, IntervalGraph):
+        _require_lags(intervals, T)
+        return intervals
+    intervals = list(intervals)
+    vertices = {iv.peer_id: iv for iv in intervals}
+    if len(vertices) != len(intervals):
+        raise ValueError("a peer holds more than one interval")
+    return IntervalGraph(T, vertices)
 
 
 def coverage_gaps_fast(intervals, k: int, T: int) -> list[tuple[int, int]]:
-    """Difference-array recount of check_k_coverage."""
-    if isinstance(intervals, IntervalGraph):
-        intervals = intervals.intervals()
-    return [(t, count) for t, count in enumerate(coverage_counts(intervals, T))
-            if count < k]
+    """check_k_coverage, read from IntervalGraph.holders."""
+    cover = _as_graph(intervals, T).coverage()[:T + 1]
+    return [(t, count) for t, count in enumerate(cover) if count < k]
 
 
 def capacity_overloads_fast(intervals, constraints: OverlayConstraints) -> list[tuple[int, int]]:
-    """Sorted-scan recount of check_capacity.
-
-    The closed ranges [l_y, c_y] and [c_x, r_x] intersect iff
-    l_y <= r_x and c_x <= c_y, so x's served count is the number of
-    peers (including itself) with c >= c_x and l <= r_x, minus one for
-    x itself (its own l <= c <= r always qualifies).
-    """
-    if isinstance(intervals, IntervalGraph):
-        intervals = intervals.intervals()
-    order = sorted(intervals, key=lambda iv: -iv.c)
-    results = []
-    lefts: list[int] = []  # l values of peers with c >= current group's c
-    i = 0
-    while i < len(order):
-        j = i
-        while j < len(order) and order[j].c == order[i].c:
-            insort(lefts, order[j].l)
-            j += 1
-        for x in order[i:j]:
-            count = bisect_right(lefts, x.r) - 1
-            if count > constraints.cap_of(x.peer_id):
-                results.append((x.peer_id, count))
-        i = j
-    results.sort()
-    return results
+    """check_capacity, read from IntervalGraph.served_count, by peer id."""
+    graph = _as_graph(intervals, constraints.T)
+    return [(x.peer_id, count) for x in graph.intervals()
+            if (count := graph.served_count(x)) > constraints.cap_of(x.peer_id)]
 
 
 @dataclass(frozen=True)
@@ -639,9 +624,7 @@ def repair_on_event(
     capacity are returned as incidents rather than raised: they are the
     overlay's headline failure metric, not a programming error.
     """
-    if graph.T < constraints.T:
-        raise ValueError(f"graph indexes lags up to {graph.T}, "
-                         f"constraints protect up to {constraints.T}")
+    _require_lags(graph, constraints.T)
     if event.kind == "join":
         if event.lag is None or event.lag < 0:
             raise ValueError("join needs a non-negative lag")

@@ -59,6 +59,12 @@ def test_bad_seed_rejected(config_file, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("horizon", ["-1", "inf", "nan"])
+def test_bad_horizon_rejected(config_file, horizon, capsys):
+    assert cli.main(["--config", str(config_file), "--horizon", horizon]) == 1
+    assert "horizon_s must be" in capsys.readouterr().err
+
+
 def test_runs_batch_writes_per_seed_directories(config_file, tmp_path, capsys):
     out = tmp_path / "batch"
     code = cli.main(["--config", str(config_file), "--seed", "3",

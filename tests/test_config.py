@@ -1,5 +1,6 @@
 """Scenario file parsing: defaults, validation, and round-trips."""
 
+import math
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -122,6 +123,12 @@ def _bad_values():
     for key in _CHOICES:
         yield key, "nope"
     yield "r", 65
+    # an infinite arrival rate would never finish generating the workload
+    for key, kind in _TYPES.items():
+        if kind is float:
+            yield key, math.inf
+    yield "arrival_rate", -math.inf
+    yield "arrival_rate", math.nan
 
 
 BAD_VALUES = list(_bad_values())
@@ -135,6 +142,11 @@ def test_file_and_library_share_one_rule_per_field(key, bad):
     config, errors = parse_config(f"# one bad line\n{key} = {bad}\n")
     assert config is None
     assert errors == [f"line 2: {problems[0]}"]
+
+
+def test_run_scenario_rejects_an_infinite_horizon():
+    with pytest.raises(ValueError, match="horizon_s must be a finite number"):
+        run_scenario(ScenarioConfig(), horizon=float("inf"))
 
 
 def test_run_scenario_rejects_what_the_file_rejects():

@@ -62,15 +62,28 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize(
-    "overlay,overrides,digest", GOLDEN,
-    ids=[f"{o}-{'-'.join(f'{k}={v}' for k, v in ov.items()) or 'default'}"
-         for o, ov, _ in GOLDEN])
-def test_csv_bytes_match_golden_digest(tmp_path, overlay, overrides, digest):
+IDS = [f"{o}-{'-'.join(f'{k}={v}' for k, v in ov.items()) or 'default'}"
+       for o, ov, _ in GOLDEN]
+
+
+def csv_digest(out_dir, overlay, overrides, check_invariants=False):
     config = ScenarioConfig(seed=1, horizon_s=1800.0, arrival_rate=0.1,
                             overlay=overlay, **overrides)
     sha = hashlib.sha256()
-    for path in emit_report(run_scenario(config), str(tmp_path)):
+    report = run_scenario(config, check_invariants=check_invariants)
+    for path in emit_report(report, str(out_dir)):
         with open(path, "rb") as fh:
             sha.update(fh.read())
-    assert sha.hexdigest() == digest
+    return sha.hexdigest()
+
+
+@pytest.mark.parametrize("overlay,overrides,digest", GOLDEN, ids=IDS)
+def test_csv_bytes_match_golden_digest(tmp_path, overlay, overrides, digest):
+    assert csv_digest(tmp_path, overlay, overrides) == digest
+
+
+@pytest.mark.parametrize("overlay,overrides,digest", GOLDEN, ids=IDS)
+def test_checked_run_matches_golden_digest(tmp_path, overlay, overrides, digest):
+    # the invariant checks only read the model: a checked run must pass
+    # them all and write the same bytes
+    assert csv_digest(tmp_path, overlay, overrides, check_invariants=True) == digest

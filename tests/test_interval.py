@@ -19,7 +19,6 @@ from tssim.interval import (
     capacity_overloads_fast,
     check_capacity,
     check_k_coverage,
-    coverage_counts,
     coverage_gaps_fast,
     objective,
     rebalance,
@@ -98,6 +97,30 @@ def test_fast_checkers_match_naive_on_random_sets():
         cons = OverlayConstraints(k=k, T=T, default_cap=rng.choice([0, 1, 2, math.inf]))
         assert check_k_coverage(ivs, cons) == coverage_gaps_fast(ivs, k, T)
         assert check_capacity(ivs, cons) == capacity_overloads_fast(ivs, cons)
+
+
+def test_fast_checkers_read_a_deeper_graph_up_to_the_lag_asked_for():
+    g = graph_of([(0, 2, 4), (3, 5, 9)], T=12)
+    cons = OverlayConstraints(k=1, T=6, default_cap=0)
+    ivs = g.intervals()
+    assert coverage_gaps_fast(g, 1, 6) == check_k_coverage(ivs, cons) == []
+    assert capacity_overloads_fast(g, cons) == check_capacity(ivs, cons) == [(0, 1)]
+
+
+def test_fast_checkers_reject_two_intervals_of_one_peer():
+    ivs = [Interval(0, 0, 1, 2), Interval(1, 2, 3, 4), Interval(0, 3, 4, 5)]
+    with pytest.raises(ValueError, match="more than one interval"):
+        coverage_gaps_fast(ivs, 1, 5)
+    with pytest.raises(ValueError, match="more than one interval"):
+        capacity_overloads_fast(ivs, OverlayConstraints(k=1, T=5))
+
+
+def test_fast_checkers_reject_a_graph_shallower_than_asked():
+    g = graph_of([(0, 1, 3)], T=3)
+    with pytest.raises(ValueError, match="indexes lags up to 3"):
+        coverage_gaps_fast(g, 1, 4)
+    with pytest.raises(ValueError, match="indexes lags up to 3"):
+        capacity_overloads_fast(g, OverlayConstraints(k=1, T=4))
 
 
 def test_oracle_forced_single_peer():
@@ -438,7 +461,8 @@ def test_constraints_validation():
 
 def assert_indices_match_recount(g):
     ivs = list(g.vertices.values())
-    assert g.coverage() == coverage_counts(ivs, g.T)
+    assert g.coverage() == [sum(1 for iv in ivs if iv.l <= t <= iv.r)
+                            for t in range(g.T + 1)]
     for t in range(g.T + 1):
         assert g.holders[t] == {iv.peer_id for iv in ivs if iv.l <= t <= iv.r}
     for x in ivs:
