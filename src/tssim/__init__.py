@@ -9,7 +9,7 @@ reproduced byte for byte.
 """
 
 from tssim.config import ScenarioConfig, parse_config, render_config
-from tssim.engine import Engine, InvariantViolation, NetworkModel
+from tssim.engine import Engine, InvariantViolation
 from tssim.metrics import MetricsReport, emit_report, run_scenario
 from tssim.stream import (
     StreamParams,
@@ -29,7 +29,6 @@ __all__ = [
     "render_config",
     "Engine",
     "InvariantViolation",
-    "NetworkModel",
     "MetricsReport",
     "emit_report",
     "run_scenario",

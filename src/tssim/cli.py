@@ -19,8 +19,6 @@ from tssim.metrics import emit_report, run_scenario
 
 log = logging.getLogger("tssim")
 
-_U64_MAX = 2**64 - 1
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on bad usage; we reserve 2 for
@@ -40,9 +38,6 @@ def _seed_value(text: str) -> int:
     problem = _field_problem("seed", value)
     if problem:
         raise argparse.ArgumentTypeError(problem)
-    if value > _U64_MAX:
-        raise argparse.ArgumentTypeError(
-            f"seed must fit in 64 unsigned bits, got {value}")
     return value
 
 
@@ -123,6 +118,12 @@ def main(argv: list[str] | None = None) -> int:
 
     overlay = args.overlay or config.overlay
     base_seed = config.seed if args.seed is None else args.seed
+    # the batch's last seed must be a valid seed too, checked before any run
+    problem = _field_problem("seed", base_seed + args.runs - 1)
+    if problem:
+        print(f"tssim: error: --runs {args.runs} from seed {base_seed}: {problem}",
+              file=sys.stderr)
+        return 1
     log.info("overlay=%s base_seed=%d runs=%d", overlay, base_seed, args.runs)
 
     for offset in range(args.runs):

@@ -66,47 +66,45 @@ class ScenarioConfig:
 OVERLAYS = ("tree", "mesh", "interval")
 _CHOICES = {"overlay": OVERLAYS, "summary_mode": ("exact", "bloom")}
 
-# key -> (lower bound, inclusive?) for numeric fields; None = no bound
-_RANGES: dict[str, tuple[float, bool]] = {
-    "seed": (0, True),
-    "horizon_s": (0, True),
-    "stream_kbps": (0, False),
-    "chunk_mb": (0, False),
-    "show_seconds": (0, False),
-    "arrival_rate": (0, True),
-    "zipf_exponent": (0, False),
-    "early_quit_window": (0, True),
-    "vcr_rate": (0, True),
-    "pause_mean_seconds": (0, False),
-    "show_start_burst": (0, True),
-    "hop_latency_s": (0, True),
-    "transfer_kbps": (0, False),
-    "upload_capacity": (1, True),
-    "storage_chunks": (1, True),
-    "audit_period_s": (0, False),
-    "sample_period_s": (0, False),
-    "m": (1, True),
-    "r": (1, True),
-    "k_rep": (1, True),
-    "k_min": (1, True),
-    "fanout": (1, True),
-    "bloom_bits": (8, True),
-    "bloom_hashes": (1, True),
-    "colors": (1, True),
-    "gossip_period": (0, False),
-    "max_degree": (1, True),
-    "request_ttl": (1, True),
-    "k": (1, True),
-    "horizon_T": (1, True),
-    "rebalance_period_s": (0, False),
+# key -> (lower bound, inclusive?, inclusive upper bound or None) for
+# numeric fields; a key not listed has no bound
+_RANGES: dict[str, tuple[float, bool, float | None]] = {
+    "seed": (0, True, 2**64 - 1),  # seeds are unsigned 64-bit
+    "horizon_s": (0, True, None),
+    "stream_kbps": (0, False, None),
+    "chunk_mb": (0, False, None),
+    "show_seconds": (0, False, None),
+    "arrival_rate": (0, True, None),
+    "zipf_exponent": (0, False, None),
+    "early_quit_fraction": (0, True, 1),
+    "early_quit_window": (0, True, None),
+    "show_end_leave_prob": (0, True, 1),
+    "vcr_rate": (0, True, None),
+    "live_join_prob": (0, True, 1),
+    "pause_mean_seconds": (0, False, None),
+    "show_start_burst": (0, True, None),
+    "abrupt_leave_prob": (0, True, 1),
+    "hop_latency_s": (0, True, None),
+    "transfer_kbps": (0, False, None),
+    "upload_capacity": (1, True, None),
+    "storage_chunks": (1, True, None),
+    "audit_period_s": (0, False, None),
+    "sample_period_s": (0, False, None),
+    "m": (1, True, None),
+    "r": (1, True, 64),
+    "k_rep": (1, True, None),
+    "k_min": (1, True, None),
+    "fanout": (1, True, None),
+    "bloom_bits": (8, True, None),
+    "bloom_hashes": (1, True, None),
+    "colors": (1, True, None),
+    "gossip_period": (0, False, None),
+    "max_degree": (1, True, None),
+    "request_ttl": (1, True, None),
+    "k": (1, True, None),
+    "horizon_T": (1, True, None),
+    "rebalance_period_s": (0, False, None),
 }
-
-_PROBABILITIES = (
-    "early_quit_fraction",
-    "show_end_leave_prob",
-    "live_join_prob",
-    "abrupt_leave_prob",
-)
 
 
 _TYPES: dict[str, type] = {
@@ -147,20 +145,16 @@ def _field_problem(key: str, value) -> str | None:
         if value in choices:
             return None
         return f"{key} must be one of {', '.join(choices)}, got {value!r}"
-    if key in _PROBABILITIES:
-        if 0 <= value <= 1:
-            return None
-        return f"{key} must be within [0, 1], got {value}"
-    if key == "r" and value > 64:
-        return f"r must be within [1, 64], got {value}"
     bound = _RANGES.get(key)
     if bound is None:
         return None
-    low, inclusive = bound
-    if value >= low if inclusive else value > low:
-        return None
-    op = "at least" if inclusive else "greater than"
-    return f"{key} must be {op} {low}, got {value}"
+    low, inclusive, high = bound
+    if not (value >= low if inclusive else value > low):
+        op = "at least" if inclusive else "greater than"
+        return f"{key} must be {op} {low}, got {value}"
+    if high is not None and value > high:
+        return f"{key} must be within [{low}, {high}], got {value}"
+    return None
 
 
 def parse_config(text: str) -> tuple[ScenarioConfig | None, list[str]]:
@@ -223,6 +217,13 @@ def validate_config(config: ScenarioConfig) -> list[str]:
         errors.append(
             f"k_min ({config.k_min}) cannot exceed k_rep ({config.k_rep})")
     return errors
+
+
+def require_valid(config: ScenarioConfig) -> None:
+    """Raise ValueError naming every problem validate_config finds."""
+    problems = validate_config(config)
+    if problems:
+        raise ValueError("invalid scenario: " + "; ".join(problems))
 
 
 def render_config(config: ScenarioConfig) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from tssim.config import ScenarioConfig
+from tssim.config import ScenarioConfig, require_valid
 from tssim.engine import DEDICATED, PRODUCER, OverlayDriver, PeerState
 from tssim.interval import (
     Interval,
@@ -321,9 +321,7 @@ class IntervalDriver(OverlayDriver):
     """
 
     def __init__(self, config: ScenarioConfig):
-        if config.rebalance_period_s <= 0:
-            raise ValueError(
-                f"rebalance period must be positive, got {config.rebalance_period_s}")
+        require_valid(config)
         self.config = config
         # every member's cap comes from its profile on join
         self.constraints = OverlayConstraints(k=config.k, T=config.horizon_T)

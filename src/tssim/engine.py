@@ -1,10 +1,13 @@
 """Deterministic discrete-event core shared by all three overlays.
 
 The engine owns the clock, the event queue, peer lifecycle, and a
-simplified transport: fixed per-hop latency, per-peer upload capacity
-with FIFO queueing, and silent drops to departed peers. Overlay logic lives
-in driver objects; the engine asks a driver where a chunk can be found
-and handles the transfer bookkeeping itself.
+simplified transport: fixed per-hop latency, one transfer rate for every
+chunk, per-peer upload capacity with FIFO queueing, and silent drops to
+departed peers. It reads the stream shape, horizon, transport and
+audit and sample periods from the run's ScenarioConfig, which it checks
+by the scenario file's rules. Overlay logic lives in driver objects; the
+engine asks a driver where a chunk can be found and handles the transfer
+bookkeeping itself.
 
 Viewers are tracked in lag space. A playing viewer keeps a constant
 lag, so its position advances with the stream head; a paused viewer
@@ -23,6 +26,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
+from tssim.config import ScenarioConfig, require_valid
 from tssim.stream import (
     StreamParams,
     chunk_duration,
@@ -57,22 +61,6 @@ class TimerFire:
     tag: tuple
 
 
-@dataclass(frozen=True)
-class NetworkModel:
-    hop_latency: float = 0.05
-    transfer_kbps: float = 500.0  # rate of every chunk transfer
-
-    def __post_init__(self):
-        if self.hop_latency < 0:
-            raise ValueError(f"latency cannot be negative, got {self.hop_latency}")
-        if self.transfer_kbps <= 0:
-            raise ValueError(f"transfer_kbps must be positive, got {self.transfer_kbps}")
-
-    def chunk_transfer_time(self, chunk_bytes: int) -> float:
-        """Seconds to push one chunk through one transfer."""
-        return chunk_bytes * 8 / (self.transfer_kbps * 1000)
-
-
 class PeerState(Enum):
     PLAYING = "playing"
     PAUSED = "paused"
@@ -95,33 +83,22 @@ class PeerRuntime:
 class Engine:
     """Event loop plus transport. One instance = one run = one thread."""
 
-    def __init__(
-        self,
-        stream: StreamParams,
-        network: NetworkModel,
-        horizon: float,
-        driver,
-        check_invariants: bool = False,
-        audit_period: float = 300.0,
-        sample_period: float = 600.0,
-    ):
-        if horizon < 0:
-            raise ValueError(f"horizon cannot be negative, got {horizon}")
-        if audit_period <= 0:
-            raise ValueError(f"audit period must be positive, got {audit_period}")
-        if sample_period <= 0:
-            raise ValueError(f"sample period must be positive, got {sample_period}")
-        self.stream = stream
-        self.network = network
-        self.horizon = horizon
+    def __init__(self, config: ScenarioConfig, driver,
+                 check_invariants: bool = False):
+        require_valid(config)
+        self.stream = StreamParams(
+            bitrate_bps=config.stream_kbps * 1000,
+            chunk_size_bytes=int(config.chunk_mb * 1_000_000),
+        )
+        self.horizon = config.horizon_s
+        self.config = config
         self.driver = driver
         self.checked = check_invariants
-        self.audit_period = audit_period
-        self.sample_period = sample_period
-        self._transfer_time = network.chunk_transfer_time(stream.chunk_size_bytes)
-        self._chunk_duration = chunk_duration(stream)
+        self._transfer_time = (self.stream.chunk_size_bytes * 8
+                               / (config.transfer_kbps * 1000))
+        self._chunk_duration = chunk_duration(self.stream)
 
-        self.now = stream.start_time
+        self.now = self.stream.start_time
         self.head_chunk = -1
         self._heap: list[tuple[float, int, object]] = []
         self._seq = 0
@@ -164,7 +141,7 @@ class Engine:
     def send_control(self, src: int, dst: int, message: tuple) -> None:
         """One control message, one hop away."""
         self.counters["control_messages"] += 1
-        self.schedule(self.now + self.network.hop_latency,
+        self.schedule(self.now + self.config.hop_latency_s,
                       MessageDelivery(src, dst, message))
 
     def send_chunk(self, src: int, dst: int, chunk_id: int, hops: int) -> None:
@@ -194,7 +171,7 @@ class Engine:
 
     def _deliver_chunk(self, src: int, dst: int, chunk_id: int, hops: int) -> None:
         self.counters["transfer_bytes"] += self.stream.chunk_size_bytes
-        delay = self._transfer_time + self.network.hop_latency * max(1, hops)
+        delay = self._transfer_time + self.config.hop_latency_s * max(1, hops)
         self.schedule(self.now + delay,
                       MessageDelivery(src, dst, ("chunk", chunk_id, src)))
 
@@ -356,9 +333,10 @@ class Engine:
             if evt.time <= end:
                 self.schedule(evt.time, evt)
         if self.horizon > 0:
-            self.schedule_timer(self.stream.start_time + self.sample_period,
+            start = self.stream.start_time
+            self.schedule_timer(start + self.config.sample_period_s,
                                 PRODUCER, ("sample",))
-            self.schedule_timer(self.stream.start_time + self.audit_period,
+            self.schedule_timer(start + self.config.audit_period_s,
                                 PRODUCER, ("audit",))
 
         while self._heap:
@@ -390,13 +368,13 @@ class Engine:
                 self._on_slot_free(payload.owner)
             elif tag[0] == "sample":
                 self._take_sample()
-                self.schedule_timer(self.now + self.sample_period,
+                self.schedule_timer(self.now + self.config.sample_period_s,
                                     PRODUCER, ("sample",))
             elif tag[0] == "audit":
                 self.driver.on_audit(self.now)
                 if self.checked:
                     self._run_checks()
-                self.schedule_timer(self.now + self.audit_period,
+                self.schedule_timer(self.now + self.config.audit_period_s,
                                     PRODUCER, ("audit",))
             else:
                 self.driver.on_timer(payload.owner, tag, self.now)

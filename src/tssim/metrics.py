@@ -20,10 +20,10 @@ import os
 from array import array
 from dataclasses import dataclass, field, replace
 
-from tssim.config import ScenarioConfig, validate_config
+from tssim.config import ScenarioConfig, require_valid
 from tssim.drivers import IntervalDriver, MeshDriver, TreeDriver
-from tssim.engine import Engine, NetworkModel
-from tssim.stream import StreamParams, build_timeline
+from tssim.engine import Engine
+from tssim.stream import build_timeline
 from tssim.workload import generate_profiles, generate_sessions
 
 
@@ -135,17 +135,11 @@ def run_scenario(config: ScenarioConfig, overlay: str | None = None,
     overrides = {"overlay": overlay, "seed": seed, "horizon_s": horizon}
     config = replace(config, **{key: value for key, value in overrides.items()
                                 if value is not None})
-    problems = validate_config(config)
-    if problems:
-        raise ValueError("invalid scenario: " + "; ".join(problems))
-
-    horizon = config.horizon_s
-    stream = StreamParams(
-        bitrate_bps=config.stream_kbps * 1000,
-        chunk_size_bytes=int(config.chunk_mb * 1_000_000),
-    )
-    network = NetworkModel(hop_latency=config.hop_latency_s,
-                           transfer_kbps=config.transfer_kbps)
+    # checked before build_driver so that a bad overlay is a config error
+    require_valid(config)
+    driver = build_driver(config)
+    engine = Engine(config, driver, check_invariants)
+    stream, horizon = engine.stream, config.horizon_s
     if horizon > 0:
         timeline = build_timeline(stream, horizon,
                                   show_seconds=config.show_seconds)
@@ -154,16 +148,5 @@ def run_scenario(config: ScenarioConfig, overlay: str | None = None,
     else:
         sessions = []
     profiles = generate_profiles(sessions, config)
-
-    driver = build_driver(config)
-    engine = Engine(
-        stream=stream,
-        network=network,
-        horizon=horizon,
-        driver=driver,
-        check_invariants=check_invariants,
-        audit_period=config.audit_period_s,
-        sample_period=config.sample_period_s,
-    )
     engine.run(sessions, profiles)
     return collect_report(engine, driver)

@@ -372,8 +372,6 @@ class SectorTree:
         """Rebuild by union from the stores: the oracle the counts are audited against."""
         node = self.nodes[peer_id]
         children = [self.summaries[c] for c in node.children]
-        if self.summary_mode == "exact":
-            return ExactSummary.build(node.store, children)
         return self.summaries[peer_id].build(node.store, children)
 
     def _unlist(self, chunk_id: int, peer_id: int) -> None:

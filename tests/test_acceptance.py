@@ -11,7 +11,7 @@ import time
 
 from tssim.config import ScenarioConfig
 from tssim.drivers import MeshDriver, TreeDriver
-from tssim.engine import Engine, NetworkModel, OverlayDriver
+from tssim.engine import Engine, OverlayDriver
 from tssim.interval import (
     Infeasible,
     Interval,
@@ -97,8 +97,8 @@ def test_acceptance_02_turntable_assignment_law():
     sessions = generate_sessions(ScenarioConfig(), timeline, horizon, seed=2)
     profiles = generate_profiles(sessions, ScenarioConfig())
     driver = SectorLawDriver(ScenarioConfig(m=12))
-    engine = Engine(stream=stream, network=NetworkModel(), horizon=horizon,
-                    driver=driver, sample_period=3600.0)
+    engine = Engine(ScenarioConfig(horizon_s=horizon, sample_period_s=3600.0),
+                    driver)
     engine.run(sessions, profiles)
     elapsed = time.monotonic() - started
     ok = (driver.law_checks > 0 and driver.law_violations == 0
@@ -238,8 +238,7 @@ def test_acceptance_05_mesh_color_law_and_domination():
     sessions = generate_sessions(ScenarioConfig(), timeline, horizon, seed=5)
     profiles = generate_profiles(sessions, ScenarioConfig())
     driver = ColorLawDriver(ScenarioConfig(seed=5))
-    engine = Engine(stream=stream, network=NetworkModel(), horizon=horizon,
-                    driver=driver)
+    engine = Engine(ScenarioConfig(horizon_s=horizon), driver)
     engine.run(sessions, profiles)
 
     worst_rate = 0.0
@@ -389,8 +388,7 @@ def test_acceptance_08_pause_lag_ceiling():
                                   storage_capacity=100_000)
     sessions.sort(key=lambda e: (e.time, e.peer_id))
     driver = MoveRecorder()
-    engine = Engine(stream=stream, network=NetworkModel(), horizon=73_000.0,
-                    driver=driver)
+    engine = Engine(ScenarioConfig(horizon_s=73_000.0), driver)
     engine.run(sessions, profiles)
 
     wrong = 0

@@ -75,6 +75,15 @@ def test_runs_batch_writes_per_seed_directories(config_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_batch_past_the_last_seed_runs_nothing(config_file, tmp_path, capsys):
+    out = tmp_path / "batch"
+    code = cli.main(["--config", str(config_file), "--seed", str(2**64 - 1),
+                     "--runs", "2", "--horizon", "0", "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    assert f"seed must be within [0, {2**64 - 1}], got {2**64}" in capsys.readouterr().err
+
+
 def test_zero_runs_rejected(config_file, capsys):
     assert cli.main(["--config", str(config_file), "--runs", "0"]) == 1
     capsys.readouterr()

@@ -9,7 +9,6 @@ import pytest
 
 from tssim.config import (
     _CHOICES,
-    _PROBABILITIES,
     _RANGES,
     _TYPES,
     ScenarioConfig,
@@ -116,13 +115,13 @@ def _bad_values():
     # an exclusive bound of 0 gives 0, so this covers the zero audit,
     # sample and rebalance periods that would keep a run from ending and
     # the zero pause mean that would divide by zero
-    for key, (low, inclusive) in _RANGES.items():
+    for key, (low, inclusive, high) in _RANGES.items():
         yield key, _TYPES[key](low - 1 if inclusive else low)
-    for key in _PROBABILITIES:
-        yield key, 1.5
+        if high is not None:
+            # just above the top: 1.5 for a probability, r = 65, seed = 2**64
+            yield key, high + (1 if _TYPES[key] is int else 0.5)
     for key in _CHOICES:
         yield key, "nope"
-    yield "r", 65
     # an infinite arrival rate would never finish generating the workload
     for key, kind in _TYPES.items():
         if kind is float:
@@ -142,6 +141,12 @@ def test_file_and_library_share_one_rule_per_field(key, bad):
     config, errors = parse_config(f"# one bad line\n{key} = {bad}\n")
     assert config is None
     assert errors == [f"line 2: {problems[0]}"]
+
+
+def test_a_seed_beyond_64_bits_is_a_line_error():
+    config, errors = parse_config("seed = %d" % 2**70)
+    assert config is None
+    assert errors == [f"line 1: seed must be within [0, {2**64 - 1}], got {2**70}"]
 
 
 def test_run_scenario_rejects_an_infinite_horizon():

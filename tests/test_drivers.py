@@ -4,7 +4,7 @@ import pytest
 
 from tssim.config import ScenarioConfig
 from tssim.drivers import IntervalDriver, MeshDriver, TreeDriver
-from tssim.engine import DEDICATED, Engine, NetworkModel, PeerState
+from tssim.engine import DEDICATED, Engine, PeerState
 from tssim.stream import StreamParams, build_timeline
 from tssim.turntable import sector_of_chunk
 from tssim.workload import (
@@ -16,21 +16,16 @@ from tssim.workload import (
 )
 
 
-def run_engine(driver, sessions, horizon, network=None, checked=True,
-               profiles=None):
+def run_engine(driver, sessions, horizon, checked=True, profiles=None,
+               **settings):
     if profiles is None:
         profiles = {
             e.peer_id: PeerProfile(peer_id=e.peer_id, upload_capacity=3,
                                    storage_capacity=100_000)
             for e in sessions if e.kind is SessionEventKind.JOIN
         }
-    engine = Engine(
-        stream=StreamParams(),
-        network=network or NetworkModel(),
-        horizon=horizon,
-        driver=driver,
-        check_invariants=checked,
-    )
+    engine = Engine(ScenarioConfig(horizon_s=horizon, **settings), driver,
+                    check_invariants=checked)
     engine.run(sessions, profiles)
     return engine
 
@@ -117,8 +112,7 @@ def test_tree_handoff_shortcut_serves_consecutive_chunks():
     ]
     # transfers must outpace playback for the next-chunk offer to land
     # before the viewer asks for it
-    fast = NetworkModel(transfer_kbps=2000.0)
-    engine = run_engine(driver, sessions, horizon=3600.0, network=fast)
+    engine = run_engine(driver, sessions, horizon=3600.0, transfer_kbps=2000.0)
     assert SpyDriver.shortcut_hits > 10
     assert engine.counters["chunks_missed"] == 0
 
@@ -148,6 +142,26 @@ def test_tree_republishes_chunks_retained_while_sector_empty():
     assert {0, 2, 4} <= set(engine.peers[0].store)
     # sector 1 never gained a member, so its chunks stay parked
     assert driver.turntable.producer_retained[1] == [1, 3, 5, 7]
+
+
+def test_tree_parks_a_publish_that_reaches_a_departed_representant():
+    # chunk 0 is produced at 32 s; its publish lands 0.05 s later, after
+    # the sector's only member has left
+    def run(horizon, *later):
+        driver = TreeDriver(ScenarioConfig(m=1, r=1, k_rep=1, k_min=1))
+        sessions = [join(1.0, 0, 0), leave(32.02, 0), *later]
+        return driver, run_engine(driver, sessions, horizon=horizon)
+
+    driver, engine = run(40.0)
+    assert engine.counters["dropped_messages"] == 1
+    assert driver.turntable.producer_retained == {0: [0]}
+    assert driver.retained_republished == 0
+
+    driver, engine = run(60.0, join(50.0, 1, 0))
+    assert engine.counters["dropped_messages"] == 1
+    assert driver.retained_republished == 1
+    assert driver.turntable.producer_retained == {}
+    assert 0 in engine.peers[1].pinned  # pinned by the republished diffusion
 
 
 def test_tree_audit_removes_abruptly_departed_members():
@@ -227,7 +241,8 @@ def test_mesh_invariants_hold_after_generated_run():
 
 def test_interval_rejects_a_non_positive_rebalance_period():
     # a zero period would reschedule the rebalance at the same instant forever
-    with pytest.raises(ValueError, match="rebalance period must be positive"):
+    with pytest.raises(ValueError,
+                       match="invalid scenario: rebalance_period_s must be greater than 0"):
         IntervalDriver(ScenarioConfig(rebalance_period_s=0.0))
 
 

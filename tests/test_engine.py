@@ -10,7 +10,6 @@ from tssim.engine import (
     PRODUCER,
     Engine,
     InvariantViolation,
-    NetworkModel,
     OverlayDriver,
     PeerRuntime,
     PeerState,
@@ -51,14 +50,10 @@ class RecordingDriver(OverlayDriver):
         return [entry for entry in self.log if entry[0] == "move"]
 
 
-def make_engine(horizon, driver=None, network=None, **kwargs):
-    return Engine(
-        stream=StreamParams(),
-        network=network or NetworkModel(),
-        horizon=horizon,
-        driver=driver if driver is not None else OverlayDriver(),
-        **kwargs,
-    )
+def make_engine(horizon, driver=None, check_invariants=False, **settings):
+    return Engine(ScenarioConfig(horizon_s=horizon, **settings),
+                  driver if driver is not None else OverlayDriver(),
+                  check_invariants)
 
 
 def profile(pid, upload=3, storage=100_000):
@@ -105,8 +100,20 @@ def test_negative_horizon_rejected():
 @pytest.mark.parametrize("period", ["audit_period", "sample_period"])
 def test_non_positive_period_rejected(period):
     # a zero period would reschedule its timer at the same instant forever
-    with pytest.raises(ValueError, match="period must be positive"):
-        make_engine(100.0, **{period: 0.0})
+    with pytest.raises(ValueError, match=f"{period}_s must be greater than 0"):
+        make_engine(100.0, **{f"{period}_s": 0.0})
+
+
+@pytest.mark.parametrize("key,bad", [
+    ("hop_latency_s", -0.1),
+    ("transfer_kbps", 0.0),
+    ("audit_period_s", 0.0),
+    ("sample_period_s", 0.0),
+    ("horizon_s", -1.0),
+])
+def test_engine_rejects_what_the_file_rejects(key, bad):
+    with pytest.raises(ValueError, match=f"invalid scenario: {key} must be"):
+        Engine(ScenarioConfig(**{key: bad}), OverlayDriver())
 
 
 def test_produce_dispatches_before_same_time_join():
@@ -135,15 +142,9 @@ def test_same_time_events_dispatch_in_insertion_order():
 
 
 def test_transfer_time_matches_transfer_rate():
-    net = NetworkModel(transfer_kbps=500.0)
-    assert net.chunk_transfer_time(2_000_000) == 32.0
-
-
-def test_network_model_validation():
-    with pytest.raises(ValueError):
-        NetworkModel(hop_latency=-0.1)
-    with pytest.raises(ValueError):
-        NetworkModel(transfer_kbps=0)
+    # a 2 MB chunk at 500 kbit/s
+    engine = make_engine(100.0, chunk_mb=2.0, transfer_kbps=500.0)
+    assert engine._transfer_time == 32.0
 
 
 def test_capacity_one_sender_serves_fifo():
@@ -343,8 +344,7 @@ def run_tree_scenario(seed):
     sessions = generate_sessions(config, timeline, 1800.0, seed)
     profiles = generate_profiles(sessions, config)
     driver = TreeDriver(config)
-    engine = Engine(stream=stream, network=NetworkModel(), horizon=1800.0,
-                    driver=driver)
+    engine = Engine(ScenarioConfig(horizon_s=1800.0), driver)
     engine.run(sessions, profiles)
     return engine
 

@@ -8,7 +8,7 @@ import pytest
 import tssim.interval
 from tssim.config import ScenarioConfig
 from tssim.drivers import IntervalDriver
-from tssim.engine import DEDICATED, PRODUCER, Engine, NetworkModel, PeerState
+from tssim.engine import DEDICATED, PRODUCER, Engine, PeerState
 from tssim.interval import (
     Infeasible,
     Interval,
@@ -712,7 +712,7 @@ def test_find_provider_matches_full_scan(dedicated):
     sessions = generate_sessions(config, build_timeline(stream, horizon),
                                  horizon, seed=11)
     driver = FullScanComparingDriver(config)
-    engine = Engine(stream=stream, network=NetworkModel(), horizon=horizon,
-                    driver=driver, check_invariants=True)  # audits check the indices
+    engine = Engine(ScenarioConfig(horizon_s=horizon), driver,
+                    check_invariants=True)  # audits check the indices
     engine.run(sessions, generate_profiles(sessions, config))
     assert driver.compared > 100
