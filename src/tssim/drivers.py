@@ -32,14 +32,17 @@ class _TurntableDriver(OverlayDriver):
 
     `config` is the run's ScenarioConfig; the layout (`m`, `r`), the
     replication targets (`k_rep`, `k_min`) and `producer_archive` are
-    read from it. `structures` holds one tree or mesh per sector; each
-    answers `replica_count(chunk)` and is routed into by
-    `_route_in_sector`, from the entry peer the turntable names.
+    read from it once it passes the scenario file's rules. `structures`
+    holds one tree or mesh per sector, from the subclass's
+    `_build_structures`; each answers `replica_count(chunk)` and is
+    routed into by `_route_in_sector`, from the entry peer the turntable
+    names.
     """
 
-    def __init__(self, config: ScenarioConfig, structures: list):
+    def __init__(self, config: ScenarioConfig):
+        require_valid(config)
         self.config = config
-        self.structures = structures
+        self.structures = self._build_structures(config)
         self.turntable = Turntable(m=config.m, r=config.r)
         self.permanent_losses = 0
         self.emergency_rounds = 0
@@ -98,16 +101,17 @@ class TreeDriver(_TurntableDriver):
     """Turntable sectors, each organized as a diffusion tree."""
 
     def __init__(self, config: ScenarioConfig):
-        super().__init__(config, [
-            SectorTree(fanout=config.fanout, summary_mode=config.summary_mode,
-                       bloom_bits=config.bloom_bits,
-                       bloom_hashes=config.bloom_hashes)
-            for _ in range(config.m)
-        ])
+        super().__init__(config)
         # requester -> {next chunk: offered holder}; dropped when it leaves
         self.pending_handoff: dict[int, dict[int, int]] = {}
         # requester -> sender of its last delivered chunk; same lifetime
         self.last_server: dict[int, int] = {}
+
+    def _build_structures(self, config: ScenarioConfig) -> list:
+        return [SectorTree(fanout=config.fanout, summary_mode=config.summary_mode,
+                           bloom_bits=config.bloom_bits,
+                           bloom_hashes=config.bloom_hashes)
+                for _ in range(config.m)]
 
     # -- membership -------------------------------------------------------
 
@@ -229,9 +233,9 @@ class TreeDriver(_TurntableDriver):
 class MeshDriver(_TurntableDriver):
     """Turntable sectors, each organized as a colored gossip mesh."""
 
-    def __init__(self, config: ScenarioConfig):
+    def _build_structures(self, config: ScenarioConfig) -> list:
         scheme = ColorScheme(colors=config.colors, sector_count=config.m)
-        super().__init__(config, [
+        return [
             SectorMesh(
                 scheme,
                 random.Random(f"mesh:{config.seed}:{sector}"),
@@ -240,7 +244,7 @@ class MeshDriver(_TurntableDriver):
                 k_rep=config.k_rep,
             )
             for sector in range(config.m)
-        ])
+        ]
 
     def on_join(self, peer_id: int, lag: int, now: float) -> None:
         sector = self.turntable.join(peer_id)
@@ -340,9 +344,8 @@ class IntervalDriver(OverlayDriver):
         if self.config.dedicated_server:
             self.constraints.caps[DEDICATED] = float("inf")
             self.graph.add(Interval(DEDICATED, 0, 0, self.constraints.T))
-        engine.schedule_timer(
-            engine.stream.start_time + self.config.rebalance_period_s,
-            PRODUCER, ("rebalance",))
+        engine.schedule_timer(self.config.rebalance_period_s,
+                              PRODUCER, ("rebalance",))
 
     # -- membership ----------------------------------------------------------
 

@@ -16,12 +16,20 @@ chunk_duration a playing viewer ticks: it plays what it has, or asks the
 overlay for the chunk at its position. A chunk that cannot be found is
 skipped at the next tick rather than retried forever, which models a
 player abandoning a lost segment and keeps every run bounded.
+
+A viewer that left is sealed at the next audit, right after the
+driver's: its store becomes a SealedStore and its pin set a shared empty
+one, so memory follows the audience present, not all who ever joined.
+Before that audit the tree may still pin chunks to an abrupt leaver it
+has not detached; mesh and interval never write to a departed peer. A
+sealed store answers `in` and `len` as before; a write to it raises.
 """
 
 from __future__ import annotations
 
 import heapq
 from array import array
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -67,7 +75,23 @@ class PeerState(Enum):
     DEPARTED = "departed"
 
 
-@dataclass
+class SealedStore(array):
+    """A departed viewer's chunk ids, sorted: SealedStore("i", sorted(store))."""
+
+    __slots__ = ()
+
+    def __contains__(self, chunk_id: int) -> bool:
+        i = bisect_left(self, chunk_id)
+        return i < len(self) and self[i] == chunk_id
+
+    def __setitem__(self, chunk_id: int, stamp: int) -> None:
+        raise InvariantViolation(f"write of chunk {chunk_id} to a sealed store")
+
+
+NO_PINS: frozenset[int] = frozenset()
+
+
+@dataclass(slots=True)
 class PeerRuntime:
     profile: PeerProfile
     state: PeerState
@@ -98,11 +122,12 @@ class Engine:
                                / (config.transfer_kbps * 1000))
         self._chunk_duration = chunk_duration(self.stream)
 
-        self.now = self.stream.start_time
+        self.now = 0.0
         self.head_chunk = -1
         self._heap: list[tuple[float, int, object]] = []
         self._seq = 0
         self.peers: dict[int, PeerRuntime] = {}
+        self._left_since_audit: list[int] = []
 
         self._active_uploads: dict[int, int] = {}
         self._upload_queue: dict[int, deque] = {}
@@ -186,12 +211,16 @@ class Engine:
                 continue
             self._start_transfer(src, dst, chunk_id, hops)
             break
+        if queue is not None and not queue:
+            del self._upload_queue[src]
 
     # -- stores ---------------------------------------------------------------------
 
     def store_chunk(self, peer_id: int, chunk_id: int, pin: bool = False) -> bool:
         """LRU insert; pinned chunks are never evicted. False = no room."""
         peer = self.peers[peer_id]
+        if peer.pinned is NO_PINS:
+            raise InvariantViolation(f"peer {peer_id} is sealed; cannot store {chunk_id}")
         if pin:
             peer.pinned.add(chunk_id)
         if chunk_id in peer.store:
@@ -225,6 +254,7 @@ class Engine:
         if kind is SessionEventKind.LEAVE:
             peer.state = PeerState.DEPARTED
             peer.tick_epoch += 1
+            self._left_since_audit.append(evt.peer_id)
             self.driver.on_leave(evt.peer_id, self.now, evt.abrupt)
         elif kind is SessionEventKind.PAUSE:
             if peer.state is PeerState.PAUSED:
@@ -321,23 +351,19 @@ class Engine:
             profiles: dict[int, PeerProfile]) -> None:
         """Process every event up to the horizon, in (time, seq) order."""
         self._profiles = profiles
-        end = self.stream.start_time + self.horizon
+        end = self.horizon
         d = self._chunk_duration
 
         chunk_id = 0
-        while self.stream.start_time + (chunk_id + 1) * d <= end:
-            self.schedule(self.stream.start_time + (chunk_id + 1) * d,
-                          ProduceChunk(chunk_id))
+        while (chunk_id + 1) * d <= end:
+            self.schedule((chunk_id + 1) * d, ProduceChunk(chunk_id))
             chunk_id += 1
         for evt in sessions:
             if evt.time <= end:
                 self.schedule(evt.time, evt)
         if self.horizon > 0:
-            start = self.stream.start_time
-            self.schedule_timer(start + self.config.sample_period_s,
-                                PRODUCER, ("sample",))
-            self.schedule_timer(start + self.config.audit_period_s,
-                                PRODUCER, ("audit",))
+            self.schedule_timer(self.config.sample_period_s, PRODUCER, ("sample",))
+            self.schedule_timer(self.config.audit_period_s, PRODUCER, ("audit",))
 
         while self._heap:
             time, _, payload = heapq.heappop(self._heap)
@@ -372,6 +398,7 @@ class Engine:
                                     PRODUCER, ("sample",))
             elif tag[0] == "audit":
                 self.driver.on_audit(self.now)
+                self._seal_departed()
                 if self.checked:
                     self._run_checks()
                 self.schedule_timer(self.now + self.config.audit_period_s,
@@ -388,6 +415,14 @@ class Engine:
     def _take_sample(self) -> None:
         self.replica_samples.append(
             (self.now, array("i", self.driver.replica_counts(self.now))))
+
+    def _seal_departed(self) -> None:
+        """Shrink the state of every viewer that left since the last audit."""
+        for pid in self._left_since_audit:
+            peer = self.peers[pid]
+            peer.store = SealedStore("i", sorted(peer.store))
+            peer.pinned = NO_PINS
+        self._left_since_audit.clear()
 
     def _run_checks(self) -> None:
         problems = self.driver.periodic_check(self.now)
@@ -462,7 +497,7 @@ class OverlayDriver:
 
 
 def produced_chunks_within(stream: StreamParams, horizon: float) -> int:
-    """How many chunks complete during [start, start + horizon]."""
+    """How many chunks complete during [0, horizon]."""
     if horizon <= 0:
         return 0
-    return max(0, head_chunk_at(stream, stream.start_time + horizon) + 1)
+    return max(0, head_chunk_at(stream, horizon) + 1)

@@ -143,8 +143,7 @@ def run_scenario(config: ScenarioConfig, overlay: str | None = None,
     if horizon > 0:
         timeline = build_timeline(stream, horizon,
                                   show_seconds=config.show_seconds)
-        sessions = generate_sessions(config, timeline,
-                                     stream.start_time + horizon, config.seed)
+        sessions = generate_sessions(config, timeline, horizon, config.seed)
     else:
         sessions = []
     profiles = generate_profiles(sessions, config)

@@ -1,10 +1,19 @@
 """Overlay drivers exercised through the event engine."""
 
+import re
+
 import pytest
 
 from tssim.config import ScenarioConfig
 from tssim.drivers import IntervalDriver, MeshDriver, TreeDriver
-from tssim.engine import DEDICATED, Engine, PeerState
+from tssim.engine import (
+    DEDICATED,
+    NO_PINS,
+    Engine,
+    InvariantViolation,
+    PeerState,
+    SealedStore,
+)
 from tssim.stream import StreamParams, build_timeline
 from tssim.turntable import sector_of_chunk
 from tssim.workload import (
@@ -46,6 +55,16 @@ def join(t, pid, position):
 def leave(t, pid, abrupt=False):
     return SessionEvent(time=t, peer_id=pid, kind=SessionEventKind.LEAVE,
                         abrupt=abrupt)
+
+
+@pytest.mark.parametrize("overlay,settings,problem", [
+    (TreeDriver, {"k_min": 5, "k_rep": 3}, "k_min (5) cannot exceed k_rep (3)"),
+    (MeshDriver, {"k_min": 5, "k_rep": 3}, "k_min (5) cannot exceed k_rep (3)"),
+    (MeshDriver, {"fanout": 0}, "fanout must be at least 1"),
+])
+def test_turntable_drivers_reject_what_the_file_rejects(overlay, settings, problem):
+    with pytest.raises(ValueError, match=r"invalid scenario: .*" + re.escape(problem)):
+        overlay(ScenarioConfig(**settings))
 
 
 @pytest.mark.parametrize("overlay", [TreeDriver, MeshDriver, IntervalDriver])
@@ -175,6 +194,74 @@ def test_tree_audit_removes_abruptly_departed_members():
     assert 1 not in driver.structures[0].nodes
     assert engine.peers[1].state is PeerState.DEPARTED
     assert 0 in driver.structures[0].nodes
+
+
+class SealCheckEngine(Engine):
+    """Compares each store it seals with a snapshot taken just before."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.sealed = 0
+        self.sealed_lookups = 0
+
+    def _seal_departed(self):
+        before = {pid: dict(peer.store) for pid, peer in self.peers.items()
+                  if peer.state is PeerState.DEPARTED
+                  and not isinstance(peer.store, SealedStore)}
+        super()._seal_departed()
+        chunks = range(-1, self.head_chunk + 2)
+        for pid, peer in self.peers.items():
+            if peer.state is PeerState.DEPARTED:
+                assert isinstance(peer.store, SealedStore), pid
+                assert peer.pinned is NO_PINS, pid
+        for pid, store in before.items():
+            sealed = self.peers[pid].store
+            assert len(sealed) == len(store), pid
+            assert [c in sealed for c in chunks] == [c in store for c in chunks], pid
+        self.sealed += len(before)
+
+    def has_chunk(self, peer_id, chunk_id):
+        peer = self.peers.get(peer_id)
+        if peer is not None and isinstance(peer.store, SealedStore):
+            self.sealed_lookups += 1
+        return super().has_chunk(peer_id, chunk_id)
+
+
+def test_tree_seals_departed_viewers_at_the_next_audit():
+    # stores of 8 chunks evict, so a sealed store is not simply every
+    # chunk the viewer saw; abrupt leavers are detached by the audit
+    # itself, right before the seal
+    config = ScenarioConfig(horizon_s=3600.0, arrival_rate=0.1,
+                            storage_chunks=8)
+    timeline = build_timeline(StreamParams(), config.horizon_s)
+    sessions = generate_sessions(config, timeline, config.horizon_s, seed=3)
+    profiles = generate_profiles(sessions, config)
+    driver = TreeDriver(config)
+    engine = SealCheckEngine(config, driver, check_invariants=True)
+    engine.run(sessions, profiles)
+    abrupt = {e.peer_id for e in sessions
+              if e.kind is SessionEventKind.LEAVE and e.abrupt
+              and e.time < engine.now - config.audit_period_s}
+    assert abrupt
+    assert all(isinstance(engine.peers[pid].store, SealedStore) for pid in abrupt)
+    assert engine.sealed >= len(abrupt)
+    assert any(len(engine.peers[pid].store) == 8 for pid in abrupt)
+    assert engine.sealed_lookups > 0
+    assert all(engine._upload_queue.values())  # no empty deque is kept
+
+
+def test_a_write_to_a_sealed_viewer_is_an_invariant_violation():
+    driver = TreeDriver(ScenarioConfig(m=1, r=1, k_rep=1, k_min=1))
+    engine = run_engine(driver, [join(1.0, 0, 10_000), leave(100.0, 0)],
+                        horizon=600.0)
+    peer = engine.peers[0]
+    assert isinstance(peer.store, SealedStore) and len(peer.store) > 0
+    with pytest.raises(InvariantViolation):
+        engine.store_chunk(0, 1_000)
+    with pytest.raises(InvariantViolation):
+        engine.store_chunk(0, 1_000, pin=True)
+    with pytest.raises(InvariantViolation):
+        peer.store[1_000] = 0
 
 
 def test_tree_emergency_restores_replicas_after_holder_leaves():

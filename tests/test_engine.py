@@ -164,6 +164,18 @@ def test_capacity_one_sender_serves_fifo():
     assert 0 in engine.peers[102].store
 
 
+def test_a_drained_upload_queue_is_dropped():
+    engine = make_engine(100.0)
+    add_peer(engine, 100, upload=1)
+    add_peer(engine, 101)
+    for chunk in range(3):
+        engine.send_chunk(100, 101, chunk, hops=1)
+    assert len(engine._upload_queue[100]) == 2
+    engine.run([], {})
+    assert engine.counters["chunks_delivered"] == 3
+    assert engine._upload_queue == {}
+
+
 def test_send_from_departed_peer_is_dropped():
     engine = make_engine(50.0)
     add_peer(engine, 100)
