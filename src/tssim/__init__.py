@@ -16,9 +16,8 @@ from tssim.stream import (
     Show,
     StreamTimeline,
     chunk_duration,
-    chunk_at_position,
-    lag_of,
-    pause_lag_increase,
+    air_time,
+    resumed_lag,
     head_chunk_at,
     build_timeline,
 )
@@ -36,9 +35,8 @@ __all__ = [
     "Show",
     "StreamTimeline",
     "chunk_duration",
-    "chunk_at_position",
-    "lag_of",
-    "pause_lag_increase",
+    "air_time",
+    "resumed_lag",
     "head_chunk_at",
     "build_timeline",
 ]

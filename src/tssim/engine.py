@@ -9,9 +9,10 @@ by the scenario file's rules. Overlay logic lives in driver objects; the
 engine asks a driver where a chunk can be found and handles the transfer
 bookkeeping itself.
 
-Viewers are tracked in lag space. A playing viewer keeps a constant
-lag, so its position advances with the stream head; a paused viewer
-freezes its position and takes the lag increase on resume. Every
+Viewers move in lag space by tssim.stream's rule, which the workload
+plans sessions with too: a playing viewer keeps a constant lag, so its
+position advances with the stream head; a paused viewer takes its lag
+increase on resume, and a seek sets the lag from its target. Every
 chunk_duration a playing viewer ticks: it plays what it has, or asks the
 overlay for the chunk at its position. A chunk that cannot be found is
 skipped at the next tick rather than retried forever, which models a
@@ -37,9 +38,10 @@ from enum import Enum
 from tssim.config import ScenarioConfig, require_valid
 from tssim.stream import (
     StreamParams,
+    air_time,
     chunk_duration,
     head_chunk_at,
-    pause_lag_increase,
+    resumed_lag,
 )
 from tssim.workload import PeerProfile, SessionEvent, SessionEventKind
 
@@ -129,7 +131,7 @@ class Engine:
         self.peers: dict[int, PeerRuntime] = {}
         self._left_since_audit: list[int] = []
 
-        self._active_uploads: dict[int, int] = {}
+        self._active_uploads: dict[int, int] = {}  # senders with a transfer running
         self._upload_queue: dict[int, deque] = {}
         self._profiles: dict[int, PeerProfile] = {}
 
@@ -201,7 +203,9 @@ class Engine:
                       MessageDelivery(src, dst, ("chunk", chunk_id, src)))
 
     def _on_slot_free(self, src: int) -> None:
-        self._active_uploads[src] = max(0, self._active_uploads.get(src, 0) - 1)
+        self._active_uploads[src] -= 1
+        if not self._active_uploads[src]:
+            del self._active_uploads[src]
         queue = self._upload_queue.get(src)
         while queue:
             dst, chunk_id, hops = queue.popleft()
@@ -289,8 +293,7 @@ class Engine:
         if peer.tick_epoch != epoch:
             return
         old_lag = peer.lag
-        peer.lag += pause_lag_increase(self.stream, duration)
-        peer.lag = min(peer.lag, max(0, self.head_chunk))
+        peer.lag = resumed_lag(self.stream, peer.lag, duration, self.head_chunk)
         peer.state = PeerState.PLAYING
         if peer.lag != old_lag:
             self.driver.on_move(peer_id, old_lag, peer.lag, self.now)
@@ -352,11 +355,10 @@ class Engine:
         """Process every event up to the horizon, in (time, seq) order."""
         self._profiles = profiles
         end = self.horizon
-        d = self._chunk_duration
 
         chunk_id = 0
-        while (chunk_id + 1) * d <= end:
-            self.schedule((chunk_id + 1) * d, ProduceChunk(chunk_id))
+        while (airs := air_time(self.stream, chunk_id)) <= end:
+            self.schedule(airs, ProduceChunk(chunk_id))
             chunk_id += 1
         for evt in sessions:
             if evt.time <= end:

@@ -5,6 +5,13 @@ partition that sequence into consecutive, non-overlapping runs. Every
 overlay in the package addresses positions by *lag*: the distance in
 whole chunks between the newest recorded chunk (the head) and the chunk
 a viewer is playing. Lag 0 is the live edge.
+
+Viewer motion has one rule, shared by the workload that plans each
+session and the engine that plays it. Chunk c airs (finishes recording)
+at air_time(c) = (c + 1) * d, d being chunk_duration. A playing viewer
+keeps its lag, so its position at time t is head_chunk_at(t) - lag. A
+pause adds ceil(pause / d) to the lag, capped so the position never
+goes below chunk 0 (resumed_lag). A seek sets lag = head - target.
 """
 
 from __future__ import annotations
@@ -64,38 +71,29 @@ def archive_bytes(params: StreamParams, days: float) -> float:
     return archive_chunks(params, days) * params.chunk_size_bytes
 
 
-def chunk_at_position(params: StreamParams, position_time: float) -> int:
-    """Chunk id covering an absolute stream position (in seconds)."""
-    if position_time < params.start_time:
-        raise ValueError(
-            f"position {position_time} precedes stream start {params.start_time}"
-        )
-    return math.floor((position_time - params.start_time) / chunk_duration(params))
+def resumed_lag(params: StreamParams, lag: int, pause_seconds: float,
+                head: int) -> int:
+    """Lag of a viewer resuming at `head` after pausing `pause_seconds` at `lag`.
 
-
-def lag_of(position_chunk: int, head_chunk: int) -> int:
-    """Lag in chunks of a playing position behind the head; 0 = live edge."""
-    if position_chunk > head_chunk:
-        raise ValueError(f"position {position_chunk} is ahead of head {head_chunk}")
-    return head_chunk - position_chunk
-
-
-def pause_lag_increase(params: StreamParams, pause_seconds: float) -> int:
-    """Extra lag in whole chunks accumulated over a pause.
-
-    Rounded up: a resumed viewer may sit slightly further behind than the
-    raw ratio, never ahead of it.
+    The pause is rounded up to whole chunks: a resumed viewer may sit
+    slightly further behind than the raw ratio, never ahead of it. The
+    lag is capped at the head, so the position never goes below chunk 0.
     """
     if pause_seconds < 0:
         raise ValueError(f"negative pause duration {pause_seconds}")
-    return math.ceil(pause_seconds / chunk_duration(params))
+    return min(lag + math.ceil(pause_seconds / chunk_duration(params)), max(0, head))
+
+
+def air_time(params: StreamParams, chunk: int) -> float:
+    """Instant chunk `chunk` finishes recording and becomes fetchable."""
+    return params.start_time + (chunk + 1) * chunk_duration(params)
 
 
 def head_chunk_at(params: StreamParams, time: float) -> int:
     """Id of the newest fully recorded chunk at an instant; -1 before any.
 
     Chunk c covers stream interval [c*d, (c+1)*d) and only becomes
-    fetchable once its recording completes, at start_time + (c+1)*d.
+    fetchable once its recording completes, at air_time(c).
     """
     if time < params.start_time:
         raise ValueError(f"time {time} precedes stream start {params.start_time}")

@@ -6,6 +6,11 @@ qualitative ingredients: show popularity decays like a Zipf law over
 recency rank, a large share of viewers quits early into a show, and
 leave probability spikes when playback crosses a show boundary. All
 sampling is seeded and the generator is a pure function of its inputs.
+
+Sessions are planned in lag space, by the motion rule in tssim.stream
+that the engine plays them with: between events a viewer keeps its lag,
+so it crosses a show boundary b when chunk b + lag airs, and a seek or
+a pause changes the lag exactly as the engine will.
 """
 
 from __future__ import annotations
@@ -17,11 +22,7 @@ from enum import Enum
 from functools import lru_cache
 
 from tssim.config import ScenarioConfig
-from tssim.stream import (
-    StreamTimeline,
-    chunk_duration,
-    head_chunk_at,
-)
+from tssim.stream import StreamTimeline, air_time, head_chunk_at, resumed_lag
 
 
 class SessionEventKind(Enum):
@@ -126,7 +127,6 @@ def _session_events(
     forced_position: int | None,
 ) -> list[SessionEvent]:
     params = timeline.params
-    d = chunk_duration(params)
     head0 = head_chunk_at(params, join_time)
     if forced_position is not None:
         pos = min(forced_position, head0)
@@ -143,12 +143,14 @@ def _session_events(
         return events
 
     last_tiled = timeline.shows[-1].last_chunk
+    lag = head0 - pos
     t = join_time
     show = timeline.show_of_chunk(pos)
     while True:
         t_vcr = t + rng.expovariate(config.vcr_rate) if config.vcr_rate > 0 else math.inf
         boundary_chunk = show.last_chunk + 1
-        t_boundary = t + (boundary_chunk - pos) * d if boundary_chunk <= last_tiled else math.inf
+        t_boundary = (air_time(params, boundary_chunk + lag)
+                      if boundary_chunk <= last_tiled else math.inf)
         t_next = min(t_vcr, t_boundary, horizon)
         if t_next >= horizon:
             events.append(SessionEvent(time=horizon, peer_id=peer_id,
@@ -159,38 +161,31 @@ def _session_events(
                 events.append(SessionEvent(time=t_boundary, peer_id=peer_id,
                                            kind=SessionEventKind.LEAVE, abrupt=abrupt))
                 return events
-            pos = boundary_chunk
-            show = timeline.show_of_chunk(pos)
+            show = timeline.show_of_chunk(boundary_chunk)
             t = t_boundary
             continue
-        # VCR event; position advanced by playback since t.
-        pos = pos + math.floor((t_vcr - t) / d)
+        head = head_chunk_at(params, t_vcr)
+        pos = head - lag
         kind = rng.choices(VCR_KINDS, weights=(0.5, 0.25, 0.25))[0]
+        t = t_vcr
         if kind is SessionEventKind.PAUSE:
             dur = min(rng.expovariate(1 / config.pause_mean_seconds), horizon - t_vcr)
             if dur > 0:
                 events.append(SessionEvent(time=t_vcr, peer_id=peer_id,
                                            kind=kind, duration=dur))
                 t = t_vcr + dur
-            else:
-                t = t_vcr
+                lag = resumed_lag(params, lag, dur, head_chunk_at(params, t))
         elif kind is SessionEventKind.SEEK_BACKWARD and pos > 0:
             target = rng.randrange(0, pos)
             events.append(SessionEvent(time=t_vcr, peer_id=peer_id,
                                        kind=kind, target=target))
-            pos = target
-            t = t_vcr
-        elif kind is SessionEventKind.SEEK_FORWARD:
-            head_now = head_chunk_at(params, t_vcr)
-            if head_now > pos:
-                target = rng.randrange(pos + 1, head_now + 1)
-                events.append(SessionEvent(time=t_vcr, peer_id=peer_id,
-                                           kind=kind, target=target))
-                pos = target
-            t = t_vcr
-        else:
-            t = t_vcr
-        show = timeline.show_of_chunk(pos)
+            lag = head - target
+        elif kind is SessionEventKind.SEEK_FORWARD and lag > 0:
+            target = rng.randrange(pos + 1, head + 1)
+            events.append(SessionEvent(time=t_vcr, peer_id=peer_id,
+                                       kind=kind, target=target))
+            lag = head - target
+        show = timeline.show_of_chunk(head_chunk_at(params, t) - lag)
 
 
 def generate_sessions(
@@ -216,8 +211,7 @@ def generate_sessions(
     if timeline.shows[-1].last_chunk < head_chunk_at(params, horizon):
         raise ValueError("timeline does not tile the whole horizon")
 
-    d = chunk_duration(params)
-    first_playable = params.start_time + d
+    first_playable = air_time(params, 0)
     arrival_rng = random.Random(f"arrivals:{seed}")
     arrivals: list[tuple[float, int | None]] = []
     if config.arrival_rate > 0:
@@ -229,7 +223,7 @@ def generate_sessions(
             arrivals.append((t, None))
         if config.show_start_burst > 0:
             for show in timeline.shows:
-                airs_at = params.start_time + (show.first_chunk + 1) * d
+                airs_at = air_time(params, show.first_chunk)
                 if airs_at < first_playable or airs_at >= horizon:
                     continue
                 for _ in range(_poisson(arrival_rng, config.show_start_burst)):
@@ -260,34 +254,3 @@ def generate_profiles(
                 storage_capacity=config.storage_chunks,
             )
     return profiles
-
-
-def early_quit_stats(
-    events: list[SessionEvent],
-    timeline: StreamTimeline,
-    window_seconds: float,
-    horizon: float,
-) -> tuple[int, int]:
-    """(show joiners, early quitters) over sessions joining at a show start.
-
-    A session counts as a show joiner when its join position is the
-    first chunk of some show; it counts as an early quitter when it
-    leaves within `window_seconds` of joining. Sessions still active at
-    the horizon are censored and excluded from both counts.
-    """
-    starts = {s.first_chunk for s in timeline.shows}
-    join_at: dict[int, float] = {}
-    join_pos: dict[int, int] = {}
-    joiners = 0
-    early = 0
-    for e in events:
-        if e.kind is SessionEventKind.JOIN:
-            join_at[e.peer_id] = e.time
-            join_pos[e.peer_id] = e.position if e.position is not None else -1
-        elif e.kind is SessionEventKind.LEAVE:
-            if e.time >= horizon or join_pos.get(e.peer_id) not in starts:
-                continue
-            joiners += 1
-            if e.time - join_at[e.peer_id] <= window_seconds:
-                early += 1
-    return joiners, early

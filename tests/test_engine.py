@@ -15,7 +15,7 @@ from tssim.engine import (
     PeerState,
     produced_chunks_within,
 )
-from tssim.stream import StreamParams, build_timeline, chunk_duration
+from tssim.stream import StreamParams, air_time, build_timeline, chunk_duration
 from tssim.workload import (
     PeerProfile,
     SessionEvent,
@@ -159,7 +159,7 @@ def test_capacity_one_sender_serves_fifo():
     assert engine.peers[100].served == 2
     assert engine.counters["chunks_delivered"] == 2
     assert engine.counters["transfer_bytes"] == 2 * 2_000_000
-    assert engine._active_uploads[100] == 0
+    assert 100 not in engine._active_uploads  # idle senders leave no entry
     assert 0 in engine.peers[101].store
     assert 0 in engine.peers[102].store
 
@@ -368,3 +368,43 @@ def test_identical_seeds_replay_identically():
     assert a.hops_histogram == b.hops_histogram
     assert a.replica_samples == b.replica_samples
     assert a.startup_delays == b.startup_delays
+
+
+def test_no_idle_sender_keeps_an_upload_count():
+    engine = run_tree_scenario(5)
+    assert any(peer.served for peer in engine.peers.values())
+    assert 0 not in engine._active_uploads.values()
+
+
+# -- one motion rule for the workload and the engine ---------------------------
+
+
+class LeaveRecorder(TreeDriver):
+    """Notes the engine's head and the leaver's lag at every leave."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.leaves = []
+
+    def on_leave(self, peer_id, now, abrupt):
+        self.leaves.append((now, self.engine.head_chunk,
+                            self.engine.peers[peer_id].lag))
+        super().on_leave(peer_id, now, abrupt)
+
+
+def test_show_end_leaves_land_on_the_engines_show_boundary():
+    # the workload plans each session by the engine's motion rule, so a
+    # leave at a chunk's air time is a show-end leave, and the engine
+    # must then play the first chunk of a show
+    config = ScenarioConfig(seed=1, horizon_s=6 * 3600.0, arrival_rate=0.1)
+    driver = LeaveRecorder(config)
+    engine = Engine(config, driver)
+    timeline = build_timeline(engine.stream, config.horizon_s,
+                              show_seconds=config.show_seconds)
+    sessions = generate_sessions(config, timeline, config.horizon_s, config.seed)
+    engine.run(sessions, generate_profiles(sessions, config))
+    starts = {show.first_chunk for show in timeline.shows}
+    show_end = [head - lag for now, head, lag in driver.leaves
+                if now < config.horizon_s and air_time(engine.stream, head) == now]
+    assert len(show_end) >= 900
+    assert [pos for pos in show_end if pos not in starts] == []

@@ -13,52 +13,52 @@ from tssim.metrics import emit_report, run_scenario
 
 GOLDEN = [
     ("tree", {},
-     "78ceaec84efcff632abdc809cb63e8c04c5f376a2cd2eed6d0b90ccc44243479"),
+     "b975355a368ad2026677d9b6bb896fb4bed8057ce27704d89cbe57377de893e1"),
     ("tree", {"summary_mode": "bloom"},
-     "47071bacd6d5a66d75815e38ab902f096eedec2692c66aff50bd3d6c096826bb"),
+     "a030f1a41d96ec60c5bd3bf72ba473ed87577b974f437b2e5d91f64a6b663bf1"),
     ("tree", {"producer_archive": False},
-     "aa40bc279323f4a2063b2998b9935e4ea2031a173f8ef9428af96bd29c529959"),
+     "4e9bb7b83c35b9bb9ebdd93fb58725dbe84699f1a6f43d6388844244f47cbac2"),
     # fanout 1 grows long chains, so a departure re-parents a long
     # subtree and the summaries, depths and traffic along it move too
     ("tree", {"fanout": 1},
-     "db8ffa880892ae001012c96e01573985430ad677fcaa2f649d2248b3a0fd9bdd"),
+     "602d72b0aa51e7ea15c1f1b0e3cf6b182232d71c820e852deee848ee959907ee"),
     ("tree", {"summary_mode": "bloom", "fanout": 1},
-     "23597ce996593e72f6c765757568753bf42cfa2fd57e3172e7d8e42a97e5c3f2"),
+     "e80518a170a30ea935b43f3f53ea6954236234dfce015a711c1ae69b282467d9"),
     ("mesh", {},
-     "7bc4de73b4af2db15c5225c117c8a03aa9b40082bfd89c0dbd0ac34180d9545c"),
+     "b34488d9238f79c669d523a8b304eba8784b4137f799943621df5044777e7673"),
     ("mesh", {"producer_archive": False},
-     "f2f6ba23234d0f204c8c67ef9b739c9aa356cf3795459e43aceca951ebd5a356"),
+     "3f3511c89b0a9e0f720f6f4f5078b97bc14779dd88b0e61c28d51da31e1a6e93"),
     # a view of 3 overflows on nearly every merge, so eviction runs all
     # the time; with 3 colors only a view of 2 can hold more distinct
     # colors than it has room for and reach the last-of-color fallback
     ("mesh", {"max_degree": 3},
-     "bedeb345c9abe91fbabd2a647b322a683697e17c179cd941b5fd55a303ad03e2"),
+     "dfb774a42da0323d06b79c13343506ff143e0594dd95ac2669ffc86b3fa80696"),
     ("mesh", {"max_degree": 2},
-     "86a102960d36a0bcd7d352463e86b02b4dafbb2ed206a485c041d8629fbc540b"),
+     "a1bf1423c4500b749e55d03452a3e5c01b3be43700a980d4ee252ec6ba5e57ee"),
     # five times the rounds, and departed entries purged as stale
     ("mesh", {"gossip_period": 2.0},
-     "c98f3a0882c275a7bb47a01ea4ea2fb792daf181c2794c317264f1813e1abda5"),
+     "1e9f1f442dc0732f93f56e9e4fd0685a0757fb2c1a919968cb60a45ef1f34d27"),
     ("interval", {},
-     "b6e61c4f08d8752848d68be9e258bb22953d8c061e23823fc7df1da1d56e5abb"),
+     "c2266b4b36c63bf43ab25e38aee58727d0ed83d19da4aadc9af59da1bf7b29e6"),
     ("interval", {"dedicated_server": True},
-     "2fc6ed17437bdbd5e8e850537e60e8d9854ef65b2b709d9af03455c2c656a40b"),
+     "53155d4559409a2542b68cc71cb520351eb5be95ee4f4efc405eb9cd14018137"),
     # the default rebalances all block at lag 0; at this capacity both
     # succeed and are adopted, so the sweep's extension path is pinned too
     ("interval", {"upload_capacity": 50},
-     "7ce469c4fcc45ae4ddc47e4df2a02d792c7e08ff9a107de5c1df88c571687fef"),
+     "90d80db3f6cf95c589490bf9ab897fe801289da6441973b3719f827beb48766d"),
     # positions clamp to c = T, so repair spans reach the top of the indices
     ("interval", {"horizon_T": 20},
-     "c6f9ec29454f52e04cf57db132536ecafbff974829c9119303ed704107f36ab6"),
+     "a07631e48a07d52b00af914bfd9311758da5cb22b076469e7dbd9df8811b660c"),
     # about ten times the seeks, so move repairs dominate
     ("interval", {"vcr_rate": 0.01},
-     "5fe740ee497781e29578c1ce3e60aa566ff5fa4761491669be56a9877bf9d9ce"),
+     "f1048b234a0dc49402e34d35b38fe474aa20d928185092bfb30622188aff7684"),
     # three shows in the horizon, so sessions cross show boundaries and
     # run the show-end leave and the move into the next show
     ("tree", {"show_seconds": 600.0},
-     "69fe218eaa6a445868f82801a57e0d14901b238d389a65eb9b2196095429f5f5"),
+     "4cb068b766614b2c6c7d8c25ddb53efe6a4fcde82186b0ab4f9151f31ca8a01b"),
     # a store of 8 chunks fills early, so LRU eviction runs throughout
     ("tree", {"storage_chunks": 8},
-     "0ac906cc3671d3e70cd1ded1ddfed88dd9e10113ae56d43b9a750d5519d60a43"),
+     "7649416e4af40401861dc2eec980836e51b2b04f30d0681832dbe37c8d27a4b1"),
 ]
 
 

@@ -5,12 +5,11 @@ import pytest
 
 from tssim.stream import (
     StreamParams,
+    air_time,
     build_timeline,
-    chunk_at_position,
     chunk_duration,
     head_chunk_at,
-    lag_of,
-    pause_lag_increase,
+    resumed_lag,
 )
 
 
@@ -44,34 +43,20 @@ def test_invalid_params_rejected():
         StreamParams(chunk_size_bytes=-1)
 
 
-def test_chunk_at_position_origin_and_flooring():
-    params = StreamParams()
-    assert chunk_at_position(params, params.start_time) == 0
-    assert chunk_at_position(params, params.start_time + 64.0) == 2
-    assert chunk_at_position(params, params.start_time + 95.0) == 2
-
-
-def test_chunk_at_position_before_start_rejected():
-    params = StreamParams(start_time=100.0)
-    with pytest.raises(ValueError):
-        chunk_at_position(params, 99.9)
-
-
-def test_lag_of():
-    assert lag_of(7, 7) == 0
-    assert lag_of(0, 2700) == 2700
-    assert lag_of(10, 15) == 5
-    with pytest.raises(ValueError):
-        lag_of(16, 15)
-
-
 def test_produced_at_round_trip():
     params = StreamParams(start_time=12.5)
     rng = random.Random("stream-roundtrip")
     for _ in range(200):
         cid = rng.randrange(0, 100_000)
-        produced_at = params.start_time + cid * chunk_duration(params)
-        assert chunk_at_position(params, produced_at) == cid
+        airs_at = air_time(params, cid)
+        assert airs_at == params.start_time + (cid + 1) * chunk_duration(params)
+        assert head_chunk_at(params, airs_at) == cid
+        assert head_chunk_at(params, airs_at - 0.5) == cid - 1
+
+
+def pause_lag_increase(params, pause_seconds):
+    """Lag a pause adds far from the stream start, where the cap never binds."""
+    return resumed_lag(params, 0, pause_seconds, head=10**9)
 
 
 def test_pause_lag_increase_rounds_up():
@@ -94,6 +79,15 @@ def test_pause_lag_increase_never_below_exact_ratio():
         got = pause_lag_increase(params, pause)
         assert got >= pause / d
         assert got < pause / d + 1
+
+
+def test_resumed_lag_caps_at_the_head():
+    params = StreamParams()
+    assert resumed_lag(params, 10, 100.0, head=50) == 14
+    # the position never goes below chunk 0
+    assert resumed_lag(params, 48, 100.0, head=50) == 50
+    assert resumed_lag(params, 50, 1.0, head=50) == 50
+    assert resumed_lag(params, 0, 1.0, head=-1) == 0
 
 
 def test_head_chunk_at_counts_completed_recordings():

@@ -6,15 +6,15 @@ import pytest
 from tssim.config import ScenarioConfig
 from tssim.stream import (
     StreamParams,
+    StreamTimeline,
+    air_time,
     build_timeline,
-    chunk_duration,
     head_chunk_at,
 )
 from tssim.workload import (
     PeerProfile,
     SessionEvent,
     SessionEventKind,
-    early_quit_stats,
     generate_profiles,
     generate_sessions,
     zipf_popularity,
@@ -106,6 +106,37 @@ def test_events_sorted_globally():
     )
 
 
+def early_quit_stats(
+    events: list[SessionEvent],
+    timeline: StreamTimeline,
+    window_seconds: float,
+    horizon: float,
+) -> tuple[int, int]:
+    """(show joiners, early quitters) over sessions joining at a show start.
+
+    A session counts as a show joiner when its join position is the
+    first chunk of some show; it counts as an early quitter when it
+    leaves within `window_seconds` of joining. Sessions still active at
+    the horizon are censored and excluded from both counts.
+    """
+    starts = {s.first_chunk for s in timeline.shows}
+    join_at: dict[int, float] = {}
+    join_pos: dict[int, int] = {}
+    joiners = 0
+    early = 0
+    for e in events:
+        if e.kind is SessionEventKind.JOIN:
+            join_at[e.peer_id] = e.time
+            join_pos[e.peer_id] = e.position if e.position is not None else -1
+        elif e.kind is SessionEventKind.LEAVE:
+            if e.time >= horizon or join_pos.get(e.peer_id) not in starts:
+                continue
+            joiners += 1
+            if e.time - join_at[e.peer_id] <= window_seconds:
+                early += 1
+    return joiners, early
+
+
 def test_early_quit_fraction_near_target():
     timeline, horizon = make_timeline(30)
     behavior = ScenarioConfig(
@@ -123,7 +154,6 @@ def test_early_quit_fraction_near_target():
 def test_show_start_bursts_present():
     timeline, horizon = make_timeline(10)
     params = timeline.params
-    d = chunk_duration(params)
     quiet = ScenarioConfig(arrival_rate=0.005, show_start_burst=0.0)
     bursty = ScenarioConfig(arrival_rate=0.005, show_start_burst=8.0)
 
@@ -133,7 +163,7 @@ def test_show_start_bursts_present():
             if e.kind is not SessionEventKind.JOIN:
                 continue
             for show in timeline.shows:
-                airs_at = params.start_time + (show.first_chunk + 1) * d
+                airs_at = air_time(params, show.first_chunk)
                 if airs_at <= e.time <= airs_at + 61 and e.position == show.first_chunk:
                     n += 1
                     break
