@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from tssim.turntable import RouteOutcome
 
@@ -41,10 +42,13 @@ class ColorScheme:
         return (chunk_id // self.sector_count) % self.colors
 
 
-@dataclass(slots=True)
-class NeighborEntry:
-    color: int
+class NeighborEntry(NamedTuple):
+    """One sighting of a peer. Immutable, so views and samples share it;
+    as a tuple it orders by (last_seen, peer_id), the eviction order."""
+
     last_seen: float
+    peer_id: int
+    color: int
 
 
 @dataclass
@@ -53,9 +57,13 @@ class MeshPeer:
     color: int
     neighbors: dict[int, NeighborEntry] = field(default_factory=dict)
     store: set[int] = field(default_factory=set)
-    known_offers: dict[int, set[int]] = field(default_factory=dict)
+    known_offers: dict[int, frozenset[int]] = field(default_factory=dict)
     storage_capacity: int = 10**9
     missing_color_streak: int = 0
+    # the stored chunks of color `offers_color`, as last offered to the
+    # partners; a pin resets it to None
+    offers: frozenset[int] | None = None
+    offers_color: int = 0
 
 
 @dataclass(slots=True)
@@ -129,7 +137,7 @@ class SectorMesh:
             if extra:
                 seeds.update(self.rng.sample(spare, extra))
             for pid in sorted(seeds):
-                peer.neighbors[pid] = NeighborEntry(self.peers[pid].color, now)
+                peer.neighbors[pid] = NeighborEntry(now, pid, self.peers[pid].color)
         self.peers[peer_id] = peer
         peer.color = self.assign_color(peer_id)
         return peer
@@ -169,31 +177,48 @@ class SectorMesh:
 
     # -- gossip ------------------------------------------------------------------
 
-    def _sample_view(self, peer: MeshPeer, now: float,
-                     view: list[int]) -> list[tuple[int, int, float]]:
-        """Up to half the view plus the peer itself; `view` is its ids sorted."""
-        size = min(len(view), max(1, self.max_degree // 2))
+    def _sample_view(self, peer: MeshPeer, view: list[int],
+                     me: NeighborEntry) -> list[NeighborEntry]:
+        """Up to half the view's entries plus `me`, the peer's own entry.
+
+        `view` is the peer's ids sorted; the draw reorders it. The ids
+        drawn, and the draws taken, are those of `rng.sample(view, k)`:
+        this is the pool branch of CPython's `Random.sample`, with
+        `_randbelow(m)` written out as `getrandbits(m.bit_length())`
+        redrawn until below m. `sample` takes that branch while len(view)
+        is at most its set size: 21 for k <= 5, 21 + 4**ceil(log4(3k)) >=
+        21 + 3k above. Here k = max(1, max_degree // 2), or the whole view
+        when it is smaller, and a view holds at most max_degree + 2 ids: a
+        merge trims it to max_degree, then a round writes the partner's
+        entry or a bootstrap the representant's. So len(view) <= 2k + 3,
+        which is at most 13 while k <= 5 and below 21 + 3k beyond: every
+        sample takes that branch.
+        """
         neighbors = peer.neighbors
+        getrandbits = self.rng.getrandbits
+        n = len(view)
         sample = []
-        for pid in self.rng.sample(view, size) if view else ():
-            e = neighbors[pid]
-            sample.append((pid, e.color, e.last_seen))
-        sample.append((peer.peer_id, peer.color, now))
+        for m in range(n, n - min(n, max(1, self.max_degree // 2)), -1):
+            bits = m.bit_length()
+            j = getrandbits(bits)
+            while j >= m:
+                j = getrandbits(bits)
+            sample.append(neighbors[view[j]])
+            view[j] = view[m - 1]
+        sample.append(me)
         return sample
 
-    def _merge_view(self, peer: MeshPeer, sample: list[tuple[int, int, float]]) -> None:
+    def _merge_view(self, peer: MeshPeer, sample: list[NeighborEntry]) -> None:
         neighbors = peer.neighbors
         peers = self.peers
         own = peer.peer_id
-        for pid, color, seen in sample:
+        for entry in sample:
+            pid = entry.peer_id
             if pid == own or pid not in peers:
                 continue  # probing a forwarded entry fails if it departed
-            entry = neighbors.get(pid)
-            if entry is None:
-                neighbors[pid] = NeighborEntry(color, seen)
-            elif seen >= entry.last_seen:
-                entry.color = color
-                entry.last_seen = seen
+            old = neighbors.get(pid)
+            if old is None or entry.last_seen >= old.last_seen:
+                neighbors[pid] = entry
         excess = len(neighbors) - self.max_degree
         if excess <= 0:
             return
@@ -203,8 +228,7 @@ class SectorMesh:
         tally = [0] * self.scheme.colors
         for e in neighbors.values():
             tally[e.color] += 1
-        oldest_first = sorted([(e.last_seen, pid, e.color)
-                               for pid, e in neighbors.items()])
+        oldest_first = sorted(neighbors.values())
         for _, pid, color in oldest_first:
             if tally[color] > 1:
                 tally[color] -= 1
@@ -240,12 +264,18 @@ class SectorMesh:
             kept.append(pid)
         return kept, alive
 
-    def _own_color_offers(self, peer: MeshPeer) -> set[int]:
-        # ColorScheme.chunk_color inlined: it runs on every stored chunk each round
-        m, colors, own = self.scheme.sector_count, self.scheme.colors, peer.color
-        return {c for c in peer.store if c // m % colors == own}
+    def _own_color_offers(self, peer: MeshPeer) -> frozenset[int]:
+        """The peer's stored chunks of its own color, rebuilt only after a
+        pin or a change of color. Every receiver keeps this one set."""
+        own = peer.color
+        if peer.offers is None or peer.offers_color != own:
+            # ColorScheme.chunk_color inlined: it runs on every stored chunk
+            m, colors = self.scheme.sector_count, self.scheme.colors
+            peer.offers = frozenset(c for c in peer.store if c // m % colors == own)
+            peer.offers_color = own
+        return peer.offers
 
-    def _receive_offers(self, peer: MeshPeer, sender: MeshPeer, offers: set[int],
+    def _receive_offers(self, peer: MeshPeer, sender: MeshPeer, offers: frozenset[int],
                         adopted: list[tuple[int, int]]) -> None:
         """Pin offered chunks still short of k_rep, listing (peer, chunk) in
         `adopted`. `offers` is kept as the sender's offer set."""
@@ -273,19 +303,21 @@ class SectorMesh:
         if not alive:
             rep = self.representant(excluding=peer_id)
             if rep is not None:
-                peer.neighbors[rep] = NeighborEntry(peers[rep].color, now)
+                peer.neighbors[rep] = NeighborEntry(now, rep, peers[rep].color)
                 self.bootstrap_messages += 1
                 return GossipReport(rep, True, ())
             return GossipReport(None, False, ())
 
         partner_id = self.rng.choice(alive)
         partner = peers[partner_id]
-        sent = self._sample_view(peer, now, view)
-        back = self._sample_view(partner, now, sorted(partner.neighbors))
+        me = NeighborEntry(now, peer_id, peer.color)
+        you = NeighborEntry(now, partner_id, partner.color)
+        sent = self._sample_view(peer, view, me)
+        back = self._sample_view(partner, sorted(partner.neighbors), you)
         self._merge_view(partner, sent)
         self._merge_view(peer, back)
-        peer.neighbors[partner_id] = NeighborEntry(partner.color, now)
-        partner.neighbors[peer_id] = NeighborEntry(peer.color, now)
+        peer.neighbors[partner_id] = you
+        partner.neighbors[peer_id] = me
         self.shuffle_messages += 2
 
         adopted: list[tuple[int, int]] = []
@@ -313,9 +345,11 @@ class SectorMesh:
 
     def pin(self, peer_id: int, chunk_id: int) -> None:
         """Store the chunk on a member; pinning a held chunk changes nothing."""
-        store = self.peers[peer_id].store
+        peer = self.peers[peer_id]
+        store = peer.store
         if chunk_id not in store:
             store.add(chunk_id)
+            peer.offers = None
             counts = self._holder_count
             counts[chunk_id] = counts.get(chunk_id, 0) + 1
 

@@ -93,11 +93,20 @@ def head_chunk_at(params: StreamParams, time: float) -> int:
     """Id of the newest fully recorded chunk at an instant; -1 before any.
 
     Chunk c covers stream interval [c*d, (c+1)*d) and only becomes
-    fetchable once its recording completes, at air_time(c).
+    fetchable once its recording completes, at air_time(c). The head is
+    the largest c with air_time(c) <= time.
     """
     if time < params.start_time:
         raise ValueError(f"time {time} precedes stream start {params.start_time}")
-    return math.floor((time - params.start_time) / chunk_duration(params)) - 1
+    start, d = params.start_time, chunk_duration(params)
+    head = math.floor((time - start) / d) - 1
+    # the quotient can round across a whole number, so settle the head
+    # against air_time(head + 1) and air_time(head), written out
+    if start + (head + 2) * d <= time:
+        return head + 1
+    if start + (head + 1) * d > time:
+        return head - 1
+    return head
 
 
 @dataclass

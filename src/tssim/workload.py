@@ -74,7 +74,12 @@ class PeerProfile:
 
 @lru_cache(maxsize=256)
 def _zipf_norm(exponent: float, catalog_size: int) -> float:
-    return sum(i ** -exponent for i in range(1, catalog_size + 1))
+    # left to right, so every Python gives the same join draws: sum()
+    # compensates from 3.12 on, which moves the last digits
+    norm = 0.0
+    for i in range(1, catalog_size + 1):
+        norm += i ** -exponent
+    return norm
 
 
 def zipf_popularity(rank: int, exponent: float, catalog_size: int) -> float:

@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from tssim.mesh import ColorScheme, ColoredDiffusion, GossipReport, NeighborEntry, SectorMesh
+from tssim.mesh import (
+    ColorScheme,
+    ColoredDiffusion,
+    GossipReport,
+    MeshPeer,
+    NeighborEntry,
+    SectorMesh,
+)
 from tssim.turntable import RouteOutcome
 
 
@@ -69,11 +76,11 @@ def test_assign_color_breaks_ties_low():
     mesh = build_mesh(1, colors=3)
     peer = mesh.peers[0]
     peer.neighbors = {
-        10: NeighborEntry(color=0, last_seen=0.0),
-        11: NeighborEntry(color=1, last_seen=0.0),
+        10: NeighborEntry(last_seen=0.0, peer_id=10, color=0),
+        11: NeighborEntry(last_seen=0.0, peer_id=11, color=1),
     }
     assert mesh.assign_color(0) == 2
-    peer.neighbors[12] = NeighborEntry(color=2, last_seen=0.0)
+    peer.neighbors[12] = NeighborEntry(last_seen=0.0, peer_id=12, color=2)
     assert mesh.assign_color(0) == 0  # full tie goes to the lowest color
 
 
@@ -82,9 +89,9 @@ def test_assign_color_breaks_ties_low():
 def test_disjoint_views_grow_on_shuffle():
     mesh = build_mesh(6, colors=2, max_degree=4)
     a, b = mesh.peers[0], mesh.peers[1]
-    a.neighbors = {1: NeighborEntry(b.color, 0.0)}
-    b.neighbors = {3: NeighborEntry(mesh.peers[3].color, 0.0),
-                   4: NeighborEntry(mesh.peers[4].color, 0.0)}
+    a.neighbors = {1: NeighborEntry(0.0, 1, b.color)}
+    b.neighbors = {3: NeighborEntry(0.0, 3, mesh.peers[3].color),
+                   4: NeighborEntry(0.0, 4, mesh.peers[4].color)}
     report = mesh.gossip_round(0, now=10.0)
     assert report.partner == 1
     assert len(a.neighbors) > 1
@@ -140,7 +147,8 @@ def test_entry_of_a_peer_that_left_after_the_holders_tick_is_not_flagged():
     mesh = build_mesh(6, seed="stale:3")
     t = run_rounds(mesh, 10)  # every peer has just gossiped
     holder = next(p for p in mesh.peers.values() if 5 in p.neighbors)
-    holder.neighbors[5].last_seen = 0.0  # known only from an old sample
+    # known only from an old sample
+    holder.neighbors[5] = holder.neighbors[5]._replace(last_seen=0.0)
     mesh.remove_peer(5, now=t + 0.5)
     # the holder can purge the entry only at its next tick, t + period
     assert mesh.check_invariants(t + mesh.gossip_period - 0.1) == []
@@ -154,7 +162,8 @@ def test_entry_held_past_three_periods_after_departure_is_flagged():
     holders = [p for p in mesh.peers.values() if 5 in p.neighbors]
     assert holders
     for holder in holders:
-        holder.neighbors[5].last_seen = t  # heard from right before it left
+        # heard from right before it left
+        holder.neighbors[5] = holder.neighbors[5]._replace(last_seen=t)
     mesh.remove_peer(5, now=t)
     period = mesh.gossip_period
     assert mesh.check_invariants(t + 3 * period - 0.1) == []
@@ -180,19 +189,62 @@ def test_merge_view_evicts_like_one_at_a_time_rule():
                          max_degree=rng.randint(1, 6))
         peer = mesh.peers[0]
         peer.neighbors = {
-            pid: NeighborEntry(rng.randrange(3), float(rng.randrange(5)))
+            pid: NeighborEntry(float(rng.randrange(5)), pid, rng.randrange(3))
             for pid in rng.sample(range(1, 20), rng.randint(0, 8))
         }
-        sample = [(pid, rng.randrange(3), float(rng.randrange(5)))
+        sample = [NeighborEntry(float(rng.randrange(5)), pid, rng.randrange(3))
                   for pid in rng.sample(range(1, 20), rng.randint(0, 6))]
-        expected = {pid: NeighborEntry(e.color, e.last_seen)
-                    for pid, e in peer.neighbors.items()}
-        for pid, color, seen in sample:
-            if pid not in expected or seen >= expected[pid].last_seen:
-                expected[pid] = NeighborEntry(color, seen)
+        expected = dict(peer.neighbors)
+        for entry in sample:
+            pid = entry.peer_id
+            if pid not in expected or entry.last_seen >= expected[pid].last_seen:
+                expected[pid] = entry
         _evict_one_at_a_time(expected, mesh.max_degree)
         mesh._merge_view(peer, sample)
         assert peer.neighbors == expected
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sample_view_draws_like_random_sample(seed):
+    # every (view size, sample size) a view of max_degree + 2 ids can ask for
+    for max_degree in range(1, 65):
+        mesh = SectorMesh(ColorScheme(1, 1), random.Random(seed),
+                          max_degree=max_degree)
+        for n in range(0, max_degree + 3):
+            ids = sorted(random.Random(f"ids:{seed}:{n}").sample(range(10**6), n))
+            peer = MeshPeer(peer_id=-1, color=0, neighbors={
+                pid: NeighborEntry(float(pid), pid, 0) for pid in ids})
+            me = NeighborEntry(1.0, -1, 0)
+            theirs = random.Random()
+            theirs.setstate(mesh.rng.getstate())
+            sample = mesh._sample_view(peer, list(ids), me)
+            drawn = theirs.sample(ids, min(n, max(1, max_degree // 2)))
+            assert sample == [peer.neighbors[pid] for pid in drawn] + [me]
+            assert mesh.rng.getrandbits(64) == theirs.getrandbits(64)
+
+
+def test_offers_a_receiver_keeps_are_a_snapshot():
+    mesh = build_mesh(3, colors=2, m=1, k_rep=1)
+    sender = mesh.peers[0]  # color 0 holds the even chunks
+
+    def scan(peer):
+        return {c for c in peer.store if c // 1 % 2 == peer.color}
+
+    for chunk in (2, 3, 4):
+        mesh.pin(0, chunk)  # 3 is off-color, as a gap pin is
+    assert mesh.gossip_round(1, now=10.0).partner == 0  # 0 is all 1 sees
+    receiver = mesh.peers[1]
+    assert receiver.known_offers[0] == {2, 4}
+    mesh.pin(0, 6)
+    assert mesh._own_color_offers(sender) == scan(sender) == {2, 4, 6}
+    sender.neighbors = {2: NeighborEntry(10.0, 2, mesh.peers[2].color)}
+    for _ in range(2):  # two rounds without color 1 in view recolor it
+        mesh._check_recolor(sender)
+    assert sender.color == 1 and mesh.recolor_events == 1
+    assert mesh._own_color_offers(sender) == scan(sender) == {3}
+    sender.color = 0  # a color written from outside the gossip path
+    assert mesh._own_color_offers(sender) == scan(sender) == {2, 4, 6}
+    assert receiver.known_offers[0] == {2, 4}
 
 
 def test_domination_violations_converge_below_threshold():
@@ -235,8 +287,8 @@ def test_diffuse_gap_pins_on_representant():
     mesh.add_peer(1, now=0.0)
     for p in mesh.peers.values():
         p.color = 0
-        for nid in p.neighbors:
-            p.neighbors[nid].color = 0
+        for nid, entry in p.neighbors.items():
+            p.neighbors[nid] = entry._replace(color=0)
     chunk = 1  # color 1, which nobody wears
     result = mesh.colored_diffuse(0, chunk)
     assert result.gap
@@ -300,7 +352,7 @@ def test_route_adjacent_same_color_hit():
     holder.color = 0
     mesh.pin(1, 2)  # chunk 2 has color 0 (2 div 1 mod 2)
     mesh.peers[0].color = 0
-    mesh.peers[0].neighbors = {1: NeighborEntry(color=0, last_seen=0.0)}
+    mesh.peers[0].neighbors = {1: NeighborEntry(last_seen=0.0, peer_id=1, color=0)}
     out = mesh.route_request(0, 2, ttl=4)
     assert out.served_by == 1
     assert out.hops == 1
@@ -321,8 +373,8 @@ def test_route_detours_when_color_lane_blocked():
     chunk = 2  # color 0
     start.color, mid.color, holder.color = 0, 1, 0
     mesh.pin(2, chunk)
-    start.neighbors = {1: NeighborEntry(color=1, last_seen=0.0)}
-    mid.neighbors = {2: NeighborEntry(color=0, last_seen=0.0)}
+    start.neighbors = {1: NeighborEntry(last_seen=0.0, peer_id=1, color=1)}
+    mid.neighbors = {2: NeighborEntry(last_seen=0.0, peer_id=2, color=0)}
     out = mesh.route_request(0, chunk, ttl=5)
     assert out.served_by == 2
     assert out.hops == 2
@@ -335,8 +387,8 @@ def test_route_prefers_neighbors_that_offered_the_chunk():
         mesh.add_peer(pid, now=0.0)
     searcher = mesh.peers[0]
     searcher.neighbors = {
-        1: NeighborEntry(color=0, last_seen=0.0),
-        3: NeighborEntry(color=0, last_seen=0.0),
+        1: NeighborEntry(last_seen=0.0, peer_id=1, color=0),
+        3: NeighborEntry(last_seen=0.0, peer_id=3, color=0),
     }
     mesh.pin(3, 5)
     searcher.known_offers[3] = {5}
@@ -351,7 +403,7 @@ def test_route_ttl_exhausts_on_long_chains():
         mesh.add_peer(pid, now=0.0)
         mesh.peers[pid].neighbors = {}
     for pid in range(4):
-        mesh.peers[pid].neighbors = {pid + 1: NeighborEntry(0, 0.0)}
+        mesh.peers[pid].neighbors = {pid + 1: NeighborEntry(0.0, pid + 1, 0)}
     mesh.pin(4, 3)
     short = mesh.route_request(0, 3, ttl=2)
     assert short.served_by is None
@@ -410,10 +462,9 @@ class ReferenceMesh(SectorMesh):
                 continue
             entry = peer.neighbors.get(pid)
             if entry is None:
-                peer.neighbors[pid] = NeighborEntry(color, seen)
+                peer.neighbors[pid] = NeighborEntry(seen, pid, color)
             elif seen >= entry.last_seen:
-                entry.color = color
-                entry.last_seen = seen
+                peer.neighbors[pid] = entry._replace(color=color, last_seen=seen)
         excess = len(peer.neighbors) - self.max_degree
         if excess <= 0:
             return
@@ -470,7 +521,7 @@ class ReferenceMesh(SectorMesh):
         if not alive:
             rep = self.representant(excluding=peer_id)
             if rep is not None:
-                peer.neighbors[rep] = NeighborEntry(self.peers[rep].color, now)
+                peer.neighbors[rep] = NeighborEntry(now, rep, self.peers[rep].color)
                 self.bootstrap_messages += 1
                 return GossipReport(rep, True, ())
             return GossipReport(None, False, ())
@@ -481,8 +532,8 @@ class ReferenceMesh(SectorMesh):
         back = self._sample_view(partner, now, sorted(partner.neighbors.items()))
         self._merge_view(partner, sent)
         self._merge_view(peer, back)
-        peer.neighbors[partner_id] = NeighborEntry(partner.color, now)
-        partner.neighbors[peer_id] = NeighborEntry(peer.color, now)
+        peer.neighbors[partner_id] = NeighborEntry(now, partner_id, partner.color)
+        partner.neighbors[peer_id] = NeighborEntry(now, peer_id, peer.color)
         self.shuffle_messages += 2
 
         pairs = [(partner_id, c) for c in
@@ -642,11 +693,12 @@ def test_gossip_path_matches_reference(trial):
             if gone and (rng.random() < 0.5 or not view):
                 nid, color = rng.choice(gone), rng.randrange(colors)
                 for t in both:
-                    t.peers[pid].neighbors[nid] = NeighborEntry(color, seen)
+                    t.peers[pid].neighbors[nid] = NeighborEntry(seen, nid, color)
             elif view:
                 nid = rng.choice(view)
                 for t in both:
-                    t.peers[pid].neighbors[nid].last_seen = seen
+                    neighbors = t.peers[pid].neighbors
+                    neighbors[nid] = neighbors[nid]._replace(last_seen=seen)
         now += rng.uniform(0, period)
         assert _mesh_state(mesh, chunks) == _mesh_state(ref, chunks), f"step {step}"
         assert not [msg for msg in mesh.check_invariants(now) if "holder count" in msg]

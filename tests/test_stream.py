@@ -54,6 +54,27 @@ def test_produced_at_round_trip():
         assert head_chunk_at(params, airs_at - 0.5) == cid - 1
 
 
+def test_head_chunk_at_agrees_with_air_time():
+    # non-integer chunk durations, where t / d rounds across a whole number
+    for stream_kbps in (64, 100, 128, 250, 300, 333, 500, 768, 1000, 1500):
+        for chunk_mb in (0.1, 0.3, 0.7, 1.1, 2.0, 2.7, 3.3):
+            params = StreamParams(bitrate_bps=stream_kbps * 1000,
+                                  chunk_size_bytes=int(chunk_mb * 1_000_000))
+            for c in range(2000):
+                airs_at = air_time(params, c)
+                assert head_chunk_at(params, airs_at) == c
+                assert head_chunk_at(params, math.nextafter(airs_at, 0.0)) == c - 1
+
+
+def test_timeline_tiles_every_chunk_the_engine_produces():
+    params = StreamParams(bitrate_bps=250_000, chunk_size_bytes=2_700_000)
+    horizon = 21_600.0
+    produced = 0
+    while air_time(params, produced) <= horizon:
+        produced += 1  # the engine's produce loop
+    assert build_timeline(params, horizon).shows[-1].last_chunk == produced - 1
+
+
 def pause_lag_increase(params, pause_seconds):
     """Lag a pause adds far from the stream start, where the cap never binds."""
     return resumed_lag(params, 0, pause_seconds, head=10**9)

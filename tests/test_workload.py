@@ -50,6 +50,16 @@ def test_zipf_large_catalog_normalized():
     assert math.isclose(probs_sum, 1.0, abs_tol=1e-12)
 
 
+def test_zipf_norm_adds_left_to_right():
+    # sum() compensates from Python 3.12 on; the join draws must not move
+    # with the interpreter, so the norm is the plain left-to-right sum
+    for exponent, size in ((0.8, 100), (1.0, 10), (1.5, 599)):
+        plain = 0.0
+        for i in range(1, size + 1):
+            plain += i ** -exponent
+        assert zipf_popularity(1, exponent, size) == 1.0 / plain
+
+
 def test_zipf_rank_out_of_range():
     with pytest.raises(ValueError):
         zipf_popularity(0, 1.0, 5)
