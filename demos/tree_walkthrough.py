@@ -40,10 +40,11 @@ def main():
         tree.update_summary(pid)
         tree.detach(pid)
     print(f"replicas of chunk 2 now: {tree.replica_count(2)}")
-    outcome = tree.emergency_replicate(2, k_rep=3, producer_archive=True)
+    outcome = tree.emergency_replicate([2], k_rep=3, producer_archive=True)
+    source = outcome.fetched_from[2]
     print(f"emergency round: fetched from "
-          f"{'the archive' if outcome.fetched_from == -1 else outcome.fetched_from}, "
-          f"new pins {outcome.new_pins}, "
+          f"{'the archive' if source == -1 else source}, "
+          f"new pins {outcome.new_pins[2]}, "
           f"replicas back to {tree.replica_count(2)}")
     print(f"summary bytes shipped so far: {tree.summary_traffic_bytes}")
     problems = tree.check_invariants()

@@ -34,9 +34,9 @@ class _TurntableDriver(OverlayDriver):
     replication targets (`k_rep`, `k_min`) and `producer_archive` are
     read from it once it passes the scenario file's rules. `structures`
     holds one tree or mesh per sector, from the subclass's
-    `_build_structures`; each answers `replica_count(chunk)` and is
-    routed into by `_route_in_sector`, from the entry peer the turntable
-    names.
+    `_build_structures`; each answers `replica_counts(chunks)` for the
+    census and is routed into by `_route_in_sector`, from the entry
+    peer the turntable names.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -92,9 +92,11 @@ class _TurntableDriver(OverlayDriver):
         return (None, hops)
 
     def replica_counts(self, now: float) -> list[int]:
-        structures, m = self.structures, self.config.m
-        return [structures[chunk % m].replica_count(chunk)
-                for chunk in range(self.engine.head_chunk + 1)]
+        m = self.config.m
+        counts = [0] * (self.engine.head_chunk + 1)
+        for sector, structure in enumerate(self.structures):
+            counts[sector::m] = structure.replica_counts(range(sector, len(counts), m))
+        return counts
 
 
 class TreeDriver(_TurntableDriver):
@@ -134,33 +136,32 @@ class TreeDriver(_TurntableDriver):
         self._remove_from_tree(sector, peer_id, now)
 
     def _remove_from_tree(self, sector: int, peer_id: int, now: float) -> None:
+        """Detach a leaver and re-replicate, in one call, every chunk it
+        held that is now below k_min in its sector."""
         tree = self.structures[sector]
-        held = tree.unpin_all(peer_id)
-        self.engine.peers[peer_id].pinned.clear()
-        tree.detach(peer_id)
-        for chunk in sorted(held):
-            if tree.replica_count(chunk) < self.config.k_min:
-                self._emergency(sector, chunk, now)
-
-    def _emergency(self, sector: int, chunk: int, now: float) -> None:
-        tree = self.structures[sector]
-        self.emergency_rounds += 1
-        result = tree.emergency_replicate(
-            chunk, self.config.k_rep,
-            producer_archive=self.config.producer_archive)
+        held = sorted(tree.unpin_all(peer_id))
         eng = self.engine
-        if result.permanent_loss:
-            self.permanent_losses += 1
-            return
-        for pid in result.new_pins:
-            eng.store_chunk(pid, chunk, pin=True)
-        if result.new_pins:
-            nbytes = eng.stream.chunk_size_bytes * len(result.new_pins)
-            if result.fetched_from == PRODUCER:
-                eng.counters["producer_upload_bytes"] += nbytes
+        eng.peers[peer_id].pinned.clear()
+        tree.detach(peer_id)
+        k_min = self.config.k_min
+        short = [chunk for chunk, count in zip(held, tree.replica_counts(held))
+                 if count < k_min]
+        result = tree.emergency_replicate(
+            short, self.config.k_rep,
+            producer_archive=self.config.producer_archive)
+        self.emergency_rounds += len(short)
+        self.permanent_losses += len(result.lost)
+        counters = eng.counters
+        chunk_bytes = eng.stream.chunk_size_bytes
+        for chunk, pins in result.new_pins.items():
+            for pid in pins:
+                eng.store_chunk(pid, chunk, pin=True)
+            source = result.fetched_from[chunk]
+            if source == PRODUCER:
+                counters["producer_upload_bytes"] += chunk_bytes * len(pins)
             else:
-                eng.peers[result.fetched_from].served += len(result.new_pins)
-            eng.counters["control_messages"] += len(result.new_pins)
+                eng.peers[source].served += len(pins)
+            counters["control_messages"] += len(pins)
 
     def on_audit(self, now: float) -> None:
         """Find abruptly departed members still wired into the trees."""
@@ -201,8 +202,7 @@ class TreeDriver(_TurntableDriver):
         if prev is not None and prev >= 0 and prev != src:
             self.turntable.refresh_handoff_link(prev, src)
         candidate = self.turntable.offer_handoff(
-            src, chunk_id + 1,
-            stores=lambda p, c: self.engine.has_chunk(p, c))
+            src, chunk_id + 1, stores=self.engine.has_chunk)
         if candidate is not None:
             self.pending_handoff.setdefault(peer_id, {})[chunk_id + 1] = candidate
             self.engine.counters["control_messages"] += 1
@@ -295,10 +295,7 @@ class MeshDriver(_TurntableDriver):
 
     def finalize(self, now: float) -> None:
         if not self.config.producer_archive:
-            for chunk in range(self.engine.head_chunk + 1):
-                sector = sector_of_chunk(chunk, self.config.m)
-                if self.structures[sector].replica_count(chunk) == 0:
-                    self.permanent_losses += 1
+            self.permanent_losses += self.replica_counts(now).count(0)
 
     def extra_metrics(self) -> dict[str, float]:
         return {

@@ -299,15 +299,17 @@ class Engine:
             self.driver.on_move(peer_id, old_lag, peer.lag, self.now)
         self.schedule_timer(self.now, peer_id, ("tick", peer.tick_epoch))
 
-    def _viewer_tick(self, peer_id: int, epoch: int) -> None:
+    def _viewer_tick(self, fire: TimerFire) -> None:
+        """Play or request one chunk, then reschedule this same timer."""
+        peer_id = fire.owner
         peer = self.peers.get(peer_id)
         # pause and leave bump the epoch, so a matching tick is a playing viewer's
-        if peer is None or peer.tick_epoch != epoch:
+        if peer is None or peer.tick_epoch != fire.tag[1]:
             return
         position = self.head_chunk - peer.lag
         if self.head_chunk >= 0 and position >= 0:
             self._consume(peer_id, peer, position)
-        self.schedule_timer(self.now + self._chunk_duration, peer_id, ("tick", epoch))
+        self.schedule(self.now + self._chunk_duration, fire)
 
     def _consume(self, peer_id: int, peer: PeerRuntime, position: int) -> None:
         if peer.lag == 0:
@@ -367,12 +369,13 @@ class Engine:
             self.schedule_timer(self.config.sample_period_s, PRODUCER, ("sample",))
             self.schedule_timer(self.config.audit_period_s, PRODUCER, ("audit",))
 
-        while self._heap:
-            time, _, payload = heapq.heappop(self._heap)
+        heap, pop, dispatch = self._heap, heapq.heappop, self._dispatch
+        while heap:
+            time, _, payload = pop(heap)
             if time > end:
                 break
             self.now = time
-            self._dispatch(payload)
+            dispatch(payload)
 
         self.now = end
         self.driver.finalize(self.now)
@@ -380,25 +383,21 @@ class Engine:
             self._run_checks()
 
     def _dispatch(self, payload) -> None:
-        if isinstance(payload, ProduceChunk):
-            self.head_chunk = payload.chunk_id
-            self.counters["chunks_produced"] += 1
-            self.driver.on_produce(payload.chunk_id, self.now)
-        elif isinstance(payload, SessionEvent):
-            self._on_session_event(payload)
-        elif isinstance(payload, TimerFire):
+        kind = type(payload)  # exact types, the most frequent first
+        if kind is TimerFire:
             tag = payload.tag
-            if tag[0] == "tick":
-                self._viewer_tick(payload.owner, tag[1])
-            elif tag[0] == "resume":
-                self._on_resume(payload.owner, tag[1], tag[2])
-            elif tag[0] == "slot_free":
+            name = tag[0]
+            if name == "tick":
+                self._viewer_tick(payload)
+            elif name == "slot_free":
                 self._on_slot_free(payload.owner)
-            elif tag[0] == "sample":
+            elif name == "resume":
+                self._on_resume(payload.owner, tag[1], tag[2])
+            elif name == "sample":
                 self._take_sample()
                 self.schedule_timer(self.now + self.config.sample_period_s,
                                     PRODUCER, ("sample",))
-            elif tag[0] == "audit":
+            elif name == "audit":
                 self.driver.on_audit(self.now)
                 self._seal_departed()
                 if self.checked:
@@ -407,12 +406,18 @@ class Engine:
                                     PRODUCER, ("audit",))
             else:
                 self.driver.on_timer(payload.owner, tag, self.now)
-        elif isinstance(payload, MessageDelivery):
+        elif kind is MessageDelivery:
             msg = payload.message
             if msg[0] == "chunk":
                 self._on_chunk_arrival(msg[2], payload.dst, msg[1])
             else:
                 self.driver.on_message(payload.src, payload.dst, msg, self.now)
+        elif kind is SessionEvent:
+            self._on_session_event(payload)
+        elif kind is ProduceChunk:
+            self.head_chunk = payload.chunk_id
+            self.counters["chunks_produced"] += 1
+            self.driver.on_produce(payload.chunk_id, self.now)
 
     def _take_sample(self) -> None:
         self.replica_samples.append(

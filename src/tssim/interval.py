@@ -543,31 +543,36 @@ def _extend_to_cover(
     window_hi = min(constraints.T, window_hi)
 
     for t in range(window_lo, window_hi + 1):
-        while True:
-            cover = len(holders[t])
-            if cover >= k:
-                break
-            options = []
-            for pid in members:
-                iv = vertices.get(pid)
-                if iv is None or iv.covers(t):
-                    continue
-                if iv.c <= t and iv.r < t:
-                    options.append((t - iv.r, 0, pid, "r"))
-                elif iv.c >= t and iv.l > t:
-                    options.append((iv.l - t, 1, pid, "l"))
-            options.sort()
-            for _cost, _pref, pid, side in options:
+        cover = len(holders[t])
+        if cover >= k:
+            continue
+        # an extension changes only its own member's option, so the sorted
+        # list is built once per lag and loses just the member extended;
+        # every pass still retries from the cheapest, as the caps moved
+        options = []
+        for pid in members:
+            iv = vertices.get(pid)
+            if iv is None or iv.covers(t):
+                continue
+            if iv.c <= t and iv.r < t:
+                options.append((t - iv.r, 0, pid, "r"))
+            elif iv.c >= t and iv.l > t:
+                options.append((iv.l - t, 1, pid, "l"))
+        options.sort()
+        while cover < k:
+            for i, (_cost, _pref, pid, side) in enumerate(options):
                 iv = vertices[pid]
                 cand = (Interval(pid, iv.l, iv.c, t) if side == "r"
                         else Interval(pid, t, iv.c, iv.r))
                 if _admissible(graph, constraints, cand, side):
                     graph.add(cand)
                     outcome.changed[pid] = cand
+                    del options[i]
                     break
             else:
                 outcome.incidents.append((t, cover))
                 break
+            cover = len(holders[t])
     return outcome
 
 

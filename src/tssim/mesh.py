@@ -356,6 +356,11 @@ class SectorMesh:
     def replica_count(self, chunk_id: int) -> int:
         return self._holder_count.get(chunk_id, 0)
 
+    def replica_counts(self, chunk_ids) -> list[int]:
+        """`replica_count` of each chunk, in the order given."""
+        count = self._holder_count
+        return [count.get(chunk_id, 0) for chunk_id in chunk_ids]
+
     def holders(self, chunk_id: int) -> list[int]:
         return sorted(pid for pid, p in self.peers.items() if chunk_id in p.store)
 

@@ -11,12 +11,24 @@ default. Both are kept incrementally: each node counts the references
 to every key of its subtree, so a change walks toward the root only as
 far as some claim flips, and a Bloom filter drops the bits of a chunk
 that leaves the subtree unless another chunk still sets them.
+
+A departure's emergency re-replication pins all its chunks first and
+then walks the gains rootward once, deepest nodes first, instead of one
+walk per pin. It charges the traffic the per-chunk walks would have: a
+changed node under a non-producer parent ships its summary once per
+chunk whose claim flips there, in chunk order. An exact summary of L
+keys that gains n keys thus ships 8·(n·L + n(n+1)/2) bytes, its sizes
+after each flip; a Bloom filter ships its full size for each chunk that
+sets a new bit there. Batching per node gives the same flips as the
+per-chunk order, because once a chunk's walk ends every ancestor
+already claims it.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from tssim.engine import PRODUCER
 from tssim.turntable import RouteOutcome
@@ -180,11 +192,13 @@ class DiffusionResult:
     deficit: int  # k_rep minus what was achievable
 
 
-@dataclass(frozen=True)
-class EmergencyResult:
-    new_pins: list[int]
-    permanent_loss: bool
-    fetched_from: int | None  # peer id, PRODUCER (archive), or None on loss
+class EmergencyResult(NamedTuple):
+    """One departure's re-replication; every chunk asked for is in
+    exactly one of `fetched_from` and `lost`."""
+
+    new_pins: dict[int, list[int]]  # chunk -> peers that now store it; gainers only
+    fetched_from: dict[int, int]  # chunk -> its source: a holder, or PRODUCER (archive)
+    lost: list[int]  # chunks with no holder and no archive: gone for good
 
 
 class SectorTree:
@@ -428,20 +442,29 @@ class SectorTree:
     def replica_count(self, chunk_id: int) -> int:
         return len(self._holders.get(chunk_id, ()))
 
+    def replica_counts(self, chunk_ids) -> list[int]:
+        """`replica_count` of each chunk, in the order given."""
+        holders = self._holders
+        return [len(holders.get(chunk_id, ())) for chunk_id in chunk_ids]
+
     def holders(self, chunk_id: int) -> list[int]:
         return sorted(self._holders.get(chunk_id, ()))
 
     # -- diffusion and pinning ----------------------------------------------
 
-    def _pin(self, peer_id: int, chunk_id: int) -> None:
-        self.nodes[peer_id].store.add(chunk_id)
-        counted = self._counted[peer_id]
-        gained = ()
-        if chunk_id not in counted:  # pinning a held chunk changes nothing
-            counted.add(chunk_id)
-            self._holders.setdefault(chunk_id, set()).add(peer_id)
-            gained = self.summaries[peer_id].keys_of(chunk_id)
-        self._walk(peer_id, gained)
+    def _store(self, peer_ids: list[int], chunk_id: int) -> list[int]:
+        """Store and index a chunk on each node; returns the nodes that
+        did not count it yet, whose summaries must still hear of it."""
+        nodes, counted = self.nodes, self._counted
+        fresh = []
+        for pid in peer_ids:
+            nodes[pid].store.add(chunk_id)
+            if chunk_id not in counted[pid]:  # pinning a held chunk changes nothing
+                counted[pid].add(chunk_id)
+                fresh.append(pid)
+        if fresh:
+            self._holders.setdefault(chunk_id, set()).update(fresh)
+        return fresh
 
     def _deepest(self, count: int, skip=()) -> list[int]:
         """Up to `count` nodes with spare storage outside `skip`, deepest
@@ -463,8 +486,8 @@ class SectorTree:
     def diffuse_chunk(self, chunk_id: int, k_rep: int) -> DiffusionResult:
         """Pin a fresh chunk on k_rep nodes, deepest candidates first."""
         pinned = self._deepest(k_rep)
-        for pid in pinned:
-            self._pin(pid, chunk_id)
+        for pid in self._store(pinned, chunk_id):
+            self._walk(pid, self.summaries[pid].keys_of(chunk_id))
         return DiffusionResult(pinned=pinned, deficit=max(0, k_rep - len(pinned)))
 
     def unpin_all(self, peer_id: int) -> set[int]:
@@ -532,26 +555,88 @@ class SectorTree:
 
     def emergency_replicate(
         self,
-        chunk_id: int,
+        chunk_ids: list[int],
         k_rep: int,
         producer_archive: bool = False,
     ) -> EmergencyResult:
-        """Top replicas back up to k_rep (or to what the sector can hold).
+        """Top each chunk's replicas back up to k_rep (or to what the
+        sector can hold), one distinct chunk id at a time in ascending order.
 
-        A representant fetches the chunk from any remaining holder, or
-        from the producer's archive when that is enabled; with neither,
-        the chunk is gone for good and said so.
+        A representant fetches a chunk from its lowest-id remaining
+        holder, or from the producer's archive when that is enabled;
+        with neither, the chunk is gone for good and said so. The pins
+        of all chunks reach the summaries in one rootward pass.
         """
-        held_by = self._holders.get(chunk_id, ())
-        if held_by:
-            source = min(held_by)
-        elif producer_archive:
-            source = PRODUCER
-        else:
-            return EmergencyResult(new_pins=[], permanent_loss=True, fetched_from=None)
-        # nothing pinnable is no loss: a holder or the archive still has it
-        new_pins = self._deepest(k_rep - len(held_by), skip=held_by)
-        for pid in new_pins:
-            self._pin(pid, chunk_id)
-        return EmergencyResult(new_pins=new_pins, permanent_loss=False,
-                               fetched_from=source)
+        holders = self._holders
+        new_pins: dict[int, list[int]] = {}
+        fetched_from: dict[int, int] = {}
+        lost: list[int] = []
+        gained: dict[int, list[int]] = {}  # node -> chunks it now counts, in order
+        for chunk_id in sorted(chunk_ids):
+            held_by = holders.get(chunk_id, ())
+            if held_by:
+                fetched_from[chunk_id] = min(held_by)
+            elif producer_archive:
+                fetched_from[chunk_id] = PRODUCER
+            else:
+                lost.append(chunk_id)
+                continue
+            # nothing pinnable is no loss: a holder or the archive still has it
+            pins = self._deepest(k_rep - len(held_by), skip=held_by)
+            if not pins:
+                continue
+            new_pins[chunk_id] = pins
+            for pid in self._store(pins, chunk_id):
+                gained.setdefault(pid, []).append(chunk_id)
+        if gained:
+            self._walk_gains(gained)
+        return EmergencyResult(new_pins, fetched_from, lost)
+
+    def _walk_gains(self, gained: dict[int, list[int]]) -> None:
+        """Count the chunks each node gained and push the flips rootward
+        in one pass, deepest nodes first, charging the traffic of the
+        per-chunk walks (see the module docstring)."""
+        depth, nodes, summaries = self._depth, self.nodes, self.summaries
+        exact = self.summary_mode == "exact"
+        # what reaches each node: its own chunks' keys and its children's
+        # flips; exact: a list of chunk ids, Bloom: chunk -> bit positions
+        arriving: dict = {}
+        levels: dict[int, list[int]] = {}  # depth -> nodes with arrivals
+        for pid, chunk_ids in gained.items():
+            if exact:
+                arriving[pid] = chunk_ids
+            else:
+                keys_of = summaries[pid].keys_of
+                arriving[pid] = {c: list(keys_of(c)) for c in chunk_ids}
+            levels.setdefault(depth[pid], []).append(pid)
+        traffic = 0
+        for level in range(max(levels), 0, -1):
+            for pid in levels.pop(level, ()):
+                summary = summaries[pid]
+                if exact:
+                    before = summary.size_bytes()
+                    up = summary.add(arriving.pop(pid))
+                    n = len(up)
+                    cost = n * before + 8 * n * (n + 1) // 2
+                else:
+                    mine = arriving.pop(pid)
+                    up = {}
+                    for chunk_id in sorted(mine):
+                        flipped = summary.add(mine[chunk_id])
+                        if flipped:
+                            up[chunk_id] = flipped
+                    cost = len(up) * summary.size_bytes()
+                parent = nodes[pid].parent
+                if not up or parent == PRODUCER:
+                    continue
+                traffic += cost
+                above = arriving.get(parent)
+                if above is None:
+                    arriving[parent] = up
+                    levels.setdefault(level - 1, []).append(parent)
+                elif exact:
+                    above.extend(up)
+                else:
+                    for chunk_id, keys in up.items():
+                        above.setdefault(chunk_id, []).extend(keys)
+        self.summary_traffic_bytes += traffic

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
+from typing import NamedTuple
 
 MAX_HANDOFF_LINKS = 2
 
@@ -28,8 +29,7 @@ def sector_of_chunk(chunk_id: int, m: int) -> int:
     return chunk_id % m
 
 
-@dataclass(frozen=True)
-class RouteOutcome:
+class RouteOutcome(NamedTuple):
     served_by: int | None  # None means MissingChunk
     hops: int
 

@@ -189,11 +189,11 @@ def test_acceptance_04_emergency_replication():
             tree.update_summary(pid)
             tree.detach(pid)
         survivors_held = tree.replica_count(chunk)
-        outcome = tree.emergency_replicate(chunk, k_rep,
+        outcome = tree.emergency_replicate([chunk], k_rep,
                                            producer_archive=archive)
         after = tree.replica_count(chunk)
         expected = min(k_rep, len(tree.nodes))
-        if outcome.permanent_loss:
+        if chunk in outcome.lost:
             losses += 1
             genuine = survivors_held == 0 and not archive and after == 0
             if not genuine:

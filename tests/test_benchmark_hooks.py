@@ -58,3 +58,24 @@ MODULE_NAMES = (
                          ids=[f"{m.__name__}.{name}" for m, name in MODULE_NAMES])
 def test_traced_module_function_exists(module, name):
     assert callable(getattr(module, name, None))
+
+
+def test_tree_departures_reach_emergency_replicate(monkeypatch):
+    # spans.py wraps the class attribute and tallies `not result.new_pins`
+    from tssim.config import ScenarioConfig
+    from tssim.metrics import run_scenario
+
+    results = []
+    replicate = SectorTree.emergency_replicate
+
+    def recorded(tree, *args, **kwargs):
+        results.append(replicate(tree, *args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(SectorTree, "emergency_replicate", recorded)
+    report = run_scenario(ScenarioConfig(overlay="tree", seed=1, horizon_s=1800.0,
+                                         arrival_rate=0.1))
+    assert report.scalars["emergency_rounds"] > 0
+    assert results
+    assert all(hasattr(result, "new_pins") for result in results)
+    assert any(result.new_pins for result in results)

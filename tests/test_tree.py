@@ -333,13 +333,13 @@ def test_emergency_tops_up_from_survivor():
     t.nodes[3].store.discard(50)
     t.update_summary(2)
     t.update_summary(3)
-    res = t.emergency_replicate(50, k_rep=3)
-    assert res.fetched_from == 1
-    assert len(res.new_pins) == 2
-    assert not res.permanent_loss
+    res = t.emergency_replicate([50], k_rep=3)
+    assert res.fetched_from[50] == 1
+    assert len(res.new_pins[50]) == 2
+    assert res.lost == []
     assert t.replica_count(50) == 3
-    assert 1 not in res.new_pins  # the survivor is the source, not a new pin
-    assert t.holders(50) == sorted([1, *res.new_pins])
+    assert 1 not in res.new_pins[50]  # the survivor is the source, not a new pin
+    assert t.holders(50) == sorted([1, *res.new_pins[50]])
     for pid in t.holders(50):
         assert 50 in t.nodes[pid].store
 
@@ -349,35 +349,35 @@ def test_emergency_noop_when_replicas_suffice():
     for pid in (0, 1):
         t.nodes[pid].store.add(4)
         t.update_summary(pid)
-    res = t.emergency_replicate(4, k_rep=2)
-    assert res.new_pins == []
-    assert not res.permanent_loss
+    res = t.emergency_replicate([4], k_rep=2)
+    assert res.new_pins == {}
+    assert res.lost == []
 
 
 def test_emergency_falls_back_to_archive():
     t = chain(3)
-    res = t.emergency_replicate(12, k_rep=2, producer_archive=True)
-    assert res.fetched_from == PRODUCER
-    assert len(res.new_pins) == 2
-    assert not res.permanent_loss
+    res = t.emergency_replicate([12], k_rep=2, producer_archive=True)
+    assert res.fetched_from[12] == PRODUCER
+    assert len(res.new_pins[12]) == 2
+    assert res.lost == []
     assert t.replica_count(12) == 2
 
 
 def test_emergency_reports_permanent_loss():
     t = chain(3)
-    res = t.emergency_replicate(12, k_rep=2, producer_archive=False)
-    assert res.permanent_loss
-    assert res.new_pins == []
-    assert res.fetched_from is None
+    res = t.emergency_replicate([12], k_rep=2, producer_archive=False)
+    assert res.lost == [12]
+    assert res.new_pins == {}
+    assert res.fetched_from == {}
 
 
 def test_emergency_respects_storage_limits():
     t = SectorTree(fanout=2)
     t.attach(0, storage_capacity=1)
     t.nodes[0].store.add(1)
-    res = t.emergency_replicate(2, k_rep=1, producer_archive=True)
-    assert res.new_pins == []
-    assert not res.permanent_loss  # the archive still has it
+    res = t.emergency_replicate([2], k_rep=1, producer_archive=True)
+    assert res.new_pins == {}
+    assert res.lost == []  # the archive still has it
 
 
 # -- churn ----------------------------------------------------------------------
@@ -547,17 +547,32 @@ class RebuildTree:
         node.store.clear()
         return held
 
-    def emergency_replicate(self, chunk, k_rep, producer_archive=False):
+    def emergency_replicate(self, chunks, k_rep, producer_archive=False):
+        """The per-chunk rounds in ascending order, gathered as one result."""
+        result = EmergencyResult(new_pins={}, fetched_from={}, lost=[])
+        for chunk in sorted(chunks):
+            new_pins, permanent_loss, source = self.emergency_replicate_one(
+                chunk, k_rep, producer_archive)
+            if permanent_loss:
+                result.lost.append(chunk)
+                continue
+            result.fetched_from[chunk] = source
+            if new_pins:
+                result.new_pins[chunk] = new_pins
+        return result
+
+    def emergency_replicate_one(self, chunk, k_rep, producer_archive):
+        """One chunk's round: (new pins, permanent loss, source)."""
         holders = self.holders(chunk)
         if holders:
             source = holders[0]
         elif producer_archive:
             source = PRODUCER
         else:
-            return EmergencyResult(new_pins=[], permanent_loss=True, fetched_from=None)
+            return [], True, None
         need = k_rep - len(holders)
         if need <= 0 and holders:
-            return EmergencyResult(new_pins=[], permanent_loss=False, fetched_from=source)
+            return [], False, source
         candidates = [pid for pid, n in self.nodes.items()
                       if chunk not in n.store and len(n.store) < n.storage_capacity]
         candidates.sort(key=lambda pid: (-self.depth_of(pid), pid))
@@ -568,10 +583,8 @@ class RebuildTree:
         for pid in new_pins:
             self.update_summary(pid)
         if not holders and not new_pins:
-            return EmergencyResult(new_pins=[], permanent_loss=not producer_archive,
-                                   fetched_from=source)
-        return EmergencyResult(new_pins=new_pins, permanent_loss=False,
-                               fetched_from=source)
+            return [], not producer_archive, source
+        return new_pins, False, source
 
 
 def summary_content(summary, mode):
@@ -644,10 +657,59 @@ def test_indexed_tree_matches_rebuild(mode):
             else:
                 chunk, k_rep = rng.choice(chunks), rng.randint(1, 4)
                 archive = rng.random() < 0.5
-                assert tree.emergency_replicate(chunk, k_rep, archive) == \
-                    ref.emergency_replicate(chunk, k_rep, archive)
+                assert tree.emergency_replicate([chunk], k_rep, archive) == \
+                    ref.emergency_replicate([chunk], k_rep, archive)
             assert_matches_rebuild(tree, ref, mode, chunks, step)
         assert tree.check_invariants() == []
+
+
+@pytest.mark.parametrize("mode", ["exact", "bloom"])
+def test_one_pass_departure_matches_per_chunk_rounds(mode):
+    # a departure as the driver makes it: unpin, detach, then one call for
+    # every held chunk below k_min, against one reference round per chunk
+    chunks = range(24)
+    seen = {"shared node": 0, "refused pin": 0, "loss": 0, "archive": 0}
+    for trial in range(40):
+        rng = random.Random(f"one-pass-departure:{mode}:{trial}")
+        shape = dict(fanout=rng.randint(1, 3), summary_mode=mode,
+                     bloom_bits=64, bloom_hashes=2)
+        tree, ref = SectorTree(**shape), RebuildTree(**shape)
+        for pid in range(rng.randint(3, 16)):
+            kw = dict(upload_capacity=rng.randint(1, 4),
+                      storage_capacity=rng.choice([2, 4, 8, 10**9]),
+                      as_root=rng.random() < 0.1)
+            tree.attach(pid, **kw)
+            ref.attach(pid, **kw)
+        for chunk in chunks:
+            k_rep = rng.randint(1, 4)
+            assert tree.diffuse_chunk(chunk, k_rep) == ref.diffuse_chunk(chunk, k_rep)
+        for step in range(rng.randint(1, 5)):
+            if len(ref.nodes) < 2:
+                break
+            pid = rng.choice(sorted(ref.nodes))
+            held = tree.unpin_all(pid)
+            assert held == ref.unpin_all(pid)
+            ref.update_summary(pid)
+            assert tree.detach(pid) == ref.detach(pid)
+            k_rep = rng.randint(1, 4)
+            k_min = rng.randint(1, k_rep)
+            archive = rng.random() < 0.5
+            short = [c for c in sorted(held) if ref.replica_count(c) < k_min]
+            result = tree.emergency_replicate(short, k_rep, producer_archive=archive)
+            assert result == ref.emergency_replicate(short, k_rep, archive)
+            assert sorted([*result.fetched_from, *result.lost]) == short
+            assert_matches_rebuild(tree, ref, mode, chunks, f"{trial}.{step}")
+            pins = [p for chunk_pins in result.new_pins.values() for p in chunk_pins]
+            seen["shared node"] += len(pins) > len(set(pins))
+            seen["refused pin"] += sum(
+                tree.replica_count(c) < min(k_rep, len(tree.nodes))
+                for c in result.fetched_from)
+            seen["loss"] += len(result.lost)
+            seen["archive"] += list(result.fetched_from.values()).count(PRODUCER)
+        assert tree.check_invariants() == []
+    # each path of the batched call ran: a node gaining several chunks in
+    # one pass, a pin refused for lack of storage, a loss and the archive
+    assert all(seen.values()), seen
 
 
 def test_check_invariants_audits_the_indices():

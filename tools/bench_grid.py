@@ -9,6 +9,10 @@ emit_report into a temporary directory. For each cell the tool records:
 - emit_s: wall time of emit_report;
 - viewer_s: each viewer's join -> leave time, clipped at the horizon;
 - viewer_s_per_s: viewer_s / run_s;
+- events: Engine.schedule calls, counted by a wrapper put on the class
+  from outside the package, as perfbench/spans.py counts engine.events
+  (run_s includes the wrapper's cost);
+- events_per_s: events / run_s;
 - peak_rss_mb: the child's peak resident set, from getrusage;
 - digest: sha256 of the four CSVs, so two sources can be checked for
   identical outputs.
@@ -22,7 +26,7 @@ over its repeats; the single runs are kept under "runs".
 Run from the repository root, standard library only:
 
     python3 tools/bench_grid.py --src parent=../old/src --src change=src \\
-        --repeat 3 --out BENCH_1.json
+        --repeat 3 --out BENCH_5.json
 """
 
 from __future__ import annotations
@@ -46,7 +50,8 @@ GRID = [
     for horizon_s, arrival_rate in (
         (3600.0, 0.05), (3600.0, 0.2), (3600.0, 0.5), (86400.0, 0.05))
 ]
-METRICS = ("run_s", "emit_s", "viewer_s", "viewer_s_per_s", "peak_rss_mb")
+METRICS = ("run_s", "emit_s", "viewer_s", "viewer_s_per_s", "events",
+           "events_per_s", "peak_rss_mb")
 
 
 def run_cell(overlay: str, horizon_s: float, arrival_rate: float,
@@ -57,15 +62,21 @@ def run_cell(overlay: str, horizon_s: float, arrival_rate: float,
     from tssim import Engine, ScenarioConfig, emit_report, run_scenario
     from tssim.workload import SessionEventKind
 
-    seen = {}
+    seen = {"events": 0}
     simulate = Engine.run
+    schedule = Engine.schedule
 
     def capture(engine, sessions, profiles):
         seen["sessions"] = sessions
         seen["end"] = engine.stream.start_time + engine.horizon
         simulate(engine, sessions, profiles)
 
+    def count(engine, time, payload):
+        seen["events"] += 1
+        schedule(engine, time, payload)
+
     Engine.run = capture
+    Engine.schedule = count
     config = ScenarioConfig(overlay=overlay, seed=SEED, horizon_s=horizon_s,
                             arrival_rate=arrival_rate)
     start = time.perf_counter()
@@ -93,6 +104,8 @@ def run_cell(overlay: str, horizon_s: float, arrival_rate: float,
         "emit_s": emitted - ran,
         "viewer_s": viewer_s,
         "viewer_s_per_s": viewer_s / run_s,
+        "events": seen["events"],
+        "events_per_s": seen["events"] / run_s,
         "peak_rss_mb": peak_kib / 1024,
         "peers_seen": report.scalars["peers_seen"],
         "digest": digest.hexdigest(),
