@@ -9,6 +9,13 @@ by the scenario file's rules. Overlay logic lives in driver objects; the
 engine asks a driver where a chunk can be found and handles the transfer
 bookkeeping itself.
 
+Every event passes through `Engine.schedule` onto one heap and comes off
+it through `Engine._dispatch`. A timer's handler is found by one lookup
+of its tag's first element in a table built with the engine: "tick",
+"slot_free", "resume", "sample" and "audit" are the engine's own, and
+any other tag (a mesh gossip round, an interval rebalance) goes to the
+driver's `on_timer`.
+
 Viewers move in lag space by tssim.stream's rule, which the workload
 plans sessions with too: a playing viewer keeps a constant lag, so its
 position advances with the stream head; a paused viewer takes its lag
@@ -28,12 +35,12 @@ sealed store answers `in` and `len` as before; a write to it raises.
 
 from __future__ import annotations
 
-import heapq
 from array import array
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from heapq import heappop, heappush
 
 from tssim.config import ScenarioConfig, require_valid
 from tssim.stream import (
@@ -91,6 +98,8 @@ class SealedStore(array):
 
 
 NO_PINS: frozenset[int] = frozenset()
+_DEPARTED = PeerState.DEPARTED
+_SLOT_FREE = ("slot_free",)  # every slot-free timer shares this tag
 
 
 @dataclass(slots=True)
@@ -123,6 +132,8 @@ class Engine:
         self._transfer_time = (self.stream.chunk_size_bytes * 8
                                / (config.transfer_kbps * 1000))
         self._chunk_duration = chunk_duration(self.stream)
+        self._hop_latency = config.hop_latency_s
+        self._chunk_bytes = self.stream.chunk_size_bytes
 
         self.now = 0.0
         self.head_chunk = -1
@@ -152,70 +163,89 @@ class Engine:
         # one (time, counts) pair per sample; counts[c] is chunk c's census
         self.replica_samples: list[tuple[float, array]] = []
 
+        # the engine's own timers by tag[0]; any other tag is the driver's
+        self._timers = {
+            "tick": self._viewer_tick,
+            "slot_free": self._on_slot_free,
+            "resume": self._on_resume,
+            "sample": self._on_sample,
+            "audit": self._on_audit,
+        }
+
         driver.bind(self)
 
     # -- scheduling -----------------------------------------------------------
 
     def schedule(self, time: float, payload) -> None:
-        heapq.heappush(self._heap, (time, self._seq, payload))
+        heappush(self._heap, (time, self._seq, payload))
         self._seq += 1
 
     def schedule_timer(self, time: float, owner: int, tag: tuple) -> None:
-        self.schedule(time, TimerFire(owner=owner, tag=tag))
+        self.schedule(time, TimerFire(owner, tag))
 
     # -- transport --------------------------------------------------------------
 
     def send_control(self, src: int, dst: int, message: tuple) -> None:
         """One control message, one hop away."""
         self.counters["control_messages"] += 1
-        self.schedule(self.now + self.config.hop_latency_s,
+        self.schedule(self.now + self._hop_latency,
                       MessageDelivery(src, dst, message))
 
     def send_chunk(self, src: int, dst: int, chunk_id: int, hops: int) -> None:
         """Move one chunk; `src` runs at most upload_capacity transfers at once."""
         if src == PRODUCER or src == DEDICATED:
-            self.counters["producer_upload_bytes"] += self.stream.chunk_size_bytes
-            self._deliver_chunk(src, dst, chunk_id, hops)
+            counters = self.counters
+            counters["producer_upload_bytes"] += self._chunk_bytes
+            counters["transfer_bytes"] += self._chunk_bytes
+            # the arrival time is _start_transfer's, grouped the same way
+            self.schedule(
+                self.now + (self._transfer_time + self._hop_latency * max(1, hops)),
+                MessageDelivery(src, dst, ("chunk", chunk_id, src)))
             return
         peer = self.peers.get(src)
-        if peer is None or peer.state is PeerState.DEPARTED:
+        if peer is None or peer.state is _DEPARTED:
             self.counters["dropped_messages"] += 1
             return
-        active = self._active_uploads.get(src, 0)
-        if active < peer.profile.upload_capacity:
-            self._start_transfer(src, dst, chunk_id, hops)
+        if self._active_uploads.get(src, 0) < peer.profile.upload_capacity:
+            self._start_transfer(peer, src, dst, chunk_id, hops)
         else:
             self._upload_queue.setdefault(src, deque()).append((dst, chunk_id, hops))
 
-    def _start_transfer(self, src: int, dst: int, chunk_id: int, hops: int) -> None:
-        peer = self.peers[src]
-        self._active_uploads[src] = self._active_uploads.get(src, 0) + 1
-        if self._active_uploads[src] > peer.profile.upload_capacity:
+    def _start_transfer(self, peer: PeerRuntime, src: int, dst: int,
+                        chunk_id: int, hops: int) -> None:
+        """Take an upload slot of `src`; the arrival is scheduled before its release."""
+        active = self._active_uploads
+        running = active[src] = active.get(src, 0) + 1
+        if running > peer.profile.upload_capacity:
             raise InvariantViolation(f"peer {src} exceeded its upload capacity")
         peer.served += 1
-        self._deliver_chunk(src, dst, chunk_id, hops)
-        self.schedule_timer(self.now + self._transfer_time, src, ("slot_free",))
-
-    def _deliver_chunk(self, src: int, dst: int, chunk_id: int, hops: int) -> None:
-        self.counters["transfer_bytes"] += self.stream.chunk_size_bytes
-        delay = self._transfer_time + self.config.hop_latency_s * max(1, hops)
-        self.schedule(self.now + delay,
+        self.counters["transfer_bytes"] += self._chunk_bytes
+        now, transfer = self.now, self._transfer_time
+        self.schedule(now + (transfer + self._hop_latency * max(1, hops)),
                       MessageDelivery(src, dst, ("chunk", chunk_id, src)))
+        self.schedule(now + transfer, TimerFire(src, _SLOT_FREE))
 
-    def _on_slot_free(self, src: int) -> None:
-        self._active_uploads[src] -= 1
-        if not self._active_uploads[src]:
-            del self._active_uploads[src]
+    def _on_slot_free(self, fire: TimerFire) -> None:
+        src = fire.owner
+        active = self._active_uploads
+        running = active[src] - 1
+        if running:
+            active[src] = running
+        else:
+            del active[src]
         queue = self._upload_queue.get(src)
+        if queue is None:
+            return
+        peers = self.peers
         while queue:
             dst, chunk_id, hops = queue.popleft()
-            target = self.peers.get(dst)
-            if target is None or target.state is PeerState.DEPARTED:
+            target = peers.get(dst)
+            if target is None or target.state is _DEPARTED:
                 self.counters["dropped_messages"] += 1
                 continue
-            self._start_transfer(src, dst, chunk_id, hops)
+            self._start_transfer(peers[src], src, dst, chunk_id, hops)
             break
-        if queue is not None and not queue:
+        if not queue:
             del self._upload_queue[src]
 
     # -- stores ---------------------------------------------------------------------
@@ -223,22 +253,25 @@ class Engine:
     def store_chunk(self, peer_id: int, chunk_id: int, pin: bool = False) -> bool:
         """LRU insert; pinned chunks are never evicted. False = no room."""
         peer = self.peers[peer_id]
-        if peer.pinned is NO_PINS:
+        store, pinned = peer.store, peer.pinned
+        if pinned is NO_PINS:
             raise InvariantViolation(f"peer {peer_id} is sealed; cannot store {chunk_id}")
         if pin:
-            peer.pinned.add(chunk_id)
-        if chunk_id in peer.store:
-            peer.store[chunk_id] = self._seq
+            pinned.add(chunk_id)
+        if chunk_id in store:
+            store[chunk_id] = self._seq
             return True
-        while len(peer.store) >= peer.profile.storage_capacity:
-            evictable = [c for c in peer.store if c not in peer.pinned]
-            if not evictable:
+        capacity = peer.profile.storage_capacity
+        while len(store) >= capacity:
+            # the least recently stamped unpinned chunk, the lower id on a tie
+            victim = min(((stamp, c) for c, stamp in store.items()
+                          if c not in pinned), default=None)
+            if victim is None:
                 if pin:
-                    peer.pinned.discard(chunk_id)
+                    pinned.discard(chunk_id)
                 return False
-            victim = min(evictable, key=lambda c: (peer.store[c], c))
-            del peer.store[victim]
-        peer.store[chunk_id] = self._seq
+            del store[victim[1]]
+        store[chunk_id] = self._seq
         return True
 
     def has_chunk(self, peer_id: int, chunk_id: int) -> bool:
@@ -253,7 +286,7 @@ class Engine:
             self._on_join(evt)
             return
         peer = self.peers.get(evt.peer_id)
-        if peer is None or peer.state is PeerState.DEPARTED:
+        if peer is None or peer.state is _DEPARTED:
             return
         if kind is SessionEventKind.LEAVE:
             peer.state = PeerState.DEPARTED
@@ -286,7 +319,8 @@ class Engine:
         self.driver.on_join(evt.peer_id, lag, self.now)
         self.schedule_timer(self.now, evt.peer_id, ("tick", 0))
 
-    def _on_resume(self, peer_id: int, epoch: int, duration: float) -> None:
+    def _on_resume(self, fire: TimerFire) -> None:
+        peer_id, (_, epoch, duration) = fire.owner, fire.tag
         peer = self.peers.get(peer_id)
         if peer is None or peer.state is not PeerState.PAUSED:
             return
@@ -306,48 +340,48 @@ class Engine:
         # pause and leave bump the epoch, so a matching tick is a playing viewer's
         if peer is None or peer.tick_epoch != fire.tag[1]:
             return
-        position = self.head_chunk - peer.lag
-        if self.head_chunk >= 0 and position >= 0:
-            self._consume(peer_id, peer, position)
+        head, lag = self.head_chunk, peer.lag
+        position = head - lag
+        if head >= 0 and position >= 0:
+            if lag == 0:
+                # live edge: fed by the producer's live broadcast, not the archive
+                self.counters["live_chunks"] += 1
+                self.store_chunk(peer_id, position)
+                if peer.first_delivery is None:
+                    self._first_delivery(peer, 0.0)
+            elif position in peer.store:
+                self.counters["chunks_served_local"] += 1
+                peer.store[position] = self._seq
+                if peer.first_delivery is None:
+                    self._first_delivery(peer, 0.0)
+            else:
+                counters = self.counters
+                counters["chunks_requested"] += 1
+                server, hops = self.driver.find_provider(peer_id, position, self.now)
+                if server is None:
+                    counters["control_messages"] += hops
+                    counters["chunks_missed"] += 1
+                else:
+                    counters["control_messages"] += max(1, hops)
+                    histogram = self.hops_histogram
+                    histogram[hops] = histogram.get(hops, 0) + 1
+                    self.send_chunk(server, peer_id, position, hops)
         self.schedule(self.now + self._chunk_duration, fire)
 
-    def _consume(self, peer_id: int, peer: PeerRuntime, position: int) -> None:
-        if peer.lag == 0:
-            # live edge: fed by the producer's live broadcast, not the archive
-            self.counters["live_chunks"] += 1
-            self.store_chunk(peer_id, position)
-            self._first_delivery(peer, 0.0)
-            return
-        if self.driver.has_local(peer_id, position, self.now):
-            self.counters["chunks_served_local"] += 1
-            if position in peer.store:
-                peer.store[position] = self._seq
-            self._first_delivery(peer, 0.0)
-            return
-        self.counters["chunks_requested"] += 1
-        server, hops = self.driver.find_provider(peer_id, position, self.now)
-        if server is None:
-            self.counters["control_messages"] += hops
-            self.counters["chunks_missed"] += 1
-            return
-        self.counters["control_messages"] += max(1, hops)
-        self.hops_histogram[hops] = self.hops_histogram.get(hops, 0) + 1
-        self.send_chunk(server, peer_id, position, hops)
-
     def _first_delivery(self, peer: PeerRuntime, delay: float) -> None:
-        """Record the startup delay at a viewer's first played chunk."""
-        if peer.first_delivery is None:
-            peer.first_delivery = self.now
-            self.startup_delays.append(delay)
+        """Record the startup delay; callers call it while first_delivery is None."""
+        peer.first_delivery = self.now
+        self.startup_delays.append(delay)
 
     def _on_chunk_arrival(self, src: int, dst: int, chunk_id: int) -> None:
         peer = self.peers.get(dst)
-        if peer is None or peer.state is PeerState.DEPARTED:
+        if peer is None or peer.state is _DEPARTED:
             self.counters["dropped_messages"] += 1
             return
         self.counters["chunks_delivered"] += 1
         self.store_chunk(dst, chunk_id)
-        self._first_delivery(peer, self.now - peer.joined_at)
+        if peer.first_delivery is None:
+            self._first_delivery(peer, self.now - peer.joined_at)
         self.driver.on_chunk_delivered(dst, chunk_id, src, self.now)
 
     # -- main loop ------------------------------------------------------------------------
@@ -369,9 +403,9 @@ class Engine:
             self.schedule_timer(self.config.sample_period_s, PRODUCER, ("sample",))
             self.schedule_timer(self.config.audit_period_s, PRODUCER, ("audit",))
 
-        heap, pop, dispatch = self._heap, heapq.heappop, self._dispatch
+        heap, dispatch = self._heap, self._dispatch
         while heap:
-            time, _, payload = pop(heap)
+            time, _, payload = heappop(heap)
             if time > end:
                 break
             self.now = time
@@ -385,27 +419,11 @@ class Engine:
     def _dispatch(self, payload) -> None:
         kind = type(payload)  # exact types, the most frequent first
         if kind is TimerFire:
-            tag = payload.tag
-            name = tag[0]
-            if name == "tick":
-                self._viewer_tick(payload)
-            elif name == "slot_free":
-                self._on_slot_free(payload.owner)
-            elif name == "resume":
-                self._on_resume(payload.owner, tag[1], tag[2])
-            elif name == "sample":
-                self._take_sample()
-                self.schedule_timer(self.now + self.config.sample_period_s,
-                                    PRODUCER, ("sample",))
-            elif name == "audit":
-                self.driver.on_audit(self.now)
-                self._seal_departed()
-                if self.checked:
-                    self._run_checks()
-                self.schedule_timer(self.now + self.config.audit_period_s,
-                                    PRODUCER, ("audit",))
+            handler = self._timers.get(payload.tag[0])
+            if handler is None:
+                self.driver.on_timer(payload.owner, payload.tag, self.now)
             else:
-                self.driver.on_timer(payload.owner, tag, self.now)
+                handler(payload)
         elif kind is MessageDelivery:
             msg = payload.message
             if msg[0] == "chunk":
@@ -419,9 +437,19 @@ class Engine:
             self.counters["chunks_produced"] += 1
             self.driver.on_produce(payload.chunk_id, self.now)
 
-    def _take_sample(self) -> None:
+    def _on_sample(self, fire: TimerFire) -> None:
         self.replica_samples.append(
             (self.now, array("i", self.driver.replica_counts(self.now))))
+        self.schedule_timer(self.now + self.config.sample_period_s,
+                            PRODUCER, ("sample",))
+
+    def _on_audit(self, fire: TimerFire) -> None:
+        self.driver.on_audit(self.now)
+        self._seal_departed()
+        if self.checked:
+            self._run_checks()
+        self.schedule_timer(self.now + self.config.audit_period_s,
+                            PRODUCER, ("audit",))
 
     def _seal_departed(self) -> None:
         """Shrink the state of every viewer that left since the last audit."""
@@ -483,6 +511,11 @@ class OverlayDriver:
         pass
 
     def has_local(self, peer_id: int, chunk_id: int, now: float) -> bool:
+        """Unused: a tick reads the viewer's store itself.
+
+        It stays only because perfbench/spans.py patches it by name, and
+        goes when the benchmark next changes.
+        """
         return self.engine.has_chunk(peer_id, chunk_id)
 
     def find_provider(self, peer_id: int, chunk_id: int, now: float):

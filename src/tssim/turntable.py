@@ -121,10 +121,11 @@ class Turntable:
         s = sector_of_chunk(chunk_id, self.m)
         if self.sector_of_peer.get(requester) == s:
             return (s, requester, 0)
-        reps = self.representants_of(s)
-        if not reps:
+        # the first representant is the sector's longest-lived member
+        entry = next(iter(self.sectors[s].members), None)
+        if entry is None:
             return None
-        return (s, reps[0], 1)
+        return (s, entry, 1)
 
     # -- inter-sector shortcut links ---------------------------------------
 
@@ -136,17 +137,16 @@ class Turntable:
         dropped the chunk are purged and counted as stale.
         """
         next_sector = sector_of_chunk(next_chunk, self.m)
-        links = self.handoff_links.get(server, [])
-        for candidate in list(links):
-            if self.sector_of_peer.get(candidate) != next_sector:
-                links.remove(candidate)
-                self.stale_handoffs += 1
-                continue
-            if not stores(candidate, next_chunk):
-                links.remove(candidate)
-                self.stale_handoffs += 1
-                continue
-            return candidate
+        links = self.handoff_links.get(server, ())
+        sector_of = self.sector_of_peer
+        # links are tried in order, so each stale one is the list's head
+        while links:
+            candidate = links[0]
+            if (sector_of.get(candidate) == next_sector
+                    and stores(candidate, next_chunk)):
+                return candidate
+            del links[0]
+            self.stale_handoffs += 1
         return None
 
     def refresh_handoff_link(self, peer: int, target: int) -> None:

@@ -3,8 +3,9 @@
 `perfbench/spans.py` patches driver hooks and structure operations by
 name from outside the package. A rename or deletion under `src/` would
 break the traced benchmark without failing any other test, which is why,
-for example, `OverlayDriver.has_local` stays although no driver
-overrides it.
+for example, `OverlayDriver.has_local` stays although the engine no
+longer calls it (its traced call count reads 0); it goes when the
+benchmark next changes.
 """
 
 import importlib.util

@@ -1,18 +1,22 @@
 """Event ordering, transport accounting, and viewer lifecycle."""
 
 import math
+from array import array
 
 import pytest
 
 from tssim.config import ScenarioConfig
 from tssim.drivers import TreeDriver
 from tssim.engine import (
+    NO_PINS,
     PRODUCER,
     Engine,
     InvariantViolation,
     OverlayDriver,
     PeerRuntime,
     PeerState,
+    SealedStore,
+    TimerFire,
     produced_chunks_within,
 )
 from tssim.stream import StreamParams, air_time, build_timeline, chunk_duration
@@ -138,6 +142,96 @@ def test_same_time_events_dispatch_in_insertion_order():
     assert timers == ["first", "second"]
 
 
+# -- timer dispatch -----------------------------------------------------------
+
+
+def scheduled(engine):
+    """(time, payload) of every queued event, in dispatch order."""
+    return [(time, payload) for time, _, payload in sorted(engine._heap)]
+
+
+def test_a_tick_plays_and_reschedules_its_own_timer():
+    engine = make_engine(1000.0)
+    add_peer(engine, 7, lag=0)
+    engine.head_chunk, engine.now = 3, 100.0
+    fire = TimerFire(7, ("tick", 0))
+    engine._dispatch(fire)
+    assert engine.counters["live_chunks"] == 1
+    assert 3 in engine.peers[7].store
+    [(time, payload)] = scheduled(engine)
+    assert payload is fire
+    assert time == 100.0 + chunk_duration(engine.stream)
+
+
+def test_slot_free_releases_one_upload():
+    engine = make_engine(1000.0)
+    add_peer(engine, 5)
+    engine._active_uploads[5] = 2
+    engine._dispatch(TimerFire(5, ("slot_free",)))
+    assert engine._active_uploads == {5: 1}
+    engine._dispatch(TimerFire(5, ("slot_free",)))
+    assert engine._active_uploads == {}
+
+
+def test_resume_restarts_the_paused_viewers_ticks():
+    driver = RecordingDriver()
+    engine = make_engine(1000.0, driver=driver)
+    add_peer(engine, 8, lag=4)
+    peer = engine.peers[8]
+    peer.state, peer.tick_epoch = PeerState.PAUSED, 1
+    engine.head_chunk, engine.now = 10, 200.0
+    engine._dispatch(TimerFire(8, ("resume", 1, 40.0)))
+    assert peer.state is PeerState.PLAYING
+    assert driver.moves() == [("move", 8, 4, 6, 200.0)]
+    assert scheduled(engine) == [(200.0, TimerFire(8, ("tick", 1)))]
+
+
+class CensusDriver(OverlayDriver):
+    def __init__(self):
+        self.audits = []
+
+    def replica_counts(self, now):
+        return [2, 1]
+
+    def on_audit(self, now):
+        self.audits.append(now)
+
+
+def test_sample_records_the_census_and_reschedules():
+    engine = make_engine(10_000.0, driver=CensusDriver())
+    engine.now = 600.0
+    engine._dispatch(TimerFire(PRODUCER, ("sample",)))
+    assert engine.replica_samples == [(600.0, array("i", [2, 1]))]
+    assert scheduled(engine) == [
+        (600.0 + engine.config.sample_period_s, TimerFire(PRODUCER, ("sample",)))]
+
+
+def test_audit_runs_the_drivers_then_seals_leavers_and_reschedules():
+    driver = CensusDriver()
+    engine = make_engine(10_000.0, driver=driver)
+    add_peer(engine, 9)
+    engine.store_chunk(9, 4)
+    engine.peers[9].state = PeerState.DEPARTED
+    engine._left_since_audit.append(9)
+    engine.now = 300.0
+    engine._dispatch(TimerFire(PRODUCER, ("audit",)))
+    assert driver.audits == [300.0]
+    assert isinstance(engine.peers[9].store, SealedStore)
+    assert engine.peers[9].pinned is NO_PINS
+    assert scheduled(engine) == [
+        (300.0 + engine.config.audit_period_s, TimerFire(PRODUCER, ("audit",)))]
+
+
+@pytest.mark.parametrize("tag", [("gossip",), ("rebalance",)])
+def test_other_timer_tags_go_to_the_driver(tag):
+    driver = RecordingDriver()
+    engine = make_engine(1000.0, driver=driver)
+    engine.now = 321.5
+    engine._dispatch(TimerFire(4, tag))
+    assert driver.log == [("timer", 4, tag, 321.5)]
+    assert engine._heap == []
+
+
 # -- transport ----------------------------------------------------------------
 
 
@@ -206,6 +300,41 @@ def test_producer_sends_bypass_upload_capacity():
     engine.run([], {})
     assert engine.counters["chunks_delivered"] == 10
     assert engine.counters["producer_upload_bytes"] == 10 * 2_000_000
+
+
+class ArrivalDriver(OverlayDriver):
+    def __init__(self):
+        self.arrivals = {}
+
+    def on_chunk_delivered(self, peer_id, chunk_id, src, now):
+        self.arrivals[chunk_id] = now
+
+
+def test_arrival_times_match_the_transport_expression():
+    driver = ArrivalDriver()
+    engine = make_engine(1000.0, driver=driver, transfer_kbps=300.0,
+                         hop_latency_s=0.05)
+    transfer, hop = engine._transfer_time, engine.config.hop_latency_s
+    now = 100.9
+    # these numbers round differently if the sum is grouped otherwise
+    assert now + (transfer + hop) != (now + transfer) + hop
+    add_peer(engine, 100, upload=5)
+    add_peer(engine, 101)
+    add_peer(engine, 200, upload=1)
+    engine.now = now
+    expected = {}
+    for chunk, hops in enumerate((0, 1, 3)):
+        engine.send_chunk(100, 101, chunk, hops)
+        engine.send_chunk(PRODUCER, 101, 10 + chunk, hops)
+        expected[chunk] = expected[10 + chunk] = now + (transfer + hop * max(1, hops))
+    # one upload slot: chunk 21 starts when chunk 20's slot frees, 22 after it
+    start = now
+    for chunk, hops in ((20, 3), (21, 1), (22, 0)):
+        engine.send_chunk(200, 101, chunk, hops)
+        expected[chunk] = start + (transfer + hop * max(1, hops))
+        start = start + transfer
+    engine.run([], {})
+    assert driver.arrivals == expected
 
 
 # -- stores ------------------------------------------------------------------

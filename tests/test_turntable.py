@@ -148,6 +148,26 @@ def test_handoff_stale_target_counted():
     assert tt.stale_handoffs == 2
 
 
+def test_handoff_purges_stale_links_in_place():
+    tt = Turntable(m=2, r=1)
+    for pid in range(8):
+        tt.join(pid)  # even -> sector 0, odd -> sector 1
+    tt.leave(1)
+    links = [1, 3, 5, 7]  # departed, dropped the chunk, live, other
+    tt.handoff_links[0] = links
+    asked = []
+
+    def stores(peer, chunk):
+        asked.append((peer, chunk))
+        return peer != 3
+
+    assert tt.offer_handoff(0, next_chunk=1, stores=stores) == 5
+    assert tt.stale_handoffs == 2
+    assert tt.handoff_links[0] is links
+    assert links == [5, 7]
+    assert asked == [(3, 1), (5, 1)]  # the departed link is dropped unasked
+
+
 def test_handoff_links_capped_and_scoped():
     tt = Turntable(m=2, r=1)
     for pid in range(8):
