@@ -13,7 +13,7 @@ import logging
 import os
 import sys
 
-from tssim.config import OVERLAYS, ScenarioConfig, _field_problem, parse_config
+from tssim.config import OVERLAYS, _TYPES, ScenarioConfig, _field_problem, parse_config
 from tssim.engine import InvariantViolation
 from tssim.metrics import emit_report, run_scenario
 
@@ -30,25 +30,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _seed_value(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}")
-    problem = _field_problem("seed", value)
-    if problem:
-        raise argparse.ArgumentTypeError(problem)
-    return value
+def _field_value(key: str):
+    """The argparse type of a flag that overrides config field `key`:
+    the field's own type, then the scenario file's rule for it."""
+    kind = _TYPES[key]
 
-
-def _horizon_value(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"horizon must be a number, got {text!r}")
-    problem = _field_problem("horizon_s", value)
-    if problem:
-        raise argparse.ArgumentTypeError(problem)
+    def value(text: str):
+        try:
+            parsed = kind(text)
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise argparse.ArgumentTypeError(f"{key} must be {noun}, got {text!r}")
+        problem = _field_problem(key, parsed)
+        if problem:
+            raise argparse.ArgumentTypeError(problem)
+        return parsed
     return value
 
 
@@ -62,9 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="scenario file (key = value lines)")
     parser.add_argument("--overlay", choices=OVERLAYS,
                         help="override the config's overlay")
-    parser.add_argument("--seed", type=_seed_value, metavar="U64",
+    parser.add_argument("--seed", type=_field_value("seed"), metavar="U64",
                         help="override the config's seed")
-    parser.add_argument("--horizon", type=_horizon_value, metavar="SECONDS",
+    parser.add_argument("--horizon", type=_field_value("horizon_s"), metavar="SECONDS",
                         help="override the config's horizon")
     parser.add_argument("--out", default="tssim-out", metavar="DIR",
                         help="report directory (default: %(default)s)")

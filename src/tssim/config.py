@@ -72,7 +72,7 @@ _RANGES: dict[str, tuple[float, bool, float | None]] = {
     "seed": (0, True, 2**64 - 1),  # seeds are unsigned 64-bit
     "horizon_s": (0, True, None),
     "stream_kbps": (0, False, None),
-    "chunk_mb": (0, False, None),
+    "chunk_mb": (1e-6, True, None),  # the engine's chunk is int(chunk_mb * 1e6) bytes
     "show_seconds": (0, False, None),
     "arrival_rate": (0, True, None),
     "zipf_exponent": (0, False, None),

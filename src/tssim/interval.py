@@ -58,14 +58,6 @@ class OverlayConstraints:
     default_cap: float = math.inf
     caps: dict[int, float] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be at least 1, got {self.k}")
-        if self.T < 0:
-            raise ValueError(f"T must be non-negative, got {self.T}")
-        if self.default_cap < 0 or any(v < 0 for v in self.caps.values()):
-            raise ValueError("capacities must be non-negative")
-
     def cap_of(self, peer_id: int) -> float:
         return self.caps.get(peer_id, self.default_cap)
 

@@ -17,10 +17,8 @@ import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from tssim.config import ScenarioConfig
 from tssim.turntable import RouteOutcome
-
-DEFAULT_GOSSIP_PERIOD = 10.0
-DEFAULT_MAX_DEGREE = 8
 
 
 @dataclass(frozen=True)
@@ -29,12 +27,6 @@ class ColorScheme:
 
     colors: int
     sector_count: int
-
-    def __post_init__(self):
-        if self.colors < 1:
-            raise ValueError(f"need at least one color, got {self.colors}")
-        if self.sector_count < 1:
-            raise ValueError(f"need at least one sector, got {self.sector_count}")
 
     def chunk_color(self, chunk_id: int) -> int:
         if chunk_id < 0:
@@ -90,16 +82,10 @@ class SectorMesh:
         self,
         scheme: ColorScheme,
         rng: random.Random,
-        gossip_period: float = DEFAULT_GOSSIP_PERIOD,
-        max_degree: int = DEFAULT_MAX_DEGREE,
-        k_rep: int = 3,
+        gossip_period: float = ScenarioConfig.gossip_period,
+        max_degree: int = ScenarioConfig.max_degree,
+        k_rep: int = ScenarioConfig.k_rep,
     ):
-        if gossip_period <= 0:
-            raise ValueError(f"gossip period must be positive, got {gossip_period}")
-        if max_degree < 1:
-            raise ValueError(f"max_degree must be at least 1, got {max_degree}")
-        if k_rep < 1:
-            raise ValueError(f"k_rep must be at least 1, got {k_rep}")
         self.scheme = scheme
         self.rng = rng
         self.gossip_period = gossip_period

@@ -30,12 +30,9 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from tssim.config import ScenarioConfig
 from tssim.engine import PRODUCER
 from tssim.turntable import RouteOutcome
-
-DEFAULT_FANOUT = 3
-DEFAULT_BLOOM_BITS = 1024
-DEFAULT_BLOOM_HASHES = 3
 
 
 class _CountedSummary:
@@ -138,9 +135,8 @@ class BloomSummary(_CountedSummary):
 
     __slots__ = ("bits", "hashes", "array")
 
-    def __init__(self, bits: int = DEFAULT_BLOOM_BITS, hashes: int = DEFAULT_BLOOM_HASHES):
-        if bits < 8 or hashes < 1:
-            raise ValueError(f"implausible filter shape ({bits} bits, {hashes} hashes)")
+    def __init__(self, bits: int = ScenarioConfig.bloom_bits,
+                 hashes: int = ScenarioConfig.bloom_hashes):
         super().__init__()
         self.bits = bits
         self.hashes = hashes
@@ -182,7 +178,7 @@ class TreeNode:
     parent: int  # peer id or PRODUCER
     children: list[int] = field(default_factory=list)
     store: set[int] = field(default_factory=set)
-    upload_capacity: int = DEFAULT_FANOUT
+    upload_capacity: int = ScenarioConfig.upload_capacity
     storage_capacity: int = 10**9
 
 
@@ -212,15 +208,11 @@ class SectorTree:
 
     def __init__(
         self,
-        fanout: int = DEFAULT_FANOUT,
-        summary_mode: str = "exact",
-        bloom_bits: int = DEFAULT_BLOOM_BITS,
-        bloom_hashes: int = DEFAULT_BLOOM_HASHES,
+        fanout: int = ScenarioConfig.fanout,
+        summary_mode: str = ScenarioConfig.summary_mode,
+        bloom_bits: int = ScenarioConfig.bloom_bits,
+        bloom_hashes: int = ScenarioConfig.bloom_hashes,
     ):
-        if fanout < 1:
-            raise ValueError(f"fanout must be at least 1, got {fanout}")
-        if summary_mode not in ("exact", "bloom"):
-            raise ValueError(f"summary_mode must be 'exact' or 'bloom', got {summary_mode!r}")
         self.fanout = fanout
         self.summary_mode = summary_mode
         self.bloom_bits = bloom_bits
@@ -267,7 +259,7 @@ class SectorTree:
             parent = self.nodes[pid].parent
             depth[pid] = 1 if parent == PRODUCER else depth[parent] + 1
 
-    def attach(self, peer_id: int, upload_capacity: int = DEFAULT_FANOUT,
+    def attach(self, peer_id: int, upload_capacity: int = ScenarioConfig.upload_capacity,
                storage_capacity: int = 10**9, as_root: bool = False) -> None:
         """Insert a peer, preferring shallow, high-capacity parents."""
         if peer_id in self.nodes:
@@ -557,7 +549,7 @@ class SectorTree:
         self,
         chunk_ids: list[int],
         k_rep: int,
-        producer_archive: bool = False,
+        producer_archive: bool,
     ) -> EmergencyResult:
         """Top each chunk's replicas back up to k_rep (or to what the
         sector can hold), one distinct chunk id at a time in ascending order.

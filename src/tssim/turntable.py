@@ -18,12 +18,12 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import NamedTuple
 
+from tssim.config import ScenarioConfig
+
 MAX_HANDOFF_LINKS = 2
 
 
 def sector_of_chunk(chunk_id: int, m: int) -> int:
-    if m < 1:
-        raise ValueError(f"sector count must be at least 1, got {m}")
     if chunk_id < 0:
         raise ValueError(f"negative chunk id {chunk_id}")
     return chunk_id % m
@@ -51,11 +51,7 @@ class Turntable:
     variant driver routes on from that entry inside its own tree or mesh.
     """
 
-    def __init__(self, m: int, r: int = 2):
-        if m < 1:
-            raise ValueError(f"need at least one sector, got m={m}")
-        if r < 1:
-            raise ValueError(f"need at least one representant slot, got r={r}")
+    def __init__(self, m: int, r: int = ScenarioConfig.r):
         self.m = m
         self.r = r
         self.sectors = [Sector(index=i) for i in range(m)]

@@ -65,12 +65,6 @@ class PeerProfile:
     upload_capacity: int  # max concurrent transfers served
     storage_capacity: int  # max chunks stored
 
-    def __post_init__(self) -> None:
-        if self.upload_capacity < 1:
-            raise ValueError(f"peer {self.peer_id}: upload capacity must be at least 1")
-        if self.storage_capacity < 1:
-            raise ValueError(f"peer {self.peer_id}: storage must hold a chunk")
-
 
 @lru_cache(maxsize=256)
 def _zipf_norm(exponent: float, catalog_size: int) -> float:
@@ -88,8 +82,6 @@ def zipf_popularity(rank: int, exponent: float, catalog_size: int) -> float:
         raise ValueError(f"catalog_size must be at least 1, got {catalog_size}")
     if not 1 <= rank <= catalog_size:
         raise ValueError(f"rank {rank} outside [1, {catalog_size}]")
-    if exponent <= 0:
-        raise ValueError(f"exponent must be positive, got {exponent}")
     return rank ** -exponent / _zipf_norm(exponent, catalog_size)
 
 

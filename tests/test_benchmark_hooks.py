@@ -1,11 +1,12 @@
 """The benchmark's traced run wraps these names; they must keep existing.
 
-`perfbench/spans.py` patches driver hooks and structure operations by
-name from outside the package. A rename or deletion under `src/` would
-break the traced benchmark without failing any other test, which is why,
-for example, `OverlayDriver.has_local` stays although the engine no
-longer calls it (its traced call count reads 0); it goes when the
-benchmark next changes.
+`perfbench/spans.py` patches driver hooks, structure operations and
+engine methods by name from outside the package, and `perfbench/child.py`
+and `tools/bench_grid.py` wrap `Engine.run` and read what it leaves. A
+rename or deletion under `src/` would break the traced benchmark without
+failing any other test, which is why, for example,
+`OverlayDriver.has_local` stays although the engine no longer calls it
+(its traced call count reads 0); it goes when the benchmark next changes.
 """
 
 import importlib.util
@@ -13,9 +14,11 @@ from pathlib import Path
 
 import pytest
 
-from tssim import drivers, interval
+from tssim import drivers, engine, interval, metrics
 from tssim.drivers import IntervalDriver, MeshDriver, TreeDriver
+from tssim.engine import Engine
 from tssim.mesh import SectorMesh
+from tssim.stream import StreamParams
 from tssim.tree import SectorTree
 from tssim.turntable import Turntable
 
@@ -59,6 +62,32 @@ MODULE_NAMES = (
                          ids=[f"{m.__name__}.{name}" for m, name in MODULE_NAMES])
 def test_traced_module_function_exists(module, name):
     assert callable(getattr(module, name, None))
+
+
+# the rest of what spans.py, perfbench/child.py and tools/bench_grid.py
+# reach by name: run_scenario's lookups in tssim.metrics, the engine
+# methods they wrap or count, and child.py's produced-chunk count
+REACHED = (
+    [(metrics, name) for name in ("build_timeline", "generate_sessions",
+                                  "generate_profiles", "collect_report",
+                                  "build_driver")]
+    + [(Engine, name) for name in ("run", "store_chunk", "schedule",
+                                   "send_chunk", "send_control")]
+    + [(engine, "produced_chunks_within")]
+)
+
+
+@pytest.mark.parametrize("owner,name", REACHED,
+                         ids=[f"{getattr(o, '__name__', o)}.{name}"
+                              for o, name in REACHED])
+def test_benchmark_reached_name_exists(owner, name):
+    assert callable(getattr(owner, name, None))
+
+
+def test_stream_params_keep_a_start_time():
+    # child.py and bench_grid.py end the viewer-second count at
+    # engine.stream.start_time + engine.horizon
+    assert StreamParams().start_time == 0.0
 
 
 def test_tree_departures_reach_emergency_replicate(monkeypatch):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from tssim import cli
 from tssim.config import (
     _CHOICES,
     _RANGES,
@@ -16,7 +17,7 @@ from tssim.config import (
     render_config,
     validate_config,
 )
-from tssim.metrics import run_scenario
+from tssim.metrics import emit_report, run_scenario
 
 
 def test_empty_text_gives_all_defaults():
@@ -111,6 +112,9 @@ def test_probability_range_enforced():
     assert "[0, 1]" in errors[0]
 
 
+UNDER_ONE_BYTE = (0.0, 1e-7, math.nextafter(1e-6, 0))
+
+
 def _bad_values():
     # an exclusive bound of 0 gives 0, so this covers the zero audit,
     # sample and rebalance periods that would keep a run from ending and
@@ -128,6 +132,9 @@ def _bad_values():
             yield key, math.inf
     yield "arrival_rate", -math.inf
     yield "arrival_rate", math.nan
+    # a chunk of under one byte sizes to zero bytes
+    for tiny in UNDER_ONE_BYTE:
+        yield "chunk_mb", tiny
 
 
 BAD_VALUES = list(_bad_values())
@@ -147,6 +154,54 @@ def test_a_seed_beyond_64_bits_is_a_line_error():
     config, errors = parse_config("seed = %d" % 2**70)
     assert config is None
     assert errors == [f"line 1: seed must be within [0, {2**64 - 1}], got {2**70}"]
+
+
+def test_one_byte_is_the_smallest_chunk(tmp_path, capsys):
+    # the engine sizes a chunk as int(chunk_mb * 1_000_000) bytes; the
+    # values below the bound are line errors in the cases above
+    assert all(int(tiny * 1_000_000) == 0 for tiny in UNDER_ONE_BYTE)
+    config, errors = parse_config("chunk_mb = 1e-6\n")
+    assert errors == []
+    assert int(config.chunk_mb * 1_000_000) == 1
+    path = tmp_path / "tiny.cfg"
+    path.write_text("chunk_mb = 1e-7\n")
+    assert cli.main(["--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "tssim: config: line 1: chunk_mb must be at least 1e-06, got 1e-07\n")
+
+
+# every field whose range the structures below the drivers no longer
+# re-check, at its smallest legal value
+SMALLEST = dict(m=1, r=1, fanout=1, colors=1, max_degree=1, k_rep=1, k_min=1,
+                k=1, horizon_T=1, request_ttl=1, upload_capacity=1,
+                storage_chunks=1, bloom_bits=8, bloom_hashes=1)
+EDGE_RUNS = [
+    ("tree", {}), ("tree", {"summary_mode": "bloom"}),
+    ("tree", {"producer_archive": False}),
+    ("mesh", {}), ("mesh", {"producer_archive": False}),
+    ("interval", {}), ("interval", {"dedicated_server": True}),
+    ("interval", {"producer_archive": False}),
+]
+
+
+@pytest.mark.parametrize(
+    "overlay,overrides", EDGE_RUNS,
+    ids=[f"{o}-{'-'.join(f'{k}={v}' for k, v in ov.items()) or 'plain'}"
+         for o, ov in EDGE_RUNS])
+def test_the_config_rules_suffice_at_their_smallest_values(tmp_path, overlay,
+                                                         overrides):
+    # the config's bounds are the only ones: each overlay must run at
+    # them, pass its invariant checks and write the same bytes checked
+    config = ScenarioConfig(overlay=overlay, seed=1, horizon_s=900.0,
+                            arrival_rate=0.1, **SMALLEST, **overrides)
+    assert validate_config(config) == []
+    outputs = []
+    for checked in (False, True):
+        report = run_scenario(config, check_invariants=checked)
+        out_dir = tmp_path / str(checked)
+        outputs.append([Path(path).read_bytes()
+                        for path in emit_report(report, str(out_dir))])
+    assert outputs[0] == outputs[1]
 
 
 def test_run_scenario_rejects_an_infinite_horizon():

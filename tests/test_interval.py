@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 import tssim.interval
-from tssim.config import ScenarioConfig
+from tssim.config import ScenarioConfig, validate_config
 from tssim.drivers import IntervalDriver
 from tssim.engine import DEDICATED, PRODUCER, Engine, PeerState
 from tssim.interval import (
@@ -449,12 +449,9 @@ def test_churn_trace_end_state_passes_checkers():
 
 
 def test_constraints_validation():
-    with pytest.raises(ValueError):
-        OverlayConstraints(k=0, T=5)
-    with pytest.raises(ValueError):
-        OverlayConstraints(k=1, T=-1)
-    with pytest.raises(ValueError):
-        OverlayConstraints(k=1, T=5, default_cap=-2)
+    # k and T come from the config, whose rules refuse them below 1
+    assert validate_config(ScenarioConfig(k=0, horizon_T=0)) == [
+        "k must be at least 1, got 0", "horizon_T must be at least 1, got 0"]
 
 
 # -- per-lag indices ------------------------------------------------------------

@@ -14,8 +14,6 @@ def test_sector_of_chunk_rotation():
 
 def test_sector_of_chunk_validation():
     with pytest.raises(ValueError):
-        sector_of_chunk(0, 0)
-    with pytest.raises(ValueError):
         sector_of_chunk(-1, 4)
 
 
@@ -182,10 +180,6 @@ def test_handoff_links_capped_and_scoped():
 
 
 def test_turntable_validation():
-    with pytest.raises(ValueError):
-        Turntable(m=0)
-    with pytest.raises(ValueError):
-        Turntable(m=3, r=0)
     tt = Turntable(m=2)
     tt.join(1)
     with pytest.raises(ValueError):

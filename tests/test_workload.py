@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from tssim.config import ScenarioConfig
+from tssim.config import ScenarioConfig, validate_config
 from tssim.stream import (
     StreamParams,
     StreamTimeline,
@@ -12,7 +12,6 @@ from tssim.stream import (
     head_chunk_at,
 )
 from tssim.workload import (
-    PeerProfile,
     SessionEvent,
     SessionEventKind,
     generate_profiles,
@@ -196,6 +195,7 @@ def test_profiles_cover_population():
 
 
 def test_profile_needs_an_upload_capacity_of_one():
-    # the file's rule: a peer runs at least one transfer at a time
-    with pytest.raises(ValueError, match="upload capacity"):
-        PeerProfile(peer_id=0, upload_capacity=0, storage_capacity=1)
+    # the file's rule: a peer runs at least one transfer at a time; every
+    # profile takes its capacity from a config that passed that rule
+    assert validate_config(ScenarioConfig(upload_capacity=0)) == [
+        "upload_capacity must be at least 1, got 0"]
