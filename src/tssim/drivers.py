@@ -10,6 +10,7 @@ turntable's rotating sector layout; the third has no sectors at all.
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 
 from tssim.config import ScenarioConfig, require_valid
 from tssim.engine import DEDICATED, PRODUCER, OverlayDriver, PeerState
@@ -388,8 +389,15 @@ class IntervalDriver(OverlayDriver):
         lag = self.engine.head_chunk - chunk_id
         self.requests_by_lag[lag] = self.requests_by_lag.get(lag, 0) + 1
         if lag <= self.constraints.T:
+            holders = self.graph.holders[lag]
             loads = self.engine._active_uploads
-            best = min(((loads.get(pid, 0), pid) for pid in self.graph.holders[lag]
+            # the engine keeps only senders with a transfer running, so a
+            # holder missing from loads is idle, and the idle holder with
+            # the lowest id is the (load, id) minimum
+            idle = holders.difference(loads, (peer_id,))
+            if idle:
+                return (min(idle), 1)
+            best = min(((loads.get(pid, 0), pid) for pid in holders
                         if pid != peer_id), default=None)
             if best is not None:
                 return (best[1], 1)
@@ -458,11 +466,12 @@ class IntervalDriver(OverlayDriver):
         cold = set(order[-decile:])
 
         def mean_len(lags: set[int]) -> float:
-            lengths = []
-            for snapshot in self.buffer_snapshots:
-                for l, r in snapshot:
-                    if any(l <= lag <= r for lag in lags):
-                        lengths.append(r - l)
+            # below[t]: how many of the lags are below t, for t in 0..T + 1
+            below = list(accumulate((lag in lags for lag in range(T + 1)),
+                                    initial=0))
+            lengths = [r - l for snapshot in self.buffer_snapshots
+                       for l, r in snapshot
+                       if l <= T and below[min(r, T) + 1] > below[l]]
             return sum(lengths) / len(lengths) if lengths else 0.0
 
         return mean_len(hot), mean_len(cold)

@@ -520,6 +520,15 @@ def _admissible(graph: IntervalGraph, constraints: OverlayConstraints,
     return True
 
 
+def _has_short_lag(graph: IntervalGraph, constraints: OverlayConstraints,
+                   window_lo: int, window_hi: int) -> bool:
+    """Whether a lag of the window, clipped to 0..T as _extend_to_cover
+    clips it, is covered fewer than k times."""
+    k = constraints.k
+    lags = graph.holders[max(0, window_lo):min(constraints.T, window_hi) + 1]
+    return any(len(h) < k for h in lags)
+
+
 def _extend_to_cover(
     graph: IntervalGraph,
     constraints: OverlayConstraints,
@@ -531,8 +540,19 @@ def _extend_to_cover(
     k = constraints.k
     vertices = graph.vertices
     holders = graph.holders
+    cap_of = constraints.cap_of
     window_lo = max(0, window_lo)
     window_hi = min(constraints.T, window_hi)
+    # A member whose stored interval already serves past its cap can
+    # take no extension in this call: growing r serves a superset of the
+    # stored interval's peers and growing l the same ones, and here
+    # positions never move and fresh bounds only fall, so served counts
+    # only grow while caps stay fixed. Each member is priced once, at the
+    # first short lag where it offers an option, and dropped if past its
+    # cap. A member under its cap may pass it later, so it is priced
+    # again by _admissible at every try.
+    priced: set[int] = set()
+    past_cap: set[int] = set()
 
     for t in range(window_lo, window_hi + 1):
         cover = len(holders[t])
@@ -543,13 +563,23 @@ def _extend_to_cover(
         # every pass still retries from the cheapest, as the caps moved
         options = []
         for pid in members:
+            if pid in past_cap:
+                continue
             iv = vertices.get(pid)
-            if iv is None or iv.covers(t):
+            if iv is None or iv.l <= t <= iv.r:
                 continue
             if iv.c <= t and iv.r < t:
-                options.append((t - iv.r, 0, pid, "r"))
+                option = (t - iv.r, 0, pid, "r")
             elif iv.c >= t and iv.l > t:
-                options.append((iv.l - t, 1, pid, "l"))
+                option = (iv.l - t, 1, pid, "l")
+            else:
+                continue
+            if pid not in priced:
+                priced.add(pid)
+                if graph.served_count(iv) > cap_of(pid):
+                    past_cap.add(pid)
+                    continue
+            options.append(option)
         options.sort()
         while cover < k:
             for i, (_cost, _pref, pid, side) in enumerate(options):
@@ -619,7 +649,9 @@ def repair_on_event(
     gossip-discovered outsiders, greedily extend their bounds to close
     any deficit the event opened. Deficits nobody can close within
     capacity are returned as incidents rather than raised: they are the
-    overlay's headline failure metric, not a programming error.
+    overlay's headline failure metric, not a programming error. When no
+    lag of the range is short, nothing is extended, so the neighbourhood
+    is not gathered at all.
     """
     _require_lags(graph, constraints.T)
     if event.kind == "join":
@@ -634,6 +666,8 @@ def repair_on_event(
         if departed is None:
             return RepairOutcome()
         graph.remove(event.peer_id)
+        if not _has_short_lag(graph, constraints, departed.l, departed.r):
+            return RepairOutcome()
         members = _affected_members(graph, departed.l, departed.r)
         return _extend_to_cover(graph, constraints, departed.l, departed.r, members)
     if event.kind == "move":
@@ -645,6 +679,8 @@ def repair_on_event(
             return RepairOutcome()
         span_lo = min(old.l, event.lag)
         span_hi = max(old.r, event.lag)
+        if not _has_short_lag(graph, constraints, span_lo, span_hi):
+            return RepairOutcome()
         members = _affected_members(graph, span_lo, span_hi)
         members.add(event.peer_id)
         return _extend_to_cover(graph, constraints, span_lo, span_hi, members)

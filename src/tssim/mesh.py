@@ -50,7 +50,7 @@ class MeshPeer:
     neighbors: dict[int, NeighborEntry] = field(default_factory=dict)
     store: set[int] = field(default_factory=set)
     known_offers: dict[int, frozenset[int]] = field(default_factory=dict)
-    storage_capacity: int = 10**9
+    storage_capacity: int = ScenarioConfig.storage_chunks
     missing_color_streak: int = 0
     # the stored chunks of color `offers_color`, as last offered to the
     # partners; a pin resets it to None
@@ -109,7 +109,8 @@ class SectorMesh:
         """Longest-lived member, the fallback contact for lost peers."""
         return next((pid for pid in self.peers if pid != excluding), None)
 
-    def add_peer(self, peer_id: int, now: float, storage_capacity: int = 10**9) -> MeshPeer:
+    def add_peer(self, peer_id: int, now: float,
+                 storage_capacity: int = ScenarioConfig.storage_chunks) -> MeshPeer:
         if peer_id in self.peers:
             raise ValueError(f"peer {peer_id} already in mesh")
         peer = MeshPeer(peer_id=peer_id, color=0,

@@ -19,15 +19,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-DEFAULT_BITRATE_BPS = 500_000
-DEFAULT_CHUNK_SIZE_BYTES = 2_000_000
-DEFAULT_SHOW_SECONDS = 1800.0
+from tssim.config import ScenarioConfig
 
 
 @dataclass(frozen=True)
 class StreamParams:
-    bitrate_bps: float = DEFAULT_BITRATE_BPS
-    chunk_size_bytes: int = DEFAULT_CHUNK_SIZE_BYTES
+    # the scenario's stream, in the units the engine converts it to
+    bitrate_bps: float = ScenarioConfig.stream_kbps * 1000
+    chunk_size_bytes: int = int(ScenarioConfig.chunk_mb * 1_000_000)
     start_time: float = 0.0
 
     def __post_init__(self) -> None:
@@ -130,7 +129,7 @@ class StreamTimeline:
 def build_timeline(
     params: StreamParams,
     horizon_seconds: float,
-    show_seconds: float = DEFAULT_SHOW_SECONDS,
+    show_seconds: float = ScenarioConfig.show_seconds,
 ) -> StreamTimeline:
     """Tile every chunk recorded within the horizon into consecutive shows.
 

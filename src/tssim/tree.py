@@ -179,7 +179,7 @@ class TreeNode:
     children: list[int] = field(default_factory=list)
     store: set[int] = field(default_factory=set)
     upload_capacity: int = ScenarioConfig.upload_capacity
-    storage_capacity: int = 10**9
+    storage_capacity: int = ScenarioConfig.storage_chunks
 
 
 @dataclass(frozen=True)
@@ -260,7 +260,8 @@ class SectorTree:
             depth[pid] = 1 if parent == PRODUCER else depth[parent] + 1
 
     def attach(self, peer_id: int, upload_capacity: int = ScenarioConfig.upload_capacity,
-               storage_capacity: int = 10**9, as_root: bool = False) -> None:
+               storage_capacity: int = ScenarioConfig.storage_chunks,
+               as_root: bool = False) -> None:
         """Insert a peer, preferring shallow, high-capacity parents."""
         if peer_id in self.nodes:
             raise ValueError(f"peer {peer_id} already in tree")

@@ -1,0 +1,39 @@
+"""tools/bench_grid.py's scaling slope, on made-up cells."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_grid.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("bench_grid", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_log_slope_reads_the_power_of_a_power_law():
+    grid = load_tool()
+    assert grid.log_slope([(v, 3 * v) for v in (10, 50, 400)]) == pytest.approx(1.0)
+    assert grid.log_slope([(v, v ** 1.5) for v in (2, 9, 70)]) == pytest.approx(1.5)
+
+
+def test_slopes_fit_the_hour_cells_of_each_overlay_and_source():
+    grid = load_tool()
+
+    def cell(overlay, horizon_s, viewer_s, power, repeat_powers):
+        return {"overlay": overlay, "horizon_s": horizon_s,
+                "change": {"viewer_s": viewer_s, "run_s": viewer_s ** power,
+                           "runs": [{"run_s": viewer_s ** p} for p in repeat_powers]}}
+
+    cells = [cell("tree", 3600.0, v, 1.2, (1.1, 1.3)) for v in (10, 100, 1000)]
+    cells.append(cell("tree", 86400.0, 5, 4.0, (4.0, 4.0)))  # not a 1 h cell
+    cells += [cell("mesh", 3600.0, v, 2.0, (2.0, 1.9)) for v in (10, 100)]
+    got = grid.slopes(cells, ["change"], repeat=2)
+    assert list(got) == ["tree", "mesh"]
+    assert got["tree"]["change"]["slope"] == pytest.approx(1.2)
+    assert got["tree"]["change"]["repeats"] == pytest.approx([1.1, 1.3])
+    assert got["mesh"]["change"]["repeats"] == pytest.approx([2.0, 1.9])

@@ -1,6 +1,7 @@
 """Scenario file parsing: defaults, validation, and round-trips."""
 
 import math
+import random
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -17,7 +18,11 @@ from tssim.config import (
     render_config,
     validate_config,
 )
+from tssim.engine import PRODUCER, Engine, OverlayDriver
+from tssim.mesh import ColorScheme, MeshPeer, SectorMesh
 from tssim.metrics import emit_report, run_scenario
+from tssim.stream import StreamParams, build_timeline
+from tssim.tree import SectorTree, TreeNode
 
 
 def test_empty_text_gives_all_defaults():
@@ -258,3 +263,22 @@ def test_render_parse_round_trip_customized():
     parsed, errors = parse_config(render_config(config))
     assert errors == []
     assert parsed == config
+
+
+def test_the_stream_and_structures_default_to_the_scenario():
+    # a stream or structure built without the scenario's values behaves
+    # as the engine and drivers build it from the default scenario
+    config = ScenarioConfig()
+    engine = Engine(config, OverlayDriver())
+    assert StreamParams() == engine.stream
+    timeline = build_timeline(StreamParams(), 2 * config.show_seconds)
+    assert len(timeline.shows) == 2
+    tree = SectorTree()
+    tree.attach(0)
+    mesh = SectorMesh(ColorScheme(colors=1, sector_count=1), random.Random(0))
+    assert {
+        TreeNode(0, PRODUCER).storage_capacity,
+        tree.nodes[0].storage_capacity,
+        MeshPeer(0, 0).storage_capacity,
+        mesh.add_peer(0, 0.0).storage_capacity,
+    } == {config.storage_chunks}

@@ -1,6 +1,8 @@
 """Overlay drivers exercised through the event engine."""
 
+import random
 import re
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,6 +11,7 @@ from tssim.drivers import IntervalDriver, MeshDriver, TreeDriver
 from tssim.engine import (
     DEDICATED,
     NO_PINS,
+    PRODUCER,
     Engine,
     InvariantViolation,
     PeerState,
@@ -388,3 +391,113 @@ def test_interval_no_archive_no_members_means_misses():
     engine = run_engine(driver, [join(3200.0, 0, 10)], horizon=3600.0)
     assert engine.counters["chunks_delivered"] == 0
     assert engine.counters["chunks_missed"] > 0
+
+
+def provider_driver(head, loads, producer_archive=True):
+    """An interval driver wired to a stand-in engine: find_provider reads
+    only the head and the running uploads."""
+    driver = IntervalDriver(ScenarioConfig(horizon_T=8,
+                                           producer_archive=producer_archive))
+    driver.engine = SimpleNamespace(head_chunk=head, _active_uploads=loads)
+    return driver
+
+
+def naive_provider(driver, peer_id, lag):
+    loads = driver.engine._active_uploads
+    others = [pid for pid in driver.graph.holders[lag] if pid != peer_id]
+    if others:
+        return (min(others, key=lambda pid: (loads.get(pid, 0), pid)), 1)
+    return (PRODUCER, 1) if driver.config.producer_archive else (None, 0)
+
+
+@pytest.mark.parametrize("holders,loads,requester,expected", [
+    # the requester is skipped even when it is the idle holder with the lowest id
+    ({1, 4, 6}, {4: 1}, 1, 6),
+    ({1, 4, 6}, {6: 2}, 4, 1),
+    # the dedicated server never uploads through the engine, so it is idle
+    ({DEDICATED, 3, 5}, {3: 1}, 5, DEDICATED),
+    # every other holder busy: the least loaded, then the lowest id
+    ({2, 3, 7}, {2: 3, 3: 1, 7: 1}, 9, 3),
+    ({2, 3, 7}, {2: 1, 3: 2}, 7, 2),
+    # nobody but the requester, or nobody at all: the producer's archive
+    ({5}, {}, 5, PRODUCER),
+    (set(), {1: 1}, 1, PRODUCER),
+])
+def test_find_provider_picks_an_idle_holder_else_the_least_loaded(
+        holders, loads, requester, expected):
+    driver = provider_driver(head=20, loads=loads)
+    driver.graph.holders[3] = holders
+    assert driver.find_provider(requester, 17, 0.0) == (expected, 1)
+    assert naive_provider(driver, requester, 3) == (expected, 1)
+
+
+def test_find_provider_without_archive_or_holder_finds_none():
+    driver = provider_driver(head=20, loads={}, producer_archive=False)
+    driver.graph.holders[3] = {5}
+    assert driver.find_provider(5, 17, 0.0) == (None, 0)
+    assert driver.find_provider(5, 10, 0.0) == (None, 0)  # lag past T
+
+
+def test_find_provider_matches_a_naive_load_minimum():
+    rng = random.Random("provider-naive")
+    seen = dict.fromkeys(["idle", "all_busy", "requester_holds", "none"], 0)
+    for _ in range(3000):
+        pool = [DEDICATED, *range(12)]
+        # the engine keeps a sender only while it uploads, so loads are >= 1
+        loads = {pid: rng.randint(1, 3) for pid in rng.sample(range(12), rng.randint(0, 12))}
+        driver = provider_driver(head=30, loads=loads,
+                                 producer_archive=rng.random() < 0.7)
+        for lag in range(9):
+            driver.graph.holders[lag] = set(rng.sample(pool, rng.randint(0, 5)))
+        requester = rng.randrange(12)
+        chunk = rng.randint(19, 30)  # lags 0..11, three of them past T
+        lag = 30 - chunk
+        got = driver.find_provider(requester, chunk, 0.0)
+        if lag <= 8:
+            assert got == naive_provider(driver, requester, lag)
+            others = driver.graph.holders[lag] - {requester}
+            seen["requester_holds"] += requester in driver.graph.holders[lag]
+            seen["none"] += not others
+            seen["idle"] += bool(others - loads.keys())
+            seen["all_busy"] += bool(others) and others <= loads.keys()
+        else:
+            assert got == ((PRODUCER, 1) if driver.config.producer_archive
+                           else (None, 0))
+    assert min(seen.values()) >= 100, sorted(seen.items())
+
+
+def naive_decile_means(driver):
+    """buffer_length_by_decile by testing every lag of a decile against
+    every snapshot span."""
+    T = driver.constraints.T
+    totals = [0] * (T + 1)
+    for lag, n in driver.requests_by_lag.items():
+        if 0 <= lag <= T:
+            totals[lag] += n
+    order = sorted(range(T + 1), key=lambda lag: (-totals[lag], lag))
+    decile = max(1, (T + 1) // 10)
+
+    def mean_len(lags):
+        lengths = [r - l for snapshot in driver.buffer_snapshots
+                   for l, r in snapshot if any(l <= lag <= r for lag in lags)]
+        return sum(lengths) / len(lengths) if lengths else 0.0
+
+    return mean_len(set(order[:decile])), mean_len(set(order[-decile:]))
+
+
+def test_decile_buffer_means_match_a_naive_scan():
+    rng = random.Random("decile-naive")
+    for _ in range(300):
+        T = rng.choice([1, 5, 9, 30, 61])
+        driver = IntervalDriver(ScenarioConfig(horizon_T=T))
+        driver.requests_by_lag = {
+            rng.randint(-2, T + 3): rng.randint(1, 9)
+            for _ in range(rng.randint(1, 2 * T + 2))}
+        driver.buffer_snapshots = []
+        for _ in range(rng.randint(0, 4)):
+            snapshot = []
+            for _ in range(rng.randint(0, 12)):
+                l = rng.randint(0, T + 2)
+                snapshot.append((l, l + rng.choice([0, 1, 3, T])))
+            driver.buffer_snapshots.append(snapshot)
+        assert driver.buffer_length_by_decile() == naive_decile_means(driver)

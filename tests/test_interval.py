@@ -15,6 +15,9 @@ from tssim.interval import (
     IntervalGraph,
     OverlayConstraints,
     OverlayEvent,
+    RepairOutcome,
+    _admissible,
+    _affected_members,
     brute_force_oracle,
     capacity_overloads_fast,
     check_capacity,
@@ -713,3 +716,170 @@ def test_find_provider_matches_full_scan(dedicated):
                     check_invariants=True)  # audits check the indices
     engine.run(sessions, generate_profiles(sessions, config))
     assert driver.compared > 100
+
+
+# -- repair does only the work whose result can matter ------------------------
+
+def reference_extend_to_cover(graph, constraints, window_lo, window_hi, members):
+    """_extend_to_cover before it dropped past-cap members: every option
+    goes through _admissible at every try."""
+    outcome = RepairOutcome()
+    k = constraints.k
+    vertices = graph.vertices
+    holders = graph.holders
+    window_lo = max(0, window_lo)
+    window_hi = min(constraints.T, window_hi)
+    for t in range(window_lo, window_hi + 1):
+        cover = len(holders[t])
+        if cover >= k:
+            continue
+        options = []
+        for pid in members:
+            iv = vertices.get(pid)
+            if iv is None or iv.covers(t):
+                continue
+            if iv.c <= t and iv.r < t:
+                options.append((t - iv.r, 0, pid, "r"))
+            elif iv.c >= t and iv.l > t:
+                options.append((iv.l - t, 1, pid, "l"))
+        options.sort()
+        while cover < k:
+            for i, (_cost, _pref, pid, side) in enumerate(options):
+                iv = vertices[pid]
+                cand = (Interval(pid, iv.l, iv.c, t) if side == "r"
+                        else Interval(pid, t, iv.c, iv.r))
+                if _admissible(graph, constraints, cand, side):
+                    graph.add(cand)
+                    outcome.changed[pid] = cand
+                    del options[i]
+                    break
+            else:
+                outcome.incidents.append((t, cover))
+                break
+            cover = len(holders[t])
+    return outcome
+
+
+def reference_repair_on_event(graph, constraints, event):
+    """Leave and move repair before the short-lag check: the
+    neighbourhood is gathered and swept after every event."""
+    if event.kind == "leave":
+        departed = graph.vertices.get(event.peer_id)
+        if departed is None:
+            return RepairOutcome()
+        graph.remove(event.peer_id)
+        members = _affected_members(graph, departed.l, departed.r)
+        return reference_extend_to_cover(graph, constraints, departed.l,
+                                         departed.r, members)
+    old = graph.vertices.get(event.peer_id)
+    graph.add(Interval(event.peer_id, event.lag, event.lag, event.lag))
+    if old is None:
+        return RepairOutcome()
+    span_lo = min(old.l, event.lag)
+    span_hi = max(old.r, event.lag)
+    members = _affected_members(graph, span_lo, span_hi)
+    members.add(event.peer_id)
+    return reference_extend_to_cover(graph, constraints, span_lo, span_hi, members)
+
+
+def assert_same_graph(got, expected):
+    assert got.vertices == expected.vertices
+    assert got.holders == expected.holders
+    assert got.by_c == expected.by_c
+    assert got.by_l == expected.by_l
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_repair_matches_reference_event_by_event(monkeypatch, seed):
+    rng = random.Random(f"repair-reference:{seed}")
+    T = rng.choice([12, 30])
+    # a graph indexing lags past T holds short lags no repair may look at
+    depth = T + rng.choice([0, 0, 6])
+    # the dedicated server covers every lag once, so k = 1 would be moot
+    cons = OverlayConstraints(k=rng.choice([2, 3] if seed % 2 else [1, 2, 3]), T=T)
+    g, ref = IntervalGraph(T=depth), IntervalGraph(T=depth)
+    if seed % 2:
+        cons.caps[DEDICATED] = math.inf
+        for graph in (g, ref):
+            graph.add(Interval(DEDICATED, 0, 0, T))
+
+    gathered = []
+    gather = tssim.interval._affected_members
+
+    def spy(graph, span_lo, span_hi, extras=3):
+        gathered.append((span_lo, span_hi))
+        return gather(graph, span_lo, span_hi, extras)
+
+    monkeypatch.setattr(tssim.interval, "_affected_members", spy)
+    alive: list[int] = []
+    next_pid = 0
+    seen = dict.fromkeys(["skipped", "repaired", "changed", "incident"], 0)
+    for step in range(400):
+        roll = rng.random()
+        if roll < 0.3 or len(alive) < 4:
+            cons.caps[next_pid] = rng.choice([0, 1, 2, 3])
+            event = OverlayEvent("join", peer_id=next_pid,
+                                 lag=rng.randrange(0, depth + 4))
+            alive.append(next_pid)
+            next_pid += 1
+            assert repair_on_event(g, cons, event) == repair_on_event(ref, cons, event)
+            assert_same_graph(g, ref)
+            continue
+        if roll < 0.35:
+            # bounds past T, as an earlier repair or a hand edit leaves them
+            pid = alive[rng.randrange(len(alive))]
+            wider = replace(g.vertices[pid], r=g.vertices[pid].r + rng.randrange(1, 12))
+            g.add(wider)
+            ref.add(wider)
+            continue
+        # the repair reads its window after the event and before any fix
+        after = IntervalGraph(T=depth, vertices=dict(g.vertices))
+        if roll < 0.65:
+            event = OverlayEvent("leave", peer_id=alive.pop(rng.randrange(len(alive))))
+            old = after.remove(event.peer_id)
+            window = (old.l, old.r)
+        else:
+            event = OverlayEvent("move", peer_id=alive[rng.randrange(len(alive))],
+                                 lag=rng.randrange(0, depth + 4))
+            old = after.vertices[event.peer_id]
+            after.add(Interval(event.peer_id, event.lag, event.lag, event.lag))
+            window = (min(old.l, event.lag), max(old.r, event.lag))
+        cover = after.coverage()
+        short = any(cover[t] < cons.k
+                    for t in range(window[0], min(window[1], T) + 1))
+        expected = reference_repair_on_event(ref, cons, event)
+        gathered.clear()
+        outcome = repair_on_event(g, cons, event)
+        assert (outcome.changed, outcome.incidents) == (
+            expected.changed, expected.incidents)
+        assert_same_graph(g, ref)
+        assert bool(gathered) == short
+        seen["skipped" if not short else "repaired"] += 1
+        seen["changed"] += bool(expected.changed)
+        seen["incident"] += bool(expected.incidents)
+        if step % 50 == 49:
+            assert rebalance(g, cons) == rebalance(ref, cons)
+            assert_same_graph(g, ref)
+    assert seen["skipped"] >= 10 and seen["changed"] >= 10 and seen["incident"] >= 1, (
+        sorted(seen.items()))
+
+
+def test_short_free_move_and_leave_never_gather_a_neighbourhood(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("_affected_members called without a short lag")
+
+    monkeypatch.setattr(tssim.interval, "_affected_members", refuse)
+    # lags 0..6 are covered twice; the graph also indexes lags 7..10,
+    # which nobody covers and which lie past T, so no repair may see them
+    cons = OverlayConstraints(k=2, T=6)
+    g = IntervalGraph(T=10)
+    for pid, (l, c, r) in enumerate([(0, 0, 6), (0, 3, 6), (2, 4, 10)]):
+        g.add(Interval(pid, l, c, r))
+    outcome = repair_on_event(g, cons, OverlayEvent("move", peer_id=2, lag=9))
+    assert (outcome.changed, outcome.incidents) == ({}, [])
+    assert g.vertices[2] == Interval(2, 9, 9, 9)
+    outcome = repair_on_event(g, cons, OverlayEvent("leave", peer_id=2))
+    assert (outcome.changed, outcome.incidents) == ({}, [])
+    assert 2 not in g.vertices
+    with pytest.raises(AssertionError, match="without a short lag"):
+        repair_on_event(g, cons, OverlayEvent("move", peer_id=1, lag=5))

@@ -1,8 +1,8 @@
 """Time the scaling grid, one fresh interpreter per run.
 
-The grid is the three overlays × four cells: 1 h at arrival rate 0.05,
-0.2 and 0.5, and 24 h at 0.05. Every cell is one run_scenario call at
-seed 1 with the default ScenarioConfig otherwise, followed by
+The grid is the three overlays × six cells: 1 h at arrival rate 0.05,
+0.2, 0.5, 1.0 and 2.0, and 24 h at 0.05. Every cell is one run_scenario
+call at seed 1 with the default ScenarioConfig otherwise, followed by
 emit_report into a temporary directory. For each cell the tool records:
 
 - run_s: wall time of run_scenario (set-up included), by perf_counter;
@@ -23,10 +23,16 @@ interleaved: each repeat of a cell runs every source once, the order
 rotating from one repeat to the next. A source's value is the median
 over its repeats; the single runs are kept under "runs".
 
+For each overlay and source, "slopes" holds the least-squares slope of
+log run_s against log viewer_s over the 1 h cells: 1.0 means a constant
+cost per viewer-second, more means each viewer-second costs more as the
+audience grows. "slope" is fitted to the medians and "repeats" once per
+repeat, to the runs of that repeat, which shows its spread.
+
 Run from the repository root, standard library only:
 
     python3 tools/bench_grid.py --src parent=../old/src --src change=src \\
-        --repeat 3 --out BENCH_5.json
+        --repeat 3 --out BENCH_7.json
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import statistics
@@ -48,8 +55,10 @@ GRID = [
     (overlay, horizon_s, arrival_rate)
     for overlay in ("tree", "mesh", "interval")
     for horizon_s, arrival_rate in (
-        (3600.0, 0.05), (3600.0, 0.2), (3600.0, 0.5), (86400.0, 0.05))
+        (3600.0, 0.05), (3600.0, 0.2), (3600.0, 0.5), (3600.0, 1.0),
+        (3600.0, 2.0), (86400.0, 0.05))
 ]
+SLOPE_HORIZON_S = 3600.0
 METRICS = ("run_s", "emit_s", "viewer_s", "viewer_s_per_s", "events",
            "events_per_s", "peak_rss_mb")
 
@@ -134,6 +143,36 @@ def summarize(runs: list[dict]) -> dict:
     return summary
 
 
+def log_slope(points: list[tuple[float, float]]) -> float:
+    """Least-squares slope of log y against log x over (x, y) points."""
+    xs = [math.log(x) for x, _ in points]
+    ys = [math.log(y) for _, y in points]
+    mx, my = statistics.fmean(xs), statistics.fmean(ys)
+    return (sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+            / sum((x - mx) ** 2 for x in xs))
+
+
+def slopes(cells: list[dict], labels: list[str], repeat: int) -> dict:
+    """Per overlay and source, the run_s-on-viewer_s slope of the 1 h cells."""
+    result = {}
+    for overlay in dict.fromkeys(cell["overlay"] for cell in cells):
+        hour = [cell for cell in cells if cell["overlay"] == overlay
+                and cell["horizon_s"] == SLOPE_HORIZON_S]
+        result[overlay] = {
+            label: {
+                "slope": log_slope([(cell[label]["viewer_s"], cell[label]["run_s"])
+                                    for cell in hour]),
+                "repeats": [
+                    log_slope([(cell[label]["viewer_s"],
+                                cell[label]["runs"][rep]["run_s"])
+                               for cell in hour])
+                    for rep in range(repeat)],
+            }
+            for label in labels
+        }
+    return result
+
+
 def main(argv: list[str]) -> int:
     if argv[:1] == ["--cell"]:
         overlay, horizon_s, arrival_rate, out_dir = argv[1:]
@@ -173,12 +212,13 @@ def main(argv: list[str]) -> int:
                       **{label: summarize(runs[label]) for label in labels}})
 
     result = {
-        "grid": "3 overlays x {1 h @ 0.05, 0.2, 0.5; 24 h @ 0.05}, seed 1",
+        "grid": "3 overlays x {1 h @ 0.05, 0.2, 0.5, 1.0, 2.0; 24 h @ 0.05}, seed 1",
         "host": {"python": platform.python_version(),
                  "machine": platform.machine(), "cpus": os.cpu_count()},
         "repeat": args.repeat,
         "sources": labels,
         "cells": cells,
+        "slopes": slopes(cells, labels, args.repeat),
     }
     text = json.dumps(result, indent=2) + "\n"
     if args.out:
