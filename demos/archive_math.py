@@ -2,15 +2,8 @@
 Back-of-the-envelope numbers for one channel: how fast chunks appear,
 how much a month of history weighs, and where the live edge sits.
 """
-from tssim.stream import (
-    StreamParams,
-    archive_bytes,
-    archive_chunks,
-    build_timeline,
-    chunk_duration,
-    chunks_per_day,
-    head_chunk_at,
-)
+from ground_truth import archive_bytes, archive_chunks, chunks_per_day
+from tssim.stream import StreamParams, build_timeline, chunk_duration, head_chunk_at
 
 
 def main():

@@ -3,15 +3,12 @@ The lag-interval assignment on a desk-scale instance: run the greedy
 sweep, draw the result as ASCII spans, compare its total buffer length
 with the exhaustive optimum, then repair around a departure.
 """
+from ground_truth import brute_force_oracle, check_capacity, check_k_coverage, objective
 from tssim.interval import (
     Infeasible,
     IntervalGraph,
     OverlayConstraints,
     OverlayEvent,
-    brute_force_oracle,
-    check_capacity,
-    check_k_coverage,
-    objective,
     repair_on_event,
     sweep_assign_bounds,
 )

@@ -6,6 +6,7 @@ and where a colored chunk ends up.
 import random
 from collections import Counter
 
+from ground_truth import is_connected
 from tssim.mesh import ColorScheme, SectorMesh
 
 
@@ -27,7 +28,7 @@ def main():
 
     counts = Counter(p.color for p in mesh.peers.values())
     print(f"color histogram: {dict(sorted(counts.items()))}")
-    print(f"connected: {mesh.is_connected()}, "
+    print(f"connected: {is_connected(mesh)}, "
           f"shuffle messages: {mesh.shuffle_messages}")
 
     print()

@@ -12,8 +12,9 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import replace
 
-from tssim.config import OVERLAYS, _TYPES, ScenarioConfig, _field_problem, parse_config
+from tssim.config import OVERLAYS, ScenarioConfig, parse_config, parse_field, validate_config
 from tssim.engine import InvariantViolation
 from tssim.metrics import emit_report, run_scenario
 
@@ -32,19 +33,14 @@ class _Parser(argparse.ArgumentParser):
 
 def _field_value(key: str):
     """The argparse type of a flag that overrides config field `key`:
-    the field's own type, then the scenario file's rule for it."""
-    kind = _TYPES[key]
+    the scenario file's rule for that field. argparse reports only an
+    ArgumentTypeError's own message, so the rule's ValueError becomes one."""
 
     def value(text: str):
         try:
-            parsed = kind(text)
-        except ValueError:
-            noun = "an integer" if kind is int else "a number"
-            raise argparse.ArgumentTypeError(f"{key} must be {noun}, got {text!r}")
-        problem = _field_problem(key, parsed)
-        if problem:
-            raise argparse.ArgumentTypeError(problem)
-        return parsed
+            return parse_field(key, text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
     return value
 
 
@@ -114,10 +110,11 @@ def main(argv: list[str] | None = None) -> int:
 
     overlay = args.overlay or config.overlay
     base_seed = config.seed if args.seed is None else args.seed
-    # the batch's last seed must be a valid seed too, checked before any run
-    problem = _field_problem("seed", base_seed + args.runs - 1)
-    if problem:
-        print(f"tssim: error: --runs {args.runs} from seed {base_seed}: {problem}",
+    # the batch's last seed must be a valid seed too, checked before any
+    # run; config passed every rule, so only that seed can fail one
+    problems = validate_config(replace(config, seed=base_seed + args.runs - 1))
+    if problems:
+        print(f"tssim: error: --runs {args.runs} from seed {base_seed}: {problems[0]}",
               file=sys.stderr)
         return 1
     log.info("overlay=%s base_seed=%d runs=%d", overlay, base_seed, args.runs)

@@ -110,30 +110,7 @@ _RANGES: dict[str, tuple[float, bool, float | None]] = {
 _TYPES: dict[str, type] = {
     f.name: type(getattr(ScenarioConfig(), f.name)) for f in fields(ScenarioConfig)
 }
-
-
-def _convert(key: str, raw: str, line_no: int, errors: list[str]):
-    target = _TYPES[key]
-    if target is bool:
-        if raw == "true":
-            return True
-        if raw == "false":
-            return False
-        errors.append(f"line {line_no}: {key} must be 'true' or 'false', got {raw!r}")
-        return None
-    if target is int:
-        try:
-            return int(raw)
-        except ValueError:
-            errors.append(f"line {line_no}: {key} must be an integer, got {raw!r}")
-            return None
-    if target is float:
-        try:
-            return float(raw)
-        except ValueError:
-            errors.append(f"line {line_no}: {key} must be a number, got {raw!r}")
-            return None
-    return raw
+_NOUNS = {bool: "'true' or 'false'", int: "an integer", float: "a number"}
 
 
 def _field_problem(key: str, value) -> str | None:
@@ -155,6 +132,21 @@ def _field_problem(key: str, value) -> str | None:
     if high is not None and value > high:
         return f"{key} must be within [{low}, {high}], got {value}"
     return None
+
+
+def parse_field(key: str, text: str):
+    """The setting of `key` that `text` spells, by the one rule scenario
+    lines and command-line flags share: read as the field's type, then
+    checked by the field's rule. ValueError names what is wrong."""
+    kind = _TYPES[key]
+    try:
+        value = {"true": True, "false": False}[text] if kind is bool else kind(text)
+    except (KeyError, ValueError):
+        raise ValueError(f"{key} must be {_NOUNS[kind]}, got {text!r}") from None
+    problem = _field_problem(key, value)
+    if problem:
+        raise ValueError(problem)
+    return value
 
 
 def parse_config(text: str) -> tuple[ScenarioConfig | None, list[str]]:
@@ -186,13 +178,10 @@ def parse_config(text: str) -> tuple[ScenarioConfig | None, list[str]]:
                 f"line {line_no}: duplicate key {key!r} (first set on line {seen[key]})")
             continue
         seen[key] = line_no
-        value = _convert(key, raw_value, line_no, errors)
-        if value is None:
-            continue
-        problem = _field_problem(key, value)
-        if problem:
-            errors.append(f"line {line_no}: {problem}")
-        values[key] = value
+        try:
+            values[key] = parse_field(key, raw_value)
+        except ValueError as exc:
+            errors.append(f"line {line_no}: {exc}")
 
     if errors:
         return None, errors

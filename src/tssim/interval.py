@@ -14,15 +14,12 @@ iff l <= t <= r, and two ranges intersect iff max of the left ends is
 
 IntervalGraph keeps the one production count of each constraint as an
 index: `holders` gives every lag's coverage and `served_count` every
-peer's serving load. The sweep, repair, the coverage samples and the
-fast checkers all read them. The two naive checkers are literal
-recounts, the reference the indices must agree with on every instance,
-and `IntervalGraph.index_drift` recounts the indices from the vertices
-in a checked run. An exhaustive small-instance optimizer is the ground
-truth for the greedy bound-assignment sweep. It seeds its upper bound
-with the sweep's assignment once the checkers accept it, and stays
-exact whatever that seed is. The sweep and repair share one greedy
-extension rule, `_extend_to_cover`.
+peer's serving load. The sweep, repair and the coverage samples all
+read them, and `IntervalGraph.index_drift` recounts the indices from
+the vertices in a checked run. The sweep and repair share one greedy
+extension rule, `_extend_to_cover`. The naive recounts of both laws and
+the exhaustive optimizer that checks the sweep live with the tests, in
+tests/ground_truth.py.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from itertools import accumulate, islice
 
 
 @dataclass(frozen=True)
@@ -46,9 +42,6 @@ class Interval:
                 f"peer {self.peer_id}: bounds must satisfy 0 <= l <= c <= r, "
                 f"got ({self.l}, {self.c}, {self.r})"
             )
-
-    def covers(self, lag: int) -> bool:
-        return self.l <= lag <= self.r
 
 
 @dataclass
@@ -176,252 +169,22 @@ def _move_pair(pairs: list[tuple[int, int]], pid: int,
         insort(pairs, (after, pid))
 
 
-def objective(intervals) -> int:
-    """Total buffer length, the quantity the bound assignment minimizes."""
-    if isinstance(intervals, IntervalGraph):
-        intervals = intervals.intervals()
-    return sum(iv.r - iv.l for iv in intervals)
-
-
-# ---------------------------------------------------------------------------
-# Constraint checkers. The two *naive* forms below are the reference
-# semantics, written as literal recounts. The *fast* forms answer from
-# IntervalGraph's indices, the counts the simulation runs on, and must
-# agree with the naive ones on every instance. The simulation calls
-# only coverage_gaps_fast; the rest serve the tests and the oracle's
-# check of its seed.
-
-def check_k_coverage(graph: IntervalGraph, constraints: OverlayConstraints) -> list[tuple[int, int]]:
-    """Gaps as (lag, multiplicity) pairs; empty list means pass."""
-    ivs = graph.intervals() if isinstance(graph, IntervalGraph) else list(graph)
-    gaps = []
-    for t in range(0, constraints.T + 1):
-        count = 0
-        for iv in ivs:
-            if iv.covers(t):
-                count += 1
-        if count < constraints.k:
-            gaps.append((t, count))
-    return gaps
-
-
-def check_capacity(graph: IntervalGraph, constraints: OverlayConstraints) -> list[tuple[int, int]]:
-    """Overloaded peers as (peer_id, served_count) pairs; empty means pass.
-
-    Peer y is served by x when y's to-play range [l_y, c_y] meets x's
-    already-played range [c_x, r_x]. A peer never serves itself.
-    """
-    ivs = graph.intervals() if isinstance(graph, IntervalGraph) else list(graph)
-    overloaded = []
-    for x in ivs:
-        count = 0
-        for y in ivs:
-            if y.peer_id == x.peer_id:
-                continue
-            if max(y.l, x.c) <= min(y.c, x.r):
-                count += 1
-        if count > constraints.cap_of(x.peer_id):
-            overloaded.append((x.peer_id, count))
-    return overloaded
-
-
 def _require_lags(graph: IntervalGraph, T: int) -> None:
     if graph.T < T:
         raise ValueError(f"graph indexes lags up to {graph.T}, asked for {T}")
 
 
-def _as_graph(intervals, T: int) -> IntervalGraph:
-    """intervals as a graph that indexes at least lags 0..T.
-
-    A list gets a new graph, so it may hold only one interval per peer:
-    the graph is keyed by peer id.
-    """
-    if isinstance(intervals, IntervalGraph):
-        _require_lags(intervals, T)
-        return intervals
-    intervals = list(intervals)
-    vertices = {iv.peer_id: iv for iv in intervals}
-    if len(vertices) != len(intervals):
-        raise ValueError("a peer holds more than one interval")
-    return IntervalGraph(T, vertices)
-
-
-def coverage_gaps_fast(intervals, k: int, T: int) -> list[tuple[int, int]]:
-    """check_k_coverage, read from IntervalGraph.holders."""
-    cover = _as_graph(intervals, T).coverage()[:T + 1]
+def coverage_gaps_fast(graph: IntervalGraph, k: int, T: int) -> list[tuple[int, int]]:
+    """Lags 0..T covered fewer than k times, as (lag, coverage) pairs,
+    read from graph.holders."""
+    _require_lags(graph, T)
+    cover = graph.coverage()[:T + 1]
     return [(t, count) for t, count in enumerate(cover) if count < k]
-
-
-def capacity_overloads_fast(intervals, constraints: OverlayConstraints) -> list[tuple[int, int]]:
-    """check_capacity, read from IntervalGraph.served_count, by peer id."""
-    graph = _as_graph(intervals, constraints.T)
-    return [(x.peer_id, count) for x in graph.intervals()
-            if (count := graph.served_count(x)) > constraints.cap_of(x.peer_id)]
 
 
 @dataclass(frozen=True)
 class Infeasible:
     blocking_lag: int
-
-
-# ---------------------------------------------------------------------------
-# Exhaustive optimizer for desk-scale instances. Ground truth for the
-# greedy sweep, which only seeds its bound; refuses anything big enough
-# to be slow.
-
-ORACLE_MAX_PEERS = 8
-ORACLE_MAX_T = 20
-
-
-def brute_force_oracle(
-    positions: list[tuple[int, int]],
-    constraints: OverlayConstraints,
-) -> int | Infeasible:
-    """Minimal total buffer length over all integer bound assignments.
-
-    Searches every assignment with l in [0, c] and r in [c, T] (values
-    outside that box are dominated: they add length and serving charge
-    without covering anything new in [0, T]). Branch and bound keeps it
-    fast at this scale. The greedy sweep's assignment, when both
-    checkers accept it, seeds the upper bound; the search still visits
-    every assignment cheaper than the seed, so the result is exact
-    whatever the sweep returns.
-    """
-    n = len(positions)
-    k, T = constraints.k, constraints.T
-    if n > ORACLE_MAX_PEERS:
-        raise ValueError(f"oracle handles at most {ORACLE_MAX_PEERS} peers, got {n}")
-    if T > ORACLE_MAX_T:
-        raise ValueError(f"oracle handles T up to {ORACLE_MAX_T}, got {T}")
-    for pid, c in positions:
-        if not isinstance(c, int) or not 0 <= c <= T:
-            raise ValueError(f"peer {pid}: position {c} outside integer range [0, {T}]")
-    if n < k:
-        return Infeasible(blocking_lag=0)
-
-    order = sorted(positions, key=lambda p: (p[1], p[0]))
-    cands = [
-        sorted((r - l, l, r) for l in range(c + 1) for r in range(c, T + 1))
-        for _, c in order
-    ]
-
-    caps = [constraints.cap_of(pid) for pid, _ in order]
-    # Peers with the same position and cap are interchangeable, so each
-    # such run takes its pairs in sorted order: one of every permutation.
-    twin = [i > 0 and order[i - 1][1] == c and caps[i - 1] == caps[i]
-            for i, (_, c) in enumerate(order)]
-    cover = [0] * (T + 1)
-    chosen: list[Interval] = []
-    charges = [0] * n
-    best_obj = math.inf
-    best_found = False
-    seed = sweep_assign_bounds(order, constraints)
-    if (not isinstance(seed, Infeasible)
-            and not coverage_gaps_fast(seed, k, T)
-            and not check_capacity(seed, constraints)):
-        best_obj = objective(seed)
-        best_found = True
-
-    # nearest[i][t][m]: the m smallest distances from lag t to the
-    # positions of peers i.. summed; covering t m more times costs that
-    nearest = [
-        [list(accumulate(sorted(abs(c - t) for _, c in order[i:]), initial=0))
-         for t in range(T + 1)]
-        for i in range(n + 1)
-    ]
-
-    def deficit_bound(i: int) -> tuple[float, int, int]:
-        """(lower bound on remaining cost, mandatory-cover lo, hi).
-
-        The mandatory range is the span of lags whose deficit equals
-        the number of unassigned peers: every one of them must cover
-        the whole range or the branch is dead. (-1, -1) when empty.
-        """
-        remaining = n - i
-        total = 0
-        full_lo = full_hi = -1
-        anchor = 0
-        near = nearest[i]
-        for t in range(T + 1):
-            need = k - cover[t]
-            if need > remaining:
-                return math.inf, -1, -1  # not enough peers left for lag t
-            if need <= 0:
-                continue
-            total += need
-            if need == remaining:
-                if full_lo < 0:
-                    full_lo = t
-                full_hi = t
-            # covering this lag costs each involved peer its distance to t;
-            # the `need` cheapest peers give a valid bound for lag t alone
-            lag_cost = near[t][need]
-            if lag_cost > anchor:
-                anchor = lag_cost
-        # Each remaining peer covers at most (length + 1) lags, so total
-        # deficit forces at least total - remaining extra length.
-        lb = max(0, total - remaining, anchor)
-        if full_lo >= 0:
-            span = sum(
-                max(full_hi, c) - min(full_lo, c) for _, c in order[i:]
-            )
-            lb = max(lb, span)
-        return lb, full_lo, full_hi
-
-    def dfs(i: int, obj: int) -> None:
-        nonlocal best_obj, best_found
-        lb, full_lo, full_hi = deficit_bound(i)
-        if math.isinf(lb) or obj + lb >= best_obj:
-            return
-        if i == n:
-            best_obj = obj
-            best_found = True
-            return
-        pid, c = order[i]
-        cap_i = caps[i]
-        start = 0
-        if twin[i]:
-            w = chosen[-1]
-            start = bisect_left(cands[i], (w.r - w.l, w.l, w.r))
-        for cost, l, r in islice(cands[i], start, None):
-            if obj + cost >= best_obj:
-                break  # pairs sorted by cost; nothing cheaper follows
-            if full_lo >= 0 and (l > full_lo or r < full_hi):
-                continue  # this peer is needed across the mandatory range
-            new_charge_i = 0
-            ok = True
-            for j, w in enumerate(chosen):
-                # w was placed earlier, so w.c <= c (ties included via >=).
-                if l <= w.r and c >= w.c:
-                    if charges[j] + 1 > caps[j]:
-                        ok = False
-                        break
-                if w.l <= r and w.c >= c:
-                    new_charge_i += 1
-            if not ok or new_charge_i > cap_i:
-                continue
-            iv = Interval(peer_id=pid, l=l, c=c, r=r)
-            bumped = []
-            for j, w in enumerate(chosen):
-                if l <= w.r and c >= w.c:
-                    charges[j] += 1
-                    bumped.append(j)
-            chosen.append(iv)
-            charges[i] = new_charge_i
-            for t in range(l, min(r, T) + 1):
-                cover[t] += 1
-            dfs(i + 1, obj + cost)
-            for t in range(l, min(r, T) + 1):
-                cover[t] -= 1
-            chosen.pop()
-            charges[i] = 0
-            for j in bumped:
-                charges[j] -= 1
-
-    dfs(0, 0)
-    if not best_found:
-        return Infeasible(blocking_lag=0)
-    return int(best_obj)
 
 
 # ---------------------------------------------------------------------------

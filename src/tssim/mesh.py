@@ -462,23 +462,3 @@ class SectorMesh:
                 problems.append(f"holder count of chunk {chunk} is {counted}, "
                                 f"but {recount.get(chunk, 0)} members store it")
         return problems
-
-    def is_connected(self) -> bool:
-        """BFS over live view edges, both directions counted."""
-        if not self.peers:
-            return True
-        adj: dict[int, set[int]] = {pid: set() for pid in self.peers}
-        for pid, peer in self.peers.items():
-            for nid in peer.neighbors:
-                if nid in self.peers:
-                    adj[pid].add(nid)
-                    adj[nid].add(pid)
-        seen = set()
-        stack = [min(self.peers)]
-        while stack:
-            pid = stack.pop()
-            if pid in seen:
-                continue
-            seen.add(pid)
-            stack.extend(adj[pid] - seen)
-        return len(seen) == len(self.peers)

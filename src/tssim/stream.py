@@ -54,22 +54,6 @@ def chunk_duration(params: StreamParams) -> float:
     return params.chunk_size_bytes * 8 / params.bitrate_bps
 
 
-def chunks_per_day(params: StreamParams) -> float:
-    """Chunks recorded over 24 hours at the configured rate."""
-    return 86_400 / chunk_duration(params)
-
-
-def archive_chunks(params: StreamParams, days: float) -> float:
-    """Chunks a full archive of `days` of stream history holds."""
-    if days < 0:
-        raise ValueError(f"negative archive span {days}")
-    return days * chunks_per_day(params)
-
-
-def archive_bytes(params: StreamParams, days: float) -> float:
-    return archive_chunks(params, days) * params.chunk_size_bytes
-
-
 def resumed_lag(params: StreamParams, lag: int, pause_seconds: float,
                 head: int) -> int:
     """Lag of a viewer resuming at `head` after pausing `pause_seconds` at `lag`.

@@ -429,9 +429,6 @@ class SectorTree:
         """Count the node's current store and push what changed rootward."""
         self._walk(peer_id, *self._sync(peer_id))
 
-    def root_claims(self, chunk_id: int) -> bool:
-        return any(self.summaries[r].claims(chunk_id) for r in self.roots())
-
     def replica_count(self, chunk_id: int) -> int:
         return len(self._holders.get(chunk_id, ()))
 

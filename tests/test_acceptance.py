@@ -9,32 +9,31 @@ import math
 import random
 import time
 
+from ground_truth import (
+    SectorLawDriver,
+    archive_bytes,
+    archive_chunks,
+    as_graph,
+    brute_force_oracle,
+    capacity_overloads_fast,
+    check_capacity,
+    check_k_coverage,
+    chunks_per_day,
+)
 from tssim.config import ScenarioConfig
-from tssim.drivers import MeshDriver, TreeDriver
+from tssim.drivers import MeshDriver
 from tssim.engine import Engine, OverlayDriver
 from tssim.interval import (
     Infeasible,
     Interval,
     OverlayConstraints,
-    brute_force_oracle,
-    capacity_overloads_fast,
-    check_capacity,
-    check_k_coverage,
     coverage_gaps_fast,
     sweep_assign_bounds,
 )
 from tssim.mesh import ColorScheme, SectorMesh
 from tssim.metrics import emit_report, run_scenario
-from tssim.stream import (
-    StreamParams,
-    archive_bytes,
-    archive_chunks,
-    build_timeline,
-    chunk_duration,
-    chunks_per_day,
-)
+from tssim.stream import StreamParams, build_timeline, chunk_duration
 from tssim.tree import SectorTree
-from tssim.turntable import sector_of_chunk
 from tssim.workload import (
     PeerProfile,
     SessionEvent,
@@ -72,21 +71,6 @@ def test_acceptance_01_capacity_arithmetic():
 
 
 # -- 2: sector assignment law over a full simulated day -----------------------
-
-
-class SectorLawDriver(TreeDriver):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.law_checks = 0
-        self.law_violations = 0
-
-    def on_audit(self, now):
-        for pid, sector in sorted(self.turntable.sector_of_peer.items()):
-            for chunk in self.engine.peers[pid].pinned:
-                self.law_checks += 1
-                if sector_of_chunk(chunk, self.config.m) != sector:
-                    self.law_violations += 1
-        super().on_audit(now)
 
 
 def test_acceptance_02_turntable_assignment_law():
@@ -340,7 +324,7 @@ def test_acceptance_07_checker_equivalence():
                 for pid in range(n) if rng.random() < 0.3}
         constraints = OverlayConstraints(k=k, T=T, default_cap=2, caps=caps)
         if (sorted(check_k_coverage(intervals, constraints))
-                != sorted(coverage_gaps_fast(intervals, k, T))):
+                != sorted(coverage_gaps_fast(as_graph(intervals, T), k, T))):
             disagreements += 1
         if (sorted(check_capacity(intervals, constraints))
                 != sorted(capacity_overloads_fast(intervals, constraints))):

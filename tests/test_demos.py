@@ -14,8 +14,9 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_exits_cleanly(demo):
     env = dict(os.environ)
+    # the package and, from tests/, its ground truth
     env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        filter(None, [str(ROOT / "src"), str(ROOT / "tests"), env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

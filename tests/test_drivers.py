@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from ground_truth import SectorLawDriver
 from tssim.config import ScenarioConfig
 from tssim.drivers import IntervalDriver, MeshDriver, TreeDriver
 from tssim.engine import (
@@ -18,7 +19,6 @@ from tssim.engine import (
     SealedStore,
 )
 from tssim.stream import StreamParams, build_timeline
-from tssim.turntable import sector_of_chunk
 from tssim.workload import (
     PeerProfile,
     SessionEvent,
@@ -85,27 +85,6 @@ def test_each_census_sample_counts_chunks_0_to_head(overlay):
 
 
 # -- tree --------------------------------------------------------------------
-
-
-class SectorLawDriver(TreeDriver):
-    """Re-verifies the assignment law over all live pins at every audit.
-
-    Sessions all end by the horizon, so the interesting state only
-    exists mid-run; the audit timer is the natural sampling point.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.law_checks = 0
-        self.law_violations = 0
-
-    def on_audit(self, now):
-        for pid, sector in sorted(self.turntable.sector_of_peer.items()):
-            for chunk in self.engine.peers[pid].pinned:
-                self.law_checks += 1
-                if sector_of_chunk(chunk, self.config.m) != sector:
-                    self.law_violations += 1
-        super().on_audit(now)
 
 
 def test_tree_pins_land_in_matching_sectors():

@@ -6,6 +6,14 @@ from dataclasses import replace
 import pytest
 
 import tssim.interval
+from ground_truth import (
+    as_graph,
+    brute_force_oracle,
+    capacity_overloads_fast,
+    check_capacity,
+    check_k_coverage,
+    objective,
+)
 from tssim.config import ScenarioConfig, validate_config
 from tssim.drivers import IntervalDriver
 from tssim.engine import DEDICATED, PRODUCER, Engine, PeerState
@@ -18,12 +26,7 @@ from tssim.interval import (
     RepairOutcome,
     _admissible,
     _affected_members,
-    brute_force_oracle,
-    capacity_overloads_fast,
-    check_capacity,
-    check_k_coverage,
     coverage_gaps_fast,
-    objective,
     rebalance,
     repair_on_event,
     sweep_assign_bounds,
@@ -98,7 +101,7 @@ def test_fast_checkers_match_naive_on_random_sets():
             ivs.append(Interval(pid, rng.randrange(0, c + 1), c, rng.randrange(c, T + 3)))
         k = rng.randrange(1, 4)
         cons = OverlayConstraints(k=k, T=T, default_cap=rng.choice([0, 1, 2, math.inf]))
-        assert check_k_coverage(ivs, cons) == coverage_gaps_fast(ivs, k, T)
+        assert check_k_coverage(ivs, cons) == coverage_gaps_fast(as_graph(ivs, T), k, T)
         assert check_capacity(ivs, cons) == capacity_overloads_fast(ivs, cons)
 
 
@@ -113,7 +116,7 @@ def test_fast_checkers_read_a_deeper_graph_up_to_the_lag_asked_for():
 def test_fast_checkers_reject_two_intervals_of_one_peer():
     ivs = [Interval(0, 0, 1, 2), Interval(1, 2, 3, 4), Interval(0, 3, 4, 5)]
     with pytest.raises(ValueError, match="more than one interval"):
-        coverage_gaps_fast(ivs, 1, 5)
+        as_graph(ivs, 5)
     with pytest.raises(ValueError, match="more than one interval"):
         capacity_overloads_fast(ivs, OverlayConstraints(k=1, T=5))
 
@@ -736,7 +739,7 @@ def reference_extend_to_cover(graph, constraints, window_lo, window_hi, members)
         options = []
         for pid in members:
             iv = vertices.get(pid)
-            if iv is None or iv.covers(t):
+            if iv is None or iv.l <= t <= iv.r:
                 continue
             if iv.c <= t and iv.r < t:
                 options.append((t - iv.r, 0, pid, "r"))

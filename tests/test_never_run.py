@@ -37,9 +37,9 @@ def test_never_run_reports_dead_code_and_spares_live_code():
         return [st for path, st in missed
                 if os.path.basename(path) == file and st.func == func]
 
-    # only the tests call the exhaustive oracle
-    oracle = body("interval.py", "brute_force_oracle")
-    assert missed_in("interval.py", "brute_force_oracle") == oracle
+    # the engine no longer asks a driver whether a peer holds a chunk
+    has_local = body("engine.py", "OverlayDriver.has_local")
+    assert missed_in("engine.py", "OverlayDriver.has_local") == has_local
     # every playing viewer ticks
     tick = body("engine.py", "Engine._viewer_tick")
     assert len(missed_in("engine.py", "Engine._viewer_tick")) < len(tick)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ground_truth import root_claims
 from tssim.tree import (
     BloomSummary,
     DiffusionResult,
@@ -78,7 +79,7 @@ def test_detach_root_promotes_or_reparents():
     t.update_summary(2)
     t.detach(0)
     assert t.check_invariants() == []
-    assert t.root_claims(11)
+    assert root_claims(t, 11)
 
 
 def test_detach_sole_parent_child_pair():
@@ -105,8 +106,8 @@ def test_summary_propagates_to_root():
     t.update_summary(3)
     for pid in range(4):
         assert t.summaries[pid].claims(42)
-    assert t.root_claims(42)
-    assert not t.root_claims(43)
+    assert root_claims(t, 42)
+    assert not root_claims(t, 43)
 
 
 def test_summary_rebuild_after_unpin():
@@ -115,7 +116,7 @@ def test_summary_rebuild_after_unpin():
     t.update_summary(2)
     t.nodes[2].store.discard(5)
     t.update_summary(2)
-    assert not t.root_claims(5)
+    assert not root_claims(t, 5)
 
 
 def test_summary_never_misses_stored_chunks():
@@ -159,10 +160,10 @@ def test_bloom_cannot_forget_but_rebuild_can():
     t = chain(2, summary_mode="bloom", bloom_bits=64, bloom_hashes=2)
     t.nodes[1].store.add(7)
     t.update_summary(1)
-    assert t.root_claims(7)
+    assert root_claims(t, 7)
     t.nodes[1].store.discard(7)
     t.update_summary(1)
-    assert not t.root_claims(7)
+    assert not root_claims(t, 7)
 
 
 def test_bloom_chain_forgets_a_removed_chunk():
@@ -209,7 +210,7 @@ def test_diffuse_pins_deepest_first():
     assert res.pinned == [2, 1]
     assert res.deficit == 0
     assert t.replica_count(0) == 2
-    assert t.root_claims(0)
+    assert root_claims(t, 0)
 
 
 def test_diffuse_reports_deficit_when_storage_short():
