@@ -37,7 +37,6 @@ def main():
     print(f"killing all holders of chunk 2: {victims}")
     for pid in victims:
         tree.unpin_all(pid)
-        tree.update_summary(pid)
         tree.detach(pid)
     print(f"replicas of chunk 2 now: {tree.replica_count(2)}")
     outcome = tree.emergency_replicate([2], k_rep=3, producer_archive=True)

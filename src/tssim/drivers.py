@@ -92,6 +92,13 @@ class _TurntableDriver(OverlayDriver):
             return (PRODUCER, hops + 1)
         return (None, hops)
 
+    def _pin_set_drift(self, members: dict) -> list[str]:
+        """A problem for each member whose engine pin set is not its store."""
+        peers = self.engine.peers
+        return [f"peer {pid}'s engine pins are not its overlay store"
+                for pid, member in sorted(members.items())
+                if peers[pid].pinned is not member.store]
+
     def replica_counts(self, now: float) -> list[int]:
         m = self.config.m
         counts = [0] * (self.engine.head_chunk + 1)
@@ -125,6 +132,7 @@ class TreeDriver(_TurntableDriver):
         tree.attach(peer_id, upload_capacity=profile.upload_capacity,
                     storage_capacity=profile.storage_capacity,
                     as_root=not tree.nodes)
+        self.engine.peers[peer_id].pinned = tree.nodes[peer_id].store
         self._flush_retained(sector, now)
 
     def on_leave(self, peer_id: int, now: float, abrupt: bool) -> None:
@@ -142,7 +150,6 @@ class TreeDriver(_TurntableDriver):
         tree = self.structures[sector]
         held = sorted(tree.unpin_all(peer_id))
         eng = self.engine
-        eng.peers[peer_id].pinned.clear()
         tree.detach(peer_id)
         k_min = self.config.k_min
         short = [chunk for chunk, count in zip(held, tree.replica_counts(held))
@@ -156,7 +163,7 @@ class TreeDriver(_TurntableDriver):
         chunk_bytes = eng.stream.chunk_size_bytes
         for chunk, pins in result.new_pins.items():
             for pid in pins:
-                eng.store_chunk(pid, chunk, pin=True)
+                eng.store_chunk(pid, chunk)
             source = result.fetched_from[chunk]
             if source == PRODUCER:
                 counters["producer_upload_bytes"] += chunk_bytes * len(pins)
@@ -181,7 +188,7 @@ class TreeDriver(_TurntableDriver):
         tree = self.structures[sector]
         result = tree.diffuse_chunk(chunk_id, self.config.k_rep)
         for pid in result.pinned:
-            self.engine.store_chunk(pid, chunk_id, pin=True)
+            self.engine.store_chunk(pid, chunk_id)
         self.engine.counters["control_messages"] += len(result.pinned)
 
     def _route_in_sector(self, sector: int, entry: int, chunk_id: int) -> RouteOutcome:
@@ -213,8 +220,8 @@ class TreeDriver(_TurntableDriver):
     def periodic_check(self, now: float) -> list[str]:
         problems = []
         for sector, tree in enumerate(self.structures):
-            for msg in tree.check_invariants():
-                problems.append(f"sector {sector}: {msg}")
+            problems.extend(f"sector {sector}: {msg}" for msg in tree.check_invariants())
+            problems.extend(self._pin_set_drift(tree.nodes))
         return problems
 
     def finalize(self, now: float) -> None:
@@ -250,8 +257,9 @@ class MeshDriver(_TurntableDriver):
     def on_join(self, peer_id: int, lag: int, now: float) -> None:
         sector = self.turntable.join(peer_id)
         profile = self.engine.peers[peer_id].profile
-        self.structures[sector].add_peer(
+        member = self.structures[sector].add_peer(
             peer_id, now, storage_capacity=profile.storage_capacity)
+        self.engine.peers[peer_id].pinned = member.store
         self.engine.schedule_timer(now + self.config.gossip_period, peer_id,
                                    ("gossip",))
         self._flush_retained(sector, now)
@@ -272,7 +280,7 @@ class MeshDriver(_TurntableDriver):
             eng.counters["control_messages"] += 2
         for adopter, chunk in report.adopted:
             eng.counters["transfer_bytes"] += eng.stream.chunk_size_bytes
-            eng.store_chunk(adopter, chunk, pin=True)
+            eng.store_chunk(adopter, chunk)
         eng.schedule_timer(now + self.config.gossip_period, owner, tag)
 
     def diffuse(self, rep: int, chunk_id: int, now: float) -> None:
@@ -280,7 +288,7 @@ class MeshDriver(_TurntableDriver):
         mesh = self.structures[sector]
         result = mesh.colored_diffuse(rep, chunk_id)
         for pid in result.pinned:
-            self.engine.store_chunk(pid, chunk_id, pin=True)
+            self.engine.store_chunk(pid, chunk_id)
         self.engine.counters["control_messages"] += max(1, len(result.pinned))
 
     def _route_in_sector(self, sector: int, entry: int, chunk_id: int) -> RouteOutcome:
@@ -290,8 +298,8 @@ class MeshDriver(_TurntableDriver):
     def periodic_check(self, now: float) -> list[str]:
         problems = []
         for sector, mesh in enumerate(self.structures):
-            for msg in mesh.check_invariants(now):
-                problems.append(f"sector {sector}: {msg}")
+            problems.extend(f"sector {sector}: {msg}" for msg in mesh.check_invariants(now))
+            problems.extend(self._pin_set_drift(mesh.peers))
         return problems
 
     def finalize(self, now: float) -> None:

@@ -25,12 +25,16 @@ overlay for the chunk at its position. A chunk that cannot be found is
 skipped at the next tick rather than retried forever, which models a
 player abandoning a lost segment and keeps every run bounded.
 
-A viewer that left is sealed at the next audit, right after the
-driver's: its store becomes a SealedStore and its pin set a shared empty
-one, so memory follows the audience present, not all who ever joined.
-Before that audit the tree may still pin chunks to an abrupt leaver it
-has not detached; mesh and interval never write to a departed peer. A
-sealed store answers `in` and `len` as before; a write to it raises.
+A viewer's store is an LRU cache that never evicts a pinned chunk. The
+pins are the overlay's: at join the tree and mesh drivers hand over the
+structure's own member set as `PeerRuntime.pinned`, which the engine
+only reads. A viewer that left is sealed at the next audit, right after
+the driver's: its store becomes a SealedStore, and a shared empty set
+replaces its pin set reference, so memory follows the audience present,
+not all who ever joined. Before that audit the tree may still pin
+chunks to an abrupt leaver it has not detached; mesh and interval never
+write to a departed peer. A sealed store answers `in` and `len` as
+before; a write to it raises.
 """
 
 from __future__ import annotations
@@ -109,6 +113,7 @@ class PeerRuntime:
     lag: int  # chunks behind the head; 0 = live edge
     joined_at: float
     store: dict[int, int] = field(default_factory=dict)  # chunk -> use stamp
+    # the overlay's own pin set, read only; sealing swaps in NO_PINS
     pinned: set[int] = field(default_factory=set)
     tick_epoch: int = 0
     first_delivery: float | None = None
@@ -250,14 +255,13 @@ class Engine:
 
     # -- stores ---------------------------------------------------------------------
 
-    def store_chunk(self, peer_id: int, chunk_id: int, pin: bool = False) -> bool:
-        """LRU insert; pinned chunks are never evicted. False = no room."""
+    def store_chunk(self, peer_id: int, chunk_id: int) -> bool:
+        """LRU insert; False = no room, every entry is pinned. The overlay
+        pins a chunk in its own set first, and only within capacity."""
         peer = self.peers[peer_id]
         store, pinned = peer.store, peer.pinned
         if pinned is NO_PINS:
             raise InvariantViolation(f"peer {peer_id} is sealed; cannot store {chunk_id}")
-        if pin:
-            pinned.add(chunk_id)
         if chunk_id in store:
             store[chunk_id] = self._seq
             return True
@@ -267,8 +271,6 @@ class Engine:
             victim = min(((stamp, c) for c, stamp in store.items()
                           if c not in pinned), default=None)
             if victim is None:
-                if pin:
-                    pinned.discard(chunk_id)
                 return False
             del store[victim[1]]
         store[chunk_id] = self._seq
@@ -464,6 +466,8 @@ class Engine:
         for pid, peer in sorted(self.peers.items()):
             if len(peer.store) > peer.profile.storage_capacity:
                 problems.append(f"peer {pid} store exceeds capacity")
+            if peer.pinned is not NO_PINS and not peer.pinned <= peer.store.keys():
+                problems.append(f"peer {pid} pins a chunk it does not store")
         for pid, active in sorted(self._active_uploads.items()):
             if active > self.peers[pid].profile.upload_capacity:
                 problems.append(f"peer {pid} exceeds upload capacity")

@@ -12,16 +12,15 @@ to every key of its subtree, so a change walks toward the root only as
 far as some claim flips, and a Bloom filter drops the bits of a chunk
 that leaves the subtree unless another chunk still sets them.
 
-A departure's emergency re-replication pins all its chunks first and
-then walks the gains rootward once, deepest nodes first, instead of one
-walk per pin. It charges the traffic the per-chunk walks would have: a
-changed node under a non-producer parent ships its summary once per
-chunk whose claim flips there, in chunk order. An exact summary of L
-keys that gains n keys thus ships 8·(n·L + n(n+1)/2) bytes, its sizes
-after each flip; a Bloom filter ships its full size for each chunk that
-sets a new bit there. Batching per node gives the same flips as the
-per-chunk order, because once a chunk's walk ends every ancestor
-already claims it.
+With exact summaries a departure's emergency re-replication pins all
+its chunks first and then walks the gains rootward once, deepest nodes
+first; a Bloom filter hears every pin by its own walk. The batched pass
+charges the traffic the per-chunk walks would have: a changed node
+under a non-producer parent ships its summary once per chunk whose
+claim flips there, in chunk order, so a summary of L keys that gains n
+keys ships 8·(n·L + n(n+1)/2) bytes, its sizes after each flip.
+Batching per node gives the same flips as the per-chunk order, because
+once a chunk's walk ends every ancestor already claims it.
 """
 
 from __future__ import annotations
@@ -201,9 +200,11 @@ class SectorTree:
     """One sector's diffusion tree plus its availability summaries.
 
     Beside the summaries it indexes each chunk's holders and each node's
-    depth, so replica counts and candidate ranking read no scan. The
-    indices follow the tree's own operations; a caller that edits a
-    node's `store` directly calls `update_summary` on that node.
+    depth, so replica counts and candidate ranking read no scan. A
+    node's `store` is also the engine's record of the peer's pins, and
+    only the tree's own operations edit it; `update_summary` takes a
+    caller's edit. Emergency pins walk in one batched pass only with
+    exact summaries; in Bloom mode each pin walks alone.
     """
 
     def __init__(
@@ -223,7 +224,6 @@ class SectorTree:
         self._holders: dict[int, set[int]] = {}  # chunk -> peers storing it
         self._depth: dict[int, int] = {}
         self._by_depth: list[int] | None = None  # deepest first; reset on attach/detach
-        self._counted: dict[int, set[int]] = {}  # store as its summary counts it
 
     # -- structure ----------------------------------------------------------
 
@@ -286,7 +286,6 @@ class SectorTree:
             storage_capacity=storage_capacity,
         )
         summary = self.summaries[peer_id] = self._fresh_summary()
-        self._counted[peer_id] = set()
         if parent == PRODUCER:
             depth[peer_id] = 1
             return
@@ -306,7 +305,7 @@ class SectorTree:
         node = self.nodes.pop(peer_id)
         self._by_depth = None
         summary = self.summaries.pop(peer_id)
-        for chunk_id in self._counted.pop(peer_id):
+        for chunk_id in node.store:
             self._unlist(chunk_id, peer_id)
         del self._depth[peer_id]
         if node.parent != PRODUCER and node.parent in self.nodes:
@@ -382,27 +381,10 @@ class SectorTree:
         return self.summaries[peer_id].build(node.store, children)
 
     def _unlist(self, chunk_id: int, peer_id: int) -> None:
-        pids = self._holders.get(chunk_id)
-        if pids is not None:
-            pids.discard(peer_id)
-            if not pids:
-                del self._holders[chunk_id]
-
-    def _sync(self, peer_id: int) -> tuple[list[int], list[int]]:
-        """Count the node's current store; returns the own keys gained and lost."""
-        store = self.nodes[peer_id].store
-        counted = self._counted[peer_id]
-        keys_of = self.summaries[peer_id].keys_of
-        added = store - counted
-        dropped = counted - store
-        gained = [key for chunk_id in added for key in keys_of(chunk_id)]
-        lost = [key for chunk_id in dropped for key in keys_of(chunk_id)]
-        for chunk_id in dropped:
-            self._unlist(chunk_id, peer_id)
-        for chunk_id in added:
-            self._holders.setdefault(chunk_id, set()).add(peer_id)
-        self._counted[peer_id] = set(store)
-        return gained, lost
+        pids = self._holders[chunk_id]
+        pids.remove(peer_id)
+        if not pids:
+            del self._holders[chunk_id]
 
     def _walk(self, peer_id: int, gained=(), lost=()) -> None:
         """Count keys gained and lost at a node and push its flips rootward.
@@ -425,9 +407,20 @@ class SectorTree:
             if cursor != PRODUCER:
                 self.summary_traffic_bytes += summary.size_bytes()
 
-    def update_summary(self, peer_id: int) -> None:
-        """Count the node's current store and push what changed rootward."""
-        self._walk(peer_id, *self._sync(peer_id))
+    def update_summary(self, peer_id: int, added=(), removed=()) -> None:
+        """Store `added` and drop `removed` (disjoint) at the node, then push
+        the change rootward in one walk; held adds and absent removals are no-ops."""
+        store = self.nodes[peer_id].store
+        added, removed = set(added) - store, store & set(removed)
+        store |= added
+        store -= removed
+        for chunk_id in added:
+            self._holders.setdefault(chunk_id, set()).add(peer_id)
+        for chunk_id in removed:
+            self._unlist(chunk_id, peer_id)
+        keys_of = self.summaries[peer_id].keys_of
+        self._walk(peer_id, [key for chunk_id in added for key in keys_of(chunk_id)],
+                   [key for chunk_id in removed for key in keys_of(chunk_id)])
 
     def replica_count(self, chunk_id: int) -> int:
         return len(self._holders.get(chunk_id, ()))
@@ -444,13 +437,13 @@ class SectorTree:
 
     def _store(self, peer_ids: list[int], chunk_id: int) -> list[int]:
         """Store and index a chunk on each node; returns the nodes that
-        did not count it yet, whose summaries must still hear of it."""
-        nodes, counted = self.nodes, self._counted
+        did not hold it yet, whose summaries must still hear of it."""
+        nodes = self.nodes
         fresh = []
         for pid in peer_ids:
-            nodes[pid].store.add(chunk_id)
-            if chunk_id not in counted[pid]:  # pinning a held chunk changes nothing
-                counted[pid].add(chunk_id)
+            store = nodes[pid].store
+            if chunk_id not in store:  # pinning a held chunk changes nothing
+                store.add(chunk_id)
                 fresh.append(pid)
         if fresh:
             self._holders.setdefault(chunk_id, set()).update(fresh)
@@ -486,10 +479,8 @@ class SectorTree:
         The empty store is published at once: the peer leaves the holders
         index and its summary stops claiming the chunks.
         """
-        node = self.nodes[peer_id]
-        held = set(node.store)
-        node.store.clear()
-        self.update_summary(peer_id)
+        held = set(self.nodes[peer_id].store)
+        self.update_summary(peer_id, removed=held)
         return held
 
     # -- routing -------------------------------------------------------------
@@ -554,10 +545,12 @@ class SectorTree:
 
         A representant fetches a chunk from its lowest-id remaining
         holder, or from the producer's archive when that is enabled;
-        with neither, the chunk is gone for good and said so. The pins
-        of all chunks reach the summaries in one rootward pass.
+        with neither, the chunk is gone for good and said so. With
+        exact summaries the pins of all chunks reach them in one
+        rootward pass; a Bloom filter hears each pin as it is made.
         """
         holders = self._holders
+        exact = self.summary_mode == "exact"
         new_pins: dict[int, list[int]] = {}
         fetched_from: dict[int, int] = {}
         lost: list[int] = []
@@ -577,56 +570,38 @@ class SectorTree:
                 continue
             new_pins[chunk_id] = pins
             for pid in self._store(pins, chunk_id):
-                gained.setdefault(pid, []).append(chunk_id)
+                if exact:
+                    gained.setdefault(pid, []).append(chunk_id)
+                else:
+                    self._walk(pid, self.summaries[pid].keys_of(chunk_id))
         if gained:
             self._walk_gains(gained)
         return EmergencyResult(new_pins, fetched_from, lost)
 
-    def _walk_gains(self, gained: dict[int, list[int]]) -> None:
-        """Count the chunks each node gained and push the flips rootward
-        in one pass, deepest nodes first, charging the traffic of the
-        per-chunk walks (see the module docstring)."""
+    def _walk_gains(self, arriving: dict[int, list[int]]) -> None:
+        """Count the chunks each node gained in exact summaries and push
+        the flips rootward in one pass, deepest nodes first, charging the
+        traffic of the per-chunk walks (see the module docstring).
+        `arriving` (node -> new chunks) also takes the children's flips."""
         depth, nodes, summaries = self._depth, self.nodes, self.summaries
-        exact = self.summary_mode == "exact"
-        # what reaches each node: its own chunks' keys and its children's
-        # flips; exact: a list of chunk ids, Bloom: chunk -> bit positions
-        arriving: dict = {}
         levels: dict[int, list[int]] = {}  # depth -> nodes with arrivals
-        for pid, chunk_ids in gained.items():
-            if exact:
-                arriving[pid] = chunk_ids
-            else:
-                keys_of = summaries[pid].keys_of
-                arriving[pid] = {c: list(keys_of(c)) for c in chunk_ids}
+        for pid in arriving:
             levels.setdefault(depth[pid], []).append(pid)
         traffic = 0
         for level in range(max(levels), 0, -1):
             for pid in levels.pop(level, ()):
                 summary = summaries[pid]
-                if exact:
-                    before = summary.size_bytes()
-                    up = summary.add(arriving.pop(pid))
-                    n = len(up)
-                    cost = n * before + 8 * n * (n + 1) // 2
-                else:
-                    mine = arriving.pop(pid)
-                    up = {}
-                    for chunk_id in sorted(mine):
-                        flipped = summary.add(mine[chunk_id])
-                        if flipped:
-                            up[chunk_id] = flipped
-                    cost = len(up) * summary.size_bytes()
+                before = summary.size_bytes()
+                up = summary.add(arriving.pop(pid))
                 parent = nodes[pid].parent
                 if not up or parent == PRODUCER:
                     continue
-                traffic += cost
+                n = len(up)
+                traffic += n * before + 8 * n * (n + 1) // 2
                 above = arriving.get(parent)
                 if above is None:
                     arriving[parent] = up
                     levels.setdefault(level - 1, []).append(parent)
-                elif exact:
-                    above.extend(up)
                 else:
-                    for chunk_id, keys in up.items():
-                        above.setdefault(chunk_id, []).extend(keys)
+                    above.extend(up)
         self.summary_traffic_bytes += traffic

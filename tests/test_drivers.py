@@ -240,8 +240,8 @@ def test_a_write_to_a_sealed_viewer_is_an_invariant_violation():
     assert isinstance(peer.store, SealedStore) and len(peer.store) > 0
     with pytest.raises(InvariantViolation):
         engine.store_chunk(0, 1_000)
-    with pytest.raises(InvariantViolation):
-        engine.store_chunk(0, 1_000, pin=True)
+    with pytest.raises(AttributeError):  # the sealed pin set is frozen
+        peer.pinned.add(1_000)
     with pytest.raises(InvariantViolation):
         peer.store[1_000] = 0
 
@@ -291,6 +291,71 @@ def test_mesh_gossip_runs_and_mirrors_pins_into_engine_stores():
     assert sum(m.shuffle_messages for m in driver.structures) > 0
     assert driver.mirrored > 0
     assert driver.mismatches == 0
+
+
+# -- the overlay's pin set is the engine's -------------------------------------
+
+
+def members_of(driver):
+    """Each (peer id, structure member) of a tree or mesh driver, by sector."""
+    for structure in driver.structures:
+        members = structure.nodes if isinstance(driver, TreeDriver) else structure.peers
+        yield from sorted(members.items())
+
+
+@pytest.mark.parametrize("overlay", [TreeDriver, MeshDriver])
+def test_checked_mode_reports_a_copied_pin_set_and_an_evicted_pin(overlay):
+    driver = overlay(ScenarioConfig(m=1, r=1, k_rep=1, k_min=1))
+    engine = run_engine(driver, [join(1.0, 0, 10_000), join(2.0, 1, 10_000)],
+                        horizon=600.0)
+    engine._run_checks()  # healthy
+    pid, member = next((pid, member) for pid, member in members_of(driver)
+                       if member.store)
+    peer = engine.peers[pid]
+    assert peer.pinned is member.store
+    peer.pinned = set(member.store)
+    with pytest.raises(InvariantViolation,
+                       match=f"peer {pid}'s engine pins are not its overlay store"):
+        engine._run_checks()
+    peer.pinned = member.store
+    del peer.store[min(member.store)]
+    with pytest.raises(InvariantViolation,
+                       match=f"peer {pid} pins a chunk it does not store"):
+        engine._run_checks()
+
+
+@pytest.mark.parametrize("overlay,settings", [
+    ("tree", dict(fanout=1)),
+    ("mesh", dict(max_degree=2)),
+], ids=["tree-fanout-1", "mesh-degree-2"])
+@pytest.mark.parametrize("storage", [1, 2])
+def test_pins_fit_storage_under_pressure(monkeypatch, overlay, settings, storage):
+    # a structure pins only within capacity, so the engine never has to
+    # refuse a pin: at every audit each member's pins are its structure's
+    # store, fit its storage and are all stored
+    config = ScenarioConfig(horizon_s=3600.0, arrival_rate=0.1,
+                            storage_chunks=storage, **settings)
+    timeline = build_timeline(StreamParams(), config.horizon_s)
+    sessions = generate_sessions(config, timeline, config.horizon_s, seed=4)
+    profiles = generate_profiles(sessions, config)
+    driver = (TreeDriver if overlay == "tree" else MeshDriver)(config)
+    seen = {"audits": 0, "pins": 0, "full": 0}
+    on_audit = Engine._on_audit
+
+    def audited(engine, fire):
+        on_audit(engine, fire)
+        seen["audits"] += 1
+        for pid, member in members_of(driver):
+            peer = engine.peers[pid]
+            assert peer.pinned == member.store, (engine.now, pid)
+            assert len(peer.pinned) <= peer.profile.storage_capacity, (engine.now, pid)
+            assert all(chunk in peer.store for chunk in peer.pinned), (engine.now, pid)
+            seen["pins"] += len(peer.pinned)
+            seen["full"] += len(peer.pinned) == peer.profile.storage_capacity
+
+    monkeypatch.setattr(Engine, "_on_audit", audited)
+    Engine(config, driver, check_invariants=True).run(sessions, profiles)
+    assert seen["audits"] > 0 and seen["pins"] > 0 and seen["full"] > 0, seen
 
 
 def test_mesh_invariants_hold_after_generated_run():

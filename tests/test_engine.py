@@ -352,7 +352,8 @@ def test_store_evicts_least_recently_stamped():
 def test_pinned_chunks_survive_eviction():
     engine = make_engine(0.0)
     add_peer(engine, 1, storage=2)
-    engine.store_chunk(1, 10, pin=True)
+    engine.peers[1].pinned.add(10)  # the overlay pins in its own set
+    engine.store_chunk(1, 10)
     engine.store_chunk(1, 11)
     engine.store_chunk(1, 12)
     assert sorted(engine.peers[1].store) == [10, 12]
@@ -361,8 +362,9 @@ def test_pinned_chunks_survive_eviction():
 def test_store_full_of_pins_rejects():
     engine = make_engine(0.0)
     add_peer(engine, 1, storage=2)
-    engine.store_chunk(1, 10, pin=True)
-    engine.store_chunk(1, 11, pin=True)
+    for chunk in (10, 11):
+        engine.peers[1].pinned.add(chunk)
+        engine.store_chunk(1, chunk)
     assert not engine.store_chunk(1, 12)
     assert sorted(engine.peers[1].store) == [10, 11]
     assert 12 not in engine.peers[1].pinned

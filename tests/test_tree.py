@@ -75,8 +75,7 @@ def test_detach_internal_reattaches_orphans():
 
 def test_detach_root_promotes_or_reparents():
     t = chain(3)
-    t.nodes[2].store.add(11)
-    t.update_summary(2)
+    t.update_summary(2, added=[11])
     t.detach(0)
     assert t.check_invariants() == []
     assert root_claims(t, 11)
@@ -102,8 +101,7 @@ def test_exact_summary_union():
 
 def test_summary_propagates_to_root():
     t = chain(4)
-    t.nodes[3].store.add(42)
-    t.update_summary(3)
+    t.update_summary(3, added=[42])
     for pid in range(4):
         assert t.summaries[pid].claims(42)
     assert root_claims(t, 42)
@@ -112,10 +110,8 @@ def test_summary_propagates_to_root():
 
 def test_summary_rebuild_after_unpin():
     t = chain(3)
-    t.nodes[2].store.add(5)
-    t.update_summary(2)
-    t.nodes[2].store.discard(5)
-    t.update_summary(2)
+    t.update_summary(2, added=[5])
+    t.update_summary(2, removed=[5])
     assert not root_claims(t, 5)
 
 
@@ -129,10 +125,9 @@ def test_summary_never_misses_stored_chunks():
             pid = rng.randrange(9)
             chunk = rng.randrange(30)
             if rng.random() < 0.6:
-                t.nodes[pid].store.add(chunk)
+                t.update_summary(pid, added=[chunk])
             else:
-                t.nodes[pid].store.discard(chunk)
-            t.update_summary(pid)
+                t.update_summary(pid, removed=[chunk])
         for pid, node in t.nodes.items():
             cursor = pid
             while cursor != PRODUCER:
@@ -158,11 +153,9 @@ def test_bloom_cannot_forget_but_rebuild_can():
     assert filt.claims(7)
     # the tree forgets by dropping the chunk's counted bits on update
     t = chain(2, summary_mode="bloom", bloom_bits=64, bloom_hashes=2)
-    t.nodes[1].store.add(7)
-    t.update_summary(1)
+    t.update_summary(1, added=[7])
     assert root_claims(t, 7)
-    t.nodes[1].store.discard(7)
-    t.update_summary(1)
+    t.update_summary(1, removed=[7])
     assert not root_claims(t, 7)
 
 
@@ -170,16 +163,13 @@ def test_bloom_chain_forgets_a_removed_chunk():
     # 256 bits, 2 hashes: chunk 7's bits are set by no other chunk here
     t = chain(4, summary_mode="bloom", bloom_bits=256, bloom_hashes=2)
     others = {1, 2, 3}
-    t.nodes[3].store.update({7} | others)
-    t.update_summary(3)
-    t.nodes[1].store.update(others)
-    t.update_summary(1)
+    t.update_summary(3, added={7} | others)
+    t.update_summary(1, added=others)
     mask = BloomSummary(256, 2).build({7}, []).array
     rest = BloomSummary(256, 2).build(others, []).array
     assert mask & rest == 0
     assert all(t.summaries[pid].claims(7) for pid in range(4))
-    t.nodes[3].store.discard(7)
-    t.update_summary(3)
+    t.update_summary(3, removed=[7])
     assert not any(t.summaries[pid].claims(7) for pid in range(4))
     assert all(t.summaries[pid].claims(c) for pid in range(4) for c in others)
 
@@ -194,12 +184,68 @@ def test_bloom_shape_validation():
 def test_summary_traffic_accrues_on_change_only():
     t = chain(3)
     t.summary_traffic_bytes = 0
-    t.nodes[2].store.add(1)
-    t.update_summary(2)
+    t.update_summary(2, added=[1])
     first = t.summary_traffic_bytes
     assert first > 0
     t.update_summary(2)  # nothing changed
     assert t.summary_traffic_bytes == first
+
+
+def tree_of_two_holders(mode):
+    """Seven nodes, fanout 2: diffusion pins chunks 0..5 on leaves 3 and 4."""
+    t = SectorTree(fanout=2, summary_mode=mode, bloom_bits=64, bloom_hashes=2)
+    for pid in range(7):
+        t.attach(pid)
+    for chunk in range(6):
+        t.diffuse_chunk(chunk, k_rep=2)
+    assert t.holders(0) == [3, 4]
+    return t
+
+
+def counting_walks(t):
+    walks = []
+    walk = t._walk
+
+    def counted(*args, **kwargs):
+        walks.append(args)
+        return walk(*args, **kwargs)
+
+    t._walk = counted
+    return walks
+
+
+@pytest.mark.parametrize("mode", ["exact", "bloom"])
+def test_update_summary_ignores_held_adds_and_absent_removals(mode):
+    t = tree_of_two_holders(mode)
+    traffic = t.summary_traffic_bytes
+    counts = {pid: dict(summary.counts) for pid, summary in t.summaries.items()}
+    walks = counting_walks(t)
+    t.update_summary(3, added=[0, 5])  # both held already
+    t.update_summary(3, removed=[9])  # never held
+    t.update_summary(5, removed=[0])  # held elsewhere, not here
+    # each call reaches the walk with nothing to count, so it stops at once
+    assert walks == [(3, [], []), (3, [], []), (5, [], [])]
+    assert t.summary_traffic_bytes == traffic
+    assert {pid: summary.counts for pid, summary in t.summaries.items()} == counts
+    assert t.nodes[3].store == set(range(6)) and t.nodes[5].store == set()
+    assert t.check_invariants() == []
+
+
+@pytest.mark.parametrize("mode, before, after", [("exact", 504, 624),
+                                                 ("bloom", 192, 208)])
+def test_update_summary_adds_and_removes_in_one_walk(mode, before, after):
+    # the figures are those of the hand edit {20, 21} in, 0 out, at node 3,
+    # then one update_summary(3), from before the edit became an argument
+    t = tree_of_two_holders(mode)
+    assert t.summary_traffic_bytes == before
+    walks = counting_walks(t)
+    t.update_summary(3, added=[20, 21], removed=[0])
+    assert len(walks) == 1
+    assert t.summary_traffic_bytes == after
+    assert t.nodes[3].store == {1, 2, 3, 4, 5, 20, 21}
+    assert t.holders(0) == [4] and t.holders(20) == [3]
+    assert root_claims(t, 20) and root_claims(t, 0)
+    assert t.check_invariants() == []
 
 
 # -- diffusion ----------------------------------------------------------------
@@ -227,7 +273,7 @@ def test_diffuse_reports_deficit_when_storage_short():
 
 def test_unpin_all_returns_holdings():
     t = chain(2)
-    t.nodes[1].store.update({3, 4})
+    t.update_summary(1, added={3, 4})
     held = t.unpin_all(1)
     assert held == {3, 4}
     assert t.nodes[1].store == set()
@@ -237,8 +283,7 @@ def test_unpin_all_returns_holdings():
 
 def test_route_local_hit_costs_nothing():
     t = chain(3)
-    t.nodes[1].store.add(8)
-    t.update_summary(1)
+    t.update_summary(1, added=[8])
     out = t.route_request(entry=1, chunk_id=8)
     assert out.served_by == 1
     assert out.hops == 0
@@ -246,8 +291,7 @@ def test_route_local_hit_costs_nothing():
 
 def test_route_descends_to_depth_three_leaf():
     t = chain(4)
-    t.nodes[3].store.add(5)
-    t.update_summary(3)
+    t.update_summary(3, added=[5])
     out = t.route_request(entry=0, chunk_id=5)
     assert out.served_by == 3
     assert out.hops == 3
@@ -267,8 +311,7 @@ def test_route_pivots_between_representants():
     t.attach(2, as_root=True)
     t.attach(3)
     assert t.nodes[3].parent in (1, 2)
-    t.nodes[0].store.add(6)
-    t.update_summary(0)
+    t.update_summary(0, added=[6])
     out = t.route_request(entry=2, chunk_id=6)
     assert out.served_by == 0
     assert out.hops == 1  # root to sibling root
@@ -282,10 +325,7 @@ def test_route_matches_exhaustive_scan_on_random_trees():
         for pid in range(n):
             t.attach(pid, upload_capacity=rng.randrange(1, 4))
         for _ in range(n):
-            t.nodes[rng.randrange(n)].store.add(rng.randrange(8))
-            t.update_summary(rng.randrange(n))
-        for pid in range(n):
-            t.update_summary(pid)
+            t.update_summary(rng.randrange(n), added=[rng.randrange(8)])
         depth_bound = 2 * t.depth()
         for chunk in range(8):
             entry = rng.randrange(n)
@@ -301,10 +341,8 @@ def test_route_matches_exhaustive_scan_on_random_trees():
 def test_route_survives_saturated_bloom_filters():
     t = chain(5, summary_mode="bloom", bloom_bits=8, bloom_hashes=1)
     for pid in range(5):
-        t.nodes[pid].store.add(pid + 100)
-        t.update_summary(pid)
-    t.nodes[4].store.add(7)
-    t.update_summary(4)
+        t.update_summary(pid, added=[pid + 100])
+    t.update_summary(4, added=[7])
     out = t.route_request(entry=0, chunk_id=7)
     assert out.served_by == 4  # found despite every filter claiming everything
     miss = t.route_request(entry=0, chunk_id=500)
@@ -324,12 +362,9 @@ def test_emergency_tops_up_from_survivor():
     for pid in range(7):
         t.attach(pid)
     for pid in (1, 2, 3):
-        t.nodes[pid].store.add(50)
-        t.update_summary(pid)
-    t.nodes[2].store.discard(50)
-    t.nodes[3].store.discard(50)
-    t.update_summary(2)
-    t.update_summary(3)
+        t.update_summary(pid, added=[50])
+    t.update_summary(2, removed=[50])
+    t.update_summary(3, removed=[50])
     res = t.emergency_replicate([50], k_rep=3, producer_archive=False)
     assert res.fetched_from[50] == 1
     assert len(res.new_pins[50]) == 2
@@ -344,8 +379,7 @@ def test_emergency_tops_up_from_survivor():
 def test_emergency_noop_when_replicas_suffice():
     t = chain(3)
     for pid in (0, 1):
-        t.nodes[pid].store.add(4)
-        t.update_summary(pid)
+        t.update_summary(pid, added=[4])
     res = t.emergency_replicate([4], k_rep=2, producer_archive=False)
     assert res.new_pins == {}
     assert res.lost == []
@@ -371,7 +405,7 @@ def test_emergency_reports_permanent_loss():
 def test_emergency_respects_storage_limits():
     t = SectorTree(fanout=2)
     t.attach(0, storage_capacity=1)
-    t.nodes[0].store.add(1)
+    t.update_summary(0, added=[1])
     res = t.emergency_replicate([2], k_rep=1, producer_archive=True)
     assert res.new_pins == {}
     assert res.lost == []  # the archive still has it
@@ -396,8 +430,7 @@ def test_invariants_hold_through_churn():
             t.detach(pid)
         else:
             pid = rng.choice(alive)
-            t.nodes[pid].store.add(rng.randrange(20))
-            t.update_summary(pid)
+            t.update_summary(pid, added=[rng.randrange(20)])
         problems = t.check_invariants()
         assert problems == [], f"step {step}: {problems}"
 
@@ -636,13 +669,15 @@ def test_indexed_tree_matches_rebuild(mode):
                 pid = rng.choice(alive)
                 edits = [(rng.random() < 0.6, rng.choice(chunks))
                          for _ in range(rng.randint(0, 3))]
-                for t in both:
-                    for add, chunk in edits:
-                        if add:
-                            t.nodes[pid].store.add(chunk)
-                        else:
-                            t.nodes[pid].store.discard(chunk)
-                    t.update_summary(pid)
+                for add, chunk in edits:  # the reference takes them by hand
+                    if add:
+                        ref.nodes[pid].store.add(chunk)
+                    else:
+                        ref.nodes[pid].store.discard(chunk)
+                ref.update_summary(pid)
+                last = {chunk: add for add, chunk in edits}  # the net edit
+                tree.update_summary(pid, added=[c for c, add in last.items() if add],
+                                    removed=[c for c, add in last.items() if not add])
             elif action < 0.85:
                 # a fresh chunk, or one republished while already held
                 chunk, k_rep = rng.choice(chunks), rng.randint(1, 4)
