@@ -94,7 +94,8 @@ def head_chunk_at(params: StreamParams, time: float) -> int:
 
 @dataclass
 class StreamTimeline:
-    """Shows tiling the chunk sequence."""
+    """Shows tiling the chunk sequence, every show but the last as long
+    as the first, as build_timeline makes them; the lookups rely on it."""
 
     params: StreamParams
     shows: list[Show] = field(default_factory=list)
@@ -102,12 +103,13 @@ class StreamTimeline:
     def show_of_chunk(self, chunk_id: int) -> Show:
         if not self.shows or chunk_id < 0 or chunk_id > self.shows[-1].last_chunk:
             raise ValueError(f"chunk {chunk_id} outside the tiled range")
-        # build_timeline makes every show but the last as long as the first
         return self.shows[chunk_id // (self.shows[0].last_chunk + 1)]
 
     def shows_started_by(self, head: int) -> list[Show]:
         """Shows whose first chunk exists at the given head (oldest first)."""
-        return [s for s in self.shows if s.first_chunk <= head]
+        if not self.shows or head < 0:
+            return []
+        return self.shows[:head // (self.shows[0].last_chunk + 1) + 1]
 
 
 def build_timeline(

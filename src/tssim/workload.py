@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import accumulate
+from operator import attrgetter
+from typing import NamedTuple
 
 from tssim.config import ScenarioConfig
 from tssim.stream import StreamTimeline, air_time, head_chunk_at, resumed_lag
@@ -38,10 +40,13 @@ VCR_KINDS = (
     SessionEventKind.SEEK_FORWARD,
     SessionEventKind.SEEK_BACKWARD,
 )
+# drawn with weights 0.5 / 0.25 / 0.25; these are their exact running sums
+_VCR_CUM_WEIGHTS = (0.5, 0.75, 1.0)
+# the largest Poisson mean drawn in one loop: exp(-mean) stays a normal float
+_POISSON_MAX_MEAN = 700.0
 
 
-@dataclass(frozen=True)
-class SessionEvent:
+class SessionEvent(NamedTuple):
     """One step of a viewer's session.
 
     `position` is set on JOIN (starting chunk), `duration` on PAUSE
@@ -59,8 +64,7 @@ class SessionEvent:
     abrupt: bool = False
 
 
-@dataclass(frozen=True)
-class PeerProfile:
+class PeerProfile(NamedTuple):
     peer_id: int
     upload_capacity: int  # max concurrent transfers served
     storage_capacity: int  # max chunks stored
@@ -85,9 +89,26 @@ def zipf_popularity(rank: int, exponent: float, catalog_size: int) -> float:
     return rank ** -exponent / _zipf_norm(exponent, catalog_size)
 
 
+@lru_cache(maxsize=256)
+def _join_cum_weights(exponent: float, catalog_size: int) -> tuple[float, ...]:
+    """Running sums of the recency weights of a catalog, oldest show first.
+
+    The most recently started show gets rank 1. These are the sums that
+    Random.choices builds from the plain weights, so passing them as
+    cum_weights draws the same show.
+    """
+    return tuple(accumulate(zipf_popularity(catalog_size - i, exponent, catalog_size)
+                            for i in range(catalog_size)))
+
+
 def _poisson(rng: random.Random, lam: float) -> int:
     if lam <= 0:
         return 0
+    if lam > _POISSON_MAX_MEAN:
+        # exp(-lam) would underflow and end the loop near 745 whatever lam
+        # is; a sum of independent Poisson draws is Poisson in the summed mean
+        parts = math.ceil(lam / _POISSON_MAX_MEAN)
+        return sum(_poisson(rng, lam / parts) for _ in range(parts))
     threshold = math.exp(-lam)
     k, p = 0, 1.0
     while True:
@@ -106,11 +127,8 @@ def _choose_join_position(
     if rng.random() < config.live_join_prob:
         return head
     catalog = timeline.shows_started_by(head)  # never empty: joins come at head >= 0
-    size = len(catalog)
-    # Recency ranks: the most recently started show gets rank 1.
-    weights = [zipf_popularity(size - i, config.zipf_exponent, size)
-               for i in range(size)]
-    show = rng.choices(catalog, weights=weights)[0]
+    show = rng.choices(catalog, cum_weights=_join_cum_weights(
+        config.zipf_exponent, len(catalog)))[0]
     return min(show.first_chunk, head)
 
 
@@ -121,11 +139,23 @@ def _session_events(
     horizon: float,
     peer_id: int,
     join_time: float,
-    forced_position: int | None,
+    forced_position: int,
 ) -> list[SessionEvent]:
+    """One viewer's session, JOIN first and LEAVE last.
+
+    The viewer joins at `forced_position` when it is a chunk (>= 0), and
+    otherwise live or at the start of a Zipf-drawn show. An early
+    quitter leaves within early_quit_window and draws nothing else.
+    Every other viewer draws a leave at each show boundary it reaches
+    and VCR events at vcr_rate per second of playback, the clock halted
+    while paused. A VCR draw is a pause, a forward seek or a backward
+    seek at 0.5 / 0.25 / 0.25; a seek that cannot move, forward at lag 0
+    or backward at chunk 0, is dropped without a redraw, so forward
+    seeks come out rarer than a quarter of the events.
+    """
     params = timeline.params
     head0 = head_chunk_at(params, join_time)
-    if forced_position is not None:
+    if forced_position >= 0:
         pos = min(forced_position, head0)
     else:
         pos = _choose_join_position(rng, config, timeline, head0)
@@ -163,7 +193,7 @@ def _session_events(
             continue
         head = head_chunk_at(params, t_vcr)
         pos = head - lag
-        kind = rng.choices(VCR_KINDS, weights=(0.5, 0.25, 0.25))[0]
+        kind = rng.choices(VCR_KINDS, cum_weights=_VCR_CUM_WEIGHTS)[0]
         t = t_vcr
         if kind is SessionEventKind.PAUSE:
             dur = min(rng.expovariate(1 / config.pause_mean_seconds), horizon - t_vcr)
@@ -210,14 +240,15 @@ def generate_sessions(
 
     first_playable = air_time(params, 0)
     arrival_rng = random.Random(f"arrivals:{seed}")
-    arrivals: list[tuple[float, int | None]] = []
+    # (join time, forced start chunk, or -1 for a join free to choose)
+    arrivals: list[tuple[float, int]] = []
     if config.arrival_rate > 0:
         t = first_playable
         while True:
             t += arrival_rng.expovariate(config.arrival_rate)
             if t >= horizon:
                 break
-            arrivals.append((t, None))
+            arrivals.append((t, -1))
         if config.show_start_burst > 0:
             for show in timeline.shows:
                 airs_at = air_time(params, show.first_chunk)
@@ -228,13 +259,13 @@ def generate_sessions(
                     if when < horizon:
                         arrivals.append((when, show.first_chunk))
 
-    arrivals.sort(key=lambda a: (a[0], a[1] if a[1] is not None else -1))
+    arrivals.sort()  # by time; at equal times a free join comes first
     events: list[SessionEvent] = []
     for peer_id, (join_time, forced) in enumerate(arrivals):
         session_rng = random.Random(f"session:{seed}:{peer_id}")
         events.extend(_session_events(session_rng, config, timeline, horizon,
                                       peer_id, join_time, forced))
-    events.sort(key=lambda e: (e.time, e.peer_id))
+    events.sort(key=attrgetter("time", "peer_id"))
     return events
 
 

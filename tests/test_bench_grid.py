@@ -1,4 +1,4 @@
-"""tools/bench_grid.py's scaling slope, on made-up cells."""
+"""tools/bench_grid.py: its scaling slope on made-up cells, and one real cell."""
 
 import importlib.util
 from pathlib import Path
@@ -37,3 +37,15 @@ def test_slopes_fit_the_hour_cells_of_each_overlay_and_source():
     assert got["tree"]["change"]["slope"] == pytest.approx(1.2)
     assert got["tree"]["change"]["repeats"] == pytest.approx([1.1, 1.3])
     assert got["mesh"]["change"]["repeats"] == pytest.approx([2.0, 1.9])
+
+
+def test_a_cell_splits_set_up_from_its_run_time():
+    grid = load_tool()
+    src = TOOL.parent.parent / "src"
+    runs = [grid.spawn(str(src), ("tree", 600.0, 0.05)) for _ in range(2)]
+    for run in runs:
+        assert set(grid.METRICS) <= set(run)
+        assert 0 < run["setup_s"] < run["run_s"]
+    summary = grid.summarize(runs)
+    assert summary["setup_s"] == pytest.approx((runs[0]["setup_s"] + runs[1]["setup_s"]) / 2)
+    assert [r["setup_s"] for r in summary["runs"]] == [r["setup_s"] for r in runs]

@@ -141,3 +141,12 @@ def test_show_of_chunk_lookup(horizon):
     for outside in (-1, last + 1):
         with pytest.raises(ValueError):
             timeline.show_of_chunk(outside)
+
+
+@pytest.mark.parametrize("horizon", [600.0, 3584.0, 8 * 3600.0])
+def test_shows_started_by_lookup(horizon):
+    timeline = build_timeline(StreamParams(), horizon_seconds=horizon)
+    last = timeline.shows[-1].last_chunk
+    for head in range(-60, last + 60):
+        expected = [s for s in timeline.shows if s.first_chunk <= head]
+        assert timeline.shows_started_by(head) == expected

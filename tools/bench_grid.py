@@ -6,12 +6,15 @@ call at seed 1 with the default ScenarioConfig otherwise, followed by
 emit_report into a temporary directory. For each cell the tool records:
 
 - run_s: wall time of run_scenario (set-up included), by perf_counter;
+- setup_s: the part of run_s before Engine.run starts: the driver, the
+  engine, the timeline and the generated audience;
 - emit_s: wall time of emit_report;
 - viewer_s: each viewer's join -> leave time, clipped at the horizon;
 - viewer_s_per_s: viewer_s / run_s;
 - events: Engine.schedule calls, counted by a wrapper put on the class
   from outside the package, as perfbench/spans.py counts engine.events
-  (run_s includes the wrapper's cost);
+  (run_s includes the wrapper's cost; setup_s does not, as the audience
+  is scheduled inside Engine.run);
 - events_per_s: events / run_s;
 - peak_rss_mb: the child's peak resident set, from getrusage;
 - digest: sha256 of the four CSVs, so two sources can be checked for
@@ -32,7 +35,7 @@ repeat, to the runs of that repeat, which shows its spread.
 Run from the repository root, standard library only:
 
     python3 tools/bench_grid.py --src parent=../old/src --src change=src \\
-        --repeat 3 --out BENCH_7.json
+        --repeat 3 --out BENCH_8.json
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ GRID = [
         (3600.0, 2.0), (86400.0, 0.05))
 ]
 SLOPE_HORIZON_S = 3600.0
-METRICS = ("run_s", "emit_s", "viewer_s", "viewer_s_per_s", "events",
+METRICS = ("run_s", "setup_s", "emit_s", "viewer_s", "viewer_s_per_s", "events",
            "events_per_s", "peak_rss_mb")
 
 
@@ -76,6 +79,7 @@ def run_cell(overlay: str, horizon_s: float, arrival_rate: float,
     schedule = Engine.schedule
 
     def capture(engine, sessions, profiles):
+        seen["run_start"] = time.perf_counter()
         seen["sessions"] = sessions
         seen["end"] = engine.stream.start_time + engine.horizon
         simulate(engine, sessions, profiles)
@@ -110,6 +114,7 @@ def run_cell(overlay: str, horizon_s: float, arrival_rate: float,
     run_s = ran - start
     return {
         "run_s": run_s,
+        "setup_s": seen["run_start"] - start,
         "emit_s": emitted - ran,
         "viewer_s": viewer_s,
         "viewer_s_per_s": viewer_s / run_s,
