@@ -50,18 +50,14 @@ class _TurntableDriver(OverlayDriver):
         self.retained_republished = 0
 
     def on_produce(self, chunk_id: int, now: float) -> None:
-        eng = self.engine
         for rep, chunk in self.turntable.publish_chunk(chunk_id):
-            eng.counters["producer_upload_bytes"] += eng.stream.chunk_size_bytes
-            eng.send_control(PRODUCER, rep, ("publish", chunk))
+            self.engine.move_chunk(PRODUCER, rep, chunk, "publish")
 
     def _flush_retained(self, sector: int, now: float) -> None:
         """Republish parked chunks; called right after a join into `sector`."""
         rep = self.turntable.representants_of(sector)[0]
-        eng = self.engine
         for chunk in self.turntable.clear_retained(sector):
-            eng.counters["producer_upload_bytes"] += eng.stream.chunk_size_bytes
-            eng.send_control(PRODUCER, rep, ("publish", chunk))
+            self.engine.move_chunk(PRODUCER, rep, chunk, "publish")
             self.retained_republished += 1
 
     def on_message(self, src: int, dst: int, message: tuple, now: float) -> None:
@@ -73,9 +69,6 @@ class _TurntableDriver(OverlayDriver):
                     sector_of_chunk(message[1], self.config.m), message[1])
                 return
             self.diffuse(dst, message[1], now)
-
-    def diffuse(self, rep: int, chunk_id: int, now: float) -> None:
-        raise NotImplementedError
 
     def find_provider(self, peer_id: int, chunk_id: int, now: float):
         """The peer the sector routes to if still present, else the archive."""
@@ -159,17 +152,10 @@ class TreeDriver(_TurntableDriver):
             producer_archive=self.config.producer_archive)
         self.emergency_rounds += len(short)
         self.permanent_losses += len(result.lost)
-        counters = eng.counters
-        chunk_bytes = eng.stream.chunk_size_bytes
         for chunk, pins in result.new_pins.items():
             for pid in pins:
-                eng.store_chunk(pid, chunk)
-            source = result.fetched_from[chunk]
-            if source == PRODUCER:
-                counters["producer_upload_bytes"] += chunk_bytes * len(pins)
-            else:
-                eng.peers[source].served += len(pins)
-            counters["control_messages"] += len(pins)
+                eng.move_chunk(result.fetched_from[chunk], pid, chunk, "repair")
+            eng.counters["control_messages"] += len(pins)
 
     def on_audit(self, now: float) -> None:
         """Find abruptly departed members still wired into the trees."""
@@ -188,7 +174,7 @@ class TreeDriver(_TurntableDriver):
         tree = self.structures[sector]
         result = tree.diffuse_chunk(chunk_id, self.config.k_rep)
         for pid in result.pinned:
-            self.engine.store_chunk(pid, chunk_id)
+            self.engine.move_chunk(rep, pid, chunk_id, "diffuse")
         self.engine.counters["control_messages"] += len(result.pinned)
 
     def _route_in_sector(self, sector: int, entry: int, chunk_id: int) -> RouteOutcome:
@@ -279,8 +265,8 @@ class MeshDriver(_TurntableDriver):
         if report.partner is not None:
             eng.counters["control_messages"] += 2
         for adopter, chunk in report.adopted:
-            eng.counters["transfer_bytes"] += eng.stream.chunk_size_bytes
-            eng.store_chunk(adopter, chunk)
+            sender = report.partner if adopter == owner else owner
+            eng.move_chunk(sender, adopter, chunk, "adopt")
         eng.schedule_timer(now + self.config.gossip_period, owner, tag)
 
     def diffuse(self, rep: int, chunk_id: int, now: float) -> None:
@@ -288,7 +274,7 @@ class MeshDriver(_TurntableDriver):
         mesh = self.structures[sector]
         result = mesh.colored_diffuse(rep, chunk_id)
         for pid in result.pinned:
-            self.engine.store_chunk(pid, chunk_id)
+            self.engine.move_chunk(rep, pid, chunk_id, "diffuse")
         self.engine.counters["control_messages"] += max(1, len(result.pinned))
 
     def _route_in_sector(self, sector: int, entry: int, chunk_id: int) -> RouteOutcome:

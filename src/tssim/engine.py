@@ -6,8 +6,9 @@ chunk, per-peer upload capacity with FIFO queueing, and silent drops to
 departed peers. It reads the stream shape, horizon, transport and
 audit and sample periods from the run's ScenarioConfig, which it checks
 by the scenario file's rules. Overlay logic lives in driver objects; the
-engine asks a driver where a chunk can be found and handles the transfer
-bookkeeping itself.
+engine asks a driver where a requested chunk can be found and sends it,
+and `move_chunk` is the one way a driver copies a chunk itself: a
+publish, a pin, a repair or an adoption. One table charges every move.
 
 Every event passes through `Engine.schedule` onto one heap and comes off
 it through `Engine._dispatch`. A timer's handler is found by one lookup
@@ -104,6 +105,15 @@ class SealedStore(array):
 NO_PINS: frozenset[int] = frozenset()
 _DEPARTED = PeerState.DEPARTED
 _SLOT_FREE = ("slot_free",)  # every slot-free timer shares this tag
+# a chunk move's purpose -> (adds to the sender's served, adds transfer_bytes);
+# a move from the producer or DEDICATED adds producer_upload_bytes, not served
+_CHARGES = {
+    "request": (True, True),
+    "publish": (False, False),
+    "diffuse": (False, False),
+    "repair": (True, False),
+    "adopt": (False, True),
+}
 
 
 @dataclass(slots=True)
@@ -163,6 +173,7 @@ class Engine:
             "producer_upload_bytes": 0,
             "transfer_bytes": 0,
         }
+        self.moves = dict.fromkeys(_CHARGES, 0)  # chunk moves by purpose
         self.hops_histogram: dict[int, int] = {}
         self.startup_delays: list[float] = []
         # one (time, counts) pair per sample; counts[c] is chunk c's census
@@ -197,38 +208,49 @@ class Engine:
                       MessageDelivery(src, dst, message))
 
     def send_chunk(self, src: int, dst: int, chunk_id: int, hops: int) -> None:
-        """Move one chunk; `src` runs at most upload_capacity transfers at once."""
-        if src == PRODUCER or src == DEDICATED:
-            counters = self.counters
-            counters["producer_upload_bytes"] += self._chunk_bytes
-            counters["transfer_bytes"] += self._chunk_bytes
-            # the arrival time is _start_transfer's, grouped the same way
-            self.schedule(
-                self.now + (self._transfer_time + self._hop_latency * max(1, hops)),
-                MessageDelivery(src, dst, ("chunk", chunk_id, src)))
-            return
-        peer = self.peers.get(src)
-        if peer is None or peer.state is _DEPARTED:
-            self.counters["dropped_messages"] += 1
-            return
-        if self._active_uploads.get(src, 0) < peer.profile.upload_capacity:
-            self._start_transfer(peer, src, dst, chunk_id, hops)
-        else:
-            self._upload_queue.setdefault(src, deque()).append((dst, chunk_id, hops))
+        """Move one requested chunk; a peer runs at most upload_capacity at once."""
+        if src >= 0:
+            peer = self.peers.get(src)
+            if peer is None or peer.state is _DEPARTED:
+                self.counters["dropped_messages"] += 1
+                return
+            if self._active_uploads.get(src, 0) >= peer.profile.upload_capacity:
+                self._upload_queue.setdefault(src, deque()).append((dst, chunk_id, hops))
+                return
+        self._start_transfer(src, dst, chunk_id, hops)
 
-    def _start_transfer(self, peer: PeerRuntime, src: int, dst: int,
-                        chunk_id: int, hops: int) -> None:
-        """Take an upload slot of `src`; the arrival is scheduled before its release."""
-        active = self._active_uploads
-        running = active[src] = active.get(src, 0) + 1
-        if running > peer.profile.upload_capacity:
-            raise InvariantViolation(f"peer {src} exceeded its upload capacity")
-        peer.served += 1
-        self.counters["transfer_bytes"] += self._chunk_bytes
+    def _start_transfer(self, src: int, dst: int, chunk_id: int, hops: int) -> None:
+        """Schedule a request's arrival, then take a peer sender's upload slot."""
+        self._charge(src, "request")
         now, transfer = self.now, self._transfer_time
         self.schedule(now + (transfer + self._hop_latency * max(1, hops)),
                       MessageDelivery(src, dst, ("chunk", chunk_id, src)))
-        self.schedule(now + transfer, TimerFire(src, _SLOT_FREE))
+        if src >= 0:
+            active = self._active_uploads
+            running = active[src] = active.get(src, 0) + 1
+            if running > self.peers[src].profile.upload_capacity:
+                raise InvariantViolation(f"peer {src} exceeded its upload capacity")
+            self.schedule(now + transfer, TimerFire(src, _SLOT_FREE))
+
+    def move_chunk(self, src: int, dst: int, chunk_id: int, purpose: str) -> None:
+        """Copy a chunk for the overlay's upkeep, at once and with no upload slot:
+        a publish goes as a control message, any other purpose into `dst`'s store."""
+        self._charge(src, purpose)
+        if purpose == "publish":
+            self.send_control(src, dst, ("publish", chunk_id))
+        else:
+            self.store_chunk(dst, chunk_id)
+
+    def _charge(self, src: int, purpose: str) -> None:
+        """Count one chunk move of any purpose, by the table in _CHARGES."""
+        served, transferred = _CHARGES[purpose]
+        self.moves[purpose] += 1
+        if src < 0:
+            self.counters["producer_upload_bytes"] += self._chunk_bytes
+        elif served:
+            self.peers[src].served += 1
+        if transferred:
+            self.counters["transfer_bytes"] += self._chunk_bytes
 
     def _on_slot_free(self, fire: TimerFire) -> None:
         src = fire.owner
@@ -248,7 +270,7 @@ class Engine:
             if target is None or target.state is _DEPARTED:
                 self.counters["dropped_messages"] += 1
                 continue
-            self._start_transfer(peers[src], src, dst, chunk_id, hops)
+            self._start_transfer(src, dst, chunk_id, hops)
             break
         if not queue:
             del self._upload_queue[src]

@@ -224,11 +224,13 @@ def generate_sessions(
     """Full event stream for a seeded population over [start, horizon].
 
     Arrivals are Poisson at `arrival_rate`, with an extra burst of joins
-    whenever a show starts airing. Every session begins with JOIN and
-    ends with LEAVE (at the horizon if nothing ended it earlier); the
-    position trajectory never passes the head. Identical arguments give
-    an identical event list. The audience fields are read from `config`;
-    `horizon` is an absolute time and `seed` need not be `config.seed`.
+    whenever a show starts airing. Bursts too are drawn only when
+    `arrival_rate` > 0, so a rate of 0 means no audience at all. Every
+    session begins with JOIN and ends with LEAVE (at the horizon if
+    nothing ended it earlier); the position trajectory never passes the
+    head. Identical arguments give an identical event list. The audience
+    fields are read from `config`; `horizon` is an absolute time and
+    `seed` need not be `config.seed`.
     """
     params = timeline.params
     if horizon <= params.start_time:

@@ -46,6 +46,11 @@ def test_a_cell_splits_set_up_from_its_run_time():
     for run in runs:
         assert set(grid.METRICS) <= set(run)
         assert 0 < run["setup_s"] < run["run_s"]
+        kinds = run["events_by_kind"]
+        assert sum(kinds.values()) == run["events"]
+        assert {"tick", "chunk", "slot_free", "publish", "join", "leave",
+                "produce", "audit", "sample"} <= set(kinds)
     summary = grid.summarize(runs)
     assert summary["setup_s"] == pytest.approx((runs[0]["setup_s"] + runs[1]["setup_s"]) / 2)
     assert [r["setup_s"] for r in summary["runs"]] == [r["setup_s"] for r in runs]
+    assert summary["events_by_kind"] == runs[0]["events_by_kind"] == runs[1]["events_by_kind"]

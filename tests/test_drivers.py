@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from ground_truth import SectorLawDriver
+from tssim import metrics
 from tssim.config import ScenarioConfig
 from tssim.drivers import IntervalDriver, MeshDriver, TreeDriver
 from tssim.engine import (
@@ -545,3 +546,34 @@ def test_decile_buffer_means_match_a_naive_scan():
                 snapshot.append((l, l + rng.choice([0, 1, 3, T])))
             driver.buffer_snapshots.append(snapshot)
         assert driver.buffer_length_by_decile() == naive_decile_means(driver)
+
+
+# chunk moves by purpose at 1 h, arrival 0.05, seed 1: the Baseline table of
+# ROADMAP.md ("Each overlay counts traffic differently")
+MOVES_AT_SEED_1 = {
+    "tree": dict(request=2_614, publish=206, diffuse=556, repair=533, adopt=0),
+    "mesh": dict(request=2_704, publish=206, diffuse=142, repair=0, adopt=119),
+    "interval": dict(request=2_758, publish=0, diffuse=0, repair=0, adopt=0),
+}
+
+
+@pytest.mark.parametrize("overlay", sorted(MOVES_AT_SEED_1))
+def test_each_overlay_moves_the_baseline_traffic(monkeypatch, overlay):
+    engines = []
+    collect = metrics.collect_report
+
+    def keep_engine(engine, driver):
+        engines.append(engine)
+        return collect(engine, driver)
+
+    monkeypatch.setattr(metrics, "collect_report", keep_engine)
+    metrics.run_scenario(ScenarioConfig(overlay=overlay, seed=1, horizon_s=3600.0,
+                                        arrival_rate=0.05))
+    engine, = engines
+    moves = engine.moves
+    assert moves == MOVES_AT_SEED_1[overlay]
+    copied = moves["request"] + moves["adopt"]
+    assert engine.counters["transfer_bytes"] == engine.stream.chunk_size_bytes * copied
+    if overlay == "tree":
+        # requests from peers plus emergency copies from peers
+        assert sum(peer.served for peer in engine.peers.values()) == 2_443 + 463

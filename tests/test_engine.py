@@ -302,6 +302,42 @@ def test_producer_sends_bypass_upload_capacity():
     assert engine.counters["producer_upload_bytes"] == 10 * 2_000_000
 
 
+@pytest.mark.parametrize("purpose, served, transfer_bytes", [
+    ("diffuse", 0, 0),
+    ("repair", 1, 0),
+    ("adopt", 0, 2_000_000),
+])
+def test_a_maintenance_move_stores_at_once_and_charges_by_purpose(
+        purpose, served, transfer_bytes):
+    engine = make_engine(100.0)
+    add_peer(engine, 100)
+    add_peer(engine, 101)
+    engine.move_chunk(100, 101, 7, purpose)
+    assert 7 in engine.peers[101].store  # no transfer time, no upload slot
+    assert engine._heap == [] and engine._active_uploads == {}
+    assert engine.moves[purpose] == 1 and sum(engine.moves.values()) == 1
+    assert engine.peers[100].served == served
+    assert engine.counters["transfer_bytes"] == transfer_bytes
+    assert engine.counters["producer_upload_bytes"] == 0
+    engine.move_chunk(PRODUCER, 101, 8, purpose)
+    assert engine.peers[100].served == served  # the producer has no served
+    assert engine.counters["producer_upload_bytes"] == 2_000_000
+
+
+def test_a_publish_move_travels_as_a_control_message():
+    engine = make_engine(100.0)
+    add_peer(engine, 101)
+    engine.move_chunk(PRODUCER, 101, 3, "publish")
+    assert 3 not in engine.peers[101].store
+    assert engine.counters["control_messages"] == 1
+    assert engine.counters["producer_upload_bytes"] == 2_000_000
+    assert engine.counters["transfer_bytes"] == 0
+    assert engine.moves["publish"] == 1
+    (_, _, delivery), = engine._heap
+    assert delivery.message == ("publish", 3)
+    assert (delivery.src, delivery.dst) == (PRODUCER, 101)
+
+
 class ArrivalDriver(OverlayDriver):
     def __init__(self):
         self.arrivals = {}

@@ -15,6 +15,10 @@ emit_report into a temporary directory. For each cell the tool records:
   from outside the package, as perfbench/spans.py counts engine.events
   (run_s includes the wrapper's cost; setup_s does not, as the audience
   is scheduled inside Engine.run);
+- events_by_kind: the same calls by kind, named as perfbench/spans.py
+  names them: a timer's tag[0] ("tick", "slot_free", "gossip", ...), a
+  delivery's message[0] ("chunk", "publish"), a session event's kind
+  ("join", "leave", ...) and "produce"; the kinds sum to events;
 - events_per_s: events / run_s;
 - peak_rss_mb: the child's peak resident set, from getrusage;
 - digest: sha256 of the four CSVs, so two sources can be checked for
@@ -72,9 +76,11 @@ def run_cell(overlay: str, horizon_s: float, arrival_rate: float,
     import resource
 
     from tssim import Engine, ScenarioConfig, emit_report, run_scenario
-    from tssim.workload import SessionEventKind
+    from tssim.engine import MessageDelivery, TimerFire
+    from tssim.workload import SessionEvent, SessionEventKind
 
     seen = {"events": 0}
+    by_kind: dict[str, int] = {}
     simulate = Engine.run
     schedule = Engine.schedule
 
@@ -86,6 +92,16 @@ def run_cell(overlay: str, horizon_s: float, arrival_rate: float,
 
     def count(engine, time, payload):
         seen["events"] += 1
+        cls = type(payload)
+        if cls is TimerFire:
+            kind = payload.tag[0]
+        elif cls is MessageDelivery:
+            kind = payload.message[0]
+        elif cls is SessionEvent:
+            kind = payload.kind.value
+        else:
+            kind = "produce"  # a ProduceChunk
+        by_kind[kind] = by_kind.get(kind, 0) + 1
         schedule(engine, time, payload)
 
     Engine.run = capture
@@ -120,6 +136,7 @@ def run_cell(overlay: str, horizon_s: float, arrival_rate: float,
         "viewer_s_per_s": viewer_s / run_s,
         "events": seen["events"],
         "events_per_s": seen["events"] / run_s,
+        "events_by_kind": dict(sorted(by_kind.items())),
         "peak_rss_mb": peak_kib / 1024,
         "peers_seen": report.scalars["peers_seen"],
         "digest": digest.hexdigest(),
@@ -141,6 +158,7 @@ def summarize(runs: list[dict]) -> dict:
     summary = {name: statistics.median(run[name] for run in runs)
                for name in METRICS}
     summary["peers_seen"] = runs[0]["peers_seen"]
+    summary["events_by_kind"] = runs[0]["events_by_kind"]
     summary["digest"] = runs[0]["digest"]
     if any(run["digest"] != summary["digest"] for run in runs):
         summary["digest"] = sorted({run["digest"] for run in runs})
