@@ -152,10 +152,12 @@ class TreeDriver(_TurntableDriver):
             producer_archive=self.config.producer_archive)
         self.emergency_rounds += len(short)
         self.permanent_losses += len(result.lost)
+        sent: dict[int, int] = {}  # source -> repair copies
         for chunk, pins in result.new_pins.items():
-            for pid in pins:
-                eng.move_chunk(result.fetched_from[chunk], pid, chunk, "repair")
-            eng.counters["control_messages"] += len(pins)
+            src = result.fetched_from[chunk]
+            sent[src] = sent.get(src, 0) + len(pins)
+        eng.move_repairs(sent, result.stored)
+        eng.counters["control_messages"] += sum(sent.values())
 
     def on_audit(self, now: float) -> None:
         """Find abruptly departed members still wired into the trees."""

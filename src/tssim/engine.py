@@ -8,7 +8,9 @@ audit and sample periods from the run's ScenarioConfig, which it checks
 by the scenario file's rules. Overlay logic lives in driver objects; the
 engine asks a driver where a requested chunk can be found and sends it,
 and `move_chunk` is the one way a driver copies a chunk itself: a
-publish, a pin, a repair or an adoption. One table charges every move.
+publish, a pin, a repair or an adoption. A tree departure's repairs go
+in one `move_repairs` call, which moves each destination's chunks
+together. One table charges every move.
 
 Every event passes through `Engine.schedule` onto one heap and comes off
 it through `Engine._dispatch`. A timer's handler is found by one lookup
@@ -241,16 +243,34 @@ class Engine:
         else:
             self.store_chunk(dst, chunk_id)
 
-    def _charge(self, src: int, purpose: str) -> None:
-        """Count one chunk move of any purpose, by the table in _CHARGES."""
+    def move_repairs(self, sent: dict[int, int], received: dict[int, list[int]]) -> None:
+        """A departure's repair copies, as one `move_chunk` call per copy
+        would make them: `sent` counts each source's copies, and `received`
+        lists each destination's chunks in the order stored. A store with
+        room for all of its chunks takes them in one update."""
+        for src, copies in sent.items():
+            self._charge(src, "repair", copies)
+        peers, stamp = self.peers, self._seq
+        for dst, chunks in received.items():
+            peer = peers[dst]
+            store = peer.store
+            if (peer.pinned is not NO_PINS
+                    and len(store) + len(chunks) <= peer.profile.storage_capacity):
+                store.update(dict.fromkeys(chunks, stamp))
+            else:  # the LRU rule, or the sealed store's refusal
+                for chunk_id in chunks:
+                    self.store_chunk(dst, chunk_id)
+
+    def _charge(self, src: int, purpose: str, copies: int = 1) -> None:
+        """Count chunk moves of any purpose, by the table in _CHARGES."""
         served, transferred = _CHARGES[purpose]
-        self.moves[purpose] += 1
+        self.moves[purpose] += copies
         if src < 0:
-            self.counters["producer_upload_bytes"] += self._chunk_bytes
+            self.counters["producer_upload_bytes"] += copies * self._chunk_bytes
         elif served:
-            self.peers[src].served += 1
+            self.peers[src].served += copies
         if transferred:
-            self.counters["transfer_bytes"] += self._chunk_bytes
+            self.counters["transfer_bytes"] += copies * self._chunk_bytes
 
     def _on_slot_free(self, fire: TimerFire) -> None:
         src = fire.owner

@@ -189,11 +189,13 @@ class DiffusionResult:
 
 class EmergencyResult(NamedTuple):
     """One departure's re-replication; every chunk asked for is in
-    exactly one of `fetched_from` and `lost`."""
+    exactly one of `fetched_from` and `lost`. `stored` is `new_pins` by
+    node, the layout in which the copies are stored."""
 
     new_pins: dict[int, list[int]]  # chunk -> peers that now store it; gainers only
     fetched_from: dict[int, int]  # chunk -> its source: a holder, or PRODUCER (archive)
     lost: list[int]  # chunks with no holder and no archive: gone for good
+    stored: dict[int, list[int]]  # peer -> the chunks pinned on it, ascending
 
 
 class SectorTree:
@@ -305,8 +307,7 @@ class SectorTree:
         node = self.nodes.pop(peer_id)
         self._by_depth = None
         summary = self.summaries.pop(peer_id)
-        for chunk_id in node.store:
-            self._unlist(chunk_id, peer_id)
+        self._unlist(peer_id, node.store)
         del self._depth[peer_id]
         if node.parent != PRODUCER and node.parent in self.nodes:
             self.nodes[node.parent].children.remove(peer_id)
@@ -380,11 +381,14 @@ class SectorTree:
         children = [self.summaries[c] for c in node.children]
         return self.summaries[peer_id].build(node.store, children)
 
-    def _unlist(self, chunk_id: int, peer_id: int) -> None:
-        pids = self._holders[chunk_id]
-        pids.remove(peer_id)
-        if not pids:
-            del self._holders[chunk_id]
+    def _unlist(self, peer_id: int, chunk_ids) -> None:
+        """Drop the peer from the holders index of each chunk."""
+        holders = self._holders
+        for chunk_id in chunk_ids:
+            pids = holders[chunk_id]
+            pids.remove(peer_id)
+            if not pids:
+                del holders[chunk_id]
 
     def _walk(self, peer_id: int, gained=(), lost=()) -> None:
         """Count keys gained and lost at a node and push its flips rootward.
@@ -414,10 +418,13 @@ class SectorTree:
         added, removed = set(added) - store, store & set(removed)
         store |= added
         store -= removed
+        holders = self._holders
         for chunk_id in added:
-            self._holders.setdefault(chunk_id, set()).add(peer_id)
-        for chunk_id in removed:
-            self._unlist(chunk_id, peer_id)
+            holders.setdefault(chunk_id, set()).add(peer_id)
+        self._unlist(peer_id, removed)
+        if self.summary_mode == "exact":  # a chunk id is its own key
+            self._walk(peer_id, list(added), list(removed))
+            return
         keys_of = self.summaries[peer_id].keys_of
         self._walk(peer_id, [key for chunk_id in added for key in keys_of(chunk_id)],
                    [key for chunk_id in removed for key in keys_of(chunk_id)])
@@ -435,42 +442,37 @@ class SectorTree:
 
     # -- diffusion and pinning ----------------------------------------------
 
-    def _store(self, peer_ids: list[int], chunk_id: int) -> list[int]:
-        """Store and index a chunk on each node; returns the nodes that
-        did not hold it yet, whose summaries must still hear of it."""
-        nodes = self.nodes
-        fresh = []
-        for pid in peer_ids:
-            store = nodes[pid].store
-            if chunk_id not in store:  # pinning a held chunk changes nothing
-                store.add(chunk_id)
-                fresh.append(pid)
-        if fresh:
-            self._holders.setdefault(chunk_id, set()).update(fresh)
-        return fresh
-
-    def _deepest(self, count: int, skip=()) -> list[int]:
-        """Up to `count` nodes with spare storage outside `skip`, deepest
-        first, ties to the lowest peer id."""
+    def _depth_order(self) -> list[int]:
+        """Every node, deepest first, ties to the lowest peer id."""
         order = self._by_depth
         if order is None:
             depth = self._depth
             order = self._by_depth = sorted(self.nodes, key=lambda pid: (-depth[pid], pid))
+        return order
+
+    def _deepest(self, count: int) -> list[int]:
+        """Up to `count` nodes with spare storage, deepest first."""
         nodes = self.nodes
         picked: list[int] = []
-        for pid in order:
+        for pid in self._depth_order():
             if len(picked) >= count:
                 break
             n = nodes[pid]
-            if pid not in skip and len(n.store) < n.storage_capacity:
+            if len(n.store) < n.storage_capacity:
                 picked.append(pid)
         return picked
 
     def diffuse_chunk(self, chunk_id: int, k_rep: int) -> DiffusionResult:
-        """Pin a fresh chunk on k_rep nodes, deepest candidates first."""
+        """Pin a fresh chunk on k_rep nodes, deepest candidates first; a
+        node that already holds it (a republish) is picked but unchanged."""
         pinned = self._deepest(k_rep)
-        for pid in self._store(pinned, chunk_id):
-            self._walk(pid, self.summaries[pid].keys_of(chunk_id))
+        nodes, holders = self.nodes, self._holders
+        for pid in pinned:
+            store = nodes[pid].store
+            if chunk_id not in store:
+                store.add(chunk_id)
+                holders.setdefault(chunk_id, set()).add(pid)
+                self._walk(pid, self.summaries[pid].keys_of(chunk_id))
         return DiffusionResult(pinned=pinned, deficit=max(0, k_rep - len(pinned)))
 
     def unpin_all(self, peer_id: int) -> set[int]:
@@ -545,16 +547,22 @@ class SectorTree:
 
         A representant fetches a chunk from its lowest-id remaining
         holder, or from the producer's archive when that is enabled;
-        with neither, the chunk is gone for good and said so. With
-        exact summaries the pins of all chunks reach them in one
-        rootward pass; a Bloom filter hears each pin as it is made.
+        with neither, the chunk is gone for good and said so. Its pins
+        go to the deepest nodes with spare storage that do not hold it,
+        ties to the lowest peer id. A pin grows its node's store by one,
+        so a node's room is read at its first visit and counted down,
+        and the stores take their pins once per node. With exact
+        summaries the pins of all chunks reach them in one rootward
+        pass; a Bloom filter hears each pin as it is made.
         """
-        holders = self._holders
+        nodes, holders = self.nodes, self._holders
+        order: list[int] | None = None  # ranked at the first chunk to pin
+        room: dict[int, int] = {}  # node -> spare storage, read at its first visit
         exact = self.summary_mode == "exact"
         new_pins: dict[int, list[int]] = {}
         fetched_from: dict[int, int] = {}
         lost: list[int] = []
-        gained: dict[int, list[int]] = {}  # node -> chunks it now counts, in order
+        stored: dict[int, list[int]] = {}
         for chunk_id in sorted(chunk_ids):
             held_by = holders.get(chunk_id, ())
             if held_by:
@@ -564,26 +572,49 @@ class SectorTree:
             else:
                 lost.append(chunk_id)
                 continue
-            # nothing pinnable is no loss: a holder or the archive still has it
-            pins = self._deepest(k_rep - len(held_by), skip=held_by)
-            if not pins:
+            need = k_rep - len(held_by)
+            if need <= 0:
+                continue
+            if order is None:
+                order = self._depth_order()
+            pins = []
+            for pid in order:
+                if pid in held_by:
+                    continue
+                spare = room.get(pid)
+                if spare is None:
+                    node = nodes[pid]
+                    spare = room[pid] = node.storage_capacity - len(node.store)
+                if spare > 0:
+                    pins.append(pid)
+                    need -= 1
+                    if not need:
+                        break
+            if not pins:  # no loss: a holder or the archive still has it
                 continue
             new_pins[chunk_id] = pins
-            for pid in self._store(pins, chunk_id):
-                if exact:
-                    gained.setdefault(pid, []).append(chunk_id)
-                else:
+            for pid in pins:
+                room[pid] -= 1
+                stored.setdefault(pid, []).append(chunk_id)
+                if not exact:
                     self._walk(pid, self.summaries[pid].keys_of(chunk_id))
-        if gained:
-            self._walk_gains(gained)
-        return EmergencyResult(new_pins, fetched_from, lost)
+            if held_by:
+                held_by.update(pins)
+            else:
+                holders[chunk_id] = set(pins)
+        for pid, chunks in stored.items():
+            nodes[pid].store.update(chunks)
+        if stored and exact:
+            self._walk_gains(stored)
+        return EmergencyResult(new_pins, fetched_from, lost, stored)
 
-    def _walk_gains(self, arriving: dict[int, list[int]]) -> None:
+    def _walk_gains(self, gains: dict[int, list[int]]) -> None:
         """Count the chunks each node gained in exact summaries and push
         the flips rootward in one pass, deepest nodes first, charging the
         traffic of the per-chunk walks (see the module docstring).
-        `arriving` (node -> new chunks) also takes the children's flips."""
+        `gains` maps a node to its new chunks and is left as it was."""
         depth, nodes, summaries = self._depth, self.nodes, self.summaries
+        arriving = dict(gains)  # node -> its gains and its children's flips
         levels: dict[int, list[int]] = {}  # depth -> nodes with arrivals
         for pid in arriving:
             levels.setdefault(depth[pid], []).append(pid)
@@ -603,5 +634,5 @@ class SectorTree:
                     arriving[parent] = up
                     levels.setdefault(level - 1, []).append(parent)
                 else:
-                    above.extend(up)
+                    arriving[parent] = above + up
         self.summary_traffic_bytes += traffic

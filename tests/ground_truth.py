@@ -14,9 +14,11 @@ from itertools import accumulate, islice
 
 import tssim.interval
 from tssim.drivers import TreeDriver
+from tssim.engine import PRODUCER
 from tssim.interval import (Infeasible, Interval, IntervalGraph, OverlayConstraints,
                             _require_lags, coverage_gaps_fast)
 from tssim.stream import StreamParams, chunk_duration
+from tssim.tree import EmergencyResult
 from tssim.turntable import sector_of_chunk
 
 # -- stream archive arithmetic --------------------------------------------------
@@ -83,6 +85,46 @@ class SectorLawDriver(TreeDriver):
                 if sector_of_chunk(chunk, self.config.m) != sector:
                     self.law_violations += 1
         super().on_audit(now)
+
+
+# -- sector tree re-replication, one chunk at a time ------------------------------
+
+def per_chunk_emergency_replicate(tree, chunk_ids, k_rep: int,
+                                  producer_archive: bool) -> EmergencyResult:
+    """A departure's re-replication one chunk at a time, in ascending order.
+
+    Each chunk ranks the nodes afresh, deepest first with ties to the
+    lowest peer id, and pins on those with spare storage that do not
+    hold it; it stores and indexes the pins at once and walks each pin's
+    summary rootward alone. These are the per-chunk rounds that
+    SectorTree's by-node pass and its batched summary walk must
+    reproduce, traffic included.
+    """
+    new_pins, fetched_from, lost, stored = {}, {}, [], {}
+    for chunk_id in sorted(chunk_ids):
+        held_by = tree.holders(chunk_id)
+        if held_by:
+            fetched_from[chunk_id] = held_by[0]
+        elif producer_archive:
+            fetched_from[chunk_id] = PRODUCER
+        else:
+            lost.append(chunk_id)
+            continue
+        need = k_rep - len(held_by)
+        order = sorted(tree.nodes, key=lambda pid: (-tree.depth_of(pid), pid))
+        pins = [pid for pid in order if pid not in held_by
+                and len(tree.nodes[pid].store) < tree.nodes[pid].storage_capacity]
+        pins = pins[:need] if need > 0 else []
+        if not pins:
+            continue
+        new_pins[chunk_id] = pins
+        for pid in pins:
+            tree.nodes[pid].store.add(chunk_id)
+            tree._holders.setdefault(chunk_id, set()).add(pid)
+            stored.setdefault(pid, []).append(chunk_id)
+        for pid in pins:
+            tree._walk(pid, tree.summaries[pid].keys_of(chunk_id))
+    return EmergencyResult(new_pins, fetched_from, lost, stored)
 
 
 # -- interval constraint checkers -----------------------------------------------

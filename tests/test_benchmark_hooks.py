@@ -109,3 +109,24 @@ def test_tree_departures_reach_emergency_replicate(monkeypatch):
     assert results
     assert all(hasattr(result, "new_pins") for result in results)
     assert any(result.new_pins for result in results)
+
+
+def test_each_tree_departure_reaches_update_summary_once(monkeypatch):
+    # spans.py's tree.update_summary span counts departures: unpin_all
+    # publishes a leaver's empty store through it, once, before detach
+    from tssim.config import ScenarioConfig
+    from tssim.metrics import run_scenario
+
+    calls = {"update_summary": 0, "detach": 0, "emergency_replicate": 0}
+    for name in calls:
+        method = getattr(SectorTree, name)
+
+        def counted(tree, *args, _method=method, _name=name, **kwargs):
+            calls[_name] += 1
+            return _method(tree, *args, **kwargs)
+
+        monkeypatch.setattr(SectorTree, name, counted)
+    run_scenario(ScenarioConfig(overlay="tree", seed=1, horizon_s=1800.0,
+                                arrival_rate=0.1))
+    assert calls["detach"] > 0
+    assert calls["update_summary"] == calls["detach"] == calls["emergency_replicate"]

@@ -338,6 +338,63 @@ def test_a_publish_move_travels_as_a_control_message():
     assert (delivery.src, delivery.dst) == (PRODUCER, 101)
 
 
+# (source, destination, chunk) in the order a departure's per-copy
+# moves ran: ascending chunks, each chunk's pins deepest first
+REPAIR_COPIES = [(100, 200, 5), (100, 201, 5), (PRODUCER, 201, 6), (101, 202, 7),
+                 (101, 201, 8), (100, 202, 8), (PRODUCER, 200, 9)]
+
+
+def repair_engine():
+    engine = make_engine(100.0)
+    for pid in (100, 101):
+        add_peer(engine, pid)
+    add_peer(engine, 200)  # room for all it receives, chunk 9 cached already
+    add_peer(engine, 201, storage=4)  # full: three cached chunks must go
+    add_peer(engine, 202, storage=3)  # room for one new chunk, 7 cached
+    engine.peers[200].store.update({1: 3, 9: 5})
+    engine.peers[201].store.update({1: 4, 2: 2, 3: 9, 4: 1})
+    engine.peers[201].pinned.add(3)
+    engine.peers[202].store.update({7: 2, 9: 6})
+    for _, dst, chunk in REPAIR_COPIES:
+        engine.peers[dst].pinned.add(chunk)  # the overlay pins first
+    engine._seq = 11
+    return engine
+
+
+def test_repairs_moved_by_destination_match_one_move_per_copy():
+    by_copy, batched = repair_engine(), repair_engine()
+    for src, dst, chunk in REPAIR_COPIES:
+        by_copy.move_chunk(src, dst, chunk, "repair")
+    sent, received = {}, {}
+    for src, dst, chunk in REPAIR_COPIES:
+        sent[src] = sent.get(src, 0) + 1
+        received.setdefault(dst, []).append(chunk)
+    batched.move_repairs(sent, received)
+    assert batched.moves == by_copy.moves
+    assert batched.counters == by_copy.counters
+    assert by_copy.counters["producer_upload_bytes"] == 2 * 2_000_000
+    for pid, peer in by_copy.peers.items():
+        assert batched.peers[pid].served == peer.served
+        assert batched.peers[pid].store == peer.store  # stamps included
+    assert [by_copy.peers[pid].served for pid in (100, 101)] == [3, 2]
+    assert by_copy.peers[200].store == {1: 3, 9: 11, 5: 11}
+    assert by_copy.peers[201].store == {3: 9, 5: 11, 6: 11, 8: 11}
+    assert by_copy.peers[202].store == {7: 11, 9: 6, 8: 11}
+
+
+def test_no_move_writes_to_a_sealed_store():
+    engine = make_engine(100.0)
+    add_peer(engine, 100)
+    add_peer(engine, 101)
+    engine.peers[101].state = PeerState.DEPARTED
+    engine._left_since_audit.append(101)
+    engine._seal_departed()
+    with pytest.raises(InvariantViolation):
+        engine.move_chunk(100, 101, 4, "repair")
+    with pytest.raises(InvariantViolation):
+        engine.move_repairs({100: 1}, {101: [4]})
+
+
 class ArrivalDriver(OverlayDriver):
     def __init__(self):
         self.arrivals = {}

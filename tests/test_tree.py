@@ -1,8 +1,9 @@
+import copy
 import random
 
 import pytest
 
-from ground_truth import root_claims
+from ground_truth import per_chunk_emergency_replicate, root_claims
 from tssim.tree import (
     BloomSummary,
     DiffusionResult,
@@ -575,7 +576,7 @@ class RebuildTree:
 
     def emergency_replicate(self, chunks, k_rep, producer_archive=False):
         """The per-chunk rounds in ascending order, gathered as one result."""
-        result = EmergencyResult(new_pins={}, fetched_from={}, lost=[])
+        result = EmergencyResult(new_pins={}, fetched_from={}, lost=[], stored={})
         for chunk in sorted(chunks):
             new_pins, permanent_loss, source = self.emergency_replicate_one(
                 chunk, k_rep, producer_archive)
@@ -585,6 +586,8 @@ class RebuildTree:
             result.fetched_from[chunk] = source
             if new_pins:
                 result.new_pins[chunk] = new_pins
+            for pid in new_pins:
+                result.stored.setdefault(pid, []).append(chunk)
         return result
 
     def emergency_replicate_one(self, chunk, k_rep, producer_archive):
@@ -737,6 +740,53 @@ def test_one_pass_departure_matches_per_chunk_rounds(mode):
         assert tree.check_invariants() == []
     # each path of the batched call ran: a node gaining several chunks in
     # one pass, a pin refused for lack of storage, a loss and the archive
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("mode", ["exact", "bloom"])
+def test_by_node_departure_matches_the_per_chunk_reference(mode):
+    # one departure's pins picked from a room count taken once, against a
+    # copy of the same tree re-replicated one chunk at a time; storage is
+    # small, so nodes fill while a departure is still pinning
+    seen = {"filled mid-departure": 0, "pins short of k_rep": 0, "loss": 0}
+    for trial in range(40):
+        rng = random.Random(f"by-node-departure:{mode}:{trial}")
+        tree = SectorTree(fanout=rng.randint(1, 3), summary_mode=mode,
+                          bloom_bits=64, bloom_hashes=2)
+        for pid in range(rng.randint(4, 14)):
+            tree.attach(pid, storage_capacity=rng.choice([2, 3, 4, 6, 10**9]),
+                        as_root=rng.random() < 0.1)
+        for chunk in range(rng.randint(8, 30)):
+            tree.diffuse_chunk(chunk, rng.randint(1, 3))
+        for step in range(rng.randint(1, 4)):
+            if len(tree.nodes) < 2:
+                break
+            ref = copy.deepcopy(tree)
+            pid = rng.choice(sorted(tree.nodes))
+            k_rep = rng.randint(1, 4)
+            archive = rng.random() < 0.7
+            held = sorted(tree.unpin_all(pid))
+            assert sorted(ref.unpin_all(pid)) == held
+            assert tree.detach(pid) == ref.detach(pid)
+            result = tree.emergency_replicate(held, k_rep, producer_archive=archive)
+            assert result == per_chunk_emergency_replicate(ref, held, k_rep, archive)
+            for node in ref.nodes.values():
+                assert tree.nodes[node.peer_id].store == node.store
+            assert tree._holders == ref._holders
+            for peer, summary in ref.summaries.items():
+                assert tree.summaries[peer].counts == summary.counts
+                assert summary_content(tree.summaries[peer], mode) == \
+                    summary_content(summary, mode)
+            assert tree.summary_traffic_bytes == ref.summary_traffic_bytes
+            assert tree.check_invariants() == []
+            last = max(result.new_pins, default=-1)
+            seen["filled mid-departure"] += sum(
+                len(tree.nodes[p].store) == tree.nodes[p].storage_capacity
+                and chunks[-1] < last for p, chunks in result.stored.items())
+            seen["pins short of k_rep"] += sum(
+                tree.replica_count(c) < min(k_rep, len(tree.nodes))
+                for c in result.fetched_from)
+            seen["loss"] += len(result.lost)
     assert all(seen.values()), seen
 
 
