@@ -27,6 +27,8 @@ from tssim.mesh import ColorScheme, SectorMesh
 from tssim.tree import SectorTree
 from tssim.turntable import RouteOutcome, Turntable, sector_of_chunk
 
+_DEPARTED = PeerState.DEPARTED  # a module global reads faster than an enum member
+
 
 class _TurntableDriver(OverlayDriver):
     """Shared sector bookkeeping for the tree and mesh variants.
@@ -63,7 +65,7 @@ class _TurntableDriver(OverlayDriver):
     def on_message(self, src: int, dst: int, message: tuple, now: float) -> None:
         if message[0] == "publish":
             peer = self.engine.peers.get(dst)
-            if peer is None or peer.state is PeerState.DEPARTED:
+            if peer is None or peer.state is _DEPARTED:
                 self.engine.counters["dropped_messages"] += 1
                 self.turntable.retain_for_sector(
                     sector_of_chunk(message[1], self.config.m), message[1])
@@ -79,7 +81,7 @@ class _TurntableDriver(OverlayDriver):
             outcome = self._route_in_sector(sector, start, chunk_id)
             hops += outcome.hops
             server = self.engine.peers.get(outcome.served_by)  # None on a miss
-            if server is not None and server.state is not PeerState.DEPARTED:
+            if server is not None and server.state is not _DEPARTED:
                 return (outcome.served_by, hops)
         if self.config.producer_archive:
             return (PRODUCER, hops + 1)
@@ -164,7 +166,7 @@ class TreeDriver(_TurntableDriver):
         for sector, tree in enumerate(self.structures):
             departed = [
                 pid for pid in sorted(tree.nodes)
-                if self.engine.peers[pid].state is PeerState.DEPARTED
+                if self.engine.peers[pid].state is _DEPARTED
             ]
             for pid in departed:
                 self._remove_from_tree(sector, pid, now)
@@ -259,7 +261,7 @@ class MeshDriver(_TurntableDriver):
 
     def on_timer(self, owner: int, tag: tuple, now: float) -> None:
         peer = self.engine.peers.get(owner)
-        if peer is None or peer.state is PeerState.DEPARTED:
+        if peer is None or peer.state is _DEPARTED:
             return
         mesh = self.structures[self.turntable.sector_of_peer[owner]]
         report = mesh.gossip_round(owner, now)
@@ -434,7 +436,7 @@ class IntervalDriver(OverlayDriver):
             if not (0 <= iv.l <= iv.c <= iv.r):
                 problems.append(f"malformed interval for peer {iv.peer_id}")
             if (iv.peer_id != DEDICATED
-                    and peers[iv.peer_id].state is PeerState.DEPARTED):
+                    and peers[iv.peer_id].state is _DEPARTED):
                 problems.append(f"departed peer {iv.peer_id} still holds an interval")
         problems.extend(self.graph.index_drift())
         return problems

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from tssim.config import ScenarioConfig
 from tssim.turntable import RouteOutcome
@@ -34,13 +33,16 @@ class ColorScheme:
         return (chunk_id // self.sector_count) % self.colors
 
 
-class NeighborEntry(NamedTuple):
-    """One sighting of a peer. Immutable, so views and samples share it;
-    as a tuple it orders by (last_seen, peer_id), the eviction order."""
+NeighborEntry = tuple[float, int, int]
+"""One sighting of a peer: `(last_seen, peer_id, color)`.
 
-    last_seen: float
-    peer_id: int
-    color: int
+Immutable, so views and samples share it. As a tuple it orders by
+(last_seen, peer_id), the eviction order; a peer appears once per view,
+so color is never compared. It is a plain tuple, not a named record:
+sorting a view then keeps the list sort's exact-tuple and float compares,
+and building and indexing an entry stay in C. Readers unpack it or index
+it as [0] last_seen, [1] peer_id, [2] color.
+"""
 
 
 @dataclass
@@ -124,7 +126,7 @@ class SectorMesh:
             if extra:
                 seeds.update(self.rng.sample(spare, extra))
             for pid in sorted(seeds):
-                peer.neighbors[pid] = NeighborEntry(now, pid, self.peers[pid].color)
+                peer.neighbors[pid] = (now, pid, self.peers[pid].color)
         self.peers[peer_id] = peer
         peer.color = self.assign_color(peer_id)
         return peer
@@ -145,8 +147,8 @@ class SectorMesh:
         """Least-represented color in the peer's view, ties to the lowest."""
         peer = self.peers[peer_id]
         counts = [0] * self.scheme.colors
-        for entry in peer.neighbors.values():
-            counts[entry.color % self.scheme.colors] += 1
+        for _, _, color in peer.neighbors.values():
+            counts[color % self.scheme.colors] += 1
         return min(range(self.scheme.colors), key=lambda c: (counts[c], c))
 
     def domination_report(self) -> tuple[int, int]:
@@ -200,11 +202,11 @@ class SectorMesh:
         peers = self.peers
         own = peer.peer_id
         for entry in sample:
-            pid = entry.peer_id
+            pid = entry[1]
             if pid == own or pid not in peers:
                 continue  # probing a forwarded entry fails if it departed
             old = neighbors.get(pid)
-            if old is None or entry.last_seen >= old.last_seen:
+            if old is None or entry[0] >= old[0]:
                 neighbors[pid] = entry
         excess = len(neighbors) - self.max_degree
         if excess <= 0:
@@ -214,7 +216,7 @@ class SectorMesh:
         # (each color dominating) within reach of pure local repair
         tally = [0] * self.scheme.colors
         for e in neighbors.values():
-            tally[e.color] += 1
+            tally[e[2]] += 1
         oldest_first = sorted(neighbors.values())
         for _, pid, color in oldest_first:
             if tally[color] > 1:
@@ -243,7 +245,7 @@ class SectorMesh:
         for pid in view:
             if pid in peers:
                 alive.append(pid)
-            elif neighbors[pid].last_seen < horizon:
+            elif neighbors[pid][0] < horizon:
                 del neighbors[pid]
                 peer.known_offers.pop(pid, None)
                 self.stale_evictions += 1
@@ -290,15 +292,15 @@ class SectorMesh:
         if not alive:
             rep = self.representant(excluding=peer_id)
             if rep is not None:
-                peer.neighbors[rep] = NeighborEntry(now, rep, peers[rep].color)
+                peer.neighbors[rep] = (now, rep, peers[rep].color)
                 self.bootstrap_messages += 1
                 return GossipReport(rep, True, ())
             return GossipReport(None, False, ())
 
         partner_id = self.rng.choice(alive)
         partner = peers[partner_id]
-        me = NeighborEntry(now, peer_id, peer.color)
-        you = NeighborEntry(now, partner_id, partner.color)
+        me = (now, peer_id, peer.color)
+        you = (now, partner_id, partner.color)
         sent = self._sample_view(peer, view, me)
         back = self._sample_view(partner, sorted(partner.neighbors), you)
         self._merge_view(partner, sent)
@@ -313,7 +315,7 @@ class SectorMesh:
         return GossipReport(partner_id, False, tuple(adopted))
 
     def _check_recolor(self, peer: MeshPeer) -> None:
-        present = {e.color for e in peer.neighbors.values()}
+        present = {e[2] for e in peer.neighbors.values()}
         if peer.neighbors and len(present) < self.scheme.colors:
             peer.missing_color_streak += 1
         else:
@@ -412,7 +414,7 @@ class SectorMesh:
                 return RouteOutcome(served_by=None, hops=hops)
             neighbors = cursor.neighbors
             lane = [pid for pid, entry in neighbors.items()
-                    if entry.color == col and pid not in visited and pid in peers]
+                    if entry[2] == col and pid not in visited and pid in peers]
             if lane:
                 offers = cursor.known_offers
                 nxt = min([p for p in lane if chunk_id in offers.get(p, ())] or lane)
@@ -439,13 +441,13 @@ class SectorMesh:
                 problems.append(f"peer {pid} view exceeds max_degree")
             if not 0 <= peer.color < self.scheme.colors:
                 problems.append(f"peer {pid} has color {peer.color} out of range")
-            for nid, entry in sorted(peer.neighbors.items()):
+            for nid, (last_seen, _, _) in sorted(peer.neighbors.items()):
                 if nid in self.peers:
                     continue
                 # purgeable once departed and older than the staleness
                 # bound; the holder's next gossip tick, at most one
                 # period later, is where the purge happens
-                purgeable = max(self.departed_at[nid], entry.last_seen + 2 * period)
+                purgeable = max(self.departed_at[nid], last_seen + 2 * period)
                 if now - purgeable > period:
                     problems.append(f"peer {pid} holds departed {nid} beyond staleness bound")
         recount: dict[int, int] = {}

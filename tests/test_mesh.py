@@ -1,4 +1,5 @@
 import random
+from typing import NamedTuple
 
 import pytest
 
@@ -8,7 +9,6 @@ from tssim.mesh import (
     ColoredDiffusion,
     GossipReport,
     MeshPeer,
-    NeighborEntry,
     SectorMesh,
 )
 from tssim.turntable import RouteOutcome
@@ -73,11 +73,11 @@ def test_assign_color_breaks_ties_low():
     mesh = build_mesh(1, colors=3)
     peer = mesh.peers[0]
     peer.neighbors = {
-        10: NeighborEntry(last_seen=0.0, peer_id=10, color=0),
-        11: NeighborEntry(last_seen=0.0, peer_id=11, color=1),
+        10: (0.0, 10, 0),
+        11: (0.0, 11, 1),
     }
     assert mesh.assign_color(0) == 2
-    peer.neighbors[12] = NeighborEntry(last_seen=0.0, peer_id=12, color=2)
+    peer.neighbors[12] = (0.0, 12, 2)
     assert mesh.assign_color(0) == 0  # full tie goes to the lowest color
 
 
@@ -86,9 +86,9 @@ def test_assign_color_breaks_ties_low():
 def test_disjoint_views_grow_on_shuffle():
     mesh = build_mesh(6, colors=2, max_degree=4)
     a, b = mesh.peers[0], mesh.peers[1]
-    a.neighbors = {1: NeighborEntry(0.0, 1, b.color)}
-    b.neighbors = {3: NeighborEntry(0.0, 3, mesh.peers[3].color),
-                   4: NeighborEntry(0.0, 4, mesh.peers[4].color)}
+    a.neighbors = {1: (0.0, 1, b.color)}
+    b.neighbors = {3: (0.0, 3, mesh.peers[3].color),
+                   4: (0.0, 4, mesh.peers[4].color)}
     report = mesh.gossip_round(0, now=10.0)
     assert report.partner == 1
     assert len(a.neighbors) > 1
@@ -145,7 +145,7 @@ def test_entry_of_a_peer_that_left_after_the_holders_tick_is_not_flagged():
     t = run_rounds(mesh, 10)  # every peer has just gossiped
     holder = next(p for p in mesh.peers.values() if 5 in p.neighbors)
     # known only from an old sample
-    holder.neighbors[5] = holder.neighbors[5]._replace(last_seen=0.0)
+    holder.neighbors[5] = (0.0, 5, holder.neighbors[5][2])
     mesh.remove_peer(5, now=t + 0.5)
     # the holder can purge the entry only at its next tick, t + period
     assert mesh.check_invariants(t + mesh.gossip_period - 0.1) == []
@@ -160,7 +160,7 @@ def test_entry_held_past_three_periods_after_departure_is_flagged():
     assert holders
     for holder in holders:
         # heard from right before it left
-        holder.neighbors[5] = holder.neighbors[5]._replace(last_seen=t)
+        holder.neighbors[5] = (t, 5, holder.neighbors[5][2])
     mesh.remove_peer(5, now=t)
     period = mesh.gossip_period
     assert mesh.check_invariants(t + 3 * period - 0.1) == []
@@ -172,11 +172,11 @@ def _evict_one_at_a_time(neighbors, max_degree):
     """Reference eviction: repeat "oldest entry whose color has a spare"."""
     while len(neighbors) > max_degree:
         tally = {}
-        for e in neighbors.values():
-            tally[e.color] = tally.get(e.color, 0) + 1
-        spare = [kv for kv in neighbors.items() if tally[kv[1].color] > 1]
+        for _, _, color in neighbors.values():
+            tally[color] = tally.get(color, 0) + 1
+        spare = [kv for kv in neighbors.items() if tally[kv[1][2]] > 1]
         pool = spare or list(neighbors.items())
-        del neighbors[min(pool, key=lambda kv: (kv[1].last_seen, kv[0]))[0]]
+        del neighbors[min(pool, key=lambda kv: (kv[1][0], kv[0]))[0]]
 
 
 def test_merge_view_evicts_like_one_at_a_time_rule():
@@ -186,15 +186,15 @@ def test_merge_view_evicts_like_one_at_a_time_rule():
                          max_degree=rng.randint(1, 6))
         peer = mesh.peers[0]
         peer.neighbors = {
-            pid: NeighborEntry(float(rng.randrange(5)), pid, rng.randrange(3))
+            pid: (float(rng.randrange(5)), pid, rng.randrange(3))
             for pid in rng.sample(range(1, 20), rng.randint(0, 8))
         }
-        sample = [NeighborEntry(float(rng.randrange(5)), pid, rng.randrange(3))
+        sample = [(float(rng.randrange(5)), pid, rng.randrange(3))
                   for pid in rng.sample(range(1, 20), rng.randint(0, 6))]
         expected = dict(peer.neighbors)
         for entry in sample:
-            pid = entry.peer_id
-            if pid not in expected or entry.last_seen >= expected[pid].last_seen:
+            seen, pid, _ = entry
+            if pid not in expected or seen >= expected[pid][0]:
                 expected[pid] = entry
         _evict_one_at_a_time(expected, mesh.max_degree)
         mesh._merge_view(peer, sample)
@@ -210,8 +210,8 @@ def test_sample_view_draws_like_random_sample(seed):
         for n in range(0, max_degree + 3):
             ids = sorted(random.Random(f"ids:{seed}:{n}").sample(range(10**6), n))
             peer = MeshPeer(peer_id=-1, color=0, neighbors={
-                pid: NeighborEntry(float(pid), pid, 0) for pid in ids})
-            me = NeighborEntry(1.0, -1, 0)
+                pid: (float(pid), pid, 0) for pid in ids})
+            me = (1.0, -1, 0)
             theirs = random.Random()
             theirs.setstate(mesh.rng.getstate())
             sample = mesh._sample_view(peer, list(ids), me)
@@ -234,7 +234,7 @@ def test_offers_a_receiver_keeps_are_a_snapshot():
     assert receiver.known_offers[0] == {2, 4}
     mesh.pin(0, 6)
     assert mesh._own_color_offers(sender) == scan(sender) == {2, 4, 6}
-    sender.neighbors = {2: NeighborEntry(10.0, 2, mesh.peers[2].color)}
+    sender.neighbors = {2: (10.0, 2, mesh.peers[2].color)}
     for _ in range(2):  # two rounds without color 1 in view recolor it
         mesh._check_recolor(sender)
     assert sender.color == 1 and mesh.recolor_events == 1
@@ -242,6 +242,24 @@ def test_offers_a_receiver_keeps_are_a_snapshot():
     sender.color = 0  # a color written from outside the gossip path
     assert mesh._own_color_offers(sender) == scan(sender) == {2, 4, 6}
     assert receiver.known_offers[0] == {2, 4}
+
+
+def test_view_entries_are_plain_tuples_keyed_by_peer():
+    # a named record in a view slows every sort and read of it (about 12 %
+    # of a mesh-rush run), so each path that writes an entry is walked here
+    mesh = build_mesh(30, seed="plain:13")
+    t = run_rounds(mesh, 100)
+    mesh.remove_peer(29, now=t)
+    assert any(29 in p.neighbors for p in mesh.peers.values())
+    t = run_rounds(mesh, 100, start=t)
+    assert mesh.stale_evictions and all(29 not in p.neighbors for p in mesh.peers.values())
+    mesh.peers[3].neighbors.clear()
+    assert mesh.gossip_round(3, t).bootstrapped
+    mesh.add_peer(30, now=t)
+    for peer in mesh.peers.values():
+        assert peer.neighbors
+        for pid, entry in peer.neighbors.items():
+            assert type(entry) is tuple and entry[1] == pid
 
 
 def test_domination_violations_converge_below_threshold():
@@ -284,8 +302,8 @@ def test_diffuse_gap_pins_on_representant():
     mesh.add_peer(1, now=0.0)
     for p in mesh.peers.values():
         p.color = 0
-        for nid, entry in p.neighbors.items():
-            p.neighbors[nid] = entry._replace(color=0)
+        for nid, (seen, _, _) in p.neighbors.items():
+            p.neighbors[nid] = (seen, nid, 0)
     chunk = 1  # color 1, which nobody wears
     result = mesh.colored_diffuse(0, chunk)
     assert result.gap
@@ -349,7 +367,7 @@ def test_route_adjacent_same_color_hit():
     holder.color = 0
     mesh.pin(1, 2)  # chunk 2 has color 0 (2 div 1 mod 2)
     mesh.peers[0].color = 0
-    mesh.peers[0].neighbors = {1: NeighborEntry(last_seen=0.0, peer_id=1, color=0)}
+    mesh.peers[0].neighbors = {1: (0.0, 1, 0)}
     out = mesh.route_request(0, 2, ttl=4)
     assert out.served_by == 1
     assert out.hops == 1
@@ -370,8 +388,8 @@ def test_route_detours_when_color_lane_blocked():
     chunk = 2  # color 0
     start.color, mid.color, holder.color = 0, 1, 0
     mesh.pin(2, chunk)
-    start.neighbors = {1: NeighborEntry(last_seen=0.0, peer_id=1, color=1)}
-    mid.neighbors = {2: NeighborEntry(last_seen=0.0, peer_id=2, color=0)}
+    start.neighbors = {1: (0.0, 1, 1)}
+    mid.neighbors = {2: (0.0, 2, 0)}
     out = mesh.route_request(0, chunk, ttl=5)
     assert out.served_by == 2
     assert out.hops == 2
@@ -384,8 +402,8 @@ def test_route_prefers_neighbors_that_offered_the_chunk():
         mesh.add_peer(pid, now=0.0)
     searcher = mesh.peers[0]
     searcher.neighbors = {
-        1: NeighborEntry(last_seen=0.0, peer_id=1, color=0),
-        3: NeighborEntry(last_seen=0.0, peer_id=3, color=0),
+        1: (0.0, 1, 0),
+        3: (0.0, 3, 0),
     }
     mesh.pin(3, 5)
     searcher.known_offers[3] = {5}
@@ -400,7 +418,7 @@ def test_route_ttl_exhausts_on_long_chains():
         mesh.add_peer(pid, now=0.0)
         mesh.peers[pid].neighbors = {}
     for pid in range(4):
-        mesh.peers[pid].neighbors = {pid + 1: NeighborEntry(0.0, pid + 1, 0)}
+        mesh.peers[pid].neighbors = {pid + 1: (0.0, pid + 1, 0)}
     mesh.pin(4, 3)
     short = mesh.route_request(0, 3, ttl=2)
     assert short.served_by is None
@@ -420,14 +438,64 @@ def test_mesh_validation():
 
 # -- reference gossip path ------------------------------------------------------------
 
+class NeighborEntry(NamedTuple):
+    """The view entry as a named record, as the reference keeps it."""
+
+    last_seen: float
+    peer_id: int
+    color: int
+
+
 class ReferenceMesh(SectorMesh):
     """The gossip path as it was before its views and counts were indexed.
 
-    Every view is read as a sorted item list, replica counts are
-    recounted over every store on each call, and a pin is a bare store
-    edit. Kept as the reference the indexed path must match call for call,
-    down to the draws it takes from the mesh's random generator.
+    Every view is read as a sorted item list, its entries are named
+    records read by field, replica counts are recounted over every store
+    on each call, and a pin is a bare store edit. Kept as the reference
+    the indexed path must match call for call, down to the draws it takes
+    from the mesh's random generator.
     """
+
+    def add_peer(self, peer_id, now, storage_capacity):
+        if peer_id in self.peers:
+            raise ValueError(f"peer {peer_id} already in mesh")
+        peer = MeshPeer(peer_id=peer_id, color=0, storage_capacity=storage_capacity)
+        others = sorted(self.peers)
+        if others:
+            rep = self.representant()
+            seeds = {rep}
+            spare = [pid for pid in others if pid != rep]
+            extra = min(len(spare), self.max_degree - 1)
+            if extra:
+                seeds.update(self.rng.sample(spare, extra))
+            for pid in sorted(seeds):
+                peer.neighbors[pid] = NeighborEntry(now, pid, self.peers[pid].color)
+        self.peers[peer_id] = peer
+        peer.color = self.assign_color(peer_id)
+        return peer
+
+    def assign_color(self, peer_id):
+        peer = self.peers[peer_id]
+        counts = [0] * self.scheme.colors
+        for entry in peer.neighbors.values():
+            counts[entry.color % self.scheme.colors] += 1
+        return min(range(self.scheme.colors), key=lambda c: (counts[c], c))
+
+    def _check_recolor(self, peer):
+        present = {e.color for e in peer.neighbors.values()}
+        if peer.neighbors and len(present) < self.scheme.colors:
+            peer.missing_color_streak += 1
+        else:
+            peer.missing_color_streak = 0
+        if peer.missing_color_streak >= 2:
+            fresh = self.assign_color(peer.peer_id)
+            peer.missing_color_streak = 0
+            if fresh != peer.color:
+                peer.color = fresh
+                self.recolor_events += 1
+                for chunk in peer.store:
+                    if self.scheme.chunk_color(chunk) != fresh:
+                        self.legacy_pins.add((chunk, peer.peer_id))
 
     def pin(self, peer_id, chunk_id):
         self.peers[peer_id].store.add(chunk_id)
@@ -613,7 +681,7 @@ def _mesh_state(mesh, chunks):
     """Everything the gossip path reads or writes, in comparable form."""
     return {
         "join_order": list(mesh.peers),
-        "views": {pid: [(n, e.color, e.last_seen) for n, e in p.neighbors.items()]
+        "views": {pid: [(n, e[2], e[0]) for n, e in p.neighbors.items()]
                   for pid, p in mesh.peers.items()},
         "colors": {pid: (p.color, p.missing_color_streak)
                    for pid, p in mesh.peers.items()},
@@ -681,13 +749,13 @@ def test_gossip_path_matches_reference(trial):
             seen = now - rng.uniform(0, 4 * period)
             if gone and (rng.random() < 0.5 or not view):
                 nid, color = rng.choice(gone), rng.randrange(colors)
-                for t in both:
-                    t.peers[pid].neighbors[nid] = NeighborEntry(seen, nid, color)
+                mesh.peers[pid].neighbors[nid] = (seen, nid, color)
+                ref.peers[pid].neighbors[nid] = NeighborEntry(seen, nid, color)
             elif view:
                 nid = rng.choice(view)
-                for t in both:
-                    neighbors = t.peers[pid].neighbors
-                    neighbors[nid] = neighbors[nid]._replace(last_seen=seen)
+                mesh.peers[pid].neighbors[nid] = (seen, nid, mesh.peers[pid].neighbors[nid][2])
+                neighbors = ref.peers[pid].neighbors
+                neighbors[nid] = neighbors[nid]._replace(last_seen=seen)
         now += rng.uniform(0, period)
         assert _mesh_state(mesh, chunks) == _mesh_state(ref, chunks), f"step {step}"
         assert not [msg for msg in mesh.check_invariants(now) if "holder count" in msg]
