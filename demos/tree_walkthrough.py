@@ -36,7 +36,7 @@ def main():
     victims = tree.holders(2)
     print(f"killing all holders of chunk 2: {victims}")
     for pid in victims:
-        tree.unpin_all(pid)
+        tree.update_summary(pid, removed=sorted(tree.nodes[pid].store))
         tree.detach(pid)
     print(f"replicas of chunk 2 now: {tree.replica_count(2)}")
     outcome = tree.emergency_replicate([2], k_rep=3, producer_archive=True)

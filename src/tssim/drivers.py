@@ -25,7 +25,7 @@ from tssim.interval import (
 )
 from tssim.mesh import ColorScheme, SectorMesh
 from tssim.tree import SectorTree
-from tssim.turntable import RouteOutcome, Turntable, sector_of_chunk
+from tssim.turntable import Turntable, sector_of_chunk
 
 _DEPARTED = PeerState.DEPARTED  # a module global reads faster than an enum member
 
@@ -38,8 +38,8 @@ class _TurntableDriver(OverlayDriver):
     read from it once it passes the scenario file's rules. `structures`
     holds one tree or mesh per sector, from the subclass's
     `_build_structures`; each answers `replica_counts(chunks)` for the
-    census and is routed into by `_route_in_sector`, from the entry
-    peer the turntable names.
+    census and `route_request(entry, chunk, ttl)` from the entry peer
+    the turntable names.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -78,11 +78,12 @@ class _TurntableDriver(OverlayDriver):
         entry = self.turntable.route_hookup(peer_id, chunk_id)
         if entry is not None:
             sector, start, hops = entry
-            outcome = self._route_in_sector(sector, start, chunk_id)
-            hops += outcome.hops
-            server = self.engine.peers.get(outcome.served_by)  # None on a miss
+            served_by, route_hops = self.structures[sector].route_request(
+                start, chunk_id, self.config.request_ttl)
+            hops += route_hops
+            server = self.engine.peers.get(served_by)  # None on a miss
             if server is not None and server.state is not _DEPARTED:
-                return (outcome.served_by, hops)
+                return (served_by, hops)
         if self.config.producer_archive:
             return (PRODUCER, hops + 1)
         return (None, hops)
@@ -141,14 +142,17 @@ class TreeDriver(_TurntableDriver):
 
     def _remove_from_tree(self, sector: int, peer_id: int, now: float) -> None:
         """Detach a leaver and re-replicate, in one call, every chunk it
-        held that is now below k_min in its sector."""
+        held that is now below k_min in its sector.
+
+        One `update_summary` walk over the leaver's chunks, ascending,
+        publishes its empty store and returns those chunks; detaching
+        moves no chunk, so they are still short when replicated.
+        """
         tree = self.structures[sector]
-        held = sorted(tree.unpin_all(peer_id))
+        short = tree.update_summary(peer_id, removed=sorted(tree.nodes[peer_id].store),
+                                    k_min=self.config.k_min)
         eng = self.engine
         tree.detach(peer_id)
-        k_min = self.config.k_min
-        short = [chunk for chunk, count in zip(held, tree.replica_counts(held))
-                 if count < k_min]
         result = tree.emergency_replicate(
             short, self.config.k_rep,
             producer_archive=self.config.producer_archive)
@@ -181,15 +185,13 @@ class TreeDriver(_TurntableDriver):
             self.engine.move_chunk(rep, pid, chunk_id, "diffuse")
         self.engine.counters["control_messages"] += len(result.pinned)
 
-    def _route_in_sector(self, sector: int, entry: int, chunk_id: int) -> RouteOutcome:
-        return self.structures[sector].route_request(entry, chunk_id)
-
     def find_provider(self, peer_id: int, chunk_id: int, now: float):
         shortcuts = self.pending_handoff.get(peer_id)
         shortcut = shortcuts.pop(chunk_id, None) if shortcuts else None
         if shortcut is not None and self.engine.has_chunk(shortcut, chunk_id):
             return (shortcut, 1)
-        return super().find_provider(peer_id, chunk_id, now)
+        # named, not super(): every request would build a proxy object
+        return _TurntableDriver.find_provider(self, peer_id, chunk_id, now)
 
     def on_chunk_delivered(self, peer_id: int, chunk_id: int, src: int,
                            now: float) -> None:
@@ -199,8 +201,8 @@ class TreeDriver(_TurntableDriver):
             return
         if prev is not None and prev >= 0 and prev != src:
             self.turntable.refresh_handoff_link(prev, src)
-        candidate = self.turntable.offer_handoff(
-            src, chunk_id + 1, stores=self.engine.has_chunk)
+        candidate = self.turntable.offer_handoff(src, chunk_id + 1,
+                                                 self.engine.has_chunk)
         if candidate is not None:
             self.pending_handoff.setdefault(peer_id, {})[chunk_id + 1] = candidate
             self.engine.counters["control_messages"] += 1
@@ -280,10 +282,6 @@ class MeshDriver(_TurntableDriver):
         for pid in result.pinned:
             self.engine.move_chunk(rep, pid, chunk_id, "diffuse")
         self.engine.counters["control_messages"] += max(1, len(result.pinned))
-
-    def _route_in_sector(self, sector: int, entry: int, chunk_id: int) -> RouteOutcome:
-        return self.structures[sector].route_request(entry, chunk_id,
-                                                     ttl=self.config.request_ttl)
 
     def periodic_check(self, now: float) -> list[str]:
         problems = []

@@ -48,10 +48,11 @@ def _fmt(value) -> str:
 
 
 def _replica_lines(samples):
+    """Each sample's rows as one string; the `,chunk,` fields are made once."""
+    fields = [f",{chunk}," for chunk in range(max((len(c) for _, c in samples), default=0))]
     for time, counts in samples:
-        prefix = f"{_fmt(time)},"
-        for chunk, count in enumerate(counts):
-            yield f"{prefix}{chunk},{count}\n"
+        prefix = _fmt(time)
+        yield "".join([f"{prefix}{field}{count}\n" for field, count in zip(fields, counts)])
 
 
 def _percentile(values: list[float], q: float) -> float:

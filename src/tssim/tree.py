@@ -12,9 +12,11 @@ to every key of its subtree, so a change walks toward the root only as
 far as some claim flips, and a Bloom filter drops the bits of a chunk
 that leaves the subtree unless another chunk still sets them.
 
-With exact summaries a departure's emergency re-replication pins all
-its chunks first and then walks the gains rootward once, deepest nodes
-first; a Bloom filter hears every pin by its own walk. The batched pass
+A departure drops the leaver's whole store in one `update_summary`
+walk, which also returns the chunks left below k_min. With exact
+summaries their emergency re-replication pins all of them first and
+then walks the gains rootward once, deepest nodes first; a Bloom
+filter hears every pin by its own walk. The batched pass
 charges the traffic the per-chunk walks would have: a changed node
 under a non-producer parent ships its summary once per chunk whose
 claim flips there, in chunk order, so a summary of L keys that gains n
@@ -381,14 +383,19 @@ class SectorTree:
         children = [self.summaries[c] for c in node.children]
         return self.summaries[peer_id].build(node.store, children)
 
-    def _unlist(self, peer_id: int, chunk_ids) -> None:
-        """Drop the peer from the holders index of each chunk."""
+    def _unlist(self, peer_id: int, chunk_ids, k_min: int = 0) -> list[int]:
+        """Drop the peer from the holders index of each chunk; returns the
+        chunks that fewer than `k_min` peers hold now, in the order given."""
         holders = self._holders
+        short = []
         for chunk_id in chunk_ids:
             pids = holders[chunk_id]
             pids.remove(peer_id)
+            if len(pids) < k_min:
+                short.append(chunk_id)
             if not pids:
                 del holders[chunk_id]
+        return short
 
     def _walk(self, peer_id: int, gained=(), lost=()) -> None:
         """Count keys gained and lost at a node and push its flips rootward.
@@ -411,23 +418,34 @@ class SectorTree:
             if cursor != PRODUCER:
                 self.summary_traffic_bytes += summary.size_bytes()
 
-    def update_summary(self, peer_id: int, added=(), removed=()) -> None:
-        """Store `added` and drop `removed` (disjoint) at the node, then push
-        the change rootward in one walk; held adds and absent removals are no-ops."""
+    def update_summary(self, peer_id: int, added=(), removed=(),
+                       k_min: int = 0) -> list[int]:
+        """Store `added` and drop `removed` (disjoint, each chunk once) at the
+        node, then push the change rootward in one walk; held adds and
+        absent removals are no-ops. Returns the dropped chunks that fewer
+        than `k_min` nodes hold afterwards, in the order of `removed`.
+
+        The walk that takes the node out of each dropped chunk's holders
+        also counts who still holds it, so a departure that drops its
+        whole store, ascending, learns which chunks to re-replicate
+        without a set copy or a second lookup.
+        """
         store = self.nodes[peer_id].store
-        added, removed = set(added) - store, store & set(removed)
+        added = set(added) - store
+        removed = [chunk_id for chunk_id in removed if chunk_id in store]
+        store.difference_update(removed)
         store |= added
-        store -= removed
         holders = self._holders
         for chunk_id in added:
             holders.setdefault(chunk_id, set()).add(peer_id)
-        self._unlist(peer_id, removed)
+        short = self._unlist(peer_id, removed, k_min)
         if self.summary_mode == "exact":  # a chunk id is its own key
-            self._walk(peer_id, list(added), list(removed))
-            return
+            self._walk(peer_id, list(added), removed)
+            return short
         keys_of = self.summaries[peer_id].keys_of
         self._walk(peer_id, [key for chunk_id in added for key in keys_of(chunk_id)],
                    [key for chunk_id in removed for key in keys_of(chunk_id)])
+        return short
 
     def replica_count(self, chunk_id: int) -> int:
         return len(self._holders.get(chunk_id, ()))
@@ -475,63 +493,42 @@ class SectorTree:
                 self._walk(pid, self.summaries[pid].keys_of(chunk_id))
         return DiffusionResult(pinned=pinned, deficit=max(0, k_rep - len(pinned)))
 
-    def unpin_all(self, peer_id: int) -> set[int]:
-        """Called on departure before detach; returns what the peer held.
-
-        The empty store is published at once: the peer leaves the holders
-        index and its summary stops claiming the chunks.
-        """
-        held = set(self.nodes[peer_id].store)
-        self.update_summary(peer_id, removed=held)
-        return held
-
     # -- routing -------------------------------------------------------------
 
-    def route_request(self, entry: int, chunk_id: int) -> RouteOutcome:
+    def route_request(self, entry: int, chunk_id: int, _ttl: int | None = None) -> RouteOutcome:
         """Walk the tree from `entry` following summary claims.
 
         Each edge traversal costs one hop, including backtracking out
         of a subtree a Bloom filter wrongly vouched for. With exact
         summaries the walk never detours: up to the root, then straight
-        down, which is what bounds hops by twice the tree depth.
+        down, which is what bounds hops by twice the tree depth. The walk
+        never re-enters a subtree it found empty, so it needs no hop
+        budget: `_ttl`, the mesh's hop budget, is accepted so that both
+        structures take one call, and never read.
         """
-        if entry not in self.nodes:
-            return RouteOutcome(served_by=None, hops=0)
+        nodes, summaries = self.nodes, self.summaries
+        if entry not in nodes:
+            return RouteOutcome(None, 0)
         hops = 0
         cursor = entry
         exhausted: set[int] = set()  # subtrees proven (or found) empty
-
         while True:
-            node = self.nodes[cursor]
+            node = nodes[cursor]
             if chunk_id in node.store:
-                return RouteOutcome(served_by=cursor, hops=hops)
-            down = next(
-                (
-                    c for c in node.children
-                    if c not in exhausted and self.summaries[c].claims(chunk_id)
-                ),
-                None,
-            )
-            if down is not None:
-                cursor = down
-                hops += 1
-                continue
-            exhausted.add(cursor)
-            if node.parent == PRODUCER:
-                # consult the other representants through the root
-                sibling = next(
-                    (
-                        r for r in self.roots()
-                        if r not in exhausted and self.summaries[r].claims(chunk_id)
-                    ),
-                    None,
-                )
-                if sibling is None:
-                    return RouteOutcome(served_by=None, hops=hops)
-                cursor = sibling
-                hops += 1
-                continue
-            cursor = node.parent
+                return RouteOutcome(cursor, hops)
+            for child in node.children:  # down into the first claiming child
+                if child not in exhausted and summaries[child].claims(chunk_id):
+                    cursor = child
+                    break
+            else:  # no child claims it: this subtree is empty
+                exhausted.add(cursor)
+                if node.parent != PRODUCER:
+                    cursor = node.parent
+                else:  # consult the other representants through the root
+                    cursor = next((r for r in self.roots() if r not in exhausted
+                                   and summaries[r].claims(chunk_id)), None)
+                    if cursor is None:
+                        return RouteOutcome(None, hops)
             hops += 1
 
     # -- emergency replication ------------------------------------------------
@@ -586,18 +583,17 @@ class SectorTree:
                     node = nodes[pid]
                     spare = room[pid] = node.storage_capacity - len(node.store)
                 if spare > 0:
+                    room[pid] = spare - 1
                     pins.append(pid)
+                    stored.setdefault(pid, []).append(chunk_id)
+                    if not exact:
+                        self._walk(pid, self.summaries[pid].keys_of(chunk_id))
                     need -= 1
                     if not need:
                         break
             if not pins:  # no loss: a holder or the archive still has it
                 continue
             new_pins[chunk_id] = pins
-            for pid in pins:
-                room[pid] -= 1
-                stored.setdefault(pid, []).append(chunk_id)
-                if not exact:
-                    self._walk(pid, self.summaries[pid].keys_of(chunk_id))
             if held_by:
                 held_by.update(pins)
             else:

@@ -87,6 +87,30 @@ class SectorLawDriver(TreeDriver):
         super().on_audit(now)
 
 
+# -- sector tree departures, in two passes ----------------------------------------
+
+def unpin_all(tree, peer_id: int) -> set[int]:
+    """Empty a SectorTree node's store through `update_summary` and return
+    a copy of what it held: the first pass of `two_pass_departure`."""
+    held = set(tree.nodes[peer_id].store)
+    tree.update_summary(peer_id, removed=held)
+    return held
+
+
+def two_pass_departure(tree, peer_id: int, k_min: int) -> list[int]:
+    """The reference for a departure's one `update_summary` walk: the
+    chunks to re-replicate, found in two passes over the leaver's chunks.
+
+    The first pass empties and publishes the leaver's store, and the peer
+    is detached; the second asks `replica_counts` for the held chunks,
+    ascending, and keeps those below k_min.
+    """
+    held = sorted(unpin_all(tree, peer_id))
+    tree.detach(peer_id)
+    return [chunk for chunk, count in zip(held, tree.replica_counts(held))
+            if count < k_min]
+
+
 # -- sector tree re-replication, one chunk at a time ------------------------------
 
 def per_chunk_emergency_replicate(tree, chunk_ids, k_rep: int,

@@ -19,6 +19,7 @@ from ground_truth import (
     check_capacity,
     check_k_coverage,
     chunks_per_day,
+    unpin_all,
 )
 from tssim.config import ScenarioConfig
 from tssim.drivers import MeshDriver
@@ -110,7 +111,7 @@ def build_random_tree(rng):
         tree.diffuse_chunk(chunk, rng.randrange(1, 4))
     for pid in sorted(tree.nodes):
         if rng.random() < 0.2:
-            tree.unpin_all(pid)
+            unpin_all(tree, pid)
             tree.update_summary(pid)
     return tree, chunk_count
 
@@ -169,7 +170,7 @@ def test_acceptance_04_emergency_replication():
         victims = [pid for pid in result.pinned
                    if rng.random() < 0.7 and len(tree.nodes) > 1]
         for pid in victims:
-            tree.unpin_all(pid)
+            unpin_all(tree, pid)
             tree.update_summary(pid)
             tree.detach(pid)
         survivors_held = tree.replica_count(chunk)

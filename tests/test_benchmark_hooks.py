@@ -130,3 +130,38 @@ def test_each_tree_departure_reaches_update_summary_once(monkeypatch):
                                 arrival_rate=0.1))
     assert calls["detach"] > 0
     assert calls["update_summary"] == calls["detach"] == calls["emergency_replicate"]
+
+
+# Calls that spans.py counts on one short tree run, as the simulation made
+# them before a departure's short list came out of its update_summary walk
+# and the tree driver's request stopped going through _route_in_sector. A
+# speed-up that skips one of these entry points would move a traced
+# `.calls` metric.
+TREE_RUN_CALLS = {
+    (Engine, "store_chunk"): 3105,
+    (Engine, "send_chunk"): 1800,
+    (Turntable, "route_hookup"): 1774,
+    (Turntable, "offer_handoff"): 1559,
+    (SectorTree, "route_request"): 1774,
+    (SectorTree, "update_summary"): 180,
+    (SectorTree, "detach"): 180,
+    (SectorTree, "emergency_replicate"): 180,
+}
+
+
+def test_a_tree_run_calls_each_spanned_entry_point_as_often_as_before(monkeypatch):
+    from tssim.config import ScenarioConfig
+    from tssim.metrics import run_scenario
+
+    calls = dict.fromkeys(TREE_RUN_CALLS, 0)
+    for owner, name in TREE_RUN_CALLS:
+        method = getattr(owner, name)
+
+        def counted(*args, _method=method, _key=(owner, name), **kwargs):
+            calls[_key] += 1
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    run_scenario(ScenarioConfig(overlay="tree", seed=1, horizon_s=1800.0,
+                                arrival_rate=0.1))
+    assert calls == TREE_RUN_CALLS

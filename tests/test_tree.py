@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from ground_truth import per_chunk_emergency_replicate, root_claims
+from ground_truth import (per_chunk_emergency_replicate, root_claims, two_pass_departure,
+                          unpin_all)
 from tssim.tree import (
     BloomSummary,
     DiffusionResult,
@@ -272,12 +273,16 @@ def test_diffuse_reports_deficit_when_storage_short():
     assert res2.deficit == 1
 
 
-def test_unpin_all_returns_holdings():
-    t = chain(2)
-    t.update_summary(1, added={3, 4})
-    held = t.unpin_all(1)
-    assert held == {3, 4}
+def test_dropped_chunks_below_k_min_come_back_in_the_order_given():
+    t = chain(3)
+    t.update_summary(1, added={3, 4, 5})
+    t.update_summary(2, added={4})
+    short = t.update_summary(1, removed=[5, 9, 4, 3], k_min=1)
+    assert short == [5, 3]  # 4 is still on node 2; 9 was never held here
     assert t.nodes[1].store == set()
+    assert t.replica_counts([3, 4, 5]) == [0, 1, 0]
+    assert t.update_summary(2, removed=[4]) == []  # k_min 0: nothing is short
+    assert t.check_invariants() == []
 
 
 # -- routing -------------------------------------------------------------------
@@ -427,7 +432,7 @@ def test_invariants_hold_through_churn():
             next_pid += 1
         elif action < 0.7:
             pid = alive.pop(rng.randrange(len(alive)))
-            t.unpin_all(pid)
+            unpin_all(t, pid)
             t.detach(pid)
         else:
             pid = rng.choice(alive)
@@ -661,12 +666,12 @@ def test_indexed_tree_matches_rebuild(mode):
                 # or a detach of a node still holding its chunks
                 pid = rng.choice(alive)
                 if rng.randrange(3) < 2:
-                    assert tree.unpin_all(pid) == ref.unpin_all(pid)
+                    assert unpin_all(tree, pid) == ref.unpin_all(pid)
                     ref.update_summary(pid)  # unpin_all publishes at once
                 assert tree.detach(pid) == ref.detach(pid)
             elif action < 0.48:
                 pid = rng.choice(alive)
-                assert tree.unpin_all(pid) == ref.unpin_all(pid)
+                assert unpin_all(tree, pid) == ref.unpin_all(pid)
                 ref.update_summary(pid)
             elif action < 0.63:
                 pid = rng.choice(alive)
@@ -718,7 +723,7 @@ def test_one_pass_departure_matches_per_chunk_rounds(mode):
             if len(ref.nodes) < 2:
                 break
             pid = rng.choice(sorted(ref.nodes))
-            held = tree.unpin_all(pid)
+            held = unpin_all(tree, pid)
             assert held == ref.unpin_all(pid)
             ref.update_summary(pid)
             assert tree.detach(pid) == ref.detach(pid)
@@ -765,8 +770,8 @@ def test_by_node_departure_matches_the_per_chunk_reference(mode):
             pid = rng.choice(sorted(tree.nodes))
             k_rep = rng.randint(1, 4)
             archive = rng.random() < 0.7
-            held = sorted(tree.unpin_all(pid))
-            assert sorted(ref.unpin_all(pid)) == held
+            held = sorted(unpin_all(tree, pid))
+            assert sorted(unpin_all(ref, pid)) == held
             assert tree.detach(pid) == ref.detach(pid)
             result = tree.emergency_replicate(held, k_rep, producer_archive=archive)
             assert result == per_chunk_emergency_replicate(ref, held, k_rep, archive)
@@ -787,6 +792,53 @@ def test_by_node_departure_matches_the_per_chunk_reference(mode):
                 tree.replica_count(c) < min(k_rep, len(tree.nodes))
                 for c in result.fetched_from)
             seen["loss"] += len(result.lost)
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("mode", ["exact", "bloom"])
+def test_one_walk_departure_matches_the_two_pass_reference(mode):
+    # a departure as the driver makes it, one update_summary walk over the
+    # leaver's chunks that also picks those below k_min, against a copy
+    # of the same tree taken through unpin_all, detach and replica_counts;
+    # storage is small, so the re-replication that follows fills nodes
+    seen = {"short": 0, "not short": 0, "filled": 0}
+    for trial in range(40):
+        rng = random.Random(f"one-walk-departure:{mode}:{trial}")
+        tree = SectorTree(fanout=rng.randint(1, 3), summary_mode=mode,
+                          bloom_bits=64, bloom_hashes=2)
+        for pid in range(rng.randint(4, 14)):
+            tree.attach(pid, storage_capacity=rng.choice([2, 3, 4, 6, 10**9]),
+                        as_root=rng.random() < 0.1)
+        for chunk in range(rng.randint(8, 30)):
+            tree.diffuse_chunk(chunk, rng.randint(1, 3))
+        for step in range(rng.randint(1, 4)):
+            if len(tree.nodes) < 2:
+                break
+            ref = copy.deepcopy(tree)
+            pid = rng.choice(sorted(tree.nodes))
+            k_rep = rng.randint(1, 4)
+            k_min = rng.randint(1, k_rep)
+            archive = rng.random() < 0.7
+            held = len(tree.nodes[pid].store)
+            short = tree.update_summary(pid, removed=sorted(tree.nodes[pid].store),
+                                        k_min=k_min)
+            tree.detach(pid)
+            assert short == two_pass_departure(ref, pid, k_min)
+            result = tree.emergency_replicate(short, k_rep, producer_archive=archive)
+            assert result == ref.emergency_replicate(short, k_rep, producer_archive=archive)
+            for node in ref.nodes.values():
+                assert tree.nodes[node.peer_id].store == node.store
+            assert tree._holders == ref._holders
+            for peer, summary in ref.summaries.items():
+                assert tree.summaries[peer].counts == summary.counts
+                assert summary_content(tree.summaries[peer], mode) == \
+                    summary_content(summary, mode)
+            assert tree.summary_traffic_bytes == ref.summary_traffic_bytes
+            assert tree.check_invariants() == []
+            seen["short"] += len(short)
+            seen["not short"] += held - len(short)
+            seen["filled"] += sum(len(tree.nodes[p].store) == tree.nodes[p].storage_capacity
+                                  for p in result.stored)
     assert all(seen.values()), seen
 
 
