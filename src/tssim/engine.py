@@ -10,7 +10,9 @@ engine asks a driver where a requested chunk can be found and sends it,
 and `move_chunk` is the one way a driver copies a chunk itself: a
 publish, a pin, a repair or an adoption. A tree departure's repairs go
 in one `move_repairs` call, which moves each destination's chunks
-together. One table charges every move.
+together. One table charges every move. Another, `_OUTCOMES`, names
+every way a chunk request ends; `_resolve` alone counts an outcome, and
+a checked run checks that ended plus pending requests equal those made.
 
 Every event passes through `Engine.schedule` onto one heap and comes off
 it through `Engine._dispatch`. A timer's handler is found by one lookup
@@ -116,6 +118,14 @@ _CHARGES = {
     "repair": (True, False),
     "adopt": (False, True),
 }
+# how a chunk request ends -> the summary counter that outcome adds to
+_OUTCOMES = {
+    "delivered": "chunks_delivered",
+    "refused": "chunks_delivered",  # it arrived, but every store entry is pinned
+    "missed": "chunks_missed",  # no provider
+    "sender_left": "dropped_messages",
+    "receiver_left": "dropped_messages",  # while queued or in flight
+}
 
 
 @dataclass(slots=True)
@@ -176,6 +186,9 @@ class Engine:
             "transfer_bytes": 0,
         }
         self.moves = dict.fromkeys(_CHARGES, 0)  # chunk moves by purpose
+        self.outcomes = dict.fromkeys(_OUTCOMES, 0)  # ended requests by outcome
+        # queued transfers started after their sender left; they still arrive
+        self.departed_sender_starts = 0
         self.hops_histogram: dict[int, int] = {}
         self.startup_delays: list[float] = []
         # one (time, counts) pair per sample; counts[c] is chunk c's census
@@ -214,7 +227,7 @@ class Engine:
         if src >= 0:
             peer = self.peers.get(src)
             if peer is None or peer.state is _DEPARTED:
-                self.counters["dropped_messages"] += 1
+                self._resolve("sender_left")
                 return
             if self._active_uploads.get(src, 0) >= peer.profile.upload_capacity:
                 self._upload_queue.setdefault(src, deque()).append((dst, chunk_id, hops))
@@ -288,8 +301,10 @@ class Engine:
             dst, chunk_id, hops = queue.popleft()
             target = peers.get(dst)
             if target is None or target.state is _DEPARTED:
-                self.counters["dropped_messages"] += 1
+                self._resolve("receiver_left")
                 continue
+            if peers[src].state is _DEPARTED:
+                self.departed_sender_starts += 1
             self._start_transfer(src, dst, chunk_id, hops)
             break
         if not queue:
@@ -404,13 +419,18 @@ class Engine:
                 server, hops = self.driver.find_provider(peer_id, position, self.now)
                 if server is None:
                     counters["control_messages"] += hops
-                    counters["chunks_missed"] += 1
+                    self._resolve("missed")
                 else:
                     counters["control_messages"] += max(1, hops)
                     histogram = self.hops_histogram
                     histogram[hops] = histogram.get(hops, 0) + 1
                     self.send_chunk(server, peer_id, position, hops)
         self.schedule(self.now + self._chunk_duration, fire)
+
+    def _resolve(self, outcome: str) -> None:
+        """End one chunk request: count it by outcome and in its summary counter."""
+        self.outcomes[outcome] += 1
+        self.counters[_OUTCOMES[outcome]] += 1
 
     def _first_delivery(self, peer: PeerRuntime, delay: float) -> None:
         """Record the startup delay; callers call it while first_delivery is None."""
@@ -420,10 +440,9 @@ class Engine:
     def _on_chunk_arrival(self, src: int, dst: int, chunk_id: int) -> None:
         peer = self.peers.get(dst)
         if peer is None or peer.state is _DEPARTED:
-            self.counters["dropped_messages"] += 1
+            self._resolve("receiver_left")
             return
-        self.counters["chunks_delivered"] += 1
-        self.store_chunk(dst, chunk_id)
+        self._resolve("delivered" if self.store_chunk(dst, chunk_id) else "refused")
         if peer.first_delivery is None:
             self._first_delivery(peer, self.now - peer.joined_at)
         self.driver.on_chunk_delivered(dst, chunk_id, src, self.now)
@@ -448,10 +467,9 @@ class Engine:
             self.schedule_timer(self.config.audit_period_s, PRODUCER, ("audit",))
 
         heap, dispatch = self._heap, self._dispatch
-        while heap:
+        # the first event past the horizon stays queued, so it counts as pending
+        while heap and heap[0][0] <= end:
             time, _, payload = heappop(heap)
-            if time > end:
-                break
             self.now = time
             dispatch(payload)
 
@@ -513,10 +531,27 @@ class Engine:
         for pid, active in sorted(self._active_uploads.items()):
             if active > self.peers[pid].profile.upload_capacity:
                 problems.append(f"peer {pid} exceeds upload capacity")
+        counters, outcomes = self.counters, self.outcomes
+        ended, pending = sum(outcomes.values()), self.pending_requests()
+        if ended + pending != counters["chunks_requested"]:
+            problems.append(f"{ended} requests ended and {pending} pending, but "
+                            f"{counters['chunks_requested']} were made")
+        # only requests add to these two; dropped_messages also counts controls
+        for name in ("chunks_delivered", "chunks_missed"):
+            share = sum(n for outcome, n in outcomes.items() if _OUTCOMES[outcome] == name)
+            if counters[name] != share:
+                problems.append(f"{name} is {counters[name]}, its outcomes sum to {share}")
         if problems:
             raise InvariantViolation("; ".join(problems))
 
     # -- derived views ----------------------------------------------------------------------
+
+    def pending_requests(self) -> int:
+        """Requests not yet ended: queued for an upload slot or in flight."""
+        in_flight = sum(1 for _, _, payload in self._heap
+                        if type(payload) is MessageDelivery
+                        and payload.message[0] == "chunk")
+        return in_flight + sum(map(len, self._upload_queue.values()))
 
     def availability_ratio(self) -> float:
         requested = self.counters["chunks_requested"]

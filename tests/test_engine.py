@@ -430,6 +430,69 @@ def test_arrival_times_match_the_transport_expression():
     assert driver.arrivals == expected
 
 
+# -- how a request ends ------------------------------------------------------
+
+
+class ScriptedDriver(OverlayDriver):
+    """Serves each viewer from the sender named for it; others miss."""
+
+    def __init__(self, servers):
+        self.servers = servers
+
+    def find_provider(self, peer_id, chunk_id, now):
+        return (self.servers.get(peer_id), 1)
+
+
+def request(engine, viewer):
+    """One play tick of `viewer` that asks for chunk 0; it ticks no more."""
+    peer = engine.peers[viewer]
+    peer.lag = engine.head_chunk
+    engine._dispatch(TimerFire(viewer, ("tick", peer.tick_epoch)))
+    peer.tick_epoch += 1
+
+
+def test_each_way_a_request_ends_adds_up_to_the_requests():
+    # a checked run: its last check raises unless ended + pending = requested
+    servers = {200: 100, 201: 100, 202: PRODUCER, 203: PRODUCER, 204: 101,
+               206: PRODUCER}
+    engine = make_engine(40.0, driver=ScriptedDriver(servers),
+                         check_invariants=True)
+    add_peer(engine, 100, upload=1)
+    add_peer(engine, 101)
+    for viewer in (200, 201, 202, 204, 205, 206):
+        add_peer(engine, viewer)
+    add_peer(engine, 203, storage=1)
+    engine.peers[203].pinned.add(9)
+    engine.store_chunk(203, 9)
+    engine.peers[101].state = PeerState.DEPARTED
+    engine.head_chunk = 3
+    for viewer in (200, 201, 202, 203, 204, 205):
+        request(engine, viewer)
+    assert engine.outcomes["sender_left"] == 1  # 204's sender had left
+    assert engine.outcomes["missed"] == 1  # 205 has no provider
+    engine.peers[201].state = PeerState.DEPARTED  # queued behind 200's transfer
+    engine.peers[202].state = PeerState.DEPARTED  # in flight
+    engine.now = 8.0
+    # its tick comes back at the horizon, and it arrives 0.05 s later: the
+    # first event past the horizon, which must stay queued as pending
+    request(engine, 206)
+    engine.run([], {})
+    assert engine.outcomes == {"delivered": 1, "refused": 1, "missed": 1,
+                               "sender_left": 1, "receiver_left": 2}
+    assert engine.pending_requests() == 1
+    assert engine.counters["chunks_requested"] == 7
+    assert engine.counters["chunks_delivered"] == 2  # 203 holds only its pin
+    assert engine.peers[203].store.keys() == {9}
+    assert engine.counters["dropped_messages"] == 3
+
+
+def test_a_request_counted_outside_the_outcomes_fails_the_check():
+    engine = make_engine(100.0, check_invariants=True)
+    engine.counters["chunks_delivered"] += 1
+    with pytest.raises(InvariantViolation, match="chunks_delivered is 1"):
+        engine.run([], {})
+
+
 # -- stores ------------------------------------------------------------------
 
 

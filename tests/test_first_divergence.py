@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "first_divergence.py"
@@ -57,3 +58,11 @@ def test_one_changed_constant_diverges_at_its_first_event(tmp_path):
     assert float(a_line[2].split("|")[0]) >= 299.0
     assert b_line == ["b", str(seq), "299.0|audit|-1||"]
     assert "chunks_produced" in report
+    assert "outcomes.delivered" in report
+    assert "departed_sender_starts" in report
+
+
+def test_a_tree_without_request_outcomes_reports_its_counters():
+    # CI compares against base commits whose engine lacks both attributes
+    engine = SimpleNamespace(counters={"chunks_requested": 3})
+    assert load_tool()._counts(engine) == {"chunks_requested": 3}

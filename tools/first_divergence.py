@@ -19,7 +19,9 @@ The event's sequence number is its place in the run, counted from 0.
 The records are hashed in blocks. The first differing block is then
 replayed in both trees, and the tool prints the first differing event,
 the 20 events before it and both runs' engine counters just before it
-was dispatched. The runs are seeded and single-threaded, so two builds
+was dispatched, with the engine's request outcomes (`outcomes.<name>`)
+and its count of transfers started by departed senders where the tree
+has them. The runs are seeded and single-threaded, so two builds
 agree event for event until the first real change.
 
 Run from the repository root, standard library only:
@@ -68,6 +70,18 @@ def _record(engine, payload) -> str:
     return f"{engine.now!r}|{kind}|{owner}|{src}|{chunk}"
 
 
+def _counts(engine) -> dict:
+    """The engine's counters, request outcomes and departed-sender starts;
+    read with getattr, since an older tree lacks the last two."""
+    counts = dict(engine.counters)
+    for outcome, n in getattr(engine, "outcomes", {}).items():
+        counts[f"outcomes.{outcome}"] = n
+    starts = getattr(engine, "departed_sender_starts", None)
+    if starts is not None:
+        counts["departed_sender_starts"] = starts
+    return counts
+
+
 def trace(settings: str, block: int, dump: int | None) -> dict:
     """Run the scenario in this process, recording every dispatched event.
 
@@ -100,7 +114,7 @@ def trace(settings: str, block: int, dump: int | None) -> dict:
                 digests.append(current.hexdigest())
                 current = hashlib.blake2b(digest_size=16)
         elif first <= count < last:
-            window.append((count, line, dict(engine.counters)))
+            window.append((count, line, _counts(engine)))
         count += 1
         dispatch(engine, payload)
 
