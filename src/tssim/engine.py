@@ -14,12 +14,19 @@ together. One table charges every move. Another, `_OUTCOMES`, names
 every way a chunk request ends; `_resolve` alone counts an outcome, and
 a checked run checks that ended plus pending requests equal those made.
 
-Every event passes through `Engine.schedule` onto one heap and comes off
-it through `Engine._dispatch`. A timer's handler is found by one lookup
-of its tag's first element in a table built with the engine: "tick",
-"slot_free", "resume", "sample" and "audit" are the engine's own, and
-any other tag (a mesh gossip round, an interval rebalance) goes to the
-driver's `on_timer`.
+Every event passes through `Engine.schedule` and comes off the queue
+through `Engine._dispatch`, in (time, seq) order. The queue is two
+parts. What is known before the loop starts (every chunk's production,
+every session event, the first sample and audit timers) moves from the
+heap to one sorted list, the planned list; the heap keeps only what the
+run itself schedules, so its size follows the audience present, not
+the whole run's. A planned event has a lower seq than any event the run
+schedules, so at equal times it goes first.
+
+A timer's handler is found by one lookup of its tag's first element in
+a table built with the engine: "tick", "slot_free", "resume", "sample"
+and "audit" are the engine's own, and any other tag (a mesh gossip
+round, an interval rebalance) goes to the driver's `on_timer`.
 
 Viewers move in lag space by tssim.stream's rule, which the workload
 plans sessions with too: a playing viewer keeps a constant lag, so its
@@ -45,11 +52,12 @@ before; a write to it raises.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heappop, heappush
+from operator import itemgetter
 
 from tssim.config import ScenarioConfig, require_valid
 from tssim.stream import (
@@ -466,7 +474,26 @@ class Engine:
             self.schedule_timer(self.config.sample_period_s, PRODUCER, ("sample",))
             self.schedule_timer(self.config.audit_period_s, PRODUCER, ("audit",))
 
+        # Everything scheduled so far leaves the heap for the planned list,
+        # sorted; what lies past the horizon stays queued as a valid heap.
+        # It is kept latest first and popped, so each entry is freed once run.
         heap, dispatch = self._heap, self._dispatch
+        planned = sorted(heap)
+        cut = bisect_right(planned, end, key=itemgetter(0))
+        heap[:] = planned[cut:]
+        del planned[cut:]
+        planned.reverse()
+        # A planned event's seq is below that of every event the run
+        # schedules, so at equal times the planned event goes first: the
+        # heap yields only what is strictly earlier.
+        while planned:
+            due, _, payload = planned.pop()
+            while heap and heap[0][0] < due:
+                time, _, event = heappop(heap)
+                self.now = time
+                dispatch(event)
+            self.now = due
+            dispatch(payload)
         # the first event past the horizon stays queued, so it counts as pending
         while heap and heap[0][0] <= end:
             time, _, payload = heappop(heap)

@@ -46,6 +46,9 @@ def test_a_cell_splits_set_up_from_its_run_time():
     for run in runs:
         assert set(grid.METRICS) <= set(run)
         assert 0 < run["setup_s"] < run["run_s"]
+        assert 0 < run["wall_setup_s"] < run["wall_run_s"]
+        assert run["wall_emit_s"] > 0 and run["emit_s"] > 0
+        assert run["host_speed"] > 0
         kinds = run["events_by_kind"]
         assert sum(kinds.values()) == run["events"]
         assert {"tick", "chunk", "slot_free", "publish", "join", "leave",

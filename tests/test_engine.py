@@ -19,6 +19,7 @@ from tssim.engine import (
     TimerFire,
     produced_chunks_within,
 )
+from tssim.metrics import run_scenario
 from tssim.stream import StreamParams, air_time, build_timeline, chunk_duration
 from tssim.workload import (
     PeerProfile,
@@ -140,6 +141,75 @@ def test_same_time_events_dispatch_in_insertion_order():
     engine.run([], {})
     timers = [e[2][0] for e in driver.log if e[0] == "timer"]
     assert timers == ["first", "second"]
+
+
+# -- the planned list and the heap ----------------------------------------------
+
+
+@pytest.mark.parametrize("overlay", ["tree", "mesh", "interval"])
+def test_every_event_comes_out_once_in_time_and_seq_order(overlay, monkeypatch):
+    scheduled_events = []  # (time, seq, payload) of every schedule call
+    pending = {}  # id(payload) -> its scheduled, not yet dispatched entries
+    dispatched = []  # (time, seq) of every dispatch
+    engines = []
+    schedule, dispatch = Engine.schedule, Engine._dispatch
+
+    def record_schedule(engine, time, payload):
+        if not engines:
+            engines.append(engine)
+        entry = (time, engine._seq, payload)
+        scheduled_events.append(entry)
+        pending.setdefault(id(payload), []).append(entry)
+        schedule(engine, time, payload)
+
+    def record_dispatch(engine, payload):
+        # a payload object is queued at most once at any one time
+        [entry] = [e for e in pending[id(payload)] if e[0] == engine.now]
+        pending[id(payload)].remove(entry)
+        dispatched.append(entry[:2])
+        dispatch(engine, payload)
+
+    monkeypatch.setattr(Engine, "schedule", record_schedule)
+    monkeypatch.setattr(Engine, "_dispatch", record_dispatch)
+    run_scenario(ScenarioConfig(overlay=overlay, seed=1, horizon_s=1800.0))
+    [engine] = engines
+
+    assert len(dispatched) > 2000
+    assert all(a < b for a, b in zip(dispatched, dispatched[1:]))
+    due = [(t, seq) for t, seq, _ in scheduled_events if t <= 1800.0]
+    assert sorted(due) == dispatched
+    later = sorted((t, seq) for t, seq, _ in scheduled_events if t > 1800.0)
+    assert later and sorted((t, seq) for t, seq, _ in engine._heap) == later
+
+
+class SameTimeDriver(RecordingDriver):
+    """At chunk 0's production, schedules two timers around chunk 1's."""
+
+    def on_produce(self, chunk_id, now):
+        super().on_produce(chunk_id, now)
+        if chunk_id == 0:
+            next_air = air_time(self.engine.stream, 1)
+            self.engine.schedule_timer(next_air, 1, ("same",))
+            self.engine.schedule_timer(next_air - 0.5, 1, ("earlier",))
+
+
+def test_a_run_scheduled_event_ties_after_a_planned_one():
+    driver = SameTimeDriver()
+    engine = make_engine(100.0, driver=driver)
+    engine.run([], {})
+    d = air_time(engine.stream, 0)
+    assert driver.log[:4] == [
+        ("produce", 0, d),
+        ("timer", 1, ("earlier",), 2 * d - 0.5),
+        ("produce", 1, 2 * d),
+        ("timer", 1, ("same",), 2 * d),
+    ]
+
+
+def test_a_planned_timer_past_the_horizon_stays_queued():
+    engine = make_engine(100.0)
+    engine.run([], {})
+    assert (300.0, TimerFire(PRODUCER, ("audit",))) in scheduled(engine)
 
 
 # -- timer dispatch -----------------------------------------------------------

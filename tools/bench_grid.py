@@ -3,12 +3,18 @@
 The grid is the three overlays × six cells: 1 h at arrival rate 0.05,
 0.2, 0.5, 1.0 and 2.0, and 24 h at 0.05. Every cell is one run_scenario
 call at seed 1 with the default ScenarioConfig otherwise, followed by
-emit_report into a temporary directory. For each cell the tool records:
+emit_report into a temporary directory. Times are host-scaled: the
+child runs perfbench's HostMeter (perfbench/child.py) across the cell,
+and each time is its wall time, by perf_counter, less the meter's own
+loop and scaled to the meter's reference core speed. For each cell the
+tool records:
 
-- run_s: wall time of run_scenario (set-up included), by perf_counter;
+- run_s: the time of run_scenario (set-up included);
 - setup_s: the part of run_s before Engine.run starts: the driver, the
   engine, the timeline and the generated audience;
-- emit_s: wall time of emit_report;
+- emit_s: the time of emit_report;
+- wall_run_s, wall_setup_s, wall_emit_s: the same three unscaled;
+- host_speed: the meter's loop speed over the reference during run_s;
 - viewer_s: each viewer's join -> leave time, clipped at the horizon;
 - viewer_s_per_s: viewer_s / run_s;
 - events: Engine.schedule calls, counted by a wrapper put on the class
@@ -39,7 +45,7 @@ repeat, to the runs of that repeat, which shows its spread.
 Run from the repository root, standard library only:
 
     python3 tools/bench_grid.py --src parent=../old/src --src change=src \\
-        --repeat 3 --out BENCH_8.json
+        --repeat 3 --out BENCH_12.json
 """
 
 from __future__ import annotations
@@ -66,8 +72,9 @@ GRID = [
         (3600.0, 2.0), (86400.0, 0.05))
 ]
 SLOPE_HORIZON_S = 3600.0
-METRICS = ("run_s", "setup_s", "emit_s", "viewer_s", "viewer_s_per_s", "events",
-           "events_per_s", "peak_rss_mb")
+METRICS = ("run_s", "setup_s", "emit_s", "wall_run_s", "wall_setup_s", "wall_emit_s",
+           "host_speed", "viewer_s", "viewer_s_per_s", "events", "events_per_s",
+           "peak_rss_mb")
 
 
 def run_cell(overlay: str, horizon_s: float, arrival_rate: float,
@@ -75,6 +82,8 @@ def run_cell(overlay: str, horizon_s: float, arrival_rate: float,
     """Simulate one cell in this process and measure it."""
     import resource
 
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    from child import HostMeter
     from tssim import Engine, ScenarioConfig, emit_report, run_scenario
     from tssim.engine import MessageDelivery, TimerFire
     from tssim.workload import SessionEvent, SessionEventKind
@@ -108,11 +117,14 @@ def run_cell(overlay: str, horizon_s: float, arrival_rate: float,
     Engine.schedule = count
     config = ScenarioConfig(overlay=overlay, seed=SEED, horizon_s=horizon_s,
                             arrival_rate=arrival_rate)
+    meter = HostMeter()
+    meter.start()
     start = time.perf_counter()
     report = run_scenario(config)
     ran = time.perf_counter()
     paths = emit_report(report, out_dir)
     emitted = time.perf_counter()
+    meter.stop()
     peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
     digest = hashlib.sha256()
@@ -127,11 +139,16 @@ def run_cell(overlay: str, horizon_s: float, arrival_rate: float,
         elif evt.kind is SessionEventKind.LEAVE and evt.peer_id in joined:
             viewer_s += min(evt.time, seen["end"]) - joined.pop(evt.peer_id)
     viewer_s += sum(seen["end"] - t for t in joined.values() if t < seen["end"])
-    run_s = ran - start
+    windows = {"run_s": (start, ran), "setup_s": (start, seen["run_start"]),
+               "emit_s": (ran, emitted)}
+    scales = {key: meter.scale(a, b) for key, (a, b) in windows.items()}
+    wall = {key: b - a for key, (a, b) in windows.items()}
+    scaled = {key: wall[key] * scales[key][0] for key in windows}
+    run_s = scaled["run_s"]
     return {
-        "run_s": run_s,
-        "setup_s": seen["run_start"] - start,
-        "emit_s": emitted - ran,
+        **scaled,
+        **{f"wall_{key}": wall[key] for key in windows},
+        "host_speed": scales["run_s"][1],
         "viewer_s": viewer_s,
         "viewer_s_per_s": viewer_s / run_s,
         "events": seen["events"],
