@@ -34,10 +34,11 @@ def main():
     print()
     chunk = 24  # sector 0 slot, second rotation
     print(f"chunk {chunk} wants color {scheme.chunk_color(chunk)}")
-    diffusion = mesh.colored_diffuse(rep_id=0, chunk_id=chunk)
-    print(f"pinned on {diffusion.pinned} "
-          f"(colors {[mesh.peers[h].color for h in diffusion.pinned]}, "
-          f"gap={diffusion.gap})")
+    gaps = mesh.coloring_gaps
+    pinned = mesh.colored_diffuse(rep_id=0, chunk_id=chunk)
+    print(f"pinned on {pinned} "
+          f"(colors {[mesh.peers[h].color for h in pinned]}, "
+          f"gap={mesh.coloring_gaps > gaps})")
     route = mesh.route_request(start=59, chunk_id=chunk, ttl=16)
     if route.served_by is None:
         print(f"routing from peer 59 failed after {route.hops} hops")

@@ -3,25 +3,20 @@ A sector tree from empty to emergency: attach a dozen peers, diffuse
 some chunks, route a few requests, then kill every holder of one chunk
 and watch the replication round put it back.
 """
-import random
-
+from ground_truth import holders, tree_depth
 from tssim.tree import SectorTree
 
 
 def main():
-    rng = random.Random("walkthrough:0")
     tree = SectorTree(fanout=3, summary_mode="bloom")
-    tree.attach(0, upload_capacity=3, storage_capacity=50, as_root=True)
-    for pid in range(1, 12):
-        tree.attach(pid, upload_capacity=rng.randrange(1, 4),
-                    storage_capacity=50)
-    print(f"members: {len(tree.nodes)}, depth {tree.depth()}, "
+    for pid in range(12):
+        tree.attach(pid, storage_capacity=50)
+    print(f"members: {len(tree.nodes)}, depth {tree_depth(tree)}, "
           f"root(s) {tree.roots()}")
 
     for chunk in range(6):
-        result = tree.diffuse_chunk(chunk, k_rep=3)
-        print(f"chunk {chunk} pinned on {result.pinned} "
-              f"(deficit {result.deficit})")
+        pinned = tree.diffuse_chunk(chunk, k_rep=3)
+        print(f"chunk {chunk} pinned on {pinned}")
 
     print()
     for chunk in (2, 5, 99):
@@ -33,7 +28,7 @@ def main():
                   f"after {outcome.hops} hops")
 
     print()
-    victims = tree.holders(2)
+    victims = holders(tree.nodes, 2)
     print(f"killing all holders of chunk 2: {victims}")
     for pid in victims:
         tree.update_summary(pid, removed=sorted(tree.nodes[pid].store))

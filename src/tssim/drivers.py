@@ -123,12 +123,10 @@ class TreeDriver(_TurntableDriver):
 
     def on_join(self, peer_id: int, lag: int, now: float) -> None:
         sector = self.turntable.join(peer_id)
-        profile = self.engine.peers[peer_id].profile
+        peer = self.engine.peers[peer_id]
         tree = self.structures[sector]
-        tree.attach(peer_id, upload_capacity=profile.upload_capacity,
-                    storage_capacity=profile.storage_capacity,
-                    as_root=not tree.nodes)
-        self.engine.peers[peer_id].pinned = tree.nodes[peer_id].store
+        tree.attach(peer_id, storage_capacity=peer.profile.storage_capacity)
+        peer.pinned = tree.nodes[peer_id].store
         self._flush_retained(sector, now)
 
     def on_leave(self, peer_id: int, now: float, abrupt: bool) -> None:
@@ -180,10 +178,10 @@ class TreeDriver(_TurntableDriver):
     def diffuse(self, rep: int, chunk_id: int, now: float) -> None:
         sector = sector_of_chunk(chunk_id, self.config.m)
         tree = self.structures[sector]
-        result = tree.diffuse_chunk(chunk_id, self.config.k_rep)
-        for pid in result.pinned:
+        pinned = tree.diffuse_chunk(chunk_id, self.config.k_rep)
+        for pid in pinned:
             self.engine.move_chunk(rep, pid, chunk_id, "diffuse")
-        self.engine.counters["control_messages"] += len(result.pinned)
+        self.engine.counters["control_messages"] += len(pinned)
 
     def find_provider(self, peer_id: int, chunk_id: int, now: float):
         shortcuts = self.pending_handoff.get(peer_id)
@@ -278,10 +276,10 @@ class MeshDriver(_TurntableDriver):
     def diffuse(self, rep: int, chunk_id: int, now: float) -> None:
         sector = sector_of_chunk(chunk_id, self.config.m)
         mesh = self.structures[sector]
-        result = mesh.colored_diffuse(rep, chunk_id)
-        for pid in result.pinned:
+        pinned = mesh.colored_diffuse(rep, chunk_id)
+        for pid in pinned:
             self.engine.move_chunk(rep, pid, chunk_id, "diffuse")
-        self.engine.counters["control_messages"] += max(1, len(result.pinned))
+        self.engine.counters["control_messages"] += max(1, len(pinned))
 
     def periodic_check(self, now: float) -> list[str]:
         problems = []

@@ -67,12 +67,6 @@ class GossipReport:
     adopted: tuple[tuple[int, int], ...]  # (adopter, chunk) pairs
 
 
-@dataclass(frozen=True)
-class ColoredDiffusion:
-    pinned: list[int]
-    gap: bool  # representant had nobody of the chunk's color
-
-
 class SectorMesh:
     """One sector's gossip overlay. All mutation goes through the engine.
 
@@ -350,11 +344,10 @@ class SectorMesh:
         count = self._holder_count
         return [count.get(chunk_id, 0) for chunk_id in chunk_ids]
 
-    def holders(self, chunk_id: int) -> list[int]:
-        return sorted(pid for pid, p in self.peers.items() if chunk_id in p.store)
-
-    def colored_diffuse(self, rep_id: int, chunk_id: int) -> ColoredDiffusion:
-        """Flood the chunk through its color class, stopping at k_rep pins."""
+    def colored_diffuse(self, rep_id: int, chunk_id: int) -> list[int]:
+        """Flood the chunk through its color class, stopping at k_rep pins,
+        and return the pinned peers. A representant with no peer of the
+        chunk's color in view pins it alone and counts a coloring gap."""
         col = self.scheme.chunk_color(chunk_id)
         rep = self.peers[rep_id]
         pinned: list[int] = []
@@ -379,7 +372,7 @@ class SectorMesh:
                 self.coloring_gaps += 1
                 if pinned:
                     self.gap_pins.add((chunk_id, rep_id))
-                return ColoredDiffusion(pinned=pinned, gap=True)
+                return pinned
             queue.extend(starts)
             seen.update(starts)
 
@@ -396,7 +389,7 @@ class SectorMesh:
                     continue
                 seen.add(nxt)
                 queue.append(nxt)
-        return ColoredDiffusion(pinned=pinned, gap=False)
+        return pinned
 
     # -- routing ---------------------------------------------------------------------
 

@@ -12,6 +12,11 @@ to every key of its subtree, so a change walks toward the root only as
 far as some claim flips, and a Bloom filter drops the bits of a chunk
 that leaves the subtree unless another chunk still sets them.
 
+Every member is one node record, which also carries its depth and its
+subtree's summary. A join and each orphan of a departure take their
+parent by one rule: the shallowest node with spare fanout, ties to the
+lowest peer id.
+
 A departure drops the leaver's whole store in one `update_summary`
 walk, which also returns the chunks left below k_min. With exact
 summaries their emergency re-replication pins all of them first and
@@ -173,20 +178,16 @@ class BloomSummary(_CountedSummary):
         return self.bits // 8
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeNode:
+    """One member of a sector tree; the tree keeps `depth` and `summary` current."""
     peer_id: int
     parent: int  # peer id or PRODUCER
+    depth: int  # edges up to the producer: a representant is at 1
+    summary: ExactSummary | BloomSummary  # claims every chunk stored in the subtree
     children: list[int] = field(default_factory=list)
     store: set[int] = field(default_factory=set)
-    upload_capacity: int = ScenarioConfig.upload_capacity
     storage_capacity: int = ScenarioConfig.storage_chunks
-
-
-@dataclass(frozen=True)
-class DiffusionResult:
-    pinned: list[int]  # peers that stored the chunk
-    deficit: int  # k_rep minus what was achievable
 
 
 class EmergencyResult(NamedTuple):
@@ -201,14 +202,14 @@ class EmergencyResult(NamedTuple):
 
 
 class SectorTree:
-    """One sector's diffusion tree plus its availability summaries.
+    """One sector's diffusion tree: a `TreeNode` per member, by peer id.
 
-    Beside the summaries it indexes each chunk's holders and each node's
-    depth, so replica counts and candidate ranking read no scan. A
-    node's `store` is also the engine's record of the peer's pins, and
-    only the tree's own operations edit it; `update_summary` takes a
-    caller's edit. Emergency pins walk in one batched pass only with
-    exact summaries; in Bloom mode each pin walks alone.
+    Beside the nodes it indexes each chunk's holders, so replica counts
+    read no scan. A node's `store` is also the engine's record of the
+    peer's pins, and only the tree's own operations edit it;
+    `update_summary` takes a caller's edit. Emergency pins walk in one
+    batched pass only with exact summaries; in Bloom mode each pin
+    walks alone.
     """
 
     def __init__(
@@ -223,10 +224,8 @@ class SectorTree:
         self.bloom_bits = bloom_bits
         self.bloom_hashes = bloom_hashes
         self.nodes: dict[int, TreeNode] = {}
-        self.summaries: dict[int, ExactSummary | BloomSummary] = {}
         self.summary_traffic_bytes = 0
         self._holders: dict[int, set[int]] = {}  # chunk -> peers storing it
-        self._depth: dict[int, int] = {}
         self._by_depth: list[int] | None = None  # deepest first; reset on attach/detach
 
     # -- structure ----------------------------------------------------------
@@ -239,15 +238,13 @@ class SectorTree:
     def roots(self) -> list[int]:
         return sorted(pid for pid, n in self.nodes.items() if n.parent == PRODUCER)
 
-    def depth_of(self, peer_id: int) -> int:
-        """Edges between the peer and the producer root (representant = 1)."""
-        return self._depth[peer_id]
-
-    def depth(self) -> int:
-        return max(self._depth.values(), default=0)
-
-    def _attach_candidates(self) -> list[int]:
-        return [pid for pid, n in self.nodes.items() if len(n.children) < self.fanout]
+    def _parent_for(self, outside=()) -> int:
+        """The shallowest node with spare fanout that is not in `outside`,
+        ties to the lowest peer id; PRODUCER when no such node has room."""
+        fanout = self.fanout
+        return min(((node.depth, pid) for pid, node in self.nodes.items()
+                    if len(node.children) < fanout and pid not in outside),
+                   default=(0, PRODUCER))[1]
 
     def _subtree(self, root: int) -> list[int]:
         """`root` and its descendants, each after its parent."""
@@ -257,78 +254,59 @@ class SectorTree:
         return subtree
 
     def _redepth(self, root: int) -> None:
-        """Re-derive the cached depths of `root`'s subtree from its parent."""
-        depth = self._depth
+        """Re-derive the depths of `root`'s subtree from its parent."""
+        nodes = self.nodes
         for pid in self._subtree(root):
-            parent = self.nodes[pid].parent
-            depth[pid] = 1 if parent == PRODUCER else depth[parent] + 1
+            node = nodes[pid]
+            node.depth = 1 if node.parent == PRODUCER else nodes[node.parent].depth + 1
 
-    def attach(self, peer_id: int, upload_capacity: int = ScenarioConfig.upload_capacity,
-               storage_capacity: int = ScenarioConfig.storage_chunks,
+    def attach(self, peer_id: int, storage_capacity: int = ScenarioConfig.storage_chunks,
                as_root: bool = False) -> None:
-        """Insert a peer, preferring shallow, high-capacity parents."""
+        """Insert a peer under `_parent_for`'s pick, or as a representant
+        when `as_root`, when the tree is empty or when nothing has room."""
         if peer_id in self.nodes:
             raise ValueError(f"peer {peer_id} already in tree")
         self._by_depth = None
-        depth = self._depth
-        if as_root or not self.nodes:
-            parent = PRODUCER
-        else:
-            # never empty: a non-empty tree has a leaf, and fanout >= 1
-            parent = min(
-                self._attach_candidates(),
-                key=lambda pid: (
-                    depth[pid],
-                    -self.nodes[pid].upload_capacity,
-                    pid,
-                ),
-            )
-        self.nodes[peer_id] = TreeNode(
-            peer_id=peer_id,
-            parent=parent,
-            upload_capacity=upload_capacity,
-            storage_capacity=storage_capacity,
-        )
-        summary = self.summaries[peer_id] = self._fresh_summary()
-        if parent == PRODUCER:
-            depth[peer_id] = 1
-            return
-        depth[peer_id] = depth[parent] + 1
-        self.nodes[parent].children.append(peer_id)
-        # the new node ships its empty summary once: 0 bytes when exact,
-        # the whole filter in Bloom mode; its parent's claims do not change
-        self.summary_traffic_bytes += summary.size_bytes()
+        parent = PRODUCER if as_root else self._parent_for()
+        summary = self._fresh_summary()
+        depth = 1
+        if parent != PRODUCER:
+            above = self.nodes[parent]
+            above.children.append(peer_id)
+            depth = above.depth + 1
+            # the new node ships its empty summary once: 0 bytes when exact,
+            # the whole filter in Bloom mode; its parent's claims do not change
+            self.summary_traffic_bytes += summary.size_bytes()
+        self.nodes[peer_id] = TreeNode(peer_id, parent, depth, summary,
+                                       storage_capacity=storage_capacity)
 
     def detach(self, peer_id: int) -> list[int]:
         """Remove a peer; orphaned children re-attach with their subtrees.
 
-        Each orphan goes under the shallowest node with spare fanout
-        (ties to the lowest peer id), or becomes a representant-level
-        node when nothing has room.
+        Each orphan goes under `_parent_for`'s pick outside its own
+        subtree, the rule a join follows, or stays a representant-level
+        node when nothing there has room.
         """
-        node = self.nodes.pop(peer_id)
+        nodes = self.nodes
+        node = nodes.pop(peer_id)
         self._by_depth = None
-        summary = self.summaries.pop(peer_id)
         self._unlist(peer_id, node.store)
-        del self._depth[peer_id]
-        if node.parent != PRODUCER and node.parent in self.nodes:
-            self.nodes[node.parent].children.remove(peer_id)
-            self._walk(node.parent, lost=summary.claimed_keys())
+        if node.parent != PRODUCER and node.parent in nodes:
+            nodes[node.parent].children.remove(peer_id)
+            self._walk(node.parent, lost=node.summary.claimed_keys())
         orphans = sorted(node.children)
         for orphan in orphans:
             # park at root level first so ancestor walks never cross the
             # departed node
-            self.nodes[orphan].parent = PRODUCER
+            nodes[orphan].parent = PRODUCER
             self._redepth(orphan)
         for orphan in orphans:
-            inside = set(self._subtree(orphan))
-            candidates = [pid for pid in self._attach_candidates() if pid not in inside]
-            if candidates:
-                parent = min(candidates, key=lambda pid: (self._depth[pid], pid))
-                self.nodes[parent].children.append(orphan)
-                self.nodes[orphan].parent = parent
+            parent = self._parent_for(set(self._subtree(orphan)))
+            if parent != PRODUCER:
+                nodes[parent].children.append(orphan)
+                nodes[orphan].parent = parent
                 self._redepth(orphan)
-                self._walk(parent, gained=self.summaries[orphan].claimed_keys())
+                self._walk(parent, gained=nodes[orphan].summary.claimed_keys())
         return orphans
 
     def check_invariants(self) -> list[str]:
@@ -350,7 +328,7 @@ class SectorTree:
                 trail.add(cursor)
                 cursor = self.nodes[cursor].parent
             else:
-                if self._depth.get(pid) != len(trail):
+                if self.nodes[pid].depth != len(trail):
                     problems.append(f"cached depth of {pid} differs from a recount")
         reachable = set()
         stack = self.roots()
@@ -360,11 +338,11 @@ class SectorTree:
             stack.extend(self.nodes[pid].children)
         if reachable != set(self.nodes):
             problems.append("nodes unreachable from the roots")
-        for pid in self.nodes:
+        for pid, node in self.nodes.items():
             expected = self._recompute_summary(pid)
-            if not self.summaries[pid].same_content(expected):
+            if not node.summary.same_content(expected):
                 problems.append(f"stale summary at {pid}")
-            elif self.summaries[pid].counts != expected.counts:
+            elif node.summary.counts != expected.counts:
                 problems.append(f"summary reference counts at {pid} differ from a recount")
         recount: dict[int, set[int]] = {}
         for pid, node in self.nodes.items():
@@ -380,8 +358,8 @@ class SectorTree:
     def _recompute_summary(self, peer_id: int):
         """Rebuild by union from the stores: the oracle the counts are audited against."""
         node = self.nodes[peer_id]
-        children = [self.summaries[c] for c in node.children]
-        return self.summaries[peer_id].build(node.store, children)
+        children = [self.nodes[c].summary for c in node.children]
+        return node.summary.build(node.store, children)
 
     def _unlist(self, peer_id: int, chunk_ids, k_min: int = 0) -> list[int]:
         """Drop the peer from the holders index of each chunk; returns the
@@ -405,16 +383,18 @@ class SectorTree:
         so claims and traffic match a rebuild by union along the same
         path.
         """
+        nodes = self.nodes
         cursor = peer_id
         while cursor != PRODUCER:
-            summary = self.summaries[cursor]
+            node = nodes[cursor]
+            summary = node.summary
             if gained:
                 gained = summary.add(gained)
             if lost:
                 lost = summary.remove(lost)
             if not gained and not lost:
                 return
-            cursor = self.nodes[cursor].parent
+            cursor = node.parent
             if cursor != PRODUCER:
                 self.summary_traffic_bytes += summary.size_bytes()
 
@@ -430,7 +410,8 @@ class SectorTree:
         whole store, ascending, learns which chunks to re-replicate
         without a set copy or a second lookup.
         """
-        store = self.nodes[peer_id].store
+        node = self.nodes[peer_id]
+        store = node.store
         added = set(added) - store
         removed = [chunk_id for chunk_id in removed if chunk_id in store]
         store.difference_update(removed)
@@ -442,7 +423,7 @@ class SectorTree:
         if self.summary_mode == "exact":  # a chunk id is its own key
             self._walk(peer_id, list(added), removed)
             return short
-        keys_of = self.summaries[peer_id].keys_of
+        keys_of = node.summary.keys_of
         self._walk(peer_id, [key for chunk_id in added for key in keys_of(chunk_id)],
                    [key for chunk_id in removed for key in keys_of(chunk_id)])
         return short
@@ -455,43 +436,34 @@ class SectorTree:
         holders = self._holders
         return [len(holders.get(chunk_id, ())) for chunk_id in chunk_ids]
 
-    def holders(self, chunk_id: int) -> list[int]:
-        return sorted(self._holders.get(chunk_id, ()))
-
     # -- diffusion and pinning ----------------------------------------------
 
     def _depth_order(self) -> list[int]:
         """Every node, deepest first, ties to the lowest peer id."""
         order = self._by_depth
         if order is None:
-            depth = self._depth
-            order = self._by_depth = sorted(self.nodes, key=lambda pid: (-depth[pid], pid))
+            nodes = self.nodes
+            order = self._by_depth = sorted(nodes, key=lambda pid: (-nodes[pid].depth, pid))
         return order
 
-    def _deepest(self, count: int) -> list[int]:
-        """Up to `count` nodes with spare storage, deepest first."""
-        nodes = self.nodes
-        picked: list[int] = []
-        for pid in self._depth_order():
-            if len(picked) >= count:
-                break
-            n = nodes[pid]
-            if len(n.store) < n.storage_capacity:
-                picked.append(pid)
-        return picked
-
-    def diffuse_chunk(self, chunk_id: int, k_rep: int) -> DiffusionResult:
-        """Pin a fresh chunk on k_rep nodes, deepest candidates first; a
-        node that already holds it (a republish) is picked but unchanged."""
-        pinned = self._deepest(k_rep)
+    def diffuse_chunk(self, chunk_id: int, k_rep: int) -> list[int]:
+        """Pin a fresh chunk on the k_rep deepest nodes with spare storage
+        and return them, fewer when storage runs short; a node that
+        already holds it (a republish) is picked but unchanged."""
         nodes, holders = self.nodes, self._holders
-        for pid in pinned:
-            store = nodes[pid].store
-            if chunk_id not in store:
-                store.add(chunk_id)
-                holders.setdefault(chunk_id, set()).add(pid)
-                self._walk(pid, self.summaries[pid].keys_of(chunk_id))
-        return DiffusionResult(pinned=pinned, deficit=max(0, k_rep - len(pinned)))
+        pinned: list[int] = []
+        for pid in self._depth_order():
+            if len(pinned) >= k_rep:
+                break
+            node = nodes[pid]
+            store = node.store
+            if len(store) < node.storage_capacity:
+                pinned.append(pid)
+                if chunk_id not in store:
+                    store.add(chunk_id)
+                    holders.setdefault(chunk_id, set()).add(pid)
+                    self._walk(pid, node.summary.keys_of(chunk_id))
+        return pinned
 
     # -- routing -------------------------------------------------------------
 
@@ -506,7 +478,7 @@ class SectorTree:
         budget: `_ttl`, the mesh's hop budget, is accepted so that both
         structures take one call, and never read.
         """
-        nodes, summaries = self.nodes, self.summaries
+        nodes = self.nodes
         if entry not in nodes:
             return RouteOutcome(None, 0)
         hops = 0
@@ -517,7 +489,7 @@ class SectorTree:
             if chunk_id in node.store:
                 return RouteOutcome(cursor, hops)
             for child in node.children:  # down into the first claiming child
-                if child not in exhausted and summaries[child].claims(chunk_id):
+                if child not in exhausted and nodes[child].summary.claims(chunk_id):
                     cursor = child
                     break
             else:  # no child claims it: this subtree is empty
@@ -526,7 +498,7 @@ class SectorTree:
                     cursor = node.parent
                 else:  # consult the other representants through the root
                     cursor = next((r for r in self.roots() if r not in exhausted
-                                   and summaries[r].claims(chunk_id)), None)
+                                   and nodes[r].summary.claims(chunk_id)), None)
                     if cursor is None:
                         return RouteOutcome(None, hops)
             hops += 1
@@ -587,7 +559,7 @@ class SectorTree:
                     pins.append(pid)
                     stored.setdefault(pid, []).append(chunk_id)
                     if not exact:
-                        self._walk(pid, self.summaries[pid].keys_of(chunk_id))
+                        self._walk(pid, nodes[pid].summary.keys_of(chunk_id))
                     need -= 1
                     if not need:
                         break
@@ -609,18 +581,19 @@ class SectorTree:
         the flips rootward in one pass, deepest nodes first, charging the
         traffic of the per-chunk walks (see the module docstring).
         `gains` maps a node to its new chunks and is left as it was."""
-        depth, nodes, summaries = self._depth, self.nodes, self.summaries
+        nodes = self.nodes
         arriving = dict(gains)  # node -> its gains and its children's flips
         levels: dict[int, list[int]] = {}  # depth -> nodes with arrivals
         for pid in arriving:
-            levels.setdefault(depth[pid], []).append(pid)
+            levels.setdefault(nodes[pid].depth, []).append(pid)
         traffic = 0
         for level in range(max(levels), 0, -1):
             for pid in levels.pop(level, ()):
-                summary = summaries[pid]
+                node = nodes[pid]
+                summary = node.summary
                 before = summary.size_bytes()
                 up = summary.add(arriving.pop(pid))
-                parent = nodes[pid].parent
+                parent = node.parent
                 if not up or parent == PRODUCER:
                     continue
                 n = len(up)

@@ -63,7 +63,29 @@ def is_connected(mesh) -> bool:
 
 def root_claims(tree, chunk_id: int) -> bool:
     """Whether the summary of some root of a SectorTree claims the chunk."""
-    return any(tree.summaries[r].claims(chunk_id) for r in tree.roots())
+    return any(tree.nodes[r].summary.claims(chunk_id) for r in tree.roots())
+
+
+def depth_of(tree, peer_id: int) -> int:
+    """Edges between a tree node and the producer (a representant is at
+    1), recounted along the parent links."""
+    depth = 1
+    parent = tree.nodes[peer_id].parent
+    while parent != PRODUCER:
+        parent = tree.nodes[parent].parent
+        depth += 1
+    return depth
+
+
+def tree_depth(tree) -> int:
+    """The deepest node's `depth_of`, 0 for an empty tree."""
+    return max((depth_of(tree, pid) for pid in tree.nodes), default=0)
+
+
+def holders(members: dict, chunk_id: int) -> list[int]:
+    """The members whose store holds the chunk, ascending, recounted from
+    the stores: pass a SectorTree's `nodes` or a SectorMesh's `peers`."""
+    return sorted(pid for pid, member in members.items() if chunk_id in member.store)
 
 
 class SectorLawDriver(TreeDriver):
@@ -126,7 +148,7 @@ def per_chunk_emergency_replicate(tree, chunk_ids, k_rep: int,
     """
     new_pins, fetched_from, lost, stored = {}, {}, [], {}
     for chunk_id in sorted(chunk_ids):
-        held_by = tree.holders(chunk_id)
+        held_by = holders(tree.nodes, chunk_id)
         if held_by:
             fetched_from[chunk_id] = held_by[0]
         elif producer_archive:
@@ -135,7 +157,7 @@ def per_chunk_emergency_replicate(tree, chunk_ids, k_rep: int,
             lost.append(chunk_id)
             continue
         need = k_rep - len(held_by)
-        order = sorted(tree.nodes, key=lambda pid: (-tree.depth_of(pid), pid))
+        order = sorted(tree.nodes, key=lambda pid: (-depth_of(tree, pid), pid))
         pins = [pid for pid in order if pid not in held_by
                 and len(tree.nodes[pid].store) < tree.nodes[pid].storage_capacity]
         pins = pins[:need] if need > 0 else []
@@ -147,7 +169,7 @@ def per_chunk_emergency_replicate(tree, chunk_ids, k_rep: int,
             tree._holders.setdefault(chunk_id, set()).add(pid)
             stored.setdefault(pid, []).append(chunk_id)
         for pid in pins:
-            tree._walk(pid, tree.summaries[pid].keys_of(chunk_id))
+            tree._walk(pid, tree.nodes[pid].summary.keys_of(chunk_id))
     return EmergencyResult(new_pins, fetched_from, lost, stored)
 
 

@@ -19,6 +19,8 @@ from ground_truth import (
     check_capacity,
     check_k_coverage,
     chunks_per_day,
+    holders,
+    tree_depth,
     unpin_all,
 )
 from tssim.config import ScenarioConfig
@@ -99,11 +101,9 @@ def test_acceptance_02_turntable_assignment_law():
 def build_random_tree(rng):
     n = rng.randrange(2, 101)
     tree = SectorTree(fanout=rng.randrange(2, 5), summary_mode="exact")
-    tree.attach(0, upload_capacity=rng.randrange(1, 4),
-                storage_capacity=10_000, as_root=True)
+    tree.attach(0, storage_capacity=10_000, as_root=True)
     for pid in range(1, n):
-        tree.attach(pid, upload_capacity=rng.randrange(1, 4),
-                    storage_capacity=10_000)
+        tree.attach(pid, storage_capacity=10_000)
     for pid in rng.sample(range(1, n), min(n // 5, n - 1)):
         tree.detach(pid)
     chunk_count = rng.randrange(1, 30)
@@ -125,17 +125,17 @@ def test_acceptance_03_tree_routing_oracle():
         rng = random.Random(f"route-oracle:{i}")
         tree, chunk_count = build_random_tree(rng)
         members = sorted(tree.nodes)
-        depth_cap = 2 * tree.depth()
+        depth_cap = 2 * tree_depth(tree)
         for _ in range(20):
             chunk = rng.randrange(0, chunk_count + 5)
             entry = rng.choice(members)
             outcome = tree.route_request(entry, chunk)
-            holders = tree.holders(chunk)
+            held_by = holders(tree.nodes, chunk)
             queries += 1
             found = outcome.served_by is not None
-            if found != bool(holders):
+            if found != bool(held_by):
                 mismatches += 1
-            elif found and outcome.served_by not in holders:
+            elif found and outcome.served_by not in held_by:
                 mismatches += 1
             if found and outcome.hops > depth_cap:
                 hop_breaches += 1
@@ -159,15 +159,14 @@ def test_acceptance_04_emergency_replication():
         k_rep = rng.randrange(2, 5)
         archive = rng.random() < 0.5
         tree = SectorTree(fanout=3)
-        tree.attach(0, upload_capacity=3, storage_capacity=10_000,
-                    as_root=True)
+        tree.attach(0, storage_capacity=10_000, as_root=True)
         for pid in range(1, n):
-            tree.attach(pid, upload_capacity=3, storage_capacity=10_000)
+            tree.attach(pid, storage_capacity=10_000)
         chunk = 7
-        result = tree.diffuse_chunk(chunk, k_rep)
+        pinned = tree.diffuse_chunk(chunk, k_rep)
         # churn: a random subset of holders leaves, but never the whole
         # sector, so "restore to min(k_rep, sector size)" stays meaningful
-        victims = [pid for pid in result.pinned
+        victims = [pid for pid in pinned
                    if rng.random() < 0.7 and len(tree.nodes) > 1]
         for pid in victims:
             unpin_all(tree, pid)

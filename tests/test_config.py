@@ -22,7 +22,7 @@ from tssim.engine import PRODUCER, Engine, OverlayDriver
 from tssim.mesh import ColorScheme, MeshPeer, SectorMesh
 from tssim.metrics import emit_report, run_scenario
 from tssim.stream import StreamParams, build_timeline
-from tssim.tree import SectorTree, TreeNode
+from tssim.tree import ExactSummary, SectorTree, TreeNode
 
 
 def test_empty_text_gives_all_defaults():
@@ -277,7 +277,7 @@ def test_the_stream_and_structures_default_to_the_scenario():
     tree.attach(0)
     mesh = SectorMesh(ColorScheme(colors=1, sector_count=1), random.Random(0))
     assert {
-        TreeNode(0, PRODUCER).storage_capacity,
+        TreeNode(0, PRODUCER, 1, ExactSummary()).storage_capacity,
         tree.nodes[0].storage_capacity,
         MeshPeer(0, 0).storage_capacity,
         mesh.add_peer(0, 0.0).storage_capacity,

@@ -3,10 +3,9 @@ from typing import NamedTuple
 
 import pytest
 
-from ground_truth import is_connected
+from ground_truth import holders, is_connected
 from tssim.mesh import (
     ColorScheme,
-    ColoredDiffusion,
     GossipReport,
     MeshPeer,
     SectorMesh,
@@ -275,9 +274,8 @@ def test_domination_violations_converge_below_threshold():
 def test_diffuse_floods_when_everyone_matches():
     mesh = build_mesh(8, colors=1, k_rep=3, seed="flood:5")
     run_rounds(mesh, 2)
-    result = mesh.colored_diffuse(0, chunk_id=0)
-    assert not result.gap
-    assert len(result.pinned) == 3
+    assert len(mesh.colored_diffuse(0, chunk_id=0)) == 3
+    assert mesh.coloring_gaps == 0
     assert mesh.replica_count(0) == 3
 
 
@@ -305,9 +303,7 @@ def test_diffuse_gap_pins_on_representant():
         for nid, (seen, _, _) in p.neighbors.items():
             p.neighbors[nid] = (seen, nid, 0)
     chunk = 1  # color 1, which nobody wears
-    result = mesh.colored_diffuse(0, chunk)
-    assert result.gap
-    assert result.pinned == [0]
+    assert mesh.colored_diffuse(0, chunk) == [0]
     assert mesh.coloring_gaps == 1
     assert (chunk, 0) in mesh.gap_pins
     assert mesh.check_invariants(0.0) == []
@@ -325,7 +321,7 @@ def test_gossip_repairs_replica_deficit():
     assert mesh.replica_count(4) == 3
     run_rounds(mesh, 3, start=(2 + rounds_budget) * mesh.gossip_period)
     assert mesh.replica_count(4) == 3  # adoption stops at k_rep
-    assert len(mesh.holders(4)) == 3  # the count agrees with the stores
+    assert len(holders(mesh.peers, 4)) == 3  # the count agrees with the stores
 
 
 def test_holder_counts_follow_pins_and_departures():
@@ -336,7 +332,7 @@ def test_holder_counts_follow_pins_and_departures():
     assert mesh.replica_count(7) == 2
     mesh.remove_peer(2, now=1.0)
     assert mesh.replica_count(7) == 1
-    assert mesh.holders(7) == [1]
+    assert holders(mesh.peers, 7) == [1]
     assert mesh.check_invariants(1.0) == []
 
 
@@ -627,7 +623,7 @@ class ReferenceMesh(SectorMesh):
                 self.coloring_gaps += 1
                 if pinned:
                     self.gap_pins.add((chunk_id, rep_id))
-                return ColoredDiffusion(pinned=pinned, gap=True)
+                return pinned
             queue.extend(starts)
             seen.update(starts)
 
@@ -644,7 +640,7 @@ class ReferenceMesh(SectorMesh):
                     continue
                 seen.add(nxt)
                 queue.append(nxt)
-        return ColoredDiffusion(pinned=pinned, gap=False)
+        return pinned
 
     def route_request(self, start, chunk_id, ttl):
         col = self.scheme.chunk_color(chunk_id)

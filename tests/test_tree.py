@@ -3,15 +3,15 @@ import random
 
 import pytest
 
-from ground_truth import (per_chunk_emergency_replicate, root_claims, two_pass_departure,
-                          unpin_all)
+from dataclasses import dataclass, field
+
+from ground_truth import (depth_of, holders, per_chunk_emergency_replicate, root_claims,
+                          tree_depth, two_pass_departure, unpin_all)
 from tssim.tree import (
     BloomSummary,
-    DiffusionResult,
     EmergencyResult,
     ExactSummary,
     SectorTree,
-    TreeNode,
     _bloom_positions,
 )
 from tssim.engine import PRODUCER
@@ -27,31 +27,35 @@ def chain(depths, **kw):
 
 # -- structure ---------------------------------------------------------------
 
-def test_attach_prefers_shallow_then_capacity():
+def test_attach_prefers_shallow_then_lowest_id():
     t = SectorTree(fanout=2)
     t.attach(0)
-    t.attach(1, upload_capacity=1)
-    t.attach(2, upload_capacity=5)
-    assert t.nodes[1].parent == 0
+    t.attach(2)
+    t.attach(1)
     assert t.nodes[2].parent == 0
-    t.attach(3)  # node 0 is full; 1 and 2 tie on depth, 2 uploads faster
-    assert t.nodes[3].parent == 2
+    assert t.nodes[1].parent == 0
+    t.attach(3)  # node 0 is full; 1 and 2 tie on depth, 1 has the lower id
+    assert t.nodes[3].parent == 1
     t.attach(4)
-    assert t.nodes[4].parent == 2
-    t.attach(5)  # 2 is full now
-    assert t.nodes[5].parent == 1
+    assert t.nodes[4].parent == 1
+    t.attach(5)  # 1 is full now
+    assert t.nodes[5].parent == 2
+    t.attach(6)  # 2 has room, but 3 is deeper
+    assert t.nodes[6].parent == 2
+    t.attach(7)  # depth 2 is full; 3 to 6 tie on depth, 3 has the lowest id
+    assert t.nodes[7].parent == 3
 
 
 def test_depths_are_producer_rooted():
     t = chain(3)
-    assert t.depth_of(0) == 1
-    assert t.depth_of(2) == 3
-    assert t.depth() == 3
+    assert t.nodes[0].depth == 1
+    assert t.nodes[2].depth == 3
+    assert tree_depth(t) == 3
     t2 = SectorTree()
     t2.attach(7, as_root=True)
     t2.attach(9, as_root=True)
     assert t2.roots() == [7, 9]
-    assert t2.depth_of(9) == 1
+    assert t2.nodes[9].depth == 1
 
 
 def test_detach_leaf_keeps_tree_sound():
@@ -66,7 +70,7 @@ def test_detach_internal_reattaches_orphans():
     t = SectorTree(fanout=2)
     for pid in range(7):
         t.attach(pid)  # perfect binary tree of depth 3
-    assert t.depth() == 3
+    assert tree_depth(t) == 3
     orphans = t.detach(1)
     assert sorted(orphans) == [3, 4]
     assert t.check_invariants() == []
@@ -105,7 +109,7 @@ def test_summary_propagates_to_root():
     t = chain(4)
     t.update_summary(3, added=[42])
     for pid in range(4):
-        assert t.summaries[pid].claims(42)
+        assert t.nodes[pid].summary.claims(42)
     assert root_claims(t, 42)
     assert not root_claims(t, 43)
 
@@ -134,7 +138,7 @@ def test_summary_never_misses_stored_chunks():
             cursor = pid
             while cursor != PRODUCER:
                 for chunk in node.store:
-                    assert t.summaries[cursor].claims(chunk)
+                    assert t.nodes[cursor].summary.claims(chunk)
                 cursor = t.nodes[cursor].parent
 
 
@@ -170,10 +174,10 @@ def test_bloom_chain_forgets_a_removed_chunk():
     mask = BloomSummary(256, 2).build({7}, []).array
     rest = BloomSummary(256, 2).build(others, []).array
     assert mask & rest == 0
-    assert all(t.summaries[pid].claims(7) for pid in range(4))
+    assert all(t.nodes[pid].summary.claims(7) for pid in range(4))
     t.update_summary(3, removed=[7])
-    assert not any(t.summaries[pid].claims(7) for pid in range(4))
-    assert all(t.summaries[pid].claims(c) for pid in range(4) for c in others)
+    assert not any(t.nodes[pid].summary.claims(7) for pid in range(4))
+    assert all(t.nodes[pid].summary.claims(c) for pid in range(4) for c in others)
 
 
 def test_bloom_shape_validation():
@@ -200,7 +204,7 @@ def tree_of_two_holders(mode):
         t.attach(pid)
     for chunk in range(6):
         t.diffuse_chunk(chunk, k_rep=2)
-    assert t.holders(0) == [3, 4]
+    assert holders(t.nodes, 0) == [3, 4]
     return t
 
 
@@ -220,7 +224,7 @@ def counting_walks(t):
 def test_update_summary_ignores_held_adds_and_absent_removals(mode):
     t = tree_of_two_holders(mode)
     traffic = t.summary_traffic_bytes
-    counts = {pid: dict(summary.counts) for pid, summary in t.summaries.items()}
+    counts = {pid: dict(node.summary.counts) for pid, node in t.nodes.items()}
     walks = counting_walks(t)
     t.update_summary(3, added=[0, 5])  # both held already
     t.update_summary(3, removed=[9])  # never held
@@ -228,7 +232,7 @@ def test_update_summary_ignores_held_adds_and_absent_removals(mode):
     # each call reaches the walk with nothing to count, so it stops at once
     assert walks == [(3, [], []), (3, [], []), (5, [], [])]
     assert t.summary_traffic_bytes == traffic
-    assert {pid: summary.counts for pid, summary in t.summaries.items()} == counts
+    assert {pid: node.summary.counts for pid, node in t.nodes.items()} == counts
     assert t.nodes[3].store == set(range(6)) and t.nodes[5].store == set()
     assert t.check_invariants() == []
 
@@ -245,7 +249,7 @@ def test_update_summary_adds_and_removes_in_one_walk(mode, before, after):
     assert len(walks) == 1
     assert t.summary_traffic_bytes == after
     assert t.nodes[3].store == {1, 2, 3, 4, 5, 20, 21}
-    assert t.holders(0) == [4] and t.holders(20) == [3]
+    assert holders(t.nodes, 0) == [4] and holders(t.nodes, 20) == [3]
     assert root_claims(t, 20) and root_claims(t, 0)
     assert t.check_invariants() == []
 
@@ -254,9 +258,7 @@ def test_update_summary_adds_and_removes_in_one_walk(mode, before, after):
 
 def test_diffuse_pins_deepest_first():
     t = chain(3)
-    res = t.diffuse_chunk(0, k_rep=2)
-    assert res.pinned == [2, 1]
-    assert res.deficit == 0
+    assert t.diffuse_chunk(0, k_rep=2) == [2, 1]
     assert t.replica_count(0) == 2
     assert root_claims(t, 0)
 
@@ -265,12 +267,8 @@ def test_diffuse_reports_deficit_when_storage_short():
     t = SectorTree(fanout=2)
     t.attach(0, storage_capacity=1)
     t.attach(1, storage_capacity=1)
-    res = t.diffuse_chunk(9, k_rep=3)
-    assert len(res.pinned) == 2
-    assert res.deficit == 1
-    res2 = t.diffuse_chunk(10, k_rep=1)  # both nodes are full now
-    assert res2.pinned == []
-    assert res2.deficit == 1
+    assert len(t.diffuse_chunk(9, k_rep=3)) == 2
+    assert t.diffuse_chunk(10, k_rep=1) == []  # both nodes are full now
 
 
 def test_dropped_chunks_below_k_min_come_back_in_the_order_given():
@@ -329,14 +327,14 @@ def test_route_matches_exhaustive_scan_on_random_trees():
         t = SectorTree(fanout=rng.randrange(1, 4))
         n = rng.randrange(1, 13)
         for pid in range(n):
-            t.attach(pid, upload_capacity=rng.randrange(1, 4))
+            t.attach(pid)
         for _ in range(n):
             t.update_summary(rng.randrange(n), added=[rng.randrange(8)])
-        depth_bound = 2 * t.depth()
+        depth_bound = 2 * tree_depth(t)
         for chunk in range(8):
             entry = rng.randrange(n)
             out = t.route_request(entry, chunk)
-            if t.holders(chunk):
+            if holders(t.nodes, chunk):
                 assert out.served_by is not None
                 assert chunk in t.nodes[out.served_by].store
                 assert out.hops <= depth_bound
@@ -377,8 +375,8 @@ def test_emergency_tops_up_from_survivor():
     assert res.lost == []
     assert t.replica_count(50) == 3
     assert 1 not in res.new_pins[50]  # the survivor is the source, not a new pin
-    assert t.holders(50) == sorted([1, *res.new_pins[50]])
-    for pid in t.holders(50):
+    assert holders(t.nodes, 50) == sorted([1, *res.new_pins[50]])
+    for pid in holders(t.nodes, 50):
         assert 50 in t.nodes[pid].store
 
 
@@ -427,7 +425,7 @@ def test_invariants_hold_through_churn():
     for step in range(100):
         action = rng.random()
         if action < 0.45 or not alive:
-            t.attach(next_pid, upload_capacity=rng.randrange(1, 4))
+            t.attach(next_pid)
             alive.append(next_pid)
             next_pid += 1
         elif action < 0.7:
@@ -449,6 +447,15 @@ def test_tree_validation():
 
 
 # -- the indexed tree against the rebuild walk -------------------------------------
+
+
+@dataclass
+class RebuildNode:
+    peer_id: int
+    parent: int  # peer id or PRODUCER
+    children: list = field(default_factory=list)
+    store: set = field(default_factory=set)
+    storage_capacity: int = 10**9
 
 
 class RebuildTree:
@@ -486,30 +493,18 @@ class RebuildTree:
     def _size(self, content):
         return 8 * len(content) if self.exact else self.bloom_bits // 8
 
-    def depth_of(self, pid):
-        depth = 1
-        node = self.nodes[pid]
-        while node.parent != PRODUCER:
-            node = self.nodes[node.parent]
-            depth += 1
-        return depth
+    def _parent_for(self, orphan=None):
+        """The shallowest node with spare fanout outside the orphan's
+        subtree, ties to the lowest peer id; PRODUCER when none has room.
+        A join and an orphan both take their parent by this rule."""
+        candidates = [p for p, n in self.nodes.items() if len(n.children) < self.fanout
+                      and (orphan is None or not self._in_subtree(p, orphan))]
+        return min(candidates, key=lambda p: (depth_of(self, p), p), default=PRODUCER)
 
-    def _attach_candidates(self):
-        return [pid for pid, n in self.nodes.items() if len(n.children) < self.fanout]
-
-    def attach(self, pid, upload_capacity=3, storage_capacity=10**9, as_root=False):
-        if as_root or not self.nodes:
-            parent = PRODUCER
-        else:
-            candidates = self._attach_candidates()
-            if not candidates:
-                parent = PRODUCER
-            else:
-                parent = min(candidates, key=lambda p: (
-                    self.depth_of(p), -self.nodes[p].upload_capacity, p))
-        self.nodes[pid] = TreeNode(peer_id=pid, parent=parent,
-                                   upload_capacity=upload_capacity,
-                                   storage_capacity=storage_capacity)
+    def attach(self, pid, storage_capacity=10**9, as_root=False):
+        parent = PRODUCER if as_root else self._parent_for()
+        self.nodes[pid] = RebuildNode(peer_id=pid, parent=parent,
+                                      storage_capacity=storage_capacity)
         if parent != PRODUCER:
             self.nodes[parent].children.append(pid)
         self.summaries[pid] = set() if self.exact else 0
@@ -526,10 +521,8 @@ class RebuildTree:
         for orphan in orphans:
             self.nodes[orphan].parent = PRODUCER
         for orphan in orphans:
-            candidates = [p for p in self._attach_candidates()
-                          if not self._in_subtree(p, orphan)]
-            if candidates:
-                parent = min(candidates, key=lambda p: (self.depth_of(p), p))
+            parent = self._parent_for(orphan)
+            if parent != PRODUCER:
                 self.nodes[parent].children.append(orphan)
                 self.nodes[orphan].parent = parent
                 self.update_summary(parent)
@@ -558,20 +551,17 @@ class RebuildTree:
     def replica_count(self, chunk):
         return sum(1 for n in self.nodes.values() if chunk in n.store)
 
-    def holders(self, chunk):
-        return sorted(pid for pid, n in self.nodes.items() if chunk in n.store)
-
     def diffuse_chunk(self, chunk, k_rep):
         candidates = [pid for pid, n in self.nodes.items()
                       if len(n.store) < n.storage_capacity]
-        candidates.sort(key=lambda pid: (-self.depth_of(pid), pid))
+        candidates.sort(key=lambda pid: (-depth_of(self, pid), pid))
         pinned = []
         for pid in candidates[:k_rep]:
             self.nodes[pid].store.add(chunk)
             pinned.append(pid)
         for pid in pinned:
             self.update_summary(pid)
-        return DiffusionResult(pinned=pinned, deficit=max(0, k_rep - len(pinned)))
+        return pinned
 
     def unpin_all(self, pid):
         node = self.nodes[pid]
@@ -597,26 +587,26 @@ class RebuildTree:
 
     def emergency_replicate_one(self, chunk, k_rep, producer_archive):
         """One chunk's round: (new pins, permanent loss, source)."""
-        holders = self.holders(chunk)
-        if holders:
-            source = holders[0]
+        held = holders(self.nodes, chunk)
+        if held:
+            source = held[0]
         elif producer_archive:
             source = PRODUCER
         else:
             return [], True, None
-        need = k_rep - len(holders)
-        if need <= 0 and holders:
+        need = k_rep - len(held)
+        if need <= 0 and held:
             return [], False, source
         candidates = [pid for pid, n in self.nodes.items()
                       if chunk not in n.store and len(n.store) < n.storage_capacity]
-        candidates.sort(key=lambda pid: (-self.depth_of(pid), pid))
+        candidates.sort(key=lambda pid: (-depth_of(self, pid), pid))
         new_pins = []
-        for pid in candidates[:need if holders else k_rep]:
+        for pid in candidates[:need if held else k_rep]:
             self.nodes[pid].store.add(chunk)
             new_pins.append(pid)
         for pid in new_pins:
             self.update_summary(pid)
-        if not holders and not new_pins:
+        if not held and not new_pins:
             return [], not producer_archive, source
         return new_pins, False, source
 
@@ -632,12 +622,13 @@ def assert_matches_rebuild(tree, ref, mode, chunks, step):
         mine = tree.nodes[pid]
         assert (mine.parent, mine.children, mine.store) == \
             (node.parent, node.children, node.store), f"{where}: node {pid}"
-        assert summary_content(tree.summaries[pid], mode) == ref.summaries[pid], \
+        assert summary_content(mine.summary, mode) == ref.summaries[pid], \
             f"{where}: summary of {pid}"
-        assert tree.depth_of(pid) == ref.depth_of(pid), f"{where}: depth of {pid}"
+        assert mine.depth == depth_of(ref, pid), f"{where}: depth of {pid}"
     assert tree.summary_traffic_bytes == ref.summary_traffic_bytes, where
     for chunk in chunks:
-        assert tree.holders(chunk) == ref.holders(chunk), f"{where}: chunk {chunk}"
+        assert sorted(tree._holders.get(chunk, ())) == holders(ref.nodes, chunk), \
+            f"{where}: chunk {chunk}"
         assert tree.replica_count(chunk) == ref.replica_count(chunk), where
 
 
@@ -655,8 +646,7 @@ def test_indexed_tree_matches_rebuild(mode):
             alive = sorted(ref.nodes)
             action = rng.random()
             if action < 0.25 or len(alive) < 2:
-                kw = dict(upload_capacity=rng.randint(1, 4),
-                          storage_capacity=rng.choice([2, 4, 10**9]),
+                kw = dict(storage_capacity=rng.choice([2, 4, 10**9]),
                           as_root=rng.random() < 0.1)
                 for t in both:
                     t.attach(next_pid, **kw)
@@ -711,8 +701,7 @@ def test_one_pass_departure_matches_per_chunk_rounds(mode):
                      bloom_bits=64, bloom_hashes=2)
         tree, ref = SectorTree(**shape), RebuildTree(**shape)
         for pid in range(rng.randint(3, 16)):
-            kw = dict(upload_capacity=rng.randint(1, 4),
-                      storage_capacity=rng.choice([2, 4, 8, 10**9]),
+            kw = dict(storage_capacity=rng.choice([2, 4, 8, 10**9]),
                       as_root=rng.random() < 0.1)
             tree.attach(pid, **kw)
             ref.attach(pid, **kw)
@@ -778,10 +767,10 @@ def test_by_node_departure_matches_the_per_chunk_reference(mode):
             for node in ref.nodes.values():
                 assert tree.nodes[node.peer_id].store == node.store
             assert tree._holders == ref._holders
-            for peer, summary in ref.summaries.items():
-                assert tree.summaries[peer].counts == summary.counts
-                assert summary_content(tree.summaries[peer], mode) == \
-                    summary_content(summary, mode)
+            for peer, node in ref.nodes.items():
+                assert tree.nodes[peer].summary.counts == node.summary.counts
+                assert summary_content(tree.nodes[peer].summary, mode) == \
+                    summary_content(node.summary, mode)
             assert tree.summary_traffic_bytes == ref.summary_traffic_bytes
             assert tree.check_invariants() == []
             last = max(result.new_pins, default=-1)
@@ -829,10 +818,10 @@ def test_one_walk_departure_matches_the_two_pass_reference(mode):
             for node in ref.nodes.values():
                 assert tree.nodes[node.peer_id].store == node.store
             assert tree._holders == ref._holders
-            for peer, summary in ref.summaries.items():
-                assert tree.summaries[peer].counts == summary.counts
-                assert summary_content(tree.summaries[peer], mode) == \
-                    summary_content(summary, mode)
+            for peer, node in ref.nodes.items():
+                assert tree.nodes[peer].summary.counts == node.summary.counts
+                assert summary_content(tree.nodes[peer].summary, mode) == \
+                    summary_content(node.summary, mode)
             assert tree.summary_traffic_bytes == ref.summary_traffic_bytes
             assert tree.check_invariants() == []
             seen["short"] += len(short)
@@ -848,9 +837,9 @@ def test_check_invariants_audits_the_indices():
         t.attach(pid)
     t.diffuse_chunk(3, k_rep=2)
     assert t.check_invariants() == []
-    t._depth[4] += 1
+    t.nodes[4].depth += 1
     t._holders[3].add(0)
-    t.summaries[0].counts[3] += 1
+    t.nodes[0].summary.counts[3] += 1
     assert t.check_invariants() == [
         "cached depth of 4 differs from a recount",
         "summary reference counts at 0 differ from a recount",

@@ -15,7 +15,8 @@ tool records:
 - emit_s: the time of emit_report;
 - wall_run_s, wall_setup_s, wall_emit_s: the same three unscaled;
 - host_speed: the meter's loop speed over the reference during run_s;
-- viewer_s: each viewer's join -> leave time, clipped at the horizon;
+- viewer_s: each viewer's join -> leave time, clipped at the horizon,
+  summed by perfbench's viewer_seconds (perfbench/child.py);
 - viewer_s_per_s: viewer_s / run_s;
 - events: Engine.schedule calls, counted by a wrapper put on the class
   from outside the package, as perfbench/spans.py counts engine.events
@@ -27,8 +28,8 @@ tool records:
   ("join", "leave", ...) and "produce"; the kinds sum to events;
 - events_per_s: events / run_s;
 - peak_rss_mb: the child's peak resident set, from getrusage;
-- digest: sha256 of the four CSVs, so two sources can be checked for
-  identical outputs.
+- digest: sha256 of the four CSVs, by perfbench's digest, so two
+  sources can be checked for identical outputs.
 
 Several sources can be measured in one call, each a LABEL=DIR pair
 whose DIR holds the tssim package (a checkout's src/). Runs are
@@ -51,7 +52,6 @@ Run from the repository root, standard library only:
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -83,10 +83,10 @@ def run_cell(overlay: str, horizon_s: float, arrival_rate: float,
     import resource
 
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-    from child import HostMeter
+    from child import HostMeter, digest, viewer_seconds
     from tssim import Engine, ScenarioConfig, emit_report, run_scenario
     from tssim.engine import MessageDelivery, TimerFire
-    from tssim.workload import SessionEvent, SessionEventKind
+    from tssim.workload import SessionEvent
 
     seen = {"events": 0}
     by_kind: dict[str, int] = {}
@@ -127,18 +127,7 @@ def run_cell(overlay: str, horizon_s: float, arrival_rate: float,
     meter.stop()
     peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
-    digest = hashlib.sha256()
-    for path in paths:
-        with open(path, "rb") as fh:
-            digest.update(fh.read())
-    joined: dict[int, float] = {}
-    viewer_s = 0.0
-    for evt in seen["sessions"]:
-        if evt.kind is SessionEventKind.JOIN:
-            joined[evt.peer_id] = evt.time
-        elif evt.kind is SessionEventKind.LEAVE and evt.peer_id in joined:
-            viewer_s += min(evt.time, seen["end"]) - joined.pop(evt.peer_id)
-    viewer_s += sum(seen["end"] - t for t in joined.values() if t < seen["end"])
+    viewer_s = viewer_seconds(seen["sessions"], seen["end"])
     windows = {"run_s": (start, ran), "setup_s": (start, seen["run_start"]),
                "emit_s": (ran, emitted)}
     scales = {key: meter.scale(a, b) for key, (a, b) in windows.items()}
@@ -156,7 +145,7 @@ def run_cell(overlay: str, horizon_s: float, arrival_rate: float,
         "events_by_kind": dict(sorted(by_kind.items())),
         "peak_rss_mb": peak_kib / 1024,
         "peers_seen": report.scalars["peers_seen"],
-        "digest": digest.hexdigest(),
+        "digest": digest(paths),
     }
 
 
