@@ -39,7 +39,7 @@ def main():
     print(f"pinned on {pinned} "
           f"(colors {[mesh.peers[h].color for h in pinned]}, "
           f"gap={mesh.coloring_gaps > gaps})")
-    route = mesh.route_request(start=59, chunk_id=chunk, ttl=16)
+    route = mesh.route_request(entry=59, chunk_id=chunk)
     if route.served_by is None:
         print(f"routing from peer 59 failed after {route.hops} hops")
     else:

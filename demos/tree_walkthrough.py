@@ -3,7 +3,7 @@ A sector tree from empty to emergency: attach a dozen peers, diffuse
 some chunks, route a few requests, then kill every holder of one chunk
 and watch the replication round put it back.
 """
-from ground_truth import holders, tree_depth
+from ground_truth import holders, root_of, tree_depth
 from tssim.tree import SectorTree
 
 
@@ -12,7 +12,7 @@ def main():
     for pid in range(12):
         tree.attach(pid, storage_capacity=50)
     print(f"members: {len(tree.nodes)}, depth {tree_depth(tree)}, "
-          f"root(s) {tree.roots()}")
+          f"root {root_of(tree)}")
 
     for chunk in range(6):
         pinned = tree.diffuse_chunk(chunk, k_rep=3)

@@ -38,8 +38,8 @@ class _TurntableDriver(OverlayDriver):
     read from it once it passes the scenario file's rules. `structures`
     holds one tree or mesh per sector, from the subclass's
     `_build_structures`; each answers `replica_counts(chunks)` for the
-    census and `route_request(entry, chunk, ttl)` from the entry peer
-    the turntable names.
+    census and `route_request(entry, chunk)` from the entry peer the
+    turntable names.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -78,8 +78,7 @@ class _TurntableDriver(OverlayDriver):
         entry = self.turntable.route_hookup(peer_id, chunk_id)
         if entry is not None:
             sector, start, hops = entry
-            served_by, route_hops = self.structures[sector].route_request(
-                start, chunk_id, self.config.request_ttl)
+            served_by, route_hops = self.structures[sector].route_request(start, chunk_id)
             hops += route_hops
             server = self.engine.peers.get(served_by)  # None on a miss
             if server is not None and server.state is not _DEPARTED:
@@ -240,6 +239,7 @@ class MeshDriver(_TurntableDriver):
                 gossip_period=config.gossip_period,
                 max_degree=config.max_degree,
                 k_rep=config.k_rep,
+                request_ttl=config.request_ttl,
             )
             for sector in range(config.m)
         ]

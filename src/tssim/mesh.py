@@ -81,12 +81,14 @@ class SectorMesh:
         gossip_period: float = ScenarioConfig.gossip_period,
         max_degree: int = ScenarioConfig.max_degree,
         k_rep: int = ScenarioConfig.k_rep,
+        request_ttl: int = ScenarioConfig.request_ttl,
     ):
         self.scheme = scheme
         self.rng = rng
         self.gossip_period = gossip_period
         self.max_degree = max_degree
         self.k_rep = k_rep
+        self.request_ttl = request_ttl
         self.peers: dict[int, MeshPeer] = {}  # in join order
         self._holder_count: dict[int, int] = {}  # chunk -> members storing it
         self.departed_at: dict[int, float] = {}
@@ -393,13 +395,15 @@ class SectorMesh:
 
     # -- routing ---------------------------------------------------------------------
 
-    def route_request(self, start: int, chunk_id: int, ttl: int) -> RouteOutcome:
-        """Color-directed greedy walk with one random detour per blocked hop."""
+    def route_request(self, entry: int, chunk_id: int) -> RouteOutcome:
+        """Color-directed greedy walk from `entry` with one random detour per
+        blocked hop; it misses once `request_ttl` hops are spent."""
         col = self.scheme.chunk_color(chunk_id)
         peers = self.peers
-        cursor = peers[start]
+        cursor = peers[entry]
+        ttl = self.request_ttl
         hops = 0
-        visited = {start}
+        visited = {entry}
         while True:
             if chunk_id in cursor.store:
                 return RouteOutcome(served_by=cursor.peer_id, hops=hops)

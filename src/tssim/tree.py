@@ -1,16 +1,16 @@
 """Per-sector diffusion tree: summaries, routing, repair, re-replication.
 
-Every sector's members form one tree whose virtual root is the
-producer; the representants sit directly under it. Each node keeps a
-summary of which chunks exist somewhere in its subtree, so a request
-can be steered down toward a replica or up toward the root with a
-single lookup per hop. Summaries come in two flavors: an exact chunk
-set (never wrong in either direction) and a Bloom filter (never misses
-a stored chunk, may claim one that is not there). The exact mode is the
-default. Both are kept incrementally: each node counts the references
-to every key of its subtree, so a change walks toward the root only as
-far as some claim flips, and a Bloom filter drops the bits of a chunk
-that leaves the subtree unless another chunk still sets them.
+Every sector's members form one tree with a single root, the one node
+directly under the producer. Each node keeps a summary of which chunks
+exist somewhere in its subtree, so a request can be steered down toward
+a replica or up toward the root with a single lookup per hop. Summaries
+come in two flavors: an exact chunk set (never wrong in either
+direction) and a Bloom filter (never misses a stored chunk, may claim
+one that is not there). The exact mode is the default. Both are kept
+incrementally: each node counts the references to every key of its
+subtree, so a change walks toward the root only as far as some claim
+flips, and a Bloom filter drops the bits of a chunk that leaves the
+subtree unless another chunk still sets them.
 
 Every member is one node record, which also carries its depth and its
 subtree's summary. A join and each orphan of a departure take their
@@ -23,7 +23,7 @@ summaries their emergency re-replication pins all of them first and
 then walks the gains rootward once, deepest nodes first; a Bloom
 filter hears every pin by its own walk. The batched pass
 charges the traffic the per-chunk walks would have: a changed node
-under a non-producer parent ships its summary once per chunk whose
+other than the root ships its summary once per chunk whose
 claim flips there, in chunk order, so a summary of L keys that gains n
 keys ships 8·(n·L + n(n+1)/2) bytes, its sizes after each flip.
 Batching per node gives the same flips as the per-chunk order, because
@@ -181,9 +181,8 @@ class BloomSummary(_CountedSummary):
 @dataclass(slots=True)
 class TreeNode:
     """One member of a sector tree; the tree keeps `depth` and `summary` current."""
-    peer_id: int
-    parent: int  # peer id or PRODUCER
-    depth: int  # edges up to the producer: a representant is at 1
+    parent: int  # peer id, or PRODUCER at the root
+    depth: int  # edges up to the producer: the root is at 1
     summary: ExactSummary | BloomSummary  # claims every chunk stored in the subtree
     children: list[int] = field(default_factory=list)
     store: set[int] = field(default_factory=set)
@@ -235,12 +234,10 @@ class SectorTree:
             return ExactSummary()
         return BloomSummary(self.bloom_bits, self.bloom_hashes)
 
-    def roots(self) -> list[int]:
-        return sorted(pid for pid, n in self.nodes.items() if n.parent == PRODUCER)
-
     def _parent_for(self, outside=()) -> int:
         """The shallowest node with spare fanout that is not in `outside`,
-        ties to the lowest peer id; PRODUCER when no such node has room."""
+        ties to the lowest peer id. Any node outside has spare fanout at
+        least at a leaf, so PRODUCER comes only when no node is outside."""
         fanout = self.fanout
         return min(((node.depth, pid) for pid, node in self.nodes.items()
                     if len(node.children) < fanout and pid not in outside),
@@ -260,14 +257,14 @@ class SectorTree:
             node = nodes[pid]
             node.depth = 1 if node.parent == PRODUCER else nodes[node.parent].depth + 1
 
-    def attach(self, peer_id: int, storage_capacity: int = ScenarioConfig.storage_chunks,
-               as_root: bool = False) -> None:
-        """Insert a peer under `_parent_for`'s pick, or as a representant
-        when `as_root`, when the tree is empty or when nothing has room."""
+    def attach(self, peer_id: int,
+               storage_capacity: int = ScenarioConfig.storage_chunks) -> None:
+        """Insert a peer under `_parent_for`'s pick; the first peer of an
+        empty tree becomes its root."""
         if peer_id in self.nodes:
             raise ValueError(f"peer {peer_id} already in tree")
         self._by_depth = None
-        parent = PRODUCER if as_root else self._parent_for()
+        parent = self._parent_for()
         summary = self._fresh_summary()
         depth = 1
         if parent != PRODUCER:
@@ -277,27 +274,27 @@ class SectorTree:
             # the new node ships its empty summary once: 0 bytes when exact,
             # the whole filter in Bloom mode; its parent's claims do not change
             self.summary_traffic_bytes += summary.size_bytes()
-        self.nodes[peer_id] = TreeNode(peer_id, parent, depth, summary,
+        self.nodes[peer_id] = TreeNode(parent, depth, summary,
                                        storage_capacity=storage_capacity)
 
     def detach(self, peer_id: int) -> list[int]:
         """Remove a peer; orphaned children re-attach with their subtrees.
 
         Each orphan goes under `_parent_for`'s pick outside its own
-        subtree, the rule a join follows, or stays a representant-level
-        node when nothing there has room.
+        subtree, the rule a join follows; when the root leaves, the last
+        orphan has nothing outside and stays under the producer as root.
         """
         nodes = self.nodes
         node = nodes.pop(peer_id)
         self._by_depth = None
         self._unlist(peer_id, node.store)
-        if node.parent != PRODUCER and node.parent in nodes:
+        if node.parent != PRODUCER:
             nodes[node.parent].children.remove(peer_id)
             self._walk(node.parent, lost=node.summary.claimed_keys())
         orphans = sorted(node.children)
         for orphan in orphans:
-            # park at root level first so ancestor walks never cross the
-            # departed node
+            # park under the producer first so ancestor walks never cross
+            # the departed node
             nodes[orphan].parent = PRODUCER
             self._redepth(orphan)
         for orphan in orphans:
@@ -330,14 +327,16 @@ class SectorTree:
             else:
                 if self.nodes[pid].depth != len(trail):
                     problems.append(f"cached depth of {pid} differs from a recount")
+        stack = [pid for pid, node in self.nodes.items() if node.parent == PRODUCER]
+        if len(stack) > 1:
+            problems.append("more than one node sits under the producer")
         reachable = set()
-        stack = self.roots()
         while stack:
             pid = stack.pop()
             reachable.add(pid)
             stack.extend(self.nodes[pid].children)
         if reachable != set(self.nodes):
-            problems.append("nodes unreachable from the roots")
+            problems.append("nodes unreachable from the root")
         for pid, node in self.nodes.items():
             expected = self._recompute_summary(pid)
             if not node.summary.same_content(expected):
@@ -379,7 +378,7 @@ class SectorTree:
         """Count keys gained and lost at a node and push its flips rootward.
 
         Stops at the first node whose claims do not change. Every
-        changed node under a non-producer parent ships its new summary,
+        changed node but the root ships its new summary,
         so claims and traffic match a rebuild by union along the same
         path.
         """
@@ -467,20 +466,18 @@ class SectorTree:
 
     # -- routing -------------------------------------------------------------
 
-    def route_request(self, entry: int, chunk_id: int, _ttl: int | None = None) -> RouteOutcome:
-        """Walk the tree from `entry` following summary claims.
+    def route_request(self, entry: int, chunk_id: int) -> RouteOutcome:
+        """Walk the tree from `entry`, a member, following summary claims.
 
         Each edge traversal costs one hop, including backtracking out
         of a subtree a Bloom filter wrongly vouched for. With exact
         summaries the walk never detours: up to the root, then straight
         down, which is what bounds hops by twice the tree depth. The walk
         never re-enters a subtree it found empty, so it needs no hop
-        budget: `_ttl`, the mesh's hop budget, is accepted so that both
-        structures take one call, and never read.
+        budget, and one that finds the root's subtree, the whole tree,
+        empty misses.
         """
         nodes = self.nodes
-        if entry not in nodes:
-            return RouteOutcome(None, 0)
         hops = 0
         cursor = entry
         exhausted: set[int] = set()  # subtrees proven (or found) empty
@@ -493,14 +490,10 @@ class SectorTree:
                     cursor = child
                     break
             else:  # no child claims it: this subtree is empty
+                if node.parent == PRODUCER:
+                    return RouteOutcome(None, hops)
                 exhausted.add(cursor)
-                if node.parent != PRODUCER:
-                    cursor = node.parent
-                else:  # consult the other representants through the root
-                    cursor = next((r for r in self.roots() if r not in exhausted
-                                   and nodes[r].summary.claims(chunk_id)), None)
-                    if cursor is None:
-                        return RouteOutcome(None, hops)
+                cursor = node.parent
             hops += 1
 
     # -- emergency replication ------------------------------------------------

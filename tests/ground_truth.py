@@ -61,14 +61,21 @@ def is_connected(mesh) -> bool:
     return len(seen) == len(mesh.peers)
 
 
+def root_of(tree) -> int | None:
+    """The one node of a SectorTree directly under the producer; None
+    when the tree is empty."""
+    return next((pid for pid, node in tree.nodes.items() if node.parent == PRODUCER), None)
+
+
 def root_claims(tree, chunk_id: int) -> bool:
-    """Whether the summary of some root of a SectorTree claims the chunk."""
-    return any(tree.nodes[r].summary.claims(chunk_id) for r in tree.roots())
+    """Whether the summary of a SectorTree's root claims the chunk."""
+    root = root_of(tree)
+    return root is not None and tree.nodes[root].summary.claims(chunk_id)
 
 
 def depth_of(tree, peer_id: int) -> int:
-    """Edges between a tree node and the producer (a representant is at
-    1), recounted along the parent links."""
+    """Edges between a tree node and the producer (the root is at 1),
+    recounted along the parent links."""
     depth = 1
     parent = tree.nodes[peer_id].parent
     while parent != PRODUCER:

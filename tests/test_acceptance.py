@@ -101,8 +101,7 @@ def test_acceptance_02_turntable_assignment_law():
 def build_random_tree(rng):
     n = rng.randrange(2, 101)
     tree = SectorTree(fanout=rng.randrange(2, 5), summary_mode="exact")
-    tree.attach(0, storage_capacity=10_000, as_root=True)
-    for pid in range(1, n):
+    for pid in range(n):
         tree.attach(pid, storage_capacity=10_000)
     for pid in rng.sample(range(1, n), min(n // 5, n - 1)):
         tree.detach(pid)
@@ -159,8 +158,7 @@ def test_acceptance_04_emergency_replication():
         k_rep = rng.randrange(2, 5)
         archive = rng.random() < 0.5
         tree = SectorTree(fanout=3)
-        tree.attach(0, storage_capacity=10_000, as_root=True)
-        for pid in range(1, n):
+        for pid in range(n):
             tree.attach(pid, storage_capacity=10_000)
         chunk = 7
         pinned = tree.diffuse_chunk(chunk, k_rep)

@@ -277,8 +277,9 @@ def test_the_stream_and_structures_default_to_the_scenario():
     tree.attach(0)
     mesh = SectorMesh(ColorScheme(colors=1, sector_count=1), random.Random(0))
     assert {
-        TreeNode(0, PRODUCER, 1, ExactSummary()).storage_capacity,
+        TreeNode(PRODUCER, 1, ExactSummary()).storage_capacity,
         tree.nodes[0].storage_capacity,
         MeshPeer(0, 0).storage_capacity,
         mesh.add_peer(0, 0.0).storage_capacity,
     } == {config.storage_chunks}
+    assert mesh.request_ttl == config.request_ttl

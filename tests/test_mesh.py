@@ -348,15 +348,15 @@ def test_check_invariants_flags_store_edits_that_bypass_pin():
 # -- routing -------------------------------------------------------------------------
 
 def test_route_local_hit():
-    mesh = build_mesh(4, colors=1)
+    mesh = build_mesh(4, colors=1, request_ttl=4)
     mesh.pin(2, 9)
-    out = mesh.route_request(2, 9, ttl=4)
+    out = mesh.route_request(2, 9)
     assert out.served_by == 2
     assert out.hops == 0
 
 
 def test_route_adjacent_same_color_hit():
-    mesh = SectorMesh(ColorScheme(2, 1), random.Random("adj:9"))
+    mesh = SectorMesh(ColorScheme(2, 1), random.Random("adj:9"), request_ttl=4)
     mesh.add_peer(0, now=0.0)
     mesh.add_peer(1, now=0.0)
     holder = mesh.peers[1]
@@ -364,20 +364,20 @@ def test_route_adjacent_same_color_hit():
     mesh.pin(1, 2)  # chunk 2 has color 0 (2 div 1 mod 2)
     mesh.peers[0].color = 0
     mesh.peers[0].neighbors = {1: (0.0, 1, 0)}
-    out = mesh.route_request(0, 2, ttl=4)
+    out = mesh.route_request(0, 2)
     assert out.served_by == 1
     assert out.hops == 1
 
 
 def test_route_ttl_zero_is_immediate_miss():
-    mesh = build_mesh(4, colors=1)
-    out = mesh.route_request(0, 7, ttl=0)
+    mesh = build_mesh(4, colors=1, request_ttl=0)
+    out = mesh.route_request(0, 7)
     assert out.served_by is None
     assert out.hops == 0
 
 
 def test_route_detours_when_color_lane_blocked():
-    mesh = SectorMesh(ColorScheme(2, 1), random.Random("detour:10"))
+    mesh = SectorMesh(ColorScheme(2, 1), random.Random("detour:10"), request_ttl=5)
     for pid in range(3):
         mesh.add_peer(pid, now=0.0)
     start, mid, holder = (mesh.peers[i] for i in range(3))
@@ -386,14 +386,14 @@ def test_route_detours_when_color_lane_blocked():
     mesh.pin(2, chunk)
     start.neighbors = {1: (0.0, 1, 1)}
     mid.neighbors = {2: (0.0, 2, 0)}
-    out = mesh.route_request(0, chunk, ttl=5)
+    out = mesh.route_request(0, chunk)
     assert out.served_by == 2
     assert out.hops == 2
     assert mesh.route_detours == 1
 
 
 def test_route_prefers_neighbors_that_offered_the_chunk():
-    mesh = SectorMesh(ColorScheme(1, 1), random.Random("offers:11"))
+    mesh = SectorMesh(ColorScheme(1, 1), random.Random("offers:11"), request_ttl=3)
     for pid in range(4):
         mesh.add_peer(pid, now=0.0)
     searcher = mesh.peers[0]
@@ -403,7 +403,7 @@ def test_route_prefers_neighbors_that_offered_the_chunk():
     }
     mesh.pin(3, 5)
     searcher.known_offers[3] = {5}
-    out = mesh.route_request(0, 5, ttl=3)
+    out = mesh.route_request(0, 5)
     assert out.served_by == 3
     assert out.hops == 1  # straight to the peer that offered it
 
@@ -416,10 +416,12 @@ def test_route_ttl_exhausts_on_long_chains():
     for pid in range(4):
         mesh.peers[pid].neighbors = {pid + 1: (0.0, pid + 1, 0)}
     mesh.pin(4, 3)
-    short = mesh.route_request(0, 3, ttl=2)
+    mesh.request_ttl = 2
+    short = mesh.route_request(0, 3)
     assert short.served_by is None
     assert short.hops == 2
-    full = mesh.route_request(0, 3, ttl=4)
+    mesh.request_ttl = 4
+    full = mesh.route_request(0, 3)
     assert full.served_by == 4
     assert full.hops == 4
 
@@ -642,11 +644,12 @@ class ReferenceMesh(SectorMesh):
                 queue.append(nxt)
         return pinned
 
-    def route_request(self, start, chunk_id, ttl):
+    def route_request(self, entry, chunk_id):
         col = self.scheme.chunk_color(chunk_id)
-        cursor = self.peers[start]
+        cursor = self.peers[entry]
+        ttl = self.request_ttl
         hops = 0
-        visited = {start}
+        visited = {entry}
         while True:
             if chunk_id in cursor.store:
                 return RouteOutcome(served_by=cursor.peer_id, hops=hops)
@@ -730,9 +733,9 @@ def test_gossip_path_matches_reference(trial):
             for t in both:
                 t.pin(pid, chunk)
         elif action < 0.79:
-            start, chunk, ttl = rng.choice(alive), rng.choice(chunks), rng.randint(0, 6)
-            assert (mesh.route_request(start, chunk, ttl)
-                    == ref.route_request(start, chunk, ttl))
+            entry, chunk, ttl = rng.choice(alive), rng.choice(chunks), rng.randint(0, 6)
+            mesh.request_ttl = ref.request_ttl = ttl
+            assert mesh.route_request(entry, chunk) == ref.route_request(entry, chunk)
         elif action < 0.86:
             pid, color = rng.choice(alive), rng.randrange(colors)
             for t in both:
