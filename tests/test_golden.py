@@ -63,6 +63,10 @@ GOLDEN = [
     # a store of 8 chunks fills early, so LRU eviction runs throughout
     ("tree", {"storage_chunks": 8},
      "7649416e4af40401861dc2eec980836e51b2b04f30d0681832dbe37c8d27a4b1"),
+    # a store of one chunk fills at the first pin, so gossip adoption stops
+    # at a full store and diffusion pins fewer than k_rep copies
+    ("mesh", {"storage_chunks": 1},
+     "a4f12afdf74921e01883c83584ee6ef957eb0cd2c08bb95aad73f428a52eb1c1"),
 ]
 
 
