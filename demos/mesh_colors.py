@@ -29,7 +29,7 @@ def main():
     counts = Counter(p.color for p in mesh.peers.values())
     print(f"color histogram: {dict(sorted(counts.items()))}")
     print(f"connected: {is_connected(mesh)}, "
-          f"shuffle messages: {mesh.shuffle_messages}")
+          f"recolor events: {mesh.recolor_events}")
 
     print()
     chunk = 24  # sector 0 slot, second rotation

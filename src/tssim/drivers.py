@@ -25,7 +25,7 @@ from tssim.interval import (
 )
 from tssim.mesh import ColorScheme, SectorMesh
 from tssim.tree import SectorTree
-from tssim.turntable import Turntable, sector_of_chunk
+from tssim.turntable import Holders, Turntable, sector_of_chunk
 
 _DEPARTED = PeerState.DEPARTED  # a module global reads faster than an enum member
 
@@ -35,16 +35,18 @@ class _TurntableDriver(OverlayDriver):
 
     `config` is the run's ScenarioConfig; the layout (`m`, `r`), the
     replication targets (`k_rep`, `k_min`) and `producer_archive` are
-    read from it once it passes the scenario file's rules. `structures`
-    holds one tree or mesh per sector, from the subclass's
-    `_build_structures`; each answers `replica_counts(chunks)` for the
-    census and `route_request(entry, chunk)` from the entry peer the
+    read from it once it passes the scenario file's rules. `holders` is
+    the run's one index of who pins each chunk: each sector's tree or
+    mesh in `structures`, from the subclass's `_build_structures`,
+    writes its pins to it, and the census reads it. Each structure
+    answers `route_request(entry, chunk)` from the entry peer the
     turntable names.
     """
 
     def __init__(self, config: ScenarioConfig):
         require_valid(config)
         self.config = config
+        self.holders = Holders()
         self.structures = self._build_structures(config)
         self.turntable = Turntable(m=config.m, r=config.r)
         self.permanent_losses = 0
@@ -87,19 +89,24 @@ class _TurntableDriver(OverlayDriver):
             return (PRODUCER, hops + 1)
         return (None, hops)
 
-    def _pin_set_drift(self, members: dict) -> list[str]:
-        """A problem for each member whose engine pin set is not its store."""
-        peers = self.engine.peers
-        return [f"peer {pid}'s engine pins are not its overlay store"
-                for pid, member in sorted(members.items())
-                if peers[pid].pinned is not member.store]
+    def _pin_set_drift(self, sectors: list[dict]) -> list[str]:
+        """A problem for each member, of each sector's members by peer id,
+        whose engine pin set is not its store or that pins another
+        sector's chunk; then one holders recount over all their stores."""
+        peers, m = self.engine.peers, self.config.m
+        problems = []
+        for sector, members in enumerate(sectors):
+            for pid, member in sorted(members.items()):
+                if peers[pid].pinned is not member.store:
+                    problems.append(f"peer {pid}'s engine pins are not its overlay store")
+                if any(chunk % m != sector for chunk in member.store):
+                    problems.append(f"peer {pid} pins a chunk of another sector")
+        return problems + self.holders.drift(
+            (pid, member.store) for members in sectors for pid, member in members.items())
 
     def replica_counts(self, now: float) -> list[int]:
-        m = self.config.m
-        counts = [0] * (self.engine.head_chunk + 1)
-        for sector, structure in enumerate(self.structures):
-            counts[sector::m] = structure.replica_counts(range(sector, len(counts), m))
-        return counts
+        count = self.holders.count
+        return [count(chunk) for chunk in range(self.engine.head_chunk + 1)]
 
 
 class TreeDriver(_TurntableDriver):
@@ -115,7 +122,7 @@ class TreeDriver(_TurntableDriver):
     def _build_structures(self, config: ScenarioConfig) -> list:
         return [SectorTree(fanout=config.fanout, summary_mode=config.summary_mode,
                            bloom_bits=config.bloom_bits,
-                           bloom_hashes=config.bloom_hashes)
+                           bloom_hashes=config.bloom_hashes, holders=self.holders)
                 for _ in range(config.m)]
 
     # -- membership -------------------------------------------------------
@@ -207,11 +214,10 @@ class TreeDriver(_TurntableDriver):
     # -- reporting -----------------------------------------------------------------
 
     def periodic_check(self, now: float) -> list[str]:
-        problems = []
-        for sector, tree in enumerate(self.structures):
-            problems.extend(f"sector {sector}: {msg}" for msg in tree.check_invariants())
-            problems.extend(self._pin_set_drift(tree.nodes))
-        return problems
+        problems = [f"sector {sector}: {msg}"
+                    for sector, tree in enumerate(self.structures)
+                    for msg in tree.check_invariants()]
+        return problems + self._pin_set_drift([tree.nodes for tree in self.structures])
 
     def finalize(self, now: float) -> None:
         self.on_audit(now)
@@ -240,6 +246,7 @@ class MeshDriver(_TurntableDriver):
                 max_degree=config.max_degree,
                 k_rep=config.k_rep,
                 request_ttl=config.request_ttl,
+                holders=self.holders,
             )
             for sector in range(config.m)
         ]
@@ -282,11 +289,10 @@ class MeshDriver(_TurntableDriver):
         self.engine.counters["control_messages"] += max(1, len(pinned))
 
     def periodic_check(self, now: float) -> list[str]:
-        problems = []
-        for sector, mesh in enumerate(self.structures):
-            problems.extend(f"sector {sector}: {msg}" for msg in mesh.check_invariants(now))
-            problems.extend(self._pin_set_drift(mesh.peers))
-        return problems
+        problems = [f"sector {sector}: {msg}"
+                    for sector, mesh in enumerate(self.structures)
+                    for msg in mesh.check_invariants(now)]
+        return problems + self._pin_set_drift([mesh.peers for mesh in self.structures])
 
     def finalize(self, now: float) -> None:
         if not self.config.producer_archive:

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 
 from tssim.config import ScenarioConfig
-from tssim.turntable import RouteOutcome
+from tssim.turntable import Holders, RouteOutcome
 
 
 @dataclass(frozen=True)
@@ -63,15 +63,15 @@ class MeshPeer:
 @dataclass(slots=True)
 class GossipReport:
     partner: int | None  # None when the view was empty
-    bootstrapped: bool
     adopted: tuple[tuple[int, int], ...]  # (adopter, chunk) pairs
 
 
 class SectorMesh:
     """One sector's gossip overlay. All mutation goes through the engine.
 
-    Beside the views it counts each chunk's holders, so replica counts
-    read no scan. Every chunk stored on a member goes through `pin`.
+    Every chunk stored on a member goes through `pin`, which writes it to
+    `holders`, the run's one index of who pins each chunk; the driver
+    owns it and passes it in, and a mesh built alone makes its own.
     """
 
     def __init__(
@@ -82,6 +82,7 @@ class SectorMesh:
         max_degree: int = ScenarioConfig.max_degree,
         k_rep: int = ScenarioConfig.k_rep,
         request_ttl: int = ScenarioConfig.request_ttl,
+        holders: Holders | None = None,
     ):
         self.scheme = scheme
         self.rng = rng
@@ -90,7 +91,7 @@ class SectorMesh:
         self.k_rep = k_rep
         self.request_ttl = request_ttl
         self.peers: dict[int, MeshPeer] = {}  # in join order
-        self._holder_count: dict[int, int] = {}  # chunk -> members storing it
+        self.holders = Holders() if holders is None else holders
         self.departed_at: dict[int, float] = {}
         self.stale_evictions = 0
         self.coloring_gaps = 0
@@ -98,8 +99,6 @@ class SectorMesh:
         self.legacy_pins: set[tuple[int, int]] = set()  # pinned before a re-color
         self.recolor_events = 0
         self.route_detours = 0
-        self.shuffle_messages = 0
-        self.bootstrap_messages = 0
 
     # -- membership ----------------------------------------------------------
 
@@ -128,12 +127,7 @@ class SectorMesh:
         return peer
 
     def remove_peer(self, peer_id: int, now: float) -> None:
-        counts = self._holder_count
-        for chunk in self.peers.pop(peer_id).store:
-            if counts[chunk] == 1:
-                del counts[chunk]
-            else:
-                counts[chunk] -= 1
+        self.holders.drop(peer_id, self.peers.pop(peer_id).store)
         # entries pointing here elsewhere decay through the staleness bound
         self.departed_at[peer_id] = now
 
@@ -269,11 +263,10 @@ class SectorMesh:
             return  # every offer wears the sender's color
         store = peer.store
         room = peer.storage_capacity - len(store)
-        counts = self._holder_count
         for chunk in sorted(offers - store):
             if room <= 0:
                 break
-            if counts.get(chunk, 0) < self.k_rep:
+            if self.holders.count(chunk) < self.k_rep:
                 self.pin(peer.peer_id, chunk)
                 adopted.append((peer.peer_id, chunk))
                 room -= 1
@@ -289,9 +282,8 @@ class SectorMesh:
             rep = self.representant(excluding=peer_id)
             if rep is not None:
                 peer.neighbors[rep] = (now, rep, peers[rep].color)
-                self.bootstrap_messages += 1
-                return GossipReport(rep, True, ())
-            return GossipReport(None, False, ())
+                return GossipReport(rep, ())
+            return GossipReport(None, ())
 
         partner_id = self.rng.choice(alive)
         partner = peers[partner_id]
@@ -303,12 +295,11 @@ class SectorMesh:
         self._merge_view(peer, back)
         peer.neighbors[partner_id] = you
         partner.neighbors[peer_id] = me
-        self.shuffle_messages += 2
 
         adopted: list[tuple[int, int]] = []
         self._receive_offers(partner, peer, self._own_color_offers(peer), adopted)
         self._receive_offers(peer, partner, self._own_color_offers(partner), adopted)
-        return GossipReport(partner_id, False, tuple(adopted))
+        return GossipReport(partner_id, tuple(adopted))
 
     def _check_recolor(self, peer: MeshPeer) -> None:
         present = {e[2] for e in peer.neighbors.values()}
@@ -335,16 +326,12 @@ class SectorMesh:
         if chunk_id not in store:
             store.add(chunk_id)
             peer.offers = None
-            counts = self._holder_count
-            counts[chunk_id] = counts.get(chunk_id, 0) + 1
+            self.holders.add(chunk_id, peer_id)
 
     def replica_count(self, chunk_id: int) -> int:
-        return self._holder_count.get(chunk_id, 0)
-
-    def replica_counts(self, chunk_ids) -> list[int]:
-        """`replica_count` of each chunk, in the order given."""
-        count = self._holder_count
-        return [count.get(chunk_id, 0) for chunk_id in chunk_ids]
+        """`holders.count`. It stays only because perfbench/spans.py
+        patches it by name, and goes when the benchmark next changes."""
+        return self.holders.count(chunk_id)
 
     def colored_diffuse(self, rep_id: int, chunk_id: int) -> list[int]:
         """Flood the chunk through its color class, stopping at k_rep pins,
@@ -447,17 +434,10 @@ class SectorMesh:
                 purgeable = max(self.departed_at[nid], last_seen + 2 * period)
                 if now - purgeable > period:
                     problems.append(f"peer {pid} holds departed {nid} beyond staleness bound")
-        recount: dict[int, int] = {}
         for pid, peer in sorted(self.peers.items()):
             for chunk in sorted(peer.store):
-                recount[chunk] = recount.get(chunk, 0) + 1
                 if (chunk, pid) in self.gap_pins or (chunk, pid) in self.legacy_pins:
                     continue
                 if self.scheme.chunk_color(chunk) != peer.color:
                     problems.append(f"peer {pid} stores off-color chunk {chunk}")
-        for chunk in sorted(recount.keys() | self._holder_count.keys()):
-            counted = self._holder_count.get(chunk, 0)
-            if counted != recount.get(chunk, 0):
-                problems.append(f"holder count of chunk {chunk} is {counted}, "
-                                f"but {recount.get(chunk, 0)} members store it")
         return problems

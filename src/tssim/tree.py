@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 from tssim.config import ScenarioConfig
 from tssim.engine import PRODUCER
-from tssim.turntable import RouteOutcome
+from tssim.turntable import Holders, RouteOutcome
 
 
 class _CountedSummary:
@@ -203,11 +203,12 @@ class EmergencyResult(NamedTuple):
 class SectorTree:
     """One sector's diffusion tree: a `TreeNode` per member, by peer id.
 
-    Beside the nodes it indexes each chunk's holders, so replica counts
-    read no scan. A node's `store` is also the engine's record of the
-    peer's pins, and only the tree's own operations edit it;
-    `update_summary` takes a caller's edit. Emergency pins walk in one
-    batched pass only with exact summaries; in Bloom mode each pin
+    Every pin and unpin is written to `holders`, the run's one index of
+    who pins each chunk, which the driver owns and passes in; a tree
+    built alone makes its own. A node's `store` is also the engine's
+    record of the peer's pins, and only the tree's own operations edit
+    it; `update_summary` takes a caller's edit. Emergency pins walk in
+    one batched pass only with exact summaries; in Bloom mode each pin
     walks alone.
     """
 
@@ -217,6 +218,7 @@ class SectorTree:
         summary_mode: str = ScenarioConfig.summary_mode,
         bloom_bits: int = ScenarioConfig.bloom_bits,
         bloom_hashes: int = ScenarioConfig.bloom_hashes,
+        holders: Holders | None = None,
     ):
         self.fanout = fanout
         self.summary_mode = summary_mode
@@ -224,7 +226,7 @@ class SectorTree:
         self.bloom_hashes = bloom_hashes
         self.nodes: dict[int, TreeNode] = {}
         self.summary_traffic_bytes = 0
-        self._holders: dict[int, set[int]] = {}  # chunk -> peers storing it
+        self.holders = Holders() if holders is None else holders
         self._by_depth: list[int] | None = None  # deepest first; reset on attach/detach
 
     # -- structure ----------------------------------------------------------
@@ -287,7 +289,7 @@ class SectorTree:
         nodes = self.nodes
         node = nodes.pop(peer_id)
         self._by_depth = None
-        self._unlist(peer_id, node.store)
+        self.holders.drop(peer_id, node.store)
         if node.parent != PRODUCER:
             nodes[node.parent].children.remove(peer_id)
             self._walk(node.parent, lost=node.summary.claimed_keys())
@@ -307,7 +309,7 @@ class SectorTree:
         return orphans
 
     def check_invariants(self) -> list[str]:
-        """Structural violations and index drift, empty when healthy."""
+        """Structural violations and summary drift, empty when healthy."""
         problems = []
         for pid, node in self.nodes.items():
             if len(node.children) > self.fanout:
@@ -343,13 +345,6 @@ class SectorTree:
                 problems.append(f"stale summary at {pid}")
             elif node.summary.counts != expected.counts:
                 problems.append(f"summary reference counts at {pid} differ from a recount")
-        recount: dict[int, set[int]] = {}
-        for pid, node in self.nodes.items():
-            for chunk_id in node.store:
-                recount.setdefault(chunk_id, set()).add(pid)
-        for chunk_id in sorted(recount.keys() | self._holders.keys()):
-            if recount.get(chunk_id) != self._holders.get(chunk_id):
-                problems.append(f"chunk {chunk_id} holders differ from a recount")
         return problems
 
     # -- summaries ----------------------------------------------------------
@@ -359,20 +354,6 @@ class SectorTree:
         node = self.nodes[peer_id]
         children = [self.nodes[c].summary for c in node.children]
         return node.summary.build(node.store, children)
-
-    def _unlist(self, peer_id: int, chunk_ids, k_min: int = 0) -> list[int]:
-        """Drop the peer from the holders index of each chunk; returns the
-        chunks that fewer than `k_min` peers hold now, in the order given."""
-        holders = self._holders
-        short = []
-        for chunk_id in chunk_ids:
-            pids = holders[chunk_id]
-            pids.remove(peer_id)
-            if len(pids) < k_min:
-                short.append(chunk_id)
-            if not pids:
-                del holders[chunk_id]
-        return short
 
     def _walk(self, peer_id: int, gained=(), lost=()) -> None:
         """Count keys gained and lost at a node and push its flips rootward.
@@ -415,10 +396,10 @@ class SectorTree:
         removed = [chunk_id for chunk_id in removed if chunk_id in store]
         store.difference_update(removed)
         store |= added
-        holders = self._holders
+        holders = self.holders
         for chunk_id in added:
-            holders.setdefault(chunk_id, set()).add(peer_id)
-        short = self._unlist(peer_id, removed, k_min)
+            holders.add(chunk_id, peer_id)
+        short = holders.drop(peer_id, removed, k_min)
         if self.summary_mode == "exact":  # a chunk id is its own key
             self._walk(peer_id, list(added), removed)
             return short
@@ -428,12 +409,9 @@ class SectorTree:
         return short
 
     def replica_count(self, chunk_id: int) -> int:
-        return len(self._holders.get(chunk_id, ()))
-
-    def replica_counts(self, chunk_ids) -> list[int]:
-        """`replica_count` of each chunk, in the order given."""
-        holders = self._holders
-        return [len(holders.get(chunk_id, ())) for chunk_id in chunk_ids]
+        """`holders.count`. It stays only because perfbench/spans.py
+        patches it by name, and goes when the benchmark next changes."""
+        return self.holders.count(chunk_id)
 
     # -- diffusion and pinning ----------------------------------------------
 
@@ -449,7 +427,7 @@ class SectorTree:
         """Pin a fresh chunk on the k_rep deepest nodes with spare storage
         and return them, fewer when storage runs short; a node that
         already holds it (a republish) is picked but unchanged."""
-        nodes, holders = self.nodes, self._holders
+        nodes, holders = self.nodes, self.holders
         pinned: list[int] = []
         for pid in self._depth_order():
             if len(pinned) >= k_rep:
@@ -460,7 +438,7 @@ class SectorTree:
                 pinned.append(pid)
                 if chunk_id not in store:
                     store.add(chunk_id)
-                    holders.setdefault(chunk_id, set()).add(pid)
+                    holders.add(chunk_id, pid)
                     self._walk(pid, node.summary.keys_of(chunk_id))
         return pinned
 
@@ -517,7 +495,7 @@ class SectorTree:
         summaries the pins of all chunks reach them in one rootward
         pass; a Bloom filter hears each pin as it is made.
         """
-        nodes, holders = self.nodes, self._holders
+        nodes, holders = self.nodes, self.holders
         order: list[int] | None = None  # ranked at the first chunk to pin
         room: dict[int, int] = {}  # node -> spare storage, read at its first visit
         exact = self.summary_mode == "exact"
@@ -559,10 +537,8 @@ class SectorTree:
             if not pins:  # no loss: a holder or the archive still has it
                 continue
             new_pins[chunk_id] = pins
-            if held_by:
-                held_by.update(pins)
-            else:
-                holders[chunk_id] = set(pins)
+            for pid in pins:
+                holders.add(chunk_id, pid)
         for pid, chunks in stored.items():
             nodes[pid].store.update(chunks)
         if stored and exact:

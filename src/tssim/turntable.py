@@ -8,8 +8,8 @@ representants of its sector, and requests from outside enter the sector
 through them. How a chunk spreads or is found inside a sector is the
 variant's business (a diffusion tree or a gossip mesh); this module
 owns membership, representant election, publication fan-out, where a
-request enters its sector, and the shortcut links peers keep into the
-next sector.
+request enters its sector, the shortcut links peers keep into the next
+sector, and the one index of who pins each chunk.
 """
 
 from __future__ import annotations
@@ -27,6 +27,42 @@ def sector_of_chunk(chunk_id: int, m: int) -> int:
     if chunk_id < 0:
         raise ValueError(f"negative chunk id {chunk_id}")
     return chunk_id % m
+
+
+class Holders(dict):
+    """Chunk id -> the set of peers that pin it, one index for every sector
+    of a run: a sector's chunks are all congruent mod m, and a peer stays
+    in one sector for life, so sectors never share a key."""
+
+    def add(self, chunk_id: int, peer_id: int) -> None:
+        self.setdefault(chunk_id, set()).add(peer_id)
+
+    def drop(self, peer_id: int, chunk_ids, k_min: int = 0) -> list[int]:
+        """Unlist the peer from each chunk; returns the chunks that fewer
+        than `k_min` peers pin now, in the order given."""
+        short = []
+        for chunk_id in chunk_ids:
+            pids = self[chunk_id]
+            pids.remove(peer_id)
+            if len(pids) < k_min:
+                short.append(chunk_id)
+            if not pids:
+                del self[chunk_id]
+        return short
+
+    def count(self, chunk_id: int) -> int:
+        return len(self.get(chunk_id, ()))
+
+    def drift(self, pairs) -> list[str]:
+        """A problem for each chunk whose set is not a recount of the
+        (peer, store) pairs."""
+        recount = Holders()
+        for pid, store in pairs:
+            for chunk_id in store:
+                recount.add(chunk_id, pid)
+        return [f"chunk {chunk_id} holders differ from a recount"
+                for chunk_id in sorted(recount.keys() | self.keys())
+                if recount.get(chunk_id) != self.get(chunk_id)]
 
 
 class RouteOutcome(NamedTuple):

@@ -131,13 +131,12 @@ def two_pass_departure(tree, peer_id: int, k_min: int) -> list[int]:
     chunks to re-replicate, found in two passes over the leaver's chunks.
 
     The first pass empties and publishes the leaver's store, and the peer
-    is detached; the second asks `replica_counts` for the held chunks,
+    is detached; the second asks `replica_count` for each held chunk,
     ascending, and keeps those below k_min.
     """
     held = sorted(unpin_all(tree, peer_id))
     tree.detach(peer_id)
-    return [chunk for chunk, count in zip(held, tree.replica_counts(held))
-            if count < k_min]
+    return [chunk for chunk in held if tree.replica_count(chunk) < k_min]
 
 
 # -- sector tree re-replication, one chunk at a time ------------------------------
@@ -173,7 +172,7 @@ def per_chunk_emergency_replicate(tree, chunk_ids, k_rep: int,
         new_pins[chunk_id] = pins
         for pid in pins:
             tree.nodes[pid].store.add(chunk_id)
-            tree._holders.setdefault(chunk_id, set()).add(pid)
+            tree.holders.add(chunk_id, pid)
             stored.setdefault(pid, []).append(chunk_id)
         for pid in pins:
             tree._walk(pid, tree.nodes[pid].summary.keys_of(chunk_id))

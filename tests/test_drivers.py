@@ -288,8 +288,8 @@ class MirrorCheckDriver(MeshDriver):
 
 def test_mesh_gossip_runs_and_mirrors_pins_into_engine_stores():
     driver = MirrorCheckDriver(ScenarioConfig(seed=5))
-    generated_run(driver, seed=5)
-    assert sum(m.shuffle_messages for m in driver.structures) > 0
+    engine = generated_run(driver, seed=5)
+    assert engine.moves["adopt"] > 0
     assert driver.mirrored > 0
     assert driver.mismatches == 0
 
@@ -323,6 +323,48 @@ def test_checked_mode_reports_a_copied_pin_set_and_an_evicted_pin(overlay):
     with pytest.raises(InvariantViolation,
                        match=f"peer {pid} pins a chunk it does not store"):
         engine._run_checks()
+
+
+@pytest.mark.parametrize("overlay", [TreeDriver, MeshDriver])
+def test_checked_mode_reports_a_pin_of_another_sector(overlay):
+    # one holders index serves every sector only while each sector's
+    # members pin that sector's chunks alone
+    driver = overlay(ScenarioConfig(m=2, r=1, k_rep=1, k_min=1))
+    engine = run_engine(driver, [join(1.0, 0, 10_000), join(2.0, 1, 10_000)],
+                        horizon=600.0)
+    engine._run_checks()  # healthy
+    sector = driver.turntable.sector_of_peer[0]
+    structure = driver.structures[sector]
+    chunk = 1 - sector  # a chunk of the other sector
+    if overlay is TreeDriver:
+        structure.update_summary(0, added=[chunk])
+    else:
+        structure.pin(0, chunk)
+    engine.store_chunk(0, chunk)
+    with pytest.raises(InvariantViolation, match="peer 0 pins a chunk of another sector"):
+        engine._run_checks()
+
+
+@pytest.mark.parametrize("overlay", [TreeDriver, MeshDriver])
+def test_every_sector_writes_the_one_index_the_census_reads(overlay):
+    samples = []
+
+    class CensusRecount(overlay):
+        def replica_counts(self, now):
+            counts = super().replica_counts(now)
+            recount = [0] * len(counts)
+            for _, member in members_of(self):
+                for chunk in member.store:
+                    recount[chunk] += 1
+            samples.append((counts, recount))
+            return counts
+
+    driver = CensusRecount(ScenarioConfig())
+    generated_run(driver)
+    assert all(structure.holders is driver.holders for structure in driver.structures)
+    assert len(samples) > 1 and any(sum(counts) for counts, _ in samples)
+    for counts, recount in samples:
+        assert counts == recount
 
 
 @pytest.mark.parametrize("overlay,settings", [

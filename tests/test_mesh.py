@@ -99,17 +99,14 @@ def test_isolated_peer_bootstraps_via_representant():
     mesh = build_mesh(4)
     mesh.peers[3].neighbors.clear()
     report = mesh.gossip_round(3, now=10.0)
-    assert report.bootstrapped
     assert report.partner == 0  # longest-lived member
     assert 0 in mesh.peers[3].neighbors
-    assert mesh.bootstrap_messages == 1
 
 
 def test_sole_peer_gossip_is_a_noop():
     mesh = build_mesh(1)
     report = mesh.gossip_round(0, now=10.0)
     assert report.partner is None
-    assert not report.bootstrapped
 
 
 def test_gossip_keeps_mesh_connected():
@@ -253,7 +250,7 @@ def test_view_entries_are_plain_tuples_keyed_by_peer():
     t = run_rounds(mesh, 100, start=t)
     assert mesh.stale_evictions and all(29 not in p.neighbors for p in mesh.peers.values())
     mesh.peers[3].neighbors.clear()
-    assert mesh.gossip_round(3, t).bootstrapped
+    assert mesh.gossip_round(3, t).partner == 0  # a bootstrap via the representant
     mesh.add_peer(30, now=t)
     for peer in mesh.peers.values():
         assert peer.neighbors
@@ -333,16 +330,8 @@ def test_holder_counts_follow_pins_and_departures():
     mesh.remove_peer(2, now=1.0)
     assert mesh.replica_count(7) == 1
     assert holders(mesh.peers, 7) == [1]
+    assert mesh.holders == {7: {1}}
     assert mesh.check_invariants(1.0) == []
-
-
-def test_check_invariants_flags_store_edits_that_bypass_pin():
-    mesh = build_mesh(4, colors=1)
-    mesh.pin(1, 7)
-    mesh.peers[3].store.add(7)
-    assert mesh.replica_count(7) == 1  # the map never saw the edit
-    assert mesh.check_invariants(0.0) == [
-        "holder count of chunk 7 is 1, but 2 members store it"]
 
 
 # -- routing -------------------------------------------------------------------------
@@ -577,9 +566,8 @@ class ReferenceMesh(SectorMesh):
             rep = self.representant(excluding=peer_id)
             if rep is not None:
                 peer.neighbors[rep] = NeighborEntry(now, rep, self.peers[rep].color)
-                self.bootstrap_messages += 1
-                return GossipReport(rep, True, ())
-            return GossipReport(None, False, ())
+                return GossipReport(rep, ())
+            return GossipReport(None, ())
 
         partner_id = self.rng.choice(alive)
         partner = self.peers[partner_id]
@@ -589,13 +577,12 @@ class ReferenceMesh(SectorMesh):
         self._merge_view(peer, back)
         peer.neighbors[partner_id] = NeighborEntry(now, partner_id, partner.color)
         partner.neighbors[peer_id] = NeighborEntry(now, peer_id, peer.color)
-        self.shuffle_messages += 2
 
         pairs = [(partner_id, c) for c in
                  self._receive_offers(partner, peer, self._own_color_offers(peer))]
         pairs += [(peer_id, c) for c in
                   self._receive_offers(peer, partner, self._own_color_offers(partner))]
-        return GossipReport(partner_id, False, tuple(pairs))
+        return GossipReport(partner_id, tuple(pairs))
 
     def replica_count(self, chunk_id):
         return sum(1 for p in self.peers.values() if chunk_id in p.store)
@@ -687,8 +674,7 @@ def _mesh_state(mesh, chunks):
         "stores": {pid: set(p.store) for pid, p in mesh.peers.items()},
         "known_offers": {pid: p.known_offers for pid, p in mesh.peers.items()},
         "counters": (mesh.stale_evictions, mesh.coloring_gaps, mesh.recolor_events,
-                     mesh.route_detours, mesh.shuffle_messages,
-                     mesh.bootstrap_messages),
+                     mesh.route_detours),
         "pins": (mesh.gap_pins, mesh.legacy_pins),
         "departed_at": mesh.departed_at,
         "replicas": {c: mesh.replica_count(c) for c in chunks},
@@ -757,4 +743,4 @@ def test_gossip_path_matches_reference(trial):
                 neighbors[nid] = neighbors[nid]._replace(last_seen=seen)
         now += rng.uniform(0, period)
         assert _mesh_state(mesh, chunks) == _mesh_state(ref, chunks), f"step {step}"
-        assert not [msg for msg in mesh.check_invariants(now) if "holder count" in msg]
+        assert mesh.holders.drift((pid, p.store) for pid, p in mesh.peers.items()) == []

@@ -203,6 +203,11 @@ def tree_of_two_holders(mode):
     return t
 
 
+def index_drift(tree):
+    """The tree's holders index against a recount of its stores."""
+    return tree.holders.drift((pid, node.store) for pid, node in tree.nodes.items())
+
+
 def counting_walks(t):
     walks = []
     walk = t._walk
@@ -230,6 +235,7 @@ def test_update_summary_ignores_held_adds_and_absent_removals(mode):
     assert {pid: node.summary.counts for pid, node in t.nodes.items()} == counts
     assert t.nodes[3].store == set(range(6)) and t.nodes[5].store == set()
     assert t.check_invariants() == []
+    assert index_drift(t) == []
 
 
 @pytest.mark.parametrize("mode, before, after", [("exact", 504, 624),
@@ -247,6 +253,7 @@ def test_update_summary_adds_and_removes_in_one_walk(mode, before, after):
     assert holders(t.nodes, 0) == [4] and holders(t.nodes, 20) == [3]
     assert root_claims(t, 20) and root_claims(t, 0)
     assert t.check_invariants() == []
+    assert index_drift(t) == []
 
 
 # -- diffusion ----------------------------------------------------------------
@@ -264,18 +271,6 @@ def test_diffuse_reports_deficit_when_storage_short():
     t.attach(1, storage_capacity=1)
     assert len(t.diffuse_chunk(9, k_rep=3)) == 2
     assert t.diffuse_chunk(10, k_rep=1) == []  # both nodes are full now
-
-
-def test_dropped_chunks_below_k_min_come_back_in_the_order_given():
-    t = chain(3)
-    t.update_summary(1, added={3, 4, 5})
-    t.update_summary(2, added={4})
-    short = t.update_summary(1, removed=[5, 9, 4, 3], k_min=1)
-    assert short == [5, 3]  # 4 is still on node 2; 9 was never held here
-    assert t.nodes[1].store == set()
-    assert t.replica_counts([3, 4, 5]) == [0, 1, 0]
-    assert t.update_summary(2, removed=[4]) == []  # k_min 0: nothing is short
-    assert t.check_invariants() == []
 
 
 # -- routing -------------------------------------------------------------------
@@ -603,7 +598,7 @@ def assert_matches_rebuild(tree, ref, mode, chunks, step):
         assert mine.depth == depth_of(ref, pid), f"{where}: depth of {pid}"
     assert tree.summary_traffic_bytes == ref.summary_traffic_bytes, where
     for chunk in chunks:
-        assert sorted(tree._holders.get(chunk, ())) == holders(ref.nodes, chunk), \
+        assert sorted(tree.holders.get(chunk, ())) == holders(ref.nodes, chunk), \
             f"{where}: chunk {chunk}"
         assert tree.replica_count(chunk) == ref.replica_count(chunk), where
 
@@ -662,6 +657,7 @@ def test_indexed_tree_matches_rebuild(mode):
                     ref.emergency_replicate([chunk], k_rep, archive)
             assert_matches_rebuild(tree, ref, mode, chunks, step)
         assert tree.check_invariants() == []
+        assert index_drift(tree) == []
 
 
 @pytest.mark.parametrize("mode", ["exact", "bloom"])
@@ -706,6 +702,7 @@ def test_one_pass_departure_matches_per_chunk_rounds(mode):
             seen["loss"] += len(result.lost)
             seen["archive"] += list(result.fetched_from.values()).count(PRODUCER)
         assert tree.check_invariants() == []
+        assert index_drift(tree) == []
     # each path of the batched call ran: a node gaining several chunks in
     # one pass, a pin refused for lack of storage, a loss and the archive
     assert all(seen.values()), seen
@@ -739,13 +736,14 @@ def test_by_node_departure_matches_the_per_chunk_reference(mode):
             assert result == per_chunk_emergency_replicate(ref, held, k_rep, archive)
             for peer, node in ref.nodes.items():
                 assert tree.nodes[peer].store == node.store
-            assert tree._holders == ref._holders
+            assert tree.holders == ref.holders
             for peer, node in ref.nodes.items():
                 assert tree.nodes[peer].summary.counts == node.summary.counts
                 assert summary_content(tree.nodes[peer].summary, mode) == \
                     summary_content(node.summary, mode)
             assert tree.summary_traffic_bytes == ref.summary_traffic_bytes
             assert tree.check_invariants() == []
+            assert index_drift(tree) == []
             last = max(result.new_pins, default=-1)
             seen["filled mid-departure"] += sum(
                 len(tree.nodes[p].store) == tree.nodes[p].storage_capacity
@@ -761,7 +759,7 @@ def test_by_node_departure_matches_the_per_chunk_reference(mode):
 def test_one_walk_departure_matches_the_two_pass_reference(mode):
     # a departure as the driver makes it, one update_summary walk over the
     # leaver's chunks that also picks those below k_min, against a copy
-    # of the same tree taken through unpin_all, detach and replica_counts;
+    # of the same tree taken through unpin_all, detach and replica_count;
     # storage is small, so the re-replication that follows fills nodes
     seen = {"short": 0, "not short": 0, "filled": 0}
     for trial in range(40):
@@ -789,13 +787,14 @@ def test_one_walk_departure_matches_the_two_pass_reference(mode):
             assert result == ref.emergency_replicate(short, k_rep, producer_archive=archive)
             for peer, node in ref.nodes.items():
                 assert tree.nodes[peer].store == node.store
-            assert tree._holders == ref._holders
+            assert tree.holders == ref.holders
             for peer, node in ref.nodes.items():
                 assert tree.nodes[peer].summary.counts == node.summary.counts
                 assert summary_content(tree.nodes[peer].summary, mode) == \
                     summary_content(node.summary, mode)
             assert tree.summary_traffic_bytes == ref.summary_traffic_bytes
             assert tree.check_invariants() == []
+            assert index_drift(tree) == []
             seen["short"] += len(short)
             seen["not short"] += held - len(short)
             seen["filled"] += sum(len(tree.nodes[p].store) == tree.nodes[p].storage_capacity
@@ -810,12 +809,10 @@ def test_check_invariants_audits_the_indices():
     t.diffuse_chunk(3, k_rep=2)
     assert t.check_invariants() == []
     t.nodes[4].depth += 1
-    t._holders[3].add(0)
     t.nodes[0].summary.counts[3] += 1
     assert t.check_invariants() == [
         "cached depth of 4 differs from a recount",
         "summary reference counts at 0 differ from a recount",
-        "chunk 3 holders differ from a recount",
     ]
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from tssim.turntable import Turntable, sector_of_chunk
+from tssim.turntable import Holders, Turntable, sector_of_chunk
 
 
 def test_sector_of_chunk_rotation():
@@ -184,3 +184,31 @@ def test_turntable_validation():
     tt.join(1)
     with pytest.raises(ValueError):
         tt.join(1)
+
+
+# -- the holders index -----------------------------------------------------------
+
+def test_holders_drop_returns_short_chunks_in_the_order_given():
+    holders = Holders()
+    for chunk, peer in [(3, 1), (4, 1), (5, 1), (4, 2)]:
+        holders.add(chunk, peer)
+    assert holders.drop(1, [5, 4, 3], k_min=1) == [5, 3]  # 4 is still on peer 2
+    assert holders == {4: {2}}  # emptied chunks leave the index
+    assert holders.count(3) == 0 and holders.count(4) == 1
+    assert holders.drop(2, [4]) == []  # k_min 0: nothing is short
+    assert holders == {}
+
+
+def test_holders_drift_names_a_hand_corrupted_chunk():
+    holders = Holders()
+    stores = {1: {3, 7}, 2: {7}}
+    for peer, store in stores.items():
+        for chunk in store:
+            holders.add(chunk, peer)
+    assert holders.drift(stores.items()) == []
+    holders[7].discard(2)
+    holders.add(9, 1)
+    assert holders.drift(stores.items()) == [
+        "chunk 7 holders differ from a recount",
+        "chunk 9 holders differ from a recount",
+    ]
